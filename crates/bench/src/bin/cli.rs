@@ -123,9 +123,10 @@ fn usage() -> ! {
          \x20             [--json] [--out PATH]\n\
          \x20                                                         seeded fault sweep; exit 1 if a corrupt product was served\n\
          \n\
-         --threads N pins the lane fan-out (default: CRYPTOPIM_THREADS\n\
-         or the machine's available parallelism; results are identical\n\
-         for any worker count)\n"
+         --threads N pins how many workers whole job chunks fan out over\n\
+         (default: CRYPTOPIM_THREADS or the machine's available\n\
+         parallelism; a single job runs on one thread; results are\n\
+         identical for any worker count)\n"
     );
     std::process::exit(2);
 }

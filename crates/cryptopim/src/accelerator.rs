@@ -12,14 +12,12 @@
 //! so repeat multiplies skip straight to the datapath.
 
 use crate::arch::{ArchConfig, MAX_NATIVE_DEGREE};
-use crate::check::{self, CheckPolicy};
+use crate::check::CheckPolicy;
 use crate::engine::{Engine, EngineTrace};
 use crate::hotcache::HotCache;
 use crate::mapping::NttMapping;
-use crate::phase;
 use crate::pipeline::{Organization, PipelineModel};
 use crate::report::ExecutionReport;
-use crate::scratch::BatchScratch;
 use crate::Result;
 use modmath::params::ParamSet;
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
@@ -30,7 +28,6 @@ use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 use pim::PimError;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The CryptoPIM accelerator for one parameter set.
 ///
@@ -115,9 +112,11 @@ impl CryptoPim {
         })
     }
 
-    /// Selects the host-thread fan-out policy for functional execution
-    /// (`--threads N` / `CRYPTOPIM_THREADS`). Worker count never changes
-    /// products, reports, or traces — only wall-clock simulation time.
+    /// Selects the host-thread fan-out policy for batched execution
+    /// (`--threads N` / `CRYPTOPIM_THREADS`): whole job chunks fan out
+    /// across workers; a single job always runs on the caller's
+    /// thread. Worker count never changes products, reports, or traces
+    /// — only wall-clock simulation time.
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
         self
@@ -158,9 +157,10 @@ impl CryptoPim {
         self.check
     }
 
-    /// Attaches a shared hot-operand transform cache. Batch multiplies
-    /// look up the `a` operand's forward-NTT image here and skip its
-    /// forward transform on a hit — on both the engine datapath and the
+    /// Attaches a shared hot-operand transform cache. Every product
+    /// multiply (batched or [`CryptoPim::multiply_product`]) looks up
+    /// the `a` operand's forward-NTT image here and skips its forward
+    /// transform on a hit — on both the engine datapath and the
     /// `Recompute` referee path. `None` (the default) disables caching.
     pub fn with_hot_cache(mut self, hot: Option<Arc<HotCache>>) -> Self {
         self.hot = hot;
@@ -173,7 +173,7 @@ impl CryptoPim {
     }
 
     /// Whether an installed write path is currently injecting faults.
-    /// The batch paths refuse to insert engine-captured transforms into
+    /// The chunk path refuses to insert engine-captured transforms into
     /// the hot cache while armed (a possibly-faulted image must never
     /// become the trusted copy both datapaths reuse).
     pub(crate) fn faults_armed(&self) -> bool {
@@ -181,7 +181,7 @@ impl CryptoPim {
     }
 
     /// The software referee datapath, when [`CheckPolicy::Recompute`]
-    /// is configured (the batch path fuses referee transforms across
+    /// is configured (the chunk path fuses referee transforms across
     /// whole chunks instead of going job by job).
     pub(crate) fn referee(&self) -> Option<&NttMultiplier> {
         self.referee.as_deref()
@@ -192,7 +192,6 @@ impl CryptoPim {
     pub(crate) fn engine(&self) -> Engine<'_> {
         Engine::new(&self.mapping)
             .with_multiplier(self.multiplier)
-            .with_threads(self.threads)
             .with_write_path(self.writes.as_deref())
     }
 
@@ -265,19 +264,21 @@ impl CryptoPim {
                 right: b.degree_bound(),
             });
         }
-        let (coeffs, trace) = self.engine().multiply(a.coeffs(), b.coeffs())?;
+        let mut coeffs = Vec::new();
+        let trace = self
+            .engine()
+            .multiply_batch(a.coeffs(), b.coeffs(), &mut coeffs, &[], None)?;
         let product = Polynomial::from_coeffs(coeffs, self.params().q)?;
         Ok((product, self.report()?, trace))
     }
 
     /// Multiplies two polynomials, returning only the product.
     ///
-    /// The hot-path variant for batched serving: per-call report
-    /// construction (architecture derivation plus pipeline-model math)
-    /// and the functional trace are skipped entirely, because a batch
-    /// prices its timing once at burst level, not per job. Engine
+    /// This is the batch of one on the same path every served batch
+    /// takes (`crate::batch`): no report, no trace, the attached hot
+    /// cache consulted for `a`, and the configured check applied. Engine
     /// output is canonical by construction — also under an armed write
-    /// path, which re-canonicalizes faulted words — so the product also
+    /// path, which re-canonicalizes faulted words — so the product
     /// skips the `from_coeffs` reduction sweep.
     ///
     /// When a [`CheckPolicy::Residue`] policy is configured
@@ -296,65 +297,9 @@ impl CryptoPim {
     /// Same as [`CryptoPim::multiply_with_trace`], plus
     /// [`PimError::CorruptResult`] under a failing check.
     pub fn multiply_product(&self, a: &Polynomial, b: &Polynomial) -> Result<Polynomial> {
-        let n = self.params().n;
-        if a.degree_bound() != n || b.degree_bound() != n {
-            return Err(PimError::LengthMismatch {
-                left: a.degree_bound(),
-                right: b.degree_bound(),
-            });
-        }
-        let engine_start = Instant::now();
-        let (coeffs, _) = self.engine().multiply(a.coeffs(), b.coeffs())?;
-        phase::record_engine(engine_start.elapsed());
-        match self.check {
-            CheckPolicy::Disabled => {}
-            CheckPolicy::Residue { points, seed } => {
-                let compare_start = Instant::now();
-                let verdict = check::verify_product(
-                    &self.mapping,
-                    a.coeffs(),
-                    b.coeffs(),
-                    &coeffs,
-                    points,
-                    seed,
-                );
-                phase::record_check(0, 0, compare_start.elapsed().as_nanos() as u64);
-                if let Err((failed, checked)) = verdict {
-                    return Err(PimError::CorruptResult(self.fault_report(failed, checked)));
-                }
-            }
-            CheckPolicy::Recompute => {
-                let referee = self
-                    .referee
-                    .as_ref()
-                    .expect("with_check builds the referee");
-                // The single-job case of the batch-fused referee: same
-                // kernels (bit-identical to `NttMultiplier::multiply`),
-                // pooled scratch, and a per-phase timing split.
-                let mut scratch = BatchScratch::checkout(n, 1);
-                let (fa, fb, out) = scratch.buffers();
-                fa.copy_from_slice(a.coeffs());
-                fb.copy_from_slice(b.coeffs());
-                let timing = referee.multiply_batch_into(fa, fb, out)?;
-                let compare_start = Instant::now();
-                let failed = coeffs
-                    .iter()
-                    .zip(out.iter())
-                    .filter(|(got, want)| got != want)
-                    .count();
-                phase::record_check(
-                    timing.transform_ns,
-                    timing.pointwise_ns,
-                    compare_start.elapsed().as_nanos() as u64,
-                );
-                if failed > 0 {
-                    return Err(PimError::CorruptResult(
-                        self.fault_report(failed as u32, n as u32),
-                    ));
-                }
-            }
-        }
-        Ok(Polynomial::from_canonical_coeffs(coeffs, self.params().q)?)
+        crate::batch::chunk_outcomes(self, &[(a, b)])
+            .pop()
+            .expect("one outcome per job")
     }
 
     /// A [`FaultReport`] blaming this accelerator's bank (and the write

@@ -8,10 +8,13 @@
 //! product functionally and reports the batch's latency and effective
 //! throughput from the occupancy simulation.
 //!
-//! Jobs fan out over the persistent worker pool (`pim::par`); each
-//! worker's inner engine runs sequentially and reuses that worker's
-//! thread-local scratch slab, so a long batch settles into the same
-//! zero-allocation steady state as a single-engine loop.
+//! Every multiply — a served batch or one direct job — runs through one
+//! chunk function, `chunk_outcomes`: degree check, hot-cache lookup, one
+//! fused engine pass, then one check policy. Chunks fan out over the
+//! persistent worker pool (`pim::par`) when the accelerator's
+//! [`Threads`](pim::par::Threads) policy resolves to more than one
+//! worker; each chunk's engine pass runs on its worker's thread and
+//! reuses that thread's scratch slabs.
 
 use crate::accelerator::CryptoPim;
 use crate::arch::ArchConfig;
@@ -21,8 +24,9 @@ use crate::schedule::simulate_burst;
 use crate::scratch::BatchScratch;
 use crate::Result;
 use ntt::poly::Polynomial;
-use pim::par::{self, Threads};
+use pim::par;
 use pim::{PimError, CYCLE_TIME_NS};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,274 +110,235 @@ pub fn multiply_batch_outcomes(
     if pairs.is_empty() {
         return Err(PimError::EmptyBatch);
     }
-    if matches!(acc.check_policy(), CheckPolicy::Recompute) {
-        return recompute_outcomes(acc, pairs);
-    }
-    // With a multi-worker fleet, pairs fan out across host threads at
-    // job granularity (independent superbank slots; inner engines run
-    // single-threaded to avoid nested fan-out). A single worker instead
-    // takes the batch-fused engine path: one `StagePlan` walk per chunk
-    // rather than one per job. Results land in input order either way.
+    // Whole chunks fan out across host threads (independent superbank
+    // slots); each chunk's engine pass runs on its own worker thread.
+    // Outcomes land in input order for any worker count.
     let workers = acc.threads().resolve().min(pairs.len());
-    if workers > 1 {
-        let seq = acc.clone().with_threads(Threads::Fixed(1));
-        Ok(par::map_jobs(pairs, workers, |(a, b)| {
-            seq.multiply_product(a, b)
-        }))
-    } else {
-        Ok(fused_outcomes(acc, pairs))
-    }
-}
-
-/// The single-worker fast path for unchecked and residue-checked
-/// batches: chunks of up to [`MAX_FUSED_JOBS`] jobs run through
-/// `Engine::multiply_batch_cached` — one fused pass over the pooled
-/// `3·B·n` slab — with hot-operand reuse when a cache is attached
-/// ([`CryptoPim::with_hot_cache`]). Residue verification stays per job,
-/// so outcomes are identical to the job-at-a-time path.
-///
-/// Falls back to the per-job loop when operand degrees are mixed (the
-/// scheduler never forms such batches; direct callers get the same
-/// per-job errors as before).
-fn fused_outcomes(acc: &CryptoPim, pairs: &[(Polynomial, Polynomial)]) -> Vec<Result<Polynomial>> {
-    let n = acc.params().n;
-    let q = acc.params().q;
-    if pairs
-        .iter()
-        .any(|(a, b)| a.degree_bound() != n || b.degree_bound() != n)
-    {
-        return pairs
-            .iter()
-            .map(|(a, b)| acc.multiply_product(a, b))
-            .collect();
-    }
-    let engine = acc.engine();
-    let hot = acc.hot_cache();
-    let armed = acc.faults_armed();
-    let mut results = Vec::with_capacity(pairs.len());
-    let mut out = Vec::new();
-    let mut cap = Vec::new();
-    for chunk in pairs.chunks(MAX_FUSED_JOBS) {
-        let mut inputs = BatchScratch::checkout(n, chunk.len());
-        let (fa, fb, _) = inputs.buffers();
-        for (i, (a, b)) in chunk.iter().enumerate() {
-            fa[i * n..(i + 1) * n].copy_from_slice(a.coeffs());
-            fb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
-        }
-        let images: Vec<Option<Arc<Vec<u64>>>> = match hot {
-            Some(h) => chunk
-                .iter()
-                .map(|(a, _)| h.lookup(n, q, a.coeffs()))
-                .collect(),
-            None => Vec::new(),
-        };
-        let cached: Vec<Option<&[u64]>> = if images.is_empty() {
-            vec![None; chunk.len()]
-        } else {
-            images
-                .iter()
-                .map(|img| img.as_deref().map(Vec::as_slice))
-                .collect()
-        };
-        let any_miss = hot.is_some() && cached.iter().any(Option::is_none);
-        // Engine captures are only trustworthy fault-free: an armed
-        // write path may have corrupted the image, and a corrupt cached
-        // transform reused later would evade even the referee.
-        let capture = (any_miss && !armed).then_some(&mut cap);
-        let engine_start = Instant::now();
-        let run = engine.multiply_batch_cached(fa, fb, &mut out, &cached, capture);
-        phase::record_engine(engine_start.elapsed());
-        if let Err(e) = run {
-            results.extend(chunk.iter().map(|_| Err(e.clone())));
-            continue;
-        }
-        if let (Some(h), false, true) = (hot, armed, any_miss) {
-            for (i, (a, _)) in chunk.iter().enumerate() {
-                if cached[i].is_none() {
-                    h.insert(n, q, a.coeffs(), &cap[i * n..(i + 1) * n]);
-                }
-            }
-        }
-        for (i, (a, b)) in chunk.iter().enumerate() {
-            let coeffs = out[i * n..(i + 1) * n].to_vec();
-            let job = match acc.check_policy() {
-                CheckPolicy::Residue { points, seed } => {
-                    let compare_start = Instant::now();
-                    let verdict = check::verify_product(
-                        acc.mapping(),
-                        a.coeffs(),
-                        b.coeffs(),
-                        &coeffs,
-                        points,
-                        seed,
-                    );
-                    phase::record_check(0, 0, compare_start.elapsed().as_nanos() as u64);
-                    match verdict {
-                        Ok(()) => Polynomial::from_canonical_coeffs(coeffs, q).map_err(Into::into),
-                        Err((failed, checked)) => {
-                            Err(PimError::CorruptResult(acc.fault_report(failed, checked)))
-                        }
-                    }
-                }
-                _ => Polynomial::from_canonical_coeffs(coeffs, q).map_err(Into::into),
-            };
-            results.push(job);
-        }
-    }
-    results
-}
-
-/// Jobs fused into one referee pass. Twiddle-walk amortization
-/// saturates after a handful of polynomials, while scratch grows as
-/// `3·B·n` words — this caps the memory at a size that stays
-/// cache-friendly for every paper degree.
-const MAX_FUSED_JOBS: usize = 16;
-
-/// The [`CheckPolicy::Recompute`] batch path: engine products run
-/// unchecked, then the software referee re-derives whole chunks in one
-/// batch-fused NTT pass (`multiply_batch_into` walks the twiddle tables
-/// once per chunk instead of once per job) and compares bit for bit.
-/// Per-job outcomes are identical to the job-at-a-time path: a corrupt
-/// lane fails alone with [`PimError::CorruptResult`] while its
-/// batch-mates return verified products.
-fn recompute_outcomes(
-    acc: &CryptoPim,
-    pairs: &[(Polynomial, Polynomial)],
-) -> Result<Vec<Result<Polynomial>>> {
-    let workers = acc.threads().resolve().min(pairs.len()).max(1);
-    // The engine side runs unchecked — the chunk referee is the check.
-    let unchecked = acc
-        .clone()
-        .with_threads(Threads::Fixed(1))
-        .with_check(CheckPolicy::Disabled);
-    let chunk_len = pairs.len().div_ceil(workers).clamp(1, MAX_FUSED_JOBS);
+    let chunk_len = pairs.len().div_ceil(workers).min(MAX_FUSED_JOBS);
     let chunks: Vec<&[(Polynomial, Polynomial)]> = pairs.chunks(chunk_len).collect();
-    let outcomes: Vec<Vec<Result<Polynomial>>> = if workers > 1 && chunks.len() > 1 {
-        par::map_jobs(&chunks, workers, |chunk| {
-            recompute_chunk(&unchecked, acc, chunk)
-        })
+    let outcomes = if workers > 1 && chunks.len() > 1 {
+        par::map_jobs(&chunks, workers, |chunk| chunk_outcomes(acc, chunk))
     } else {
         chunks
             .iter()
-            .map(|chunk| recompute_chunk(&unchecked, acc, chunk))
+            .map(|chunk| chunk_outcomes(acc, chunk))
             .collect()
     };
     Ok(outcomes.into_iter().flatten().collect())
 }
 
-/// Runs one chunk: one fused engine pass (with hot-operand splice), one
-/// cache-aware fused referee pass, per-job bit-for-bit compare.
-///
-/// Cache soundness: engine-side captures are **never** inserted here —
-/// the referee's own forward spectra (computed in host memory, outside
-/// any fault path) populate the cache instead, so a faulted engine
-/// image can never become the trusted copy both datapaths reuse. On a
-/// hit the referee splices the content-verified cached spectrum and
-/// still recomputes the full product, so a corrupt engine lane through
-/// the cached path is still caught.
-fn recompute_chunk(
-    seq: &CryptoPim,
-    acc: &CryptoPim,
-    chunk: &[(Polynomial, Polynomial)],
-) -> Vec<Result<Polynomial>> {
-    let n = seq.params().n;
-    let q = seq.params().q;
-    if chunk
-        .iter()
-        .any(|(a, b)| a.degree_bound() != n || b.degree_bound() != n)
-    {
-        // Mixed degrees never come from the scheduler; direct callers
-        // get the per-job errors of the one-at-a-time path.
-        return chunk
-            .iter()
-            .map(|(a, b)| acc.multiply_product(a, b))
-            .collect();
-    }
-    let referee = acc.referee().expect("with_check builds the referee");
-    let hot = acc.hot_cache();
-    let fail_all =
-        |e: PimError| -> Vec<Result<Polynomial>> { chunk.iter().map(|_| Err(e.clone())).collect() };
-    let images: Vec<Option<Arc<Vec<u64>>>> = match hot {
-        Some(h) => chunk
-            .iter()
-            .map(|(a, _)| h.lookup(n, q, a.coeffs()))
-            .collect(),
-        None => Vec::new(),
-    };
-    let cached: Vec<Option<&[u64]>> = if images.is_empty() {
-        vec![None; chunk.len()]
-    } else {
-        images
-            .iter()
-            .map(|img| img.as_deref().map(Vec::as_slice))
-            .collect()
-    };
+/// Jobs fused into one engine (and referee) pass. Twiddle-walk
+/// amortization saturates after a handful of polynomials, while scratch
+/// grows as `3·B·n` words — this caps the memory at a size that stays
+/// cache-friendly for every paper degree.
+const MAX_FUSED_JOBS: usize = 16;
 
-    // Engine side: one fused pass over the chunk (`seq` runs with
-    // checks disabled — the chunk referee below is the check).
-    let mut eng_out = Vec::new();
-    let engine_run = {
-        let mut inputs = BatchScratch::checkout(n, chunk.len());
-        let (ea, eb, _) = inputs.buffers();
-        for (i, (a, b)) in chunk.iter().enumerate() {
-            ea[i * n..(i + 1) * n].copy_from_slice(a.coeffs());
-            eb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
-        }
-        let engine_start = Instant::now();
-        let run = seq
-            .engine()
-            .multiply_batch_cached(ea, eb, &mut eng_out, &cached, None);
-        phase::record_engine(engine_start.elapsed());
-        run
-    };
-    if let Err(e) = engine_run {
+/// The one multiply path: runs a chunk of at most [`MAX_FUSED_JOBS`]
+/// borrowed pairs and returns one outcome per job, in order.
+/// [`CryptoPim::multiply_product`] is the chunk of one.
+///
+/// 1. **Degree check.** A job whose operands do not match the
+///    configured degree fails alone with [`PimError::LengthMismatch`];
+///    the rest still run.
+/// 2. **Hot-cache lookup** of every job's `a` operand
+///    ([`CryptoPim::with_hot_cache`]).
+/// 3. **One engine pass** over the chunk (`Engine::multiply_batch`),
+///    splicing cached images; the engine itself never checks.
+/// 4. **The check policy**: none, a per-job residue screen, or the
+///    fused software referee.
+///
+/// Cache soundness: engine captures are inserted only when the write
+/// path is unarmed and the policy is not [`CheckPolicy::Recompute`] (an
+/// armed path may have corrupted the image, and a corrupt cached
+/// transform reused later would evade even the referee). Under
+/// `Recompute` only the referee's own spectra, computed in host memory
+/// outside any fault path, are inserted.
+pub(crate) fn chunk_outcomes<P: Borrow<Polynomial>>(
+    acc: &CryptoPim,
+    chunk: &[(P, P)],
+) -> Vec<Result<Polynomial>> {
+    let n = acc.params().n;
+    let fits = |a: &Polynomial, b: &Polynomial| a.degree_bound() == n && b.degree_bound() == n;
+    let jobs: Vec<(&Polynomial, &Polynomial)> = chunk
+        .iter()
+        .map(|(a, b)| (a.borrow(), b.borrow()))
+        .filter(|&(a, b)| fits(a, b))
+        .collect();
+    let mut verdicts = if jobs.is_empty() {
+        Vec::new()
+    } else {
+        run_jobs(acc, &jobs)
+    }
+    .into_iter();
+    chunk
+        .iter()
+        .map(|(a, b)| {
+            let (a, b) = (a.borrow(), b.borrow());
+            if fits(a, b) {
+                verdicts.next().expect("one verdict per fitting job")
+            } else {
+                Err(PimError::LengthMismatch {
+                    left: a.degree_bound(),
+                    right: b.degree_bound(),
+                })
+            }
+        })
+        .collect()
+}
+
+/// Steps 2–4 of [`chunk_outcomes`] over jobs of the configured degree.
+fn run_jobs(acc: &CryptoPim, jobs: &[(&Polynomial, &Polynomial)]) -> Vec<Result<Polynomial>> {
+    let (n, q) = (acc.params().n, acc.params().q);
+    let lane = |i: usize| i * n..(i + 1) * n;
+    let fail_all =
+        |e: PimError| -> Vec<Result<Polynomial>> { jobs.iter().map(|_| Err(e.clone())).collect() };
+    let hot = acc.hot_cache();
+    let images: Vec<Option<Arc<Vec<u64>>>> = jobs
+        .iter()
+        .map(|(a, _)| hot.and_then(|h| h.lookup(n, q, a.coeffs())))
+        .collect();
+    let cached: Vec<Option<&[u64]>> = images
+        .iter()
+        .map(|img| img.as_deref().map(Vec::as_slice))
+        .collect();
+    let recompute = matches!(acc.check_policy(), CheckPolicy::Recompute);
+    let capture_misses =
+        hot.is_some() && !acc.faults_armed() && !recompute && cached.iter().any(Option::is_none);
+
+    let mut inputs = BatchScratch::checkout(n, jobs.len());
+    let (fa, fb, _) = inputs.buffers();
+    for (i, (a, b)) in jobs.iter().enumerate() {
+        fa[lane(i)].copy_from_slice(a.coeffs());
+        fb[lane(i)].copy_from_slice(b.coeffs());
+    }
+    let mut out = Vec::new();
+    let mut cap = Vec::new();
+    let engine_start = Instant::now();
+    let run = acc.engine().multiply_batch(
+        fa,
+        fb,
+        &mut out,
+        &cached,
+        capture_misses.then_some(&mut cap),
+    );
+    phase::record_engine(engine_start.elapsed());
+    if let Err(e) = run {
         return fail_all(e);
     }
+    if let (Some(h), true) = (hot, capture_misses) {
+        for (i, (a, _)) in jobs.iter().enumerate() {
+            if cached[i].is_none() {
+                h.insert(n, q, a.coeffs(), &cap[lane(i)]);
+            }
+        }
+    }
 
-    // Referee side: splice cached spectra, forward-transform only the
-    // miss lanes (in contiguous runs, so hits genuinely skip work).
-    let mut scratch = BatchScratch::checkout(n, chunk.len());
-    let (fa, fb, _) = scratch.buffers();
+    let product = |i: usize| Polynomial::from_canonical_coeffs(out[lane(i)].to_vec(), q);
+    match acc.check_policy() {
+        CheckPolicy::Disabled => (0..jobs.len())
+            .map(|i| product(i).map_err(Into::into))
+            .collect(),
+        CheckPolicy::Residue { points, seed } => jobs
+            .iter()
+            .enumerate()
+            .map(|(i, (a, b))| {
+                let compare_start = Instant::now();
+                let verdict = check::verify_product(
+                    acc.mapping(),
+                    a.coeffs(),
+                    b.coeffs(),
+                    &out[lane(i)],
+                    points,
+                    seed,
+                );
+                phase::record_check(0, 0, compare_start.elapsed().as_nanos() as u64);
+                match verdict {
+                    Ok(()) => product(i).map_err(Into::into),
+                    Err((failed, checked)) => {
+                        Err(PimError::CorruptResult(acc.fault_report(failed, checked)))
+                    }
+                }
+            })
+            .collect(),
+        CheckPolicy::Recompute => {
+            // The operands are still in `fa`/`fb` (the engine reads
+            // them, never writes); the referee transforms them in place.
+            let (transform_ns, pointwise_ns) = match referee_pass(acc, jobs, &cached, fa, fb) {
+                Ok(split) => split,
+                Err(e) => return fail_all(e.into()),
+            };
+            let compare_start = Instant::now();
+            let verdicts = (0..jobs.len())
+                .map(|i| {
+                    let (got, want) = (&out[lane(i)], &fa[lane(i)]);
+                    if got == want {
+                        product(i).map_err(Into::into)
+                    } else {
+                        let failed = got.iter().zip(want).filter(|(g, w)| g != w).count();
+                        Err(PimError::CorruptResult(
+                            acc.fault_report(failed as u32, n as u32),
+                        ))
+                    }
+                })
+                .collect();
+            phase::record_check(
+                transform_ns,
+                pointwise_ns,
+                compare_start.elapsed().as_nanos() as u64,
+            );
+            verdicts
+        }
+    }
+}
+
+/// The [`CheckPolicy::Recompute`] referee: re-derives every product of
+/// the chunk in one batch-fused software NTT pass, leaving them in `fa`
+/// (natural order, canonical). Cached spectra are spliced in and only
+/// miss lanes are forward-transformed (in contiguous runs, so hits
+/// genuinely skip work); the full product is still recomputed, so a
+/// corrupt engine lane through the cached path is still caught. Miss
+/// lanes' spectra populate the hot cache. Returns the wall-clock
+/// `(transform_ns, pointwise_ns)` split.
+fn referee_pass(
+    acc: &CryptoPim,
+    jobs: &[(&Polynomial, &Polynomial)],
+    cached: &[Option<&[u64]>],
+    fa: &mut [u64],
+    fb: &mut [u64],
+) -> ntt::Result<(u64, u64)> {
+    let referee = acc.referee().expect("with_check builds the referee");
+    let (n, q) = (acc.params().n, acc.params().q);
     let forward_start = Instant::now();
-    for (i, (a, b)) in chunk.iter().enumerate() {
-        fb[i * n..(i + 1) * n].copy_from_slice(b.coeffs());
-        let lane = &mut fa[i * n..(i + 1) * n];
-        match cached[i] {
-            // The cached image is the natural-order canonical spectrum;
-            // one bit-reversal permutation yields the merged layout,
-            // and canonical values are valid `< 2q` lazy inputs.
-            Some(image) => {
-                lane.copy_from_slice(image);
-                modmath::bitrev::permute_in_place(lane);
-            }
-            None => lane.copy_from_slice(a.coeffs()),
+    for (i, image) in cached.iter().enumerate() {
+        // The cached image is the natural-order canonical spectrum; one
+        // bit-reversal permutation yields the merged layout, and
+        // canonical values are valid `< 2q` lazy inputs.
+        if let Some(image) = image {
+            let lane = &mut fa[i * n..(i + 1) * n];
+            lane.copy_from_slice(image);
+            modmath::bitrev::permute_in_place(lane);
         }
     }
-    let forward = (|| {
-        let mut i = 0;
-        while i < chunk.len() {
-            if cached[i].is_some() {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < chunk.len() && cached[i].is_none() {
-                i += 1;
-            }
-            referee.forward_batch(&mut fa[start * n..i * n])?;
+    let mut i = 0;
+    while i < jobs.len() {
+        if cached[i].is_some() {
+            i += 1;
+            continue;
         }
-        referee.forward_batch(fb)
-    })();
-    if let Err(e) = forward {
-        return fail_all(e.into());
+        let start = i;
+        while i < jobs.len() && cached[i].is_none() {
+            i += 1;
+        }
+        referee.forward_batch(&mut fa[start * n..i * n])?;
     }
+    referee.forward_batch(fb)?;
     let forward_ns = forward_start.elapsed().as_nanos() as u64;
-    if let Some(h) = hot {
+    if let Some(h) = acc.hot_cache() {
         // Populate the cache from the referee's own spectra — trusted
         // even under armed faults — converted to the engine image form
         // (bit-reversal back to natural order, normalized canonical).
         let mut image = vec![0u64; n];
-        for (i, (a, _)) in chunk.iter().enumerate() {
+        for (i, (a, _)) in jobs.iter().enumerate() {
             if cached[i].is_some() {
                 continue;
             }
@@ -386,38 +351,14 @@ fn recompute_chunk(
         }
     }
     let pointwise_start = Instant::now();
-    if let Err(e) = referee.pointwise_batch(fa, fb) {
-        return fail_all(e.into());
-    }
+    referee.pointwise_batch(fa, fb)?;
     let pointwise_ns = pointwise_start.elapsed().as_nanos() as u64;
     let inverse_start = Instant::now();
-    if let Err(e) = referee.inverse_batch(fa) {
-        return fail_all(e.into());
-    }
-    let transform_ns = forward_ns + inverse_start.elapsed().as_nanos() as u64;
-    let compare_start = Instant::now();
-    let results = chunk
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let got = &eng_out[i * n..(i + 1) * n];
-            let want = &fa[i * n..(i + 1) * n];
-            if got == want {
-                Polynomial::from_canonical_coeffs(got.to_vec(), q).map_err(Into::into)
-            } else {
-                let failed = got.iter().zip(want).filter(|(g, w)| g != w).count();
-                Err(PimError::CorruptResult(
-                    acc.fault_report(failed as u32, n as u32),
-                ))
-            }
-        })
-        .collect();
-    phase::record_check(
-        transform_ns,
+    referee.inverse_batch(fa)?;
+    Ok((
+        forward_ns + inverse_start.elapsed().as_nanos() as u64,
         pointwise_ns,
-        compare_start.elapsed().as_nanos() as u64,
-    );
-    results
+    ))
 }
 
 #[cfg(test)]
@@ -425,6 +366,7 @@ mod tests {
     use super::*;
     use modmath::params::ParamSet;
     use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
+    use pim::par::Threads;
 
     fn pairs(n: usize, q: u64, count: usize) -> Vec<(Polynomial, Polynomial)> {
         (0..count)
@@ -741,6 +683,122 @@ mod tests {
             .with_hot_cache(Some(Arc::clone(&hot)));
         multiply_batch_products(&armed, &batch).unwrap();
         assert!(hot.is_empty(), "armed captures must never be inserted");
+    }
+
+    #[test]
+    fn mixed_degree_batch_fails_only_the_mismatched_lanes() {
+        let p = ParamSet::for_degree(256).unwrap();
+        let sw = NttMultiplier::new(&p).unwrap();
+        let mut jobs = hot_pairs(256, p.q, 6);
+        let short = pairs(128, p.q, 1).remove(0);
+        jobs[1].0 = short.0.clone();
+        jobs[4].1 = short.1;
+        let policies = [
+            CheckPolicy::Disabled,
+            CheckPolicy::residue(3, 9),
+            CheckPolicy::Recompute,
+        ];
+        for check in policies {
+            for cached in [false, true] {
+                let hot = cached.then(|| Arc::new(crate::hotcache::HotCache::new(8)));
+                let acc = CryptoPim::new(&p)
+                    .unwrap()
+                    .with_threads(Threads::Fixed(1))
+                    .with_check(check)
+                    .with_hot_cache(hot.clone());
+                // Twice, so the cached run also serves hits.
+                for round in 0..2 {
+                    let outcomes = multiply_batch_outcomes(&acc, &jobs).unwrap();
+                    assert_eq!(outcomes.len(), jobs.len());
+                    for (i, ((a, b), outcome)) in jobs.iter().zip(&outcomes).enumerate() {
+                        let at = format!("lane {i}, {check:?}, cached {cached}, round {round}");
+                        if i == 1 || i == 4 {
+                            assert!(
+                                matches!(
+                                    outcome,
+                                    Err(PimError::LengthMismatch { left, right })
+                                        if *left == a.degree_bound() && *right == b.degree_bound()
+                                ),
+                                "{at}: {outcome:?}"
+                            );
+                        } else {
+                            assert_eq!(
+                                outcome.as_ref().unwrap(),
+                                &sw.multiply(a, b).unwrap(),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
+                if let Some(hot) = hot {
+                    assert!(hot.hits() > 0, "{check:?}: second round must hit");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multiply_product_uses_the_hot_cache_bit_identically() {
+        let p = ParamSet::for_degree(256).unwrap();
+        let sw = NttMultiplier::new(&p).unwrap();
+        let (a, b) = pairs(256, p.q, 1).remove(0);
+        let want = sw.multiply(&a, &b).unwrap();
+        for check in [CheckPolicy::Disabled, CheckPolicy::Recompute] {
+            let hot = Arc::new(crate::hotcache::HotCache::new(8));
+            let acc = CryptoPim::new(&p)
+                .unwrap()
+                .with_check(check)
+                .with_hot_cache(Some(Arc::clone(&hot)));
+            let miss = acc.multiply_product(&a, &b).unwrap();
+            assert_eq!((hot.misses(), hot.len()), (1, 1), "{check:?}: miss inserts");
+            let hit = acc.multiply_product(&a, &b).unwrap();
+            assert_eq!(hot.hits(), 1, "{check:?}: second call hits");
+            assert_eq!(miss, want, "{check:?}");
+            assert_eq!(hit, want, "{check:?}");
+        }
+    }
+
+    #[test]
+    fn armed_multiply_product_never_inserts_engine_captures() {
+        let p = ParamSet::for_degree(256).unwrap();
+        let (a, b) = pairs(256, p.q, 1).remove(0);
+        let clean = CryptoPim::new(&p)
+            .unwrap()
+            .multiply_product(&a, &b)
+            .unwrap();
+        let armed = |check: CheckPolicy, hot: &Arc<crate::hotcache::HotCache>| {
+            let path = OneOpBitPath {
+                block: pim::fault::layout::pointwise(8),
+                target_op: 0,
+                op: std::sync::atomic::AtomicU32::new(0),
+            };
+            CryptoPim::new(&p)
+                .unwrap()
+                .with_write_path(Some(Arc::new(path)))
+                .with_check(check)
+                .with_hot_cache(Some(Arc::clone(hot)))
+        };
+        // Unchecked: the corrupt product is served, but its engine image
+        // must not become a cache entry.
+        let hot = Arc::new(crate::hotcache::HotCache::new(8));
+        let served = armed(CheckPolicy::Disabled, &hot)
+            .multiply_product(&a, &b)
+            .unwrap();
+        assert_ne!(served, clean, "the fault really corrupts the product");
+        assert!(hot.is_empty(), "armed captures must never be inserted");
+        // Recompute: the corrupt job is rejected, and only the referee's
+        // spectrum is inserted — a later hit serves the clean product.
+        let hot = Arc::new(crate::hotcache::HotCache::new(8));
+        match armed(CheckPolicy::Recompute, &hot).multiply_product(&a, &b) {
+            Err(PimError::CorruptResult(report)) => assert_eq!(report.bank, 2),
+            other => panic!("expected CorruptResult, got {other:?}"),
+        }
+        assert_eq!(hot.len(), 1, "referee spectrum populates the cache");
+        let reuse = CryptoPim::new(&p)
+            .unwrap()
+            .with_hot_cache(Some(Arc::clone(&hot)));
+        assert_eq!(reuse.multiply_product(&a, &b).unwrap(), clean);
+        assert_eq!(hot.hits(), 1);
     }
 
     #[test]

@@ -306,8 +306,10 @@ mod tests {
             let ctl = Controller::new(&m);
             let (via_ctl, ctl_tally) = ctl.run(&prog, &a, &b).unwrap();
 
-            let eng = Engine::new(&m);
-            let (via_eng, trace) = eng.multiply(&a, &b).unwrap();
+            let mut via_eng = Vec::new();
+            let trace = Engine::new(&m)
+                .multiply_batch(&a, &b, &mut via_eng, &[], None)
+                .unwrap();
 
             assert_eq!(via_ctl, via_eng, "n = {n}");
             let eng_compute = trace.total().compute_cycles + trace.total().reduce_cycles;

@@ -6,13 +6,17 @@
 //! (verified against the software NTT in the test suite) *and* an honest
 //! cycle/energy trace for exactly the operations the hardware performs.
 //!
-//! The steady state is allocation-free and spawn-free (DESIGN.md §10):
-//! the charge schedule and index structure come from a cached
-//! [`StagePlan`], the working vectors from a thread-local [`Scratch`]
-//! arena, and multi-worker fan-out runs on the persistent pool behind
-//! [`pim::par`]. Accounting is replayed from the plan in the exact
-//! historical charge order, so traces — including the f64 energy sums —
-//! stay bit-identical to the op-by-op charging they replace.
+//! There is one entry point, [`Engine::multiply_batch`]: a single job
+//! is a batch of one, and hot-operand images are an optional per-lane
+//! hint. It runs on the caller's thread; host parallelism lives one
+//! level up, where whole job chunks fan out (`crate::batch`).
+//!
+//! The steady state is allocation-free (DESIGN.md §10): the charge
+//! schedule and index structure come from a cached [`StagePlan`], the
+//! working vectors from thread-local scratch arenas. Accounting is
+//! replayed from the plan in the exact historical charge order, so
+//! traces — including the f64 energy sums — stay bit-identical to the
+//! op-by-op charging they replace.
 //!
 //! A note on widths: the engine operates on full-length vectors. A
 //! degree-`n` polynomial physically spans `⌈n/512⌉` parallel lanes
@@ -26,7 +30,6 @@ use crate::plan::StagePlan;
 use crate::scratch::{BatchScratch, Scratch};
 use pim::block::{MemoryBlock, MultiplierKind};
 use pim::fault::{layout, WritePath};
-use pim::par::{self, Threads};
 use pim::reduce::Reducer;
 use pim::stats::Tally;
 use pim::{PimError, Result};
@@ -83,7 +86,6 @@ impl EngineTrace {
 pub struct Engine<'m> {
     mapping: &'m NttMapping,
     multiplier: MultiplierKind,
-    threads: Threads,
     writes: Option<&'m dyn WritePath>,
 }
 
@@ -94,7 +96,6 @@ impl<'m> Engine<'m> {
         Engine {
             mapping,
             multiplier: MultiplierKind::CryptoPim,
-            threads: Threads::Auto,
             writes: None,
         }
     }
@@ -105,132 +106,40 @@ impl<'m> Engine<'m> {
         self
     }
 
-    /// Selects the host-thread fan-out policy for lane execution.
-    ///
-    /// Any worker count produces the same products and a bit-identical
-    /// [`EngineTrace`] — the charge sequence is data-oblivious and is
-    /// always replayed in sequential order (see [`pim::par`]).
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Installs a (possibly faulty) block write path.
     ///
     /// Every phase write is routed through the hook while the path is
     /// armed, so injected faults become functional corruption of the
     /// product. With `None` (the default) or an unarmed path the
     /// datapath is byte-for-byte the fault-free hot path — the cost of
-    /// the hook is one `Option` check per phase. An armed path forces
-    /// the sequential datapath: per-word store order is part of the
-    /// deterministic-replay contract, and wear-out epochs must not race
-    /// host threads.
+    /// the hook is one `Option` check per phase. An armed path runs
+    /// every lane through the one-job row datapath: per-word store
+    /// order is part of the deterministic-replay contract.
     pub fn with_write_path(mut self, writes: Option<&'m dyn WritePath>) -> Self {
         self.writes = writes;
         self
     }
 
-    /// Runs `c = a · b` in `Z_q[x]/(x^n + 1)` through the PIM datapath.
+    /// Runs `out[j] = a[j] · b[j]` in `Z_q[x]/(x^n + 1)` through the
+    /// PIM datapath for `B` stacked degree-`n` jobs in flat `B·n`
+    /// buffers, returning the batch trace. One job is `B = 1` with
+    /// `cached` empty and no `capture`.
     ///
-    /// Inputs must be canonical coefficient vectors of length `n`; the
-    /// output is the canonical product plus the execution trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::LengthMismatch`] when either input's length
-    /// differs from the configured degree.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if inputs are not canonical (`>= q`).
-    pub fn multiply(&self, a: &[u64], b: &[u64]) -> Result<(Vec<u64>, EngineTrace)> {
-        let mut out = Vec::new();
-        let trace = self.multiply_into(a, b, &mut out)?;
-        Ok((out, trace))
-    }
-
-    /// [`Engine::multiply`] into a caller-owned output vector.
-    ///
-    /// `out` is cleared and resized to `n`; reusing the same vector
-    /// across calls makes the steady-state loop allocation-free (the
-    /// plan is cached, the scratch slab pooled, and `out`'s capacity
-    /// retained) — asserted by `tests/alloc_steady_state.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::multiply`].
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if inputs are not canonical (`>= q`).
-    pub fn multiply_into(&self, a: &[u64], b: &[u64], out: &mut Vec<u64>) -> Result<EngineTrace> {
-        let n = self.mapping.params().n;
-        let q = self.mapping.params().q;
-        if a.len() != n || b.len() != n {
-            return Err(PimError::LengthMismatch {
-                left: a.len(),
-                right: b.len(),
-            });
-        }
-        debug_assert!(a.iter().all(|&x| x < q) && b.iter().all(|&x| x < q));
-        let plan = StagePlan::cached(self.mapping, self.multiplier)?;
-        let mut scratch = Scratch::checkout(n);
-        out.clear();
-        out.resize(n, 0);
-        let faults = self.writes.filter(|w| w.armed());
-        if let Some(w) = faults {
-            w.begin_op();
-        }
-        let workers = if faults.is_some() {
-            1
-        } else {
-            self.threads.resolve_for(n)
-        };
-        if workers > 1 {
-            self.datapath_parallel(&plan, &mut scratch, a, b, out, workers);
-        } else {
-            self.datapath_sequential(&plan, &mut scratch, a, b, out, faults, None);
-        }
-        Ok(replay_trace(&plan))
-    }
-
-    /// Batch-fused multiply: `out[j] = a[j] · b[j]` for `B` stacked
-    /// degree-`n` jobs in flat `B·n` buffers, walking the cached
-    /// [`StagePlan`] **once** for the whole batch — per stage the jobs
-    /// run in the inner loop over a pooled `3·B·n` scratch slab, so the
-    /// twiddle table and plan structure stay hot across jobs instead of
-    /// being re-walked per job.
-    ///
-    /// Products are bit-identical to `B` calls of
-    /// [`Engine::multiply_into`] (pinned by proptests), the returned
-    /// trace is the phase-wise sum of the `B` per-job traces (absorbed
-    /// in job order — see [`EngineTrace::merge`]), and an armed write
-    /// path preserves per-job reliability semantics exactly: each lane
-    /// runs the sequential one-job datapath with its own `begin_op` and
-    /// the one-job store order, so `(bank, block, row)` fault addressing
-    /// is unchanged.
+    /// Unarmed, the batch walks the cached [`StagePlan`] **once**: per
+    /// stage the jobs run in the inner loop over a pooled `3·B·n`
+    /// scratch slab, so the twiddle tables stay hot across jobs.
+    /// Products are canonical and independent of `B` (pinned by
+    /// proptests against per-lane runs and the software NTT). The
+    /// returned trace is the phase-wise sum of the `B` per-job traces,
+    /// absorbed in job order (see [`EngineTrace::merge`]); for `B = 1`
+    /// it is the one-job trace bit for bit. An armed write path keeps
+    /// per-job reliability semantics exactly: each lane runs the
+    /// one-job row datapath with its own `begin_op` and the one-job
+    /// store order, so `(bank, block, row)` fault addressing is
+    /// unchanged.
     ///
     /// `out` is sized to `B·n` and fully overwritten; reusing it keeps
     /// the steady state allocation- and memset-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::LengthMismatch`] when the buffers differ in
-    /// length or are not a positive multiple of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if inputs are not canonical (`>= q`).
-    pub fn multiply_batch_into(
-        &self,
-        a: &[u64],
-        b: &[u64],
-        out: &mut Vec<u64>,
-    ) -> Result<EngineTrace> {
-        self.multiply_batch_cached(a, b, out, &[], None)
-    }
-
-    /// [`Engine::multiply_batch_into`] with hot-operand images.
     ///
     /// `cached` is either empty (no reuse) or one entry per job: lane
     /// `j` with `Some(image)` supplies `a[j]`'s forward spectrum (the
@@ -251,14 +160,15 @@ impl<'m> Engine<'m> {
     ///
     /// # Errors
     ///
-    /// As [`Engine::multiply_batch_into`], plus a mismatch when
-    /// `cached` is non-empty but not one entry per job or an image is
-    /// not `n` words.
+    /// Returns [`PimError::LengthMismatch`] when the buffers differ in
+    /// length or are not a positive multiple of `n`, or when `cached`
+    /// is non-empty but not one entry per job or an image is not `n`
+    /// words.
     ///
     /// # Panics
     ///
     /// Debug-panics if inputs are not canonical (`>= q`).
-    pub fn multiply_batch_cached(
+    pub fn multiply_batch(
         &self,
         a: &[u64],
         b: &[u64],
@@ -318,50 +228,32 @@ impl<'m> Engine<'m> {
                     .map(|c| &mut c[lane * n..(lane + 1) * n]);
                 match cached.get(lane).copied().flatten() {
                     Some(image) => {
-                        self.datapath_hit(&plan, &mut scratch, image, lb, lout, Some(w));
+                        self.datapath_hit(&plan, &mut scratch, image, lb, lout, w);
                     }
                     None => {
-                        self.datapath_sequential(&plan, &mut scratch, la, lb, lout, Some(w), lcap);
+                        self.datapath_sequential(&plan, &mut scratch, la, lb, lout, w, lcap);
                     }
                 }
             }
         } else {
-            let any_cached = cached.iter().any(Option::is_some);
-            let workers = if any_cached {
-                1
-            } else {
-                self.threads.resolve_for(batch * n)
-            };
             let mut scratch = BatchScratch::checkout(n, batch);
-            if workers > 1 {
-                self.datapath_batch_parallel(
-                    &plan,
-                    &mut scratch,
-                    a,
-                    b,
-                    out,
-                    workers,
-                    capture.map(Vec::as_mut_slice),
-                );
-            } else {
-                self.datapath_batch_fast(
-                    &plan,
-                    &mut scratch,
-                    a,
-                    b,
-                    out,
-                    cached,
-                    capture.map(Vec::as_mut_slice),
-                );
-            }
+            self.datapath_batch_fast(
+                &plan,
+                &mut scratch,
+                a,
+                b,
+                out,
+                cached,
+                capture.map(Vec::as_mut_slice),
+            );
         }
         Ok(replay_batch_trace(&plan, batch, cached))
     }
 
-    /// The reference single-thread datapath (also the workers ≤ 1 path):
+    /// The one-job row datapath an armed write path runs per lane:
     /// bit-reversal folded into the ψ pre-multiply gather, then fused
     /// row-centric butterfly stages double-buffered through the scratch
-    /// arena.
+    /// arena, every phase's stores routed through the write path.
     #[allow(clippy::too_many_arguments)]
     fn datapath_sequential(
         &self,
@@ -370,7 +262,7 @@ impl<'m> Engine<'m> {
         a: &[u64],
         b: &[u64],
         out: &mut [u64],
-        faults: Option<&dyn WritePath>,
+        faults: &dyn WritePath,
         capture: Option<&mut [u64]>,
     ) {
         let log_n = plan.log_n();
@@ -457,7 +349,7 @@ impl<'m> Engine<'m> {
         image: &[u64],
         b: &[u64],
         out: &mut [u64],
-        faults: Option<&dyn WritePath>,
+        faults: &dyn WritePath,
     ) {
         let log_n = plan.log_n();
         let q = self.mapping.params().q;
@@ -516,12 +408,12 @@ impl<'m> Engine<'m> {
     /// batch with the vectorized merged-ψ kernels ([`ntt::merged`]) over
     /// the pooled slab, so each stage's twiddle table streams through
     /// the cache once per batch and the butterflies run the half-width
-    /// lazy schedule the single-job row path cannot use (bank rows hold
-    /// canonical residues phase by phase; the host batch simulation only
-    /// has to reproduce the *products*, which are independent of the
+    /// lazy schedule the row datapath cannot use (bank rows hold
+    /// canonical residues phase by phase; the host simulation only has
+    /// to reproduce the *products*, which are independent of the
     /// `[0, 2q)` representatives the lazy kernels carry — canonical
     /// residues are unique, so the final normalize lands on exactly the
-    /// per-job path's bits, pinned by the fused-vs-sequential tests).
+    /// row datapath's bits, pinned by the fast-vs-row tests).
     ///
     /// The merged forward stores spectrum value `X[k]` at index
     /// `rev(k)`, while the engine's row image is natural-order canonical
@@ -588,149 +480,6 @@ impl<'m> Engine<'m> {
         //     output buffer (n⁻¹ and ψ⁻¹ folded; output canonical). ---
         ntt::merged::pointwise_lazy(ba, bb, out, q);
         ntt::merged::inverse_batch_in_place(out, tables);
-    }
-
-    /// [`Engine::datapath_batch_sequential`] fanned out over the
-    /// persistent pool across the flat `B·n` index space (only taken
-    /// with no hit lanes). Lane-local indices are `k & (n−1)`; every
-    /// butterfly partner `k ± dist` stays inside its lane because
-    /// `dist < n`, and every output element is a pure gather, so any
-    /// worker count produces bit-identical products.
-    #[allow(clippy::too_many_arguments)]
-    fn datapath_batch_parallel(
-        &self,
-        plan: &StagePlan,
-        scratch: &mut BatchScratch,
-        a: &[u64],
-        b: &[u64],
-        out: &mut [u64],
-        workers: usize,
-        capture: Option<&mut [u64]>,
-    ) {
-        let n = plan.n();
-        let mask = n - 1;
-        let q = self.mapping.params().q;
-        let red = self.mapping.reducer();
-        let rev = plan.rev();
-        let (mut ba, mut bb, mut sp) = scratch.buffers();
-
-        // --- ψ pre-multiply, bit-reversal folded into the gather. ---
-        let phi_a = self.mapping.phi_a();
-        let phi_b = self.mapping.phi_b();
-        par::map_indexed_into(ba, workers, |k| {
-            let i = rev[k & mask] as usize;
-            red.montgomery(a[(k & !mask) + i] * phi_a[i])
-        });
-        par::map_indexed_into(bb, workers, |k| {
-            let i = rev[k & mask] as usize;
-            red.montgomery(b[(k & !mask) + i] * phi_b[i])
-        });
-
-        // --- forward NTT stages over the rotating buffers. ---
-        for stage in 0..plan.log_n() {
-            let tw = self.mapping.twiddle_fwd_stage(stage);
-            stage_rows_batch_par(red, q, n, ba, sp, stage, tw, workers);
-            std::mem::swap(&mut ba, &mut sp);
-            stage_rows_batch_par(red, q, n, bb, sp, stage, tw, workers);
-            std::mem::swap(&mut bb, &mut sp);
-        }
-
-        if let Some(cap) = capture {
-            cap.copy_from_slice(ba);
-        }
-
-        // --- point-wise multiply into the spare. ---
-        {
-            let (sa, sb) = (&*ba, &*bb);
-            par::map_indexed_into(sp, workers, |k| {
-                let base = k & !mask;
-                let i = rev[k & mask] as usize;
-                red.montgomery(sa[base + i] * sb[base + i])
-            });
-        }
-
-        // --- inverse NTT stages. ---
-        let (mut xc, mut xc2) = (sp, ba);
-        for stage in 0..plan.log_n() {
-            let tw = self.mapping.twiddle_inv_stage(stage);
-            stage_rows_batch_par(red, q, n, xc, xc2, stage, tw, workers);
-            std::mem::swap(&mut xc, &mut xc2);
-        }
-
-        // --- ψ⁻¹ · n⁻¹ post-multiply. ---
-        let phi_post = self.mapping.phi_post();
-        {
-            let src = &*xc;
-            par::map_indexed_into(out, workers, |k| {
-                red.montgomery(src[k] * phi_post[k & mask])
-            });
-        }
-    }
-
-    /// Lane-parallel datapath: the same phase structure as
-    /// [`Engine::datapath_sequential`], fanned out over the persistent
-    /// worker pool. Every output element is a pure gather of its inputs,
-    /// so chunking the index space across threads cannot reorder or
-    /// change any value — products are identical for any worker count
-    /// (and the trace is replayed from the plan either way).
-    fn datapath_parallel(
-        &self,
-        plan: &StagePlan,
-        scratch: &mut Scratch,
-        a: &[u64],
-        b: &[u64],
-        out: &mut [u64],
-        workers: usize,
-    ) {
-        let q = self.mapping.params().q;
-        let red = self.mapping.reducer();
-        let rev = plan.rev();
-        let (mut xa, mut xa2, mut xb, mut xb2) = scratch.buffers();
-
-        // --- ψ pre-multiply, bit-reversal folded into the gather. ---
-        let phi_a = self.mapping.phi_a();
-        let phi_b = self.mapping.phi_b();
-        par::map_indexed_into(xa, workers, |k| {
-            let i = rev[k] as usize;
-            red.montgomery(a[i] * phi_a[i])
-        });
-        par::map_indexed_into(xb, workers, |k| {
-            let i = rev[k] as usize;
-            red.montgomery(b[i] * phi_b[i])
-        });
-
-        // --- forward NTT stages. ---
-        for stage in 0..plan.log_n() {
-            let tw = self.mapping.twiddle_fwd_stage(stage);
-            stage_rows_par(red, q, xa, xa2, stage, tw, workers);
-            stage_rows_par(red, q, xb, xb2, stage, tw, workers);
-            std::mem::swap(&mut xa, &mut xa2);
-            std::mem::swap(&mut xb, &mut xb2);
-        }
-
-        // --- point-wise multiply, bit-reversal folded into the gather. ---
-        {
-            let (src_a, src_b) = (&*xa, &*xb);
-            par::map_indexed_into(xa2, workers, |k| {
-                let i = rev[k] as usize;
-                red.montgomery(src_a[i] * src_b[i])
-            });
-        }
-        let (mut xc, mut xc2) = (xa2, xb2);
-
-        // --- inverse NTT stages. ---
-        for stage in 0..plan.log_n() {
-            let tw = self.mapping.twiddle_inv_stage(stage);
-            stage_rows_par(red, q, xc, xc2, stage, tw, workers);
-            std::mem::swap(&mut xc, &mut xc2);
-        }
-
-        // --- ψ⁻¹ · n⁻¹ post-multiply. ---
-        let phi_post = self.mapping.phi_post();
-        {
-            let src = &*xc;
-            par::map_indexed_into(out, workers, |k| red.montgomery(src[k] * phi_post[k]));
-        }
     }
 }
 
@@ -805,13 +554,11 @@ fn replay_batch_trace(plan: &StagePlan, batch: usize, cached: &[Option<&[u64]>])
 /// reduction microprograms carry `< 2q` input contracts that physical
 /// values must keep satisfying. Reduction never masks a fault — a flip
 /// of bit `i` changes the residue by `±2^i mod q ≠ 0`.
-fn corrupt_writes(faults: Option<&dyn WritePath>, q: u64, block: u32, data: &mut [u64]) {
-    if let Some(w) = faults {
-        for (row, v) in data.iter_mut().enumerate() {
-            let stored = w.store(block, row as u32, *v);
-            if stored != *v {
-                *v = stored % q;
-            }
+fn corrupt_writes(faults: &dyn WritePath, q: u64, block: u32, data: &mut [u64]) {
+    for (row, v) in data.iter_mut().enumerate() {
+        let stored = faults.store(block, row as u32, *v);
+        if stored != *v {
+            *v = stored % q;
         }
     }
 }
@@ -945,57 +692,6 @@ fn stage_rows_dyn(
     }
 }
 
-/// [`stage_rows`] as an index-wise gather for pool fan-out: output `k`
-/// with the stage bit clear is an add-side row, with it set a mul-side
-/// row — elementwise identical to the sequential pass.
-fn stage_rows_par(
-    red: &Reducer,
-    q: u64,
-    src: &[u64],
-    dst: &mut [u64],
-    stage: u32,
-    twiddle: &[u64],
-    workers: usize,
-) {
-    let dist = 1usize << stage;
-    par::map_indexed_into(dst, workers, |k| {
-        if k & dist == 0 {
-            red.barrett(src[k] + src[k + dist])
-        } else {
-            let j = k - dist;
-            red.montgomery((src[j] + q - src[k]) * twiddle[j >> (stage + 1)])
-        }
-    });
-}
-
-/// [`stage_rows_par`] over `B` stacked lanes of length `n` in one flat
-/// index space: the lane-local index is `k & (n−1)`, the butterfly
-/// partner `k ± dist` never crosses a lane boundary (`dist < n`), and
-/// the twiddle index is taken lane-locally — elementwise identical to
-/// running [`stage_rows`] per lane.
-#[allow(clippy::too_many_arguments)]
-fn stage_rows_batch_par(
-    red: &Reducer,
-    q: u64,
-    n: usize,
-    src: &[u64],
-    dst: &mut [u64],
-    stage: u32,
-    twiddle: &[u64],
-    workers: usize,
-) {
-    let dist = 1usize << stage;
-    let mask = n - 1;
-    par::map_indexed_into(dst, workers, |k| {
-        let kk = k & mask;
-        if kk & dist == 0 {
-            red.barrett(src[k] + src[k + dist])
-        } else {
-            red.montgomery((src[k - dist] + q - src[k]) * twiddle[(kk - dist) >> (stage + 1)])
-        }
-    });
-}
-
 /// One Gentleman–Sande stage, vector-wide:
 /// `x[j] ← (T + x[j']) mod q`, `x[j'] ← REDC(W·(T + q − x[j']))`.
 ///
@@ -1055,6 +751,35 @@ mod tests {
             .collect()
     }
 
+    /// `a · b` for stacked jobs with no cache hints.
+    fn run(eng: &Engine, a: &[u64], b: &[u64]) -> (Vec<u64>, EngineTrace) {
+        let mut out = Vec::new();
+        let trace = eng.multiply_batch(a, b, &mut out, &[], None).unwrap();
+        (out, trace)
+    }
+
+    /// Armed but fault-free: every lane takes the one-job row datapath
+    /// and every store keeps its word, so products must equal the
+    /// unarmed merged-kernel path's.
+    #[derive(Debug)]
+    struct RowPath;
+
+    impl WritePath for RowPath {
+        fn armed(&self) -> bool {
+            true
+        }
+        fn begin_op(&self) {}
+        fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+            value
+        }
+        fn bank(&self) -> u32 {
+            0
+        }
+        fn suspect_block(&self) -> Option<u32> {
+            None
+        }
+    }
+
     #[test]
     fn engine_matches_schoolbook_small() {
         for n in [8usize, 16, 32, 64] {
@@ -1063,7 +788,7 @@ mod tests {
             let eng = Engine::new(&m);
             let a = rand_vec(n, q, 1);
             let b = rand_vec(n, q, 2);
-            let (c, _) = eng.multiply(&a, &b).unwrap();
+            let (c, _) = run(&eng, &a, &b);
             let pa = Polynomial::from_coeffs(a, q).unwrap();
             let pb = Polynomial::from_coeffs(b, q).unwrap();
             let expect = schoolbook::multiply(&pa, &pb).unwrap();
@@ -1076,32 +801,63 @@ mod tests {
         for n in [256usize, 512, 1024, 2048] {
             let p = ParamSet::for_degree(n).unwrap();
             let m = NttMapping::new(&p, ReductionStyle::CryptoPim).unwrap();
-            let eng = Engine::new(&m);
             let sw = NttMultiplier::new(&p).unwrap();
             let q = p.q;
             let a = rand_vec(n, q, 7);
             let b = rand_vec(n, q, 8);
-            let (c, _) = eng.multiply(&a, &b).unwrap();
-            let pa = Polynomial::from_coeffs(a, q).unwrap();
-            let pb = Polynomial::from_coeffs(b, q).unwrap();
-            let expect = sw.multiply(&pa, &pb).unwrap();
-            assert_eq!(c, expect.coeffs(), "n = {n}");
+            let expect = sw
+                .multiply(
+                    &Polynomial::from_coeffs(a.clone(), q).unwrap(),
+                    &Polynomial::from_coeffs(b.clone(), q).unwrap(),
+                )
+                .unwrap();
+            let (fast, _) = run(&Engine::new(&m), &a, &b);
+            let (rows, _) = run(&Engine::new(&m).with_write_path(Some(&RowPath)), &a, &b);
+            assert_eq!(fast, expect.coeffs(), "merged kernels, n = {n}");
+            assert_eq!(rows, expect.coeffs(), "row datapath, n = {n}");
         }
     }
 
     #[test]
-    fn multiply_into_reuses_the_output_vector() {
+    fn multiply_reuses_the_output_vector() {
         let m = mapping(256);
         let q = m.params().q;
         let eng = Engine::new(&m);
         let a = rand_vec(256, q, 31);
         let b = rand_vec(256, q, 32);
-        let (expect, expect_trace) = eng.multiply(&a, &b).unwrap();
+        let (expect, expect_trace) = run(&eng, &a, &b);
         let mut out = vec![0xFFFF_FFFFu64; 3]; // wrong size and junk data
         for _ in 0..3 {
-            let trace = eng.multiply_into(&a, &b, &mut out).unwrap();
+            let trace = eng.multiply_batch(&a, &b, &mut out, &[], None).unwrap();
             assert_eq!(out, expect);
             assert_eq!(trace, expect_trace);
+        }
+    }
+
+    #[test]
+    fn single_job_trace_is_the_one_job_replay() {
+        // A batch of one must charge exactly what the one-job schedule
+        // charges, down to the last bit of every f64 energy sum.
+        for n in [64usize, 256, 4096] {
+            let m = mapping(n);
+            let plan = StagePlan::cached(&m, MultiplierKind::CryptoPim).unwrap();
+            let one = replay_trace(&plan);
+            let batch = replay_batch_trace(&plan, 1, &[]);
+            assert_eq!(batch, one, "n = {n}");
+            for (name, got, want) in [
+                ("premul", &batch.premul, &one.premul),
+                ("forward", &batch.forward, &one.forward),
+                ("pointwise", &batch.pointwise, &one.pointwise),
+                ("inverse", &batch.inverse, &one.inverse),
+                ("postmul", &batch.postmul, &one.postmul),
+                ("transfers", &batch.transfers, &one.transfers),
+            ] {
+                assert_eq!(
+                    got.energy_pj.to_bits(),
+                    want.energy_pj.to_bits(),
+                    "{name} energy bits, n = {n}"
+                );
+            }
         }
     }
 
@@ -1113,8 +869,8 @@ mod tests {
         let b = rand_vec(256, q, 4);
         let fast = Engine::new(&m);
         let slow = Engine::new(&m).with_multiplier(MultiplierKind::HajAli);
-        let (cf, tf) = fast.multiply(&a, &b).unwrap();
-        let (cs, ts) = slow.multiply(&a, &b).unwrap();
+        let (cf, tf) = run(&fast, &a, &b);
+        let (cs, ts) = run(&slow, &a, &b);
         assert_eq!(cf, cs, "multiplier choice cannot change results");
         assert!(ts.total().cycles > tf.total().cycles);
     }
@@ -1124,9 +880,7 @@ mod tests {
         let m = mapping(256);
         let q = m.params().q;
         let eng = Engine::new(&m);
-        let (_, tr) = eng
-            .multiply(&rand_vec(256, q, 5), &rand_vec(256, q, 6))
-            .unwrap();
+        let (_, tr) = run(&eng, &rand_vec(256, q, 5), &rand_vec(256, q, 6));
         for (name, t) in [
             ("premul", &tr.premul),
             ("forward", &tr.forward),
@@ -1162,9 +916,7 @@ mod tests {
         let w = m.params().bitwidth;
         let red = m.reducer();
         let eng = Engine::new(&m);
-        let (_, tr) = eng
-            .multiply(&rand_vec(n, q, 9), &rand_vec(n, q, 10))
-            .unwrap();
+        let (_, tr) = run(&eng, &rand_vec(n, q, 9), &rand_vec(n, q, 10));
         let mul_redc = pim::cost::mul_cycles(w) + red.montgomery_cycles();
         let stage =
             pim::cost::add_cycles(w) + red.barrett_cycles() + pim::cost::sub_cycles(w) + mul_redc;
@@ -1181,38 +933,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_is_bit_identical_to_sequential() {
-        for n in [64usize, 256, 512] {
-            let m = mapping(n);
-            let q = m.params().q;
-            let a = rand_vec(n, q, 11);
-            let b = rand_vec(n, q, 12);
-            let (c_seq, t_seq) = Engine::new(&m)
-                .with_threads(Threads::Fixed(1))
-                .multiply(&a, &b)
-                .unwrap();
-            for workers in [2usize, 3, 4, 8] {
-                let (c_par, t_par) = Engine::new(&m)
-                    .with_threads(Threads::Fixed(workers))
-                    .multiply(&a, &b)
-                    .unwrap();
-                assert_eq!(c_par, c_seq, "products, n = {n}, workers = {workers}");
-                assert_eq!(t_par, t_seq, "trace, n = {n}, workers = {workers}");
-                assert_eq!(
-                    t_par.total().energy_pj.to_bits(),
-                    t_seq.total().energy_pj.to_bits(),
-                    "energy must match to the last bit, n = {n}, workers = {workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batch_fused_matches_per_job_sequential() {
         for n in [64usize, 256] {
             let m = mapping(n);
             let q = m.params().q;
-            let eng = Engine::new(&m).with_threads(Threads::Fixed(1));
+            let eng = Engine::new(&m);
+            let rows = Engine::new(&m).with_write_path(Some(&RowPath));
             for batch in 1..=4usize {
                 let a: Vec<u64> = (0..batch)
                     .flat_map(|j| rand_vec(n, q, 100 + j as u64))
@@ -1220,13 +946,10 @@ mod tests {
                 let b: Vec<u64> = (0..batch)
                     .flat_map(|j| rand_vec(n, q, 200 + j as u64))
                     .collect();
-                let mut fused = Vec::new();
-                let trace = eng.multiply_batch_into(&a, &b, &mut fused).unwrap();
+                let (fused, trace) = run(&eng, &a, &b);
                 let mut expect = EngineTrace::default();
                 for j in 0..batch {
-                    let (c, t) = eng
-                        .multiply(&a[j * n..(j + 1) * n], &b[j * n..(j + 1) * n])
-                        .unwrap();
+                    let (c, t) = run(&rows, &a[j * n..(j + 1) * n], &b[j * n..(j + 1) * n]);
                     assert_eq!(
                         &fused[j * n..(j + 1) * n],
                         &c[..],
@@ -1245,53 +968,32 @@ mod tests {
     }
 
     #[test]
-    fn batch_parallel_is_bit_identical_to_batch_sequential() {
-        let n = 256usize;
-        let batch = 4usize;
-        let m = mapping(n);
-        let q = m.params().q;
-        let a: Vec<u64> = (0..batch)
-            .flat_map(|j| rand_vec(n, q, 41 + j as u64))
-            .collect();
-        let b: Vec<u64> = (0..batch)
-            .flat_map(|j| rand_vec(n, q, 51 + j as u64))
-            .collect();
-        let mut seq = Vec::new();
-        let t_seq = Engine::new(&m)
-            .with_threads(Threads::Fixed(1))
-            .multiply_batch_into(&a, &b, &mut seq)
-            .unwrap();
-        for workers in [2usize, 3, 4, 8] {
-            let mut par_out = Vec::new();
-            let t_par = Engine::new(&m)
-                .with_threads(Threads::Fixed(workers))
-                .multiply_batch_into(&a, &b, &mut par_out)
-                .unwrap();
-            assert_eq!(par_out, seq, "products, workers = {workers}");
-            assert_eq!(t_par, t_seq, "trace, workers = {workers}");
-        }
-    }
-
-    #[test]
     fn cached_hit_is_bit_identical_to_miss() {
         let n = 256usize;
         let m = mapping(n);
         let q = m.params().q;
-        let eng = Engine::new(&m).with_threads(Threads::Fixed(1));
+        let eng = Engine::new(&m);
         let a = rand_vec(n, q, 61);
         let b = rand_vec(n, q, 62);
         let mut miss_out = Vec::new();
         let mut image = Vec::new();
         let t_miss = eng
-            .multiply_batch_cached(&a, &b, &mut miss_out, &[], Some(&mut image))
+            .multiply_batch(&a, &b, &mut miss_out, &[], Some(&mut image))
             .unwrap();
         assert_eq!(image.len(), n, "miss lane must capture its image");
         let cached = [Some(image.as_slice())];
         let mut hit_out = Vec::new();
         let t_hit = eng
-            .multiply_batch_cached(&a, &b, &mut hit_out, &cached, None)
+            .multiply_batch(&a, &b, &mut hit_out, &cached, None)
             .unwrap();
         assert_eq!(hit_out, miss_out, "hit product must match miss product");
+        let mut row_hit = Vec::new();
+        let t_row_hit = Engine::new(&m)
+            .with_write_path(Some(&RowPath))
+            .multiply_batch(&a, &b, &mut row_hit, &cached, None)
+            .unwrap();
+        assert_eq!(row_hit, miss_out, "row-datapath hit must match too");
+        assert_eq!(t_row_hit, t_hit);
         assert!(
             t_hit.forward.cycles * 2 == t_miss.forward.cycles,
             "hit lane charges half the forward work"
@@ -1307,26 +1009,24 @@ mod tests {
         let n = 64usize;
         let m = mapping(n);
         let q = m.params().q;
-        let eng = Engine::new(&m).with_threads(Threads::Fixed(1));
+        let eng = Engine::new(&m);
         let a0 = rand_vec(n, q, 71);
         let a1 = rand_vec(n, q, 72);
         let b: Vec<u64> = (0..2).flat_map(|j| rand_vec(n, q, 81 + j)).collect();
         // Capture lane-0's image from a solo run.
         let mut out = Vec::new();
         let mut image = Vec::new();
-        eng.multiply_batch_cached(&a0, &b[..n], &mut out, &[], Some(&mut image))
+        eng.multiply_batch(&a0, &b[..n], &mut out, &[], Some(&mut image))
             .unwrap();
         // Mixed batch: lane 0 hits, lane 1 misses (and captures).
         let a: Vec<u64> = a0.iter().chain(a1.iter()).copied().collect();
         let cached = [Some(image.as_slice()), None];
         let mut cap = Vec::new();
         let mut mixed = Vec::new();
-        eng.multiply_batch_cached(&a, &b, &mut mixed, &cached, Some(&mut cap))
+        eng.multiply_batch(&a, &b, &mut mixed, &cached, Some(&mut cap))
             .unwrap();
         for j in 0..2 {
-            let (c, _) = eng
-                .multiply(&a[j * n..(j + 1) * n], &b[j * n..(j + 1) * n])
-                .unwrap();
+            let (c, _) = run(&eng, &a[j * n..(j + 1) * n], &b[j * n..(j + 1) * n]);
             assert_eq!(&mixed[j * n..(j + 1) * n], &c[..], "lane {j}");
         }
         // Hit lane's capture slot is untouched (zeros); miss lane's holds
@@ -1334,7 +1034,7 @@ mod tests {
         assert!(cap[..n].iter().all(|&x| x == 0));
         let cached1 = [Some(&cap[n..])];
         let mut hit1 = Vec::new();
-        eng.multiply_batch_cached(&a1, &b[n..], &mut hit1, &cached1, None)
+        eng.multiply_batch(&a1, &b[n..], &mut hit1, &cached1, None)
             .unwrap();
         assert_eq!(&hit1[..], &mixed[n..], "captured image replays lane 1");
     }
@@ -1348,16 +1048,22 @@ mod tests {
         // image bit for bit (canonical representatives are unique). The
         // hot cache stores *one* image form for the engine splice, the
         // batch capture, and the checker's cached-transform path on the
-        // strength of this property.
+        // strength of this property; the row datapath's capture must be
+        // that same image.
         for n in [64usize, 256, 1024] {
             let m = mapping(n);
             let q = m.params().q;
-            let eng = Engine::new(&m).with_threads(Threads::Fixed(1));
             let a = rand_vec(n, q, 21);
             let b = rand_vec(n, q, 22);
             let mut out = Vec::new();
             let mut image = Vec::new();
-            eng.multiply_batch_cached(&a, &b, &mut out, &[], Some(&mut image))
+            Engine::new(&m)
+                .multiply_batch(&a, &b, &mut out, &[], Some(&mut image))
+                .unwrap();
+            let mut row_image = Vec::new();
+            Engine::new(&m)
+                .with_write_path(Some(&RowPath))
+                .multiply_batch(&a, &b, &mut out, &[], Some(&mut row_image))
                 .unwrap();
             let tables = modmath::roots::NttTables::for_degree_modulus(n, q).unwrap();
             let mut sw = a.clone();
@@ -1369,6 +1075,7 @@ mod tests {
             }
             modmath::bitrev::permute_in_place(&mut sw);
             assert_eq!(sw, image, "n = {n}");
+            assert_eq!(sw, row_image, "row datapath, n = {n}");
         }
     }
 
@@ -1383,31 +1090,22 @@ mod tests {
         let mut out = Vec::new();
         // Length not a multiple of n / mismatched lengths / empty.
         assert!(eng
-            .multiply_batch_into(&a[..n + 1], &b[..n + 1], &mut out)
+            .multiply_batch(&a[..n + 1], &b[..n + 1], &mut out, &[], None)
             .is_err());
-        assert!(eng.multiply_batch_into(&a, &b[..n], &mut out).is_err());
-        assert!(eng.multiply_batch_into(&[], &[], &mut out).is_err());
+        assert!(eng
+            .multiply_batch(&a, &b[..n], &mut out, &[], None)
+            .is_err());
+        assert!(eng.multiply_batch(&[], &[], &mut out, &[], None).is_err());
+        assert!(eng
+            .multiply_batch(&a[..n / 2], &b[..n], &mut out, &[], None)
+            .is_err());
         // `cached` must be one entry per job with n-word images.
         let img = vec![0u64; n];
         let one = [Some(img.as_slice())];
-        assert!(eng
-            .multiply_batch_cached(&a, &b, &mut out, &one, None)
-            .is_err());
+        assert!(eng.multiply_batch(&a, &b, &mut out, &one, None).is_err());
         let short = vec![0u64; n - 1];
         let bad = [Some(short.as_slice()), None];
-        assert!(eng
-            .multiply_batch_cached(&a, &b, &mut out, &bad, None)
-            .is_err());
-    }
-
-    #[test]
-    fn parallel_engine_rejects_wrong_length_inputs() {
-        let m = mapping(256);
-        let q = m.params().q;
-        let eng = Engine::new(&m).with_threads(Threads::Fixed(4));
-        let a = rand_vec(128, q, 1);
-        let b = rand_vec(256, q, 2);
-        assert!(eng.multiply(&a, &b).is_err());
+        assert!(eng.multiply_batch(&a, &b, &mut out, &bad, None).is_err());
     }
 
     proptest! {
@@ -1419,7 +1117,7 @@ mod tests {
         ) {
             let m = mapping(64);
             let eng = Engine::new(&m);
-            let (c, _) = eng.multiply(&a, &b).unwrap();
+            let (c, _) = run(&eng, &a, &b);
             let pa = Polynomial::from_coeffs(a, 7681).unwrap();
             let pb = Polynomial::from_coeffs(b, 7681).unwrap();
             let expect = schoolbook::multiply(&pa, &pb).unwrap();
@@ -1449,9 +1147,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// The batch-fused walk must be indistinguishable from `B`
-        /// sequential engine runs — products, per-phase charge tallies,
-        /// and the merged trace totals, bit for bit, for every batch
-        /// width the serving layer forms and every paper modulus.
+        /// one-job row-datapath runs — products, per-phase charge
+        /// tallies, and the merged trace totals, bit for bit, for every
+        /// batch width the serving layer forms and every paper modulus.
         #[test]
         fn prop_batch_fused_matches_sequential_across_moduli(
             batch in 1usize..=8,
@@ -1464,15 +1162,13 @@ mod tests {
             // moduli, 32-bit for the SEAL modulus.
             let p = ParamSet::custom(n, q, if q < 1 << 16 { 16 } else { 32 }).unwrap();
             let m = NttMapping::new(&p, ReductionStyle::CryptoPim).unwrap();
-            let eng = Engine::new(&m).with_threads(Threads::Fixed(1));
+            let eng = Engine::new(&m);
+            let rows = Engine::new(&m).with_write_path(Some(&RowPath));
             let (a, b) = seeded_flat(n, q, batch, seed);
-            let mut fused = Vec::new();
-            let trace = eng.multiply_batch_into(&a, &b, &mut fused).unwrap();
+            let (fused, trace) = run(&eng, &a, &b);
             let mut expect = EngineTrace::default();
             for j in 0..batch {
-                let (c, t) = eng
-                    .multiply(&a[j * n..(j + 1) * n], &b[j * n..(j + 1) * n])
-                    .unwrap();
+                let (c, t) = run(&rows, &a[j * n..(j + 1) * n], &b[j * n..(j + 1) * n]);
                 prop_assert_eq!(
                     &fused[j * n..(j + 1) * n],
                     &c[..],
@@ -1505,12 +1201,12 @@ mod tests {
             let n = 64usize;
             let m = mapping(n);
             let q = m.params().q;
-            let eng = Engine::new(&m).with_threads(Threads::Fixed(1));
+            let eng = Engine::new(&m);
             let (a, b) = seeded_flat(n, q, batch, seed);
             // All-miss reference, capturing every lane's forward image.
             let mut miss_out = Vec::new();
             let mut images = Vec::new();
-            eng.multiply_batch_cached(
+            eng.multiply_batch(
                 &a,
                 &b,
                 &mut miss_out,
@@ -1526,7 +1222,7 @@ mod tests {
                 })
                 .collect();
             let mut mixed_out = Vec::new();
-            eng.multiply_batch_cached(&a, &b, &mut mixed_out, &cached, None)
+            eng.multiply_batch(&a, &b, &mut mixed_out, &cached, None)
                 .unwrap();
             prop_assert_eq!(mixed_out, miss_out, "hit mask {:#08b}", hit_mask);
         }

@@ -1,12 +1,12 @@
 //! Reusable scratch arenas for the engine hot path.
 //!
-//! One degree-`n` multiplication needs four working vectors (two
-//! double-buffered transforms), and before this module every call
-//! allocated them afresh — `3·log2 n + O(1)` heap allocations per
-//! multiply. A [`Scratch`] checks a single flat `4n`-word slab out of a
-//! thread-local pool, hands out the four buffers as disjoint views, and
-//! returns the slab on drop. In the steady state (same `n`, same
-//! thread) the checkout is a `Vec::pop` and the whole multiply performs
+//! The engine's merged-kernel datapath works in a [`BatchScratch`], a
+//! `3·B·n`-word slab; a lane on an armed write path runs the row
+//! datapath, which needs four working vectors (two double-buffered
+//! transforms) from a [`Scratch`], a flat `4n`-word slab. Both check
+//! their slab out of a thread-local pool, hand out disjoint views, and
+//! return the slab on drop. In the steady state (same shape, same
+//! thread) the checkout is a `Vec` pop and the whole multiply performs
 //! **zero** heap allocations — asserted by the counting-allocator test
 //! in `tests/alloc_steady_state.rs`.
 //!
@@ -108,10 +108,10 @@ thread_local! {
     static BATCH_POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A checked-out `3·B·n`-word slab for the batch-fused referee: three
-/// disjoint `B·n` buffers (operand A spectra, operand B spectra,
-/// products) that [`ntt::negacyclic::NttMultiplier::multiply_batch_into`]
-/// walks in one fused pass.
+/// A checked-out `3·B·n`-word slab: three disjoint `B·n` buffers
+/// (operand A spectra, operand B spectra, products) that the engine's
+/// merged-kernel datapath and the software referee walk in one fused
+/// pass.
 ///
 /// Pooled separately from [`Scratch`] because batch sizes vary call to
 /// call: a pooled slab is reused whenever its capacity covers the

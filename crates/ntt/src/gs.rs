@@ -51,10 +51,6 @@
 //!   Intermediate *representatives* may differ from the wide path, but
 //!   every value stays in `[0, 2q)` and residues are identical, so all
 //!   canonical (normalized) outputs are bit-identical.
-//!
-//! [`gs_kernel_lazy_batch`] applies the same passes stage-outer across
-//! a batch of B stacked transforms, so one twiddle-table walk stays
-//! cache-hot across all B polynomials.
 
 use modmath::roots::NttTables;
 use modmath::{bitrev, shoup, zq};
@@ -129,63 +125,6 @@ pub fn gs_kernel_lazy_in_place(data: &mut [u64], twiddle: &[u64], twiddle_shoup:
     }
 }
 
-/// Runs B independent lazy GS transforms stacked in one flat buffer.
-///
-/// `data.len()` must be a multiple of `n`; each `n`-length block is one
-/// bit-reversed-order transform input. The stage loop is *outer* and the
-/// per-polynomial loop *inner*, so every stage's twiddle reads stay hot
-/// in cache across the whole batch — one effective table walk per batch
-/// instead of one per polynomial. Outputs are bit-identical (as lazy
-/// values) to calling [`gs_kernel_lazy_in_place`] on each block.
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two of at least 2, `data.len()` is
-/// not a positive multiple of `n`, or the twiddle tables do not have
-/// `n / 2` entries each.
-pub fn gs_kernel_lazy_batch(
-    data: &mut [u64],
-    n: usize,
-    twiddle: &[u64],
-    twiddle_shoup: &[u64],
-    q: u64,
-) {
-    let log_n = bitrev::log2_exact(n).expect("transform length must be a power of two");
-    assert!(n >= 2, "transform length must be at least 2");
-    assert!(
-        !data.is_empty() && data.len().is_multiple_of(n),
-        "batch buffer must be a positive multiple of n"
-    );
-    assert_eq!(twiddle.len(), n / 2, "twiddle table must have n/2 entries");
-    assert_eq!(
-        twiddle_shoup.len(),
-        n / 2,
-        "Shoup table must have n/2 entries"
-    );
-    let two_q = q << 1;
-    debug_assert!(data.iter().all(|&c| c < two_q), "inputs must be < 2q");
-
-    if q < shoup::HALF_MODULUS_LIMIT {
-        simd::run_gs_batch_half(
-            data,
-            n,
-            twiddle,
-            twiddle_shoup,
-            log_n,
-            HalfBfly { q, two_q },
-        );
-    } else {
-        run_gs_batch(
-            data,
-            n,
-            twiddle,
-            twiddle_shoup,
-            log_n,
-            WideBfly { q, two_q },
-        );
-    }
-}
-
 /// Runtime-dispatched compilations of the half-width kernel.
 ///
 /// The half-width butterfly is pure 32×32→64 arithmetic, which the loop
@@ -197,7 +136,7 @@ pub fn gs_kernel_lazy_batch(
 /// path off x86-64).
 mod simd {
     #[allow(unused_imports)]
-    use super::{run_gs, run_gs_batch, HalfBfly};
+    use super::{run_gs, HalfBfly};
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
@@ -221,32 +160,6 @@ mod simd {
         bf: HalfBfly,
     ) {
         run_gs(data, twiddle, twiddle_shoup, log_n, bf);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn run_gs_batch_half_avx512(
-        data: &mut [u64],
-        n: usize,
-        twiddle: &[u64],
-        twiddle_shoup: &[u64],
-        log_n: u32,
-        bf: HalfBfly,
-    ) {
-        run_gs_batch(data, n, twiddle, twiddle_shoup, log_n, bf);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn run_gs_batch_half_avx2(
-        data: &mut [u64],
-        n: usize,
-        twiddle: &[u64],
-        twiddle_shoup: &[u64],
-        log_n: u32,
-        bf: HalfBfly,
-    ) {
-        run_gs_batch(data, n, twiddle, twiddle_shoup, log_n, bf);
     }
 
     pub(super) fn run_gs_half(
@@ -273,33 +186,6 @@ mod simd {
             }
         }
         run_gs(data, twiddle, twiddle_shoup, log_n, bf);
-    }
-
-    pub(super) fn run_gs_batch_half(
-        data: &mut [u64],
-        n: usize,
-        twiddle: &[u64],
-        twiddle_shoup: &[u64],
-        log_n: u32,
-        bf: HalfBfly,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-            {
-                // SAFETY: feature presence checked at runtime just above.
-                unsafe { run_gs_batch_half_avx512(data, n, twiddle, twiddle_shoup, log_n, bf) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence checked at runtime just above.
-                unsafe { run_gs_batch_half_avx2(data, n, twiddle, twiddle_shoup, log_n, bf) };
-                return;
-            }
-        }
-        run_gs_batch(data, n, twiddle, twiddle_shoup, log_n, bf);
     }
 }
 
@@ -369,31 +255,6 @@ fn run_gs<B: Butterfly>(
     }
     if i < log_n {
         radix2_pass(data, twiddle, twiddle_shoup, i, bf);
-    }
-}
-
-/// Stage-outer batch variant of [`run_gs`]: each pass streams all
-/// stacked polynomials before advancing, keeping the twiddles cache-hot.
-#[inline(always)]
-fn run_gs_batch<B: Butterfly>(
-    data: &mut [u64],
-    n: usize,
-    twiddle: &[u64],
-    twiddle_shoup: &[u64],
-    log_n: u32,
-    bf: B,
-) {
-    let mut i = 0;
-    while i + 2 <= log_n {
-        for poly in data.chunks_exact_mut(n) {
-            radix4_pass(poly, twiddle, twiddle_shoup, i, bf);
-        }
-        i += 2;
-    }
-    if i < log_n {
-        for poly in data.chunks_exact_mut(n) {
-            radix2_pass(poly, twiddle, twiddle_shoup, i, bf);
-        }
     }
 }
 
@@ -688,25 +549,6 @@ mod tests {
             gs_kernel_lazy_in_place(&mut lazy, t.omega_powers(), t.omega_powers_shoup(), q);
             modmath::shoup::normalize_slice(&mut lazy, q);
             assert_eq!(lazy, strict, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn batch_kernel_bit_identical_to_sequential() {
-        for (n, q) in [(8usize, 7681u64), (64, 12289), (256, 786433)] {
-            let t = tables_nq(n, q);
-            for b in 1..=5usize {
-                let mut flat: Vec<u64> = (0..(b * n) as u64)
-                    .map(|i| (i * 2654435761) % (2 * q))
-                    .collect();
-                let mut seq = flat.clone();
-                gs_kernel_lazy_batch(&mut flat, n, t.omega_powers(), t.omega_powers_shoup(), q);
-                for poly in seq.chunks_exact_mut(n) {
-                    gs_kernel_lazy_in_place(poly, t.omega_powers(), t.omega_powers_shoup(), q);
-                }
-                // Lazy values (not just residues) must agree exactly.
-                assert_eq!(flat, seq, "n = {n}, q = {q}, b = {b}");
-            }
         }
     }
 

@@ -14,8 +14,6 @@
 //! * [`gs`] — the Gentleman–Sande in-place NTT of the paper's
 //!   Algorithm 2 (bit-reversed input, natural output, stage-doubling
 //!   butterfly distance, bit-reversed twiddle table).
-//! * [`dif`] — a textbook decimation-in-frequency NTT (natural input,
-//!   bit-reversed output) used as a cross-check and ablation comparator.
 //! * [`merged`] — merged-twiddle (`ψ`-folded) CT/GS kernels: the
 //!   scale-free, permute-free hot path the multiplier runs on.
 //! * [`negacyclic`] — the full NTT-based negacyclic multiplier of
@@ -23,6 +21,13 @@
 //!   callers swap in the PIM-backed multiplier.
 //! * [`schoolbook`] — the O(n²) negacyclic multiplier used as the oracle.
 //! * [`dft`] — an O(n²) DFT-by-definition oracle for transform tests.
+//! * [`karatsuba`] — the sub-quadratic multiplier between schoolbook
+//!   and NTT, for the software crossover measurement and as an oracle.
+//! * [`rns`] — residue-number-system multiplication over several
+//!   NTT-friendly primes for moduli wider than one machine word.
+//!
+//! There is one software multiply path: [`merged`] kernels under
+//! [`negacyclic::NttMultiplier`], one job or a stacked batch.
 //!
 //! # Example
 //!
@@ -42,11 +47,7 @@
 //! # }
 //! ```
 
-pub mod cache;
-pub mod ct;
 pub mod dft;
-pub mod dif;
-pub mod fourstep;
 pub mod gs;
 pub mod karatsuba;
 pub mod merged;

@@ -15,7 +15,7 @@
 //! PIM-backed accelerator both implement, so schemes can swap backends.
 
 use crate::poly::Polynomial;
-use crate::{fourstep, gs, merged, Result};
+use crate::{gs, merged, Result};
 use modmath::params::ParamSet;
 use modmath::roots::NttTables;
 use modmath::{bitrev, shoup, zq, Error};
@@ -110,10 +110,6 @@ pub trait PolyMultiplier {
 #[derive(Debug, Clone)]
 pub struct NttMultiplier {
     tables: NttTables,
-    /// Lazily built four-step plan for the segmented multiply path
-    /// (plan construction walks `2n` root powers, so it only happens on
-    /// first use).
-    four_step: std::sync::OnceLock<fourstep::FourStepPlan>,
 }
 
 impl NttMultiplier {
@@ -126,7 +122,6 @@ impl NttMultiplier {
     pub fn new(params: &ParamSet) -> Result<Self> {
         Ok(NttMultiplier {
             tables: NttTables::new(params)?,
-            four_step: std::sync::OnceLock::new(),
         })
     }
 
@@ -138,7 +133,6 @@ impl NttMultiplier {
     pub fn for_degree_modulus(n: usize, q: u64) -> Result<Self> {
         Ok(NttMultiplier {
             tables: NttTables::for_degree_modulus(n, q)?,
-            four_step: std::sync::OnceLock::new(),
         })
     }
 
@@ -350,66 +344,12 @@ impl NttMultiplier {
             .collect()
     }
 
-    /// Segmented (four-step) negacyclic multiply: cache-blocked
-    /// transposes plus in-cache row transforms instead of one in-place
-    /// transform over the whole buffer. Bit-identical to
-    /// [`PolyMultiplier::multiply`] (same root, exact arithmetic).
-    ///
-    /// The plan is built on first use and cached. See
-    /// [`fourstep::FOUR_STEP_MIN_DEGREE`] for when this path is worth
-    /// taking — on hosts whose L2 holds the operands, the merged
-    /// in-place path measures faster at every paper degree, which is
-    /// why the default `multiply` does not switch automatically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDegree`] on operand mismatch or a degree
-    /// too small to split.
-    pub fn multiply_segmented(&self, a: &Polynomial, b: &Polynomial) -> Result<Polynomial> {
-        let n = self.tables.degree();
-        if a.degree_bound() != n || b.degree_bound() != n {
-            return Err(Error::InvalidDegree {
-                n: a.degree_bound(),
-            });
-        }
-        if self.four_step.get().is_none() {
-            let plan = fourstep::FourStepPlan::new(&self.tables)?;
-            let _ = self.four_step.set(plan);
-        }
-        let plan = self.four_step.get().expect("plan just installed");
-        let mut fa = a.coeffs().to_vec();
-        let mut fb = b.coeffs().to_vec();
-        let mut scratch = vec![0u64; n];
-        fourstep::multiply_into(plan, &self.tables, &mut fa, &mut fb, &mut scratch)?;
-        Polynomial::from_canonical_coeffs(fa, self.tables.modulus())
-    }
-
     fn check_batch(&self, len: usize) -> Result<()> {
         let n = self.tables.degree();
         if len == 0 || !len.is_multiple_of(n) {
             return Err(Error::InvalidDegree { n: len });
         }
         Ok(())
-    }
-
-    /// Pointwise product where `a` comes with precomputed Shoup
-    /// companions (`a_shoup[i] = ⌊a[i]·2^64/q⌋`) — the fast path for
-    /// cached operands, avoiding the `u128` remainder entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDegree`] on a length mismatch.
-    pub fn pointwise_with_shoup(&self, a: &[u64], a_shoup: &[u64], b: &[u64]) -> Result<Vec<u64>> {
-        let n = self.tables.degree();
-        if a.len() != n || a_shoup.len() != n || b.len() != n {
-            return Err(Error::InvalidDegree { n: a.len() });
-        }
-        let q = self.tables.modulus();
-        Ok(a.iter()
-            .zip(a_shoup)
-            .zip(b)
-            .map(|((&x, &xs), &y)| shoup::mul(y, x, xs, q))
-            .collect())
     }
 }
 
@@ -519,21 +459,6 @@ mod tests {
             let sq = m.multiply(&h, &h).unwrap();
             assert_eq!(sq.coeff(0), q - 1, "n = {n}");
             assert!(sq.coeffs()[1..].iter().all(|&c| c == 0), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn segmented_multiply_bit_identical_to_default() {
-        for n in [64usize, 256, 1024] {
-            let m = mult(n);
-            let q = m.modulus();
-            let a = rand_poly(n, q, 21);
-            let b = rand_poly(n, q, 23);
-            let merged = m.multiply(&a, &b).unwrap();
-            let segmented = m.multiply_segmented(&a, &b).unwrap();
-            assert_eq!(segmented, merged, "n = {n}");
-            // Second call exercises the cached plan.
-            assert_eq!(m.multiply_segmented(&a, &b).unwrap(), merged, "n = {n}");
         }
     }
 

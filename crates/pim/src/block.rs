@@ -144,7 +144,7 @@ impl MemoryBlock {
     /// Charges the cycle/energy cost of a vector addition on `rows`
     /// rows without computing data. Cost-only twin of
     /// [`MemoryBlock::add`], for executions whose data path runs
-    /// elsewhere (e.g. the parallel lane engine): charging the same op
+    /// elsewhere (e.g. the engine's plan replay): charging the same op
     /// sequence in the same order reproduces the sequential tally
     /// bit-for-bit, because every charge depends only on the datapath
     /// width and the active row count — never on operand values.
@@ -425,7 +425,7 @@ mod tests {
         ghost.charge_mul_montgomery(96, MultiplierKind::CryptoPim, &red);
         assert_eq!(real.tally(), ghost.tally());
         // f64 energy must match to the last bit, not just approximately:
-        // the parallel engine's determinism contract depends on it.
+        // the engine's bit-exact plan replay depends on it.
         assert_eq!(
             real.tally().energy_pj.to_bits(),
             ghost.tally().energy_pj.to_bits()

@@ -1,21 +1,19 @@
-//! Deterministic lane fan-out across a persistent worker pool.
+//! Deterministic job fan-out across a persistent worker pool.
 //!
-//! A CryptoPIM chip is massively parallel: a degree-`n` vector spans
-//! `⌈n/512⌉` independent lanes whose blocks execute the same microcode
-//! in lock-step, and a superbank packs many independent multiplications
-//! side by side. The *simulator* can exploit exactly that independence:
-//! each output element (or each batched job) is a pure function of the
-//! inputs, so the data path parallelizes trivially while the cycle and
-//! energy accounting — which is data-oblivious (cycles depend only on
-//! the datapath width, energy on cycles × active rows) — is replayed in
-//! the sequential charge order. The result is a wall-clock speedup with
-//! **bit-identical** tallies and traces.
+//! A CryptoPIM superbank packs many independent multiplications side
+//! by side. The *simulator* exploits exactly that independence: each
+//! batched job (or chunk of jobs) is a pure function of its inputs, so
+//! whole jobs fan out across host threads while every job's cycle and
+//! energy accounting is replayed from its own plan. The result is a
+//! wall-clock speedup with **bit-identical** products and traces. A
+//! single job never fans out: its merged-kernel datapath is faster on
+//! one thread than split across several.
 //!
 //! Execution runs on the lazily-initialized persistent pool in
 //! [`crate::pool`]: the first parallel region spawns its workers, every
-//! later region reuses them, so `Threads::Fixed(k)` no longer pays an OS
-//! thread spawn per NTT stage (the pre-pool [`std::thread::scope`]
-//! design did, tens of µs per scope). Still `std`-only — no external
+//! later region reuses them, so `Threads::Fixed(k)` pays no OS thread
+//! spawn per region (the pre-pool [`std::thread::scope`] design did,
+//! tens of µs per scope). Still `std`-only — no external
 //! thread-pool dependency — and a panicking worker propagates to the
 //! caller instead of deadlocking. Worker counts come from [`Threads`],
 //! which reads `CRYPTOPIM_THREADS` (or the machine's available
@@ -28,21 +26,20 @@ pub use crate::pool::pool_threads;
 /// Environment variable overriding the auto-detected worker count.
 pub const THREADS_ENV: &str = "CRYPTOPIM_THREADS";
 
-/// Worker-count policy for parallel lane execution.
+/// Worker-count policy for parallel job execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threads {
     /// `CRYPTOPIM_THREADS` if set (and ≥ 1), else the machine's
-    /// available parallelism — then gated by problem size so tiny
-    /// transforms never pay fan-out latency.
+    /// available parallelism.
     #[default]
     Auto,
-    /// Exactly this many workers (clamped to ≥ 1), regardless of
-    /// problem size. Used by the determinism tests and `--threads N`.
+    /// Exactly this many workers (clamped to ≥ 1). Used by the
+    /// determinism tests and `--threads N`.
     Fixed(usize),
 }
 
 impl Threads {
-    /// The raw worker count before any size gating.
+    /// The worker count this policy asks for.
     pub fn resolve(self) -> usize {
         match self {
             Threads::Fixed(k) => k.max(1),
@@ -53,21 +50,6 @@ impl Threads {
                 .unwrap_or_else(|| thread::available_parallelism().map_or(1, |p| p.get())),
         }
     }
-
-    /// Workers to use for a problem with `lanes` independent elements.
-    ///
-    /// `Fixed(k)` is honored (capped at `lanes`); `Auto` additionally
-    /// gates on size — one worker per 8192 lanes — so that per-stage
-    /// dispatch overhead never dominates. Coarser-grained units (whole
-    /// batched multiplications) bypass this gate via
-    /// [`Threads::resolve`].
-    pub fn resolve_for(self, lanes: usize) -> usize {
-        let k = self.resolve().min(lanes.max(1));
-        match self {
-            Threads::Fixed(_) => k,
-            Threads::Auto => k.min((lanes / 8192).max(1)),
-        }
-    }
 }
 
 /// Raw-pointer wrapper that lets disjoint chunk writers share one output
@@ -75,34 +57,6 @@ impl Threads {
 struct SendPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Core fan-out: writes `f(i)` into `out + i` for `i in 0..len`, split
-/// into `workers` contiguous chunks (chunk 0 on the calling thread,
-/// chunks 1.. on the persistent pool).
-///
-/// # Safety
-///
-/// `out` must be valid for writes of `len` elements, and the written
-/// slots must be safe to overwrite with `ptr::write` (uninitialized, or
-/// holding `Copy` values). On panic some slots may be left unwritten.
-unsafe fn fill_indexed<T, F>(out: *mut T, len: usize, workers: usize, f: &F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.min(len);
-    let chunk = len.div_ceil(workers);
-    let base = SendPtr(out);
-    let base = &base;
-    crate::pool::scope_run(workers, &move |w| {
-        let start = w * chunk;
-        let end = ((w + 1) * chunk).min(len);
-        for i in start..end {
-            // SAFETY: chunks are disjoint; every slot is written once.
-            unsafe { base.0.add(i).write(f(i)) };
-        }
-    });
-}
 
 /// Computes `(0..len).map(f)` with `workers` pool threads, returning
 /// results in index order.
@@ -125,38 +79,24 @@ where
     if workers <= 1 || len <= 1 {
         return (0..len).map(f).collect();
     }
+    let workers = workers.min(len);
+    let chunk = len.div_ceil(workers);
     let mut out: Vec<T> = Vec::with_capacity(len);
-    // SAFETY: the buffer has capacity for `len` writes; on success every
-    // slot is initialized before set_len; on panic set_len never runs.
-    unsafe {
-        fill_indexed(out.as_mut_ptr(), len, workers, &f);
-        out.set_len(len);
-    }
-    out
-}
-
-/// In-place variant of [`map_indexed`]: overwrites `out[i] = f(i)` with
-/// zero allocations, for hot paths that reuse scratch buffers.
-///
-/// Restricted to `Copy` elements so overwriting needs no drops.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker; `out` is then partially updated.
-pub fn map_indexed_into<T, F>(out: &mut [T], workers: usize, f: F)
-where
-    T: Copy + Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let len = out.len();
-    if workers <= 1 || len <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
+    let base = SendPtr(out.as_mut_ptr());
+    let base = &base;
+    crate::pool::scope_run(workers, &move |w| {
+        let start = w * chunk;
+        let end = ((w + 1) * chunk).min(len);
+        for i in start..end {
+            // SAFETY: the buffer has capacity for `len` writes and the
+            // chunks are disjoint, so every slot is written once.
+            unsafe { base.0.add(i).write(f(i)) };
         }
-        return;
-    }
-    // SAFETY: slice is valid for `len` writes; `T: Copy` has no drop.
-    unsafe { fill_indexed(out.as_mut_ptr(), len, workers, &f) };
+    });
+    // SAFETY: on success every slot is initialized; on panic
+    // `scope_run` propagates before this runs.
+    unsafe { out.set_len(len) };
+    out
 }
 
 /// Maps `f` over a slice of independent jobs with `workers` pool
@@ -194,26 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_into_matches_map_indexed() {
-        let reference = map_indexed(513, 1, |i| (i as u64) ^ 0xABCD);
-        for workers in [1usize, 2, 3, 8, 513] {
-            let mut out = vec![0u64; 513];
-            map_indexed_into(&mut out, workers, |i| (i as u64) ^ 0xABCD);
-            assert_eq!(out, reference, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn map_indexed_into_is_allocation_free_shape() {
-        // Zero-length and single-element shapes take the inline path.
-        let mut empty: [u64; 0] = [];
-        map_indexed_into(&mut empty, 8, |_| 1);
-        let mut one = [0u64; 1];
-        map_indexed_into(&mut one, 8, |i| i as u64 + 41);
-        assert_eq!(one, [41]);
-    }
-
-    #[test]
     fn map_jobs_preserves_input_order() {
         let jobs: Vec<String> = (0..57).map(|i| format!("job{i}")).collect();
         let out = map_jobs(&jobs, 4, |j| format!("{j}!"));
@@ -225,17 +145,6 @@ mod tests {
     fn fixed_threads_resolve_clamped() {
         assert_eq!(Threads::Fixed(0).resolve(), 1);
         assert_eq!(Threads::Fixed(6).resolve(), 6);
-        assert_eq!(Threads::Fixed(8).resolve_for(4), 4, "capped at lanes");
-        assert_eq!(Threads::Fixed(2).resolve_for(4096), 2);
-    }
-
-    #[test]
-    fn auto_threads_gate_on_problem_size() {
-        // Small transforms must never fan out regardless of core count.
-        assert_eq!(Threads::Auto.resolve_for(256), 1);
-        assert_eq!(Threads::Auto.resolve_for(4096), 1);
-        // Large ones are capped by one worker per 8192 lanes.
-        assert!(Threads::Auto.resolve_for(32768) <= 4);
         assert!(Threads::Auto.resolve() >= 1);
     }
 

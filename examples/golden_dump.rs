@@ -10,7 +10,6 @@
 use cryptopim::engine::Engine;
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
-use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 
 fn rand_vec(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -43,9 +42,9 @@ fn main() {
         let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).unwrap();
         let a = rand_vec(n, q, 0xC0FFEE ^ n as u64);
         let b = rand_vec(n, q, 0xBEEF ^ n as u64);
-        let (c, t) = Engine::new(&mapping)
-            .with_threads(Threads::Fixed(1))
-            .multiply(&a, &b)
+        let mut c = Vec::new();
+        let t = Engine::new(&mapping)
+            .multiply_batch(&a, &b, &mut c, &[], None)
             .unwrap();
         println!("({n}, {q}, 0x{:016x}, [", fnv(&c));
         for (name, ph) in [

@@ -4,44 +4,55 @@
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the plan cache, the thread-local scratch pool, and the output
 //! vector's capacity, then asserts that further multiplies perform zero
-//! allocations and zero deallocations. This is its own test binary so
-//! the counter sees no interference from other tests (integration tests
-//! each link their own globals), and the tests in it serialize on a
-//! lock so they never pollute each other's counter windows.
+//! allocations and zero deallocations.
+//!
+//! The counters are **per thread**: the engine runs on the caller's
+//! thread, so the measuring thread's own heap operations are exactly
+//! what a test must see. Another thread's allocations — a concurrently
+//! running test, or an earlier test's thread freeing its thread-local
+//! scratch pools as it exits — never land in the window.
 
 use cryptopim::engine::Engine;
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
 use ntt::negacyclic::NttMultiplier;
-use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// The counters are process-global while the harness runs tests on
-/// parallel threads — each test takes this lock so no other test's
-/// allocations land inside its measurement window.
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized `Cell`s with no destructor: reading or bumping
+    // them never allocates and never registers a TLS destructor, so
+    // they are safe to touch from inside the global allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: during thread teardown the slot may be gone, and
+    // that thread is never a measuring one.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
+    counter.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&DEALLOCS);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&ALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -63,11 +74,10 @@ fn rand_vec(n: usize, q: u64, seed: u64) -> Vec<u64> {
 
 #[test]
 fn steady_state_multiply_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 1024usize;
     let params = ParamSet::for_degree(n).expect("paper degree");
     let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-    let engine = Engine::new(&mapping).with_threads(Threads::Fixed(1));
+    let engine = Engine::new(&mapping);
     let a = rand_vec(n, params.q, 1);
     let b = rand_vec(n, params.q, 2);
     let mut out = Vec::new();
@@ -76,20 +86,22 @@ fn steady_state_multiply_is_allocation_free() {
     // `out` its capacity. Two rounds so the slab is checked out of the
     // pool (not freshly allocated) at least once before measuring.
     for _ in 0..2 {
-        let trace = engine.multiply_into(&a, &b, &mut out).expect("warm-up");
+        let trace = engine
+            .multiply_batch(&a, &b, &mut out, &[], None)
+            .expect("warm-up");
         assert!(trace.total().cycles > 0);
     }
     let reference = out.clone();
 
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
+    let allocs_before = count(&ALLOCS);
+    let deallocs_before = count(&DEALLOCS);
     for _ in 0..10 {
         engine
-            .multiply_into(&a, &b, &mut out)
+            .multiply_batch(&a, &b, &mut out, &[], None)
             .expect("steady state");
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
+    let allocs = count(&ALLOCS) - allocs_before;
+    let deallocs = count(&DEALLOCS) - deallocs_before;
 
     assert_eq!(out, reference, "products must stay correct");
     assert_eq!(allocs, 0, "steady-state multiply must not allocate");
@@ -98,7 +110,6 @@ fn steady_state_multiply_is_allocation_free() {
 
 #[test]
 fn engine_batch_fused_multiply_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The batch-fused *engine* path: one `StagePlan` walk over the
     // pooled `3·B·n` scratch slab per batch. After warm-up (plan cache,
     // slab pool, `out` capacity) a whole fused batch — products plus
@@ -107,7 +118,7 @@ fn engine_batch_fused_multiply_is_allocation_free() {
     let batch = 4usize;
     let params = ParamSet::for_degree(n).expect("paper degree");
     let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-    let engine = Engine::new(&mapping).with_threads(Threads::Fixed(1));
+    let engine = Engine::new(&mapping);
     let a: Vec<u64> = (0..batch as u64)
         .flat_map(|j| rand_vec(n, params.q, 10 + j))
         .collect();
@@ -118,21 +129,21 @@ fn engine_batch_fused_multiply_is_allocation_free() {
 
     for _ in 0..2 {
         let trace = engine
-            .multiply_batch_into(&a, &b, &mut out)
+            .multiply_batch(&a, &b, &mut out, &[], None)
             .expect("warm-up");
         assert!(trace.total().cycles > 0);
     }
     let reference = out.clone();
 
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
+    let allocs_before = count(&ALLOCS);
+    let deallocs_before = count(&DEALLOCS);
     for _ in 0..10 {
         engine
-            .multiply_batch_into(&a, &b, &mut out)
+            .multiply_batch(&a, &b, &mut out, &[], None)
             .expect("steady state");
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
+    let allocs = count(&ALLOCS) - allocs_before;
+    let deallocs = count(&DEALLOCS) - deallocs_before;
 
     assert_eq!(out, reference, "products must stay correct");
     assert_eq!(allocs, 0, "batch-fused engine multiply must not allocate");
@@ -144,7 +155,6 @@ fn engine_batch_fused_multiply_is_allocation_free() {
 
 #[test]
 fn batch_fused_multiply_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The batch-fused referee path (`multiply_batch_into`) runs entirely
     // in caller buffers: once the multiplier and the three B·n slabs
     // exist, a whole batch of transforms touches the heap zero times.
@@ -174,16 +184,16 @@ fn batch_fused_multiply_is_allocation_free() {
         .expect("warm-up");
     let reference = out.clone();
 
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCS.load(Ordering::SeqCst);
+    let allocs_before = count(&ALLOCS);
+    let deallocs_before = count(&DEALLOCS);
     for _ in 0..10 {
         a.copy_from_slice(&a0);
         b.copy_from_slice(&b0);
         m.multiply_batch_into(&mut a, &mut b, &mut out)
             .expect("steady state");
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCS.load(Ordering::SeqCst) - deallocs_before;
+    let allocs = count(&ALLOCS) - allocs_before;
+    let deallocs = count(&DEALLOCS) - deallocs_before;
 
     assert_eq!(out, reference, "products must stay correct");
     assert_eq!(allocs, 0, "batch-fused multiply must not allocate");

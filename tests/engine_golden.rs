@@ -10,10 +10,10 @@
 //! the accounting (or the arithmetic) changed, which is a contract
 //! break, not a refresh.
 
-use cryptopim::engine::Engine;
+use cryptopim::engine::{Engine, EngineTrace};
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
-use pim::par::Threads;
+use pim::fault::WritePath;
 use pim::reduce::ReductionStyle;
 use pim::stats::Tally;
 
@@ -94,7 +94,37 @@ fn fnv1a(values: &[u64]) -> u64 {
     h
 }
 
-fn check_phase(name: &str, n: usize, workers: usize, tally: &Tally, gold: PhaseGold) {
+/// Armed but fault-free write path: every store keeps its word, so the
+/// engine takes its one-job row datapath instead of the merged kernels
+/// and must land on the same golden products.
+#[derive(Debug)]
+struct RowPath;
+
+impl WritePath for RowPath {
+    fn armed(&self) -> bool {
+        true
+    }
+    fn begin_op(&self) {}
+    fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+        value
+    }
+    fn bank(&self) -> u32 {
+        0
+    }
+    fn suspect_block(&self) -> Option<u32> {
+        None
+    }
+}
+
+fn multiply(engine: Engine, a: &[u64], b: &[u64]) -> (Vec<u64>, EngineTrace) {
+    let mut out = Vec::new();
+    let trace = engine
+        .multiply_batch(a, b, &mut out, &[], None)
+        .expect("multiply");
+    (out, trace)
+}
+
+fn check_phase(name: &str, n: usize, path: &str, tally: &Tally, gold: PhaseGold) {
     assert_eq!(
         (
             tally.cycles,
@@ -103,12 +133,12 @@ fn check_phase(name: &str, n: usize, workers: usize, tally: &Tally, gold: PhaseG
             tally.transfer_cycles,
         ),
         (gold.0, gold.1, gold.2, gold.3),
-        "{name} cycles: n = {n}, workers = {workers}"
+        "{name} cycles: n = {n}, {path}"
     );
     assert_eq!(
         tally.energy_pj.to_bits(),
         gold.4,
-        "{name} energy bits: n = {n}, workers = {workers}"
+        "{name} energy bits: n = {n}, {path}"
     );
 }
 
@@ -121,16 +151,16 @@ fn engine_trace_matches_pre_plan_golden_data() {
         let a = rand_vec(n, q, 0xC0FFEE ^ n as u64);
         let b = rand_vec(n, q, 0xBEEF ^ n as u64);
 
-        for workers in [1usize, 2, 4] {
-            let (c, tr) = Engine::new(&mapping)
-                .with_threads(Threads::Fixed(workers))
-                .multiply(&a, &b)
-                .expect("multiply");
-            assert_eq!(
-                fnv1a(&c),
-                product_hash,
-                "product hash: n = {n}, workers = {workers}"
-            );
+        let row_path = RowPath;
+        for (path, engine) in [
+            ("merged kernels", Engine::new(&mapping)),
+            (
+                "row datapath",
+                Engine::new(&mapping).with_write_path(Some(&row_path)),
+            ),
+        ] {
+            let (c, tr) = multiply(engine, &a, &b);
+            assert_eq!(fnv1a(&c), product_hash, "product hash: n = {n}, {path}");
             for (i, (name, t)) in [
                 ("premul", &tr.premul),
                 ("forward", &tr.forward),
@@ -142,7 +172,7 @@ fn engine_trace_matches_pre_plan_golden_data() {
             .into_iter()
             .enumerate()
             {
-                check_phase(name, n, workers, t, phases[i]);
+                check_phase(name, n, path, t, phases[i]);
             }
             let total = tr.total();
             let (gold_cycles, gold_energy) = GOLDEN_TOTALS[case];
@@ -150,7 +180,7 @@ fn engine_trace_matches_pre_plan_golden_data() {
             assert_eq!(
                 total.energy_pj.to_bits(),
                 gold_energy,
-                "total energy bits: n = {n}, workers = {workers}"
+                "total energy bits: n = {n}, {path}"
             );
         }
     }
@@ -166,10 +196,7 @@ fn transfer_fold_keeps_total_cycles_unchanged() {
         let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
         let a = rand_vec(n, params.q, 0xC0FFEE ^ n as u64);
         let b = rand_vec(n, params.q, 0xBEEF ^ n as u64);
-        let (_, tr) = Engine::new(&mapping)
-            .with_threads(Threads::Fixed(1))
-            .multiply(&a, &b)
-            .expect("multiply");
+        let (_, tr) = multiply(Engine::new(&mapping), &a, &b);
         let log_n = params.log2_n() as u64;
         let per_stage = pim::cost::switch_transfer_cycles(params.bitwidth);
         assert_eq!(tr.transfers.cycles, 3 * log_n * per_stage, "n = {n}");

@@ -1,22 +1,23 @@
-//! Determinism regression: the parallel lane engine must be
-//! **bit-identical** to the sequential engine — same products, same
-//! [`EngineTrace`], and energy tallies equal to the last f64 bit — for
-//! every paper modulus and any worker count.
+//! Determinism regression: fanning whole job chunks out across host
+//! threads must be invisible — the same per-job outcomes (products and
+//! typed failures) and the same batch report for any worker count,
+//! under every check policy, with and without a hot-operand cache.
 //!
-//! This is the contract that makes `--threads N` safe to default on:
-//! block charges are data-oblivious (cycles depend only on datapath
-//! width, energy on cycles × active rows), so the parallel engine
-//! replays the sequential charge sequence while only the data path fans
-//! out (see `pim::par` and DESIGN.md).
+//! This is the contract that makes `--threads N` safe to default on: a
+//! chunk's engine pass runs on one thread and every job's accounting is
+//! replayed from its own plan, so only wall-clock time depends on the
+//! worker count (see `pim::par` and DESIGN.md §9).
 
 use cryptopim::accelerator::CryptoPim;
-use cryptopim::batch::multiply_batch;
-use cryptopim::engine::Engine;
-use cryptopim::mapping::NttMapping;
+use cryptopim::batch::{multiply_batch, multiply_batch_outcomes};
+use cryptopim::check::CheckPolicy;
+use cryptopim::hotcache::HotCache;
 use modmath::params::ParamSet;
+use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
 use ntt::poly::Polynomial;
 use pim::par::Threads;
-use pim::reduce::ReductionStyle;
+use pim::PimError;
+use std::sync::Arc;
 
 /// The paper's (degree, modulus) pairs: 7681 (Table I row 1), 12289,
 /// and 786433.
@@ -34,48 +35,68 @@ fn rand_vec(n: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// `count` jobs whose `a` operands come from a pool of two keys (the
+/// protocol key-reuse shape, so a cache sees hits) and whose `b`
+/// operands are fresh.
+fn jobs(n: usize, q: u64, count: u64, seed: u64) -> Vec<(Polynomial, Polynomial)> {
+    let poly = |s: u64| Polynomial::from_coeffs(rand_vec(n, q, s), q).expect("valid");
+    (0..count)
+        .map(|k| (poly(seed + k % 2), poly(seed + 100 + k)))
+        .collect()
+}
+
+fn accelerator(params: &ParamSet, threads: Threads, check: CheckPolicy, cached: bool) -> CryptoPim {
+    CryptoPim::new(params)
+        .expect("paper parameters")
+        .with_threads(threads)
+        .with_check(check)
+        .with_hot_cache(cached.then(|| Arc::new(HotCache::new(4))))
+}
+
+fn outcomes(
+    acc: &CryptoPim,
+    pairs: &[(Polynomial, Polynomial)],
+) -> Vec<Result<Polynomial, PimError>> {
+    multiply_batch_outcomes(acc, pairs).expect("non-empty batch")
+}
+
 #[test]
-fn parallel_engine_trace_is_bit_identical_for_paper_moduli() {
+fn chunk_fanout_is_identical_for_every_policy_and_cache() {
+    let policies = [
+        CheckPolicy::Disabled,
+        CheckPolicy::residue(4, 11),
+        CheckPolicy::Recompute,
+    ];
     for (n, q) in PAPER_CASES {
         let params = ParamSet::for_degree(n).expect("paper degree");
         assert_eq!(params.q, q, "paper modulus for n = {n}");
-        let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-        let a = rand_vec(n, q, 0xC0FFEE ^ n as u64);
-        let b = rand_vec(n, q, 0xBEEF ^ n as u64);
-
-        let (c_seq, t_seq) = Engine::new(&mapping)
-            .with_threads(Threads::Fixed(1))
-            .multiply(&a, &b)
-            .expect("sequential multiply");
-
-        for workers in [2usize, 4, 8] {
-            let (c_par, t_par) = Engine::new(&mapping)
-                .with_threads(Threads::Fixed(workers))
-                .multiply(&a, &b)
-                .expect("parallel multiply");
-            assert_eq!(c_par, c_seq, "products: n = {n}, workers = {workers}");
-            assert_eq!(t_par, t_seq, "trace: n = {n}, workers = {workers}");
-            // PartialEq on f64 is bit-blind to -0.0/0.0 and would accept
-            // equal-but-differently-rounded sums; pin the exact bits.
-            for (phase, seq, par) in [
-                ("premul", &t_seq.premul, &t_par.premul),
-                ("forward", &t_seq.forward, &t_par.forward),
-                ("pointwise", &t_seq.pointwise, &t_par.pointwise),
-                ("inverse", &t_seq.inverse, &t_par.inverse),
-                ("postmul", &t_seq.postmul, &t_par.postmul),
-                ("transfers", &t_seq.transfers, &t_par.transfers),
-            ] {
-                assert_eq!(
-                    seq.energy_pj.to_bits(),
-                    par.energy_pj.to_bits(),
-                    "{phase} energy bits: n = {n}, workers = {workers}"
+        let soft = NttMultiplier::new(&params).expect("paper parameters");
+        let pairs = jobs(n, q, 6, 0xC0FFEE ^ n as u64);
+        let want: Vec<Polynomial> = pairs
+            .iter()
+            .map(|(a, b)| soft.multiply(a, b).expect("software product"))
+            .collect();
+        for check in policies {
+            for cached in [false, true] {
+                let at = format!("n = {n}, {check:?}, cached = {cached}");
+                let reference = outcomes(
+                    &accelerator(&params, Threads::Fixed(1), check, cached),
+                    &pairs,
                 );
+                let products: Vec<Polynomial> = reference
+                    .iter()
+                    .map(|r| r.clone().expect("fault-free job"))
+                    .collect();
+                assert_eq!(products, want, "{at}");
+                for workers in [2usize, 4] {
+                    let acc = accelerator(&params, Threads::Fixed(workers), check, cached);
+                    assert_eq!(
+                        outcomes(&acc, &pairs),
+                        reference,
+                        "{at}, workers = {workers}"
+                    );
+                }
             }
-            assert_eq!(
-                t_seq.total().energy_pj.to_bits(),
-                t_par.total().energy_pj.to_bits(),
-                "total energy bits: n = {n}, workers = {workers}"
-            );
         }
     }
 }
@@ -83,63 +104,52 @@ fn parallel_engine_trace_is_bit_identical_for_paper_moduli() {
 #[test]
 fn auto_threads_match_pinned_sequential() {
     // Whatever Auto resolves to on this machine (including the
-    // CRYPTOPIM_THREADS env override), results must not change.
+    // CRYPTOPIM_THREADS env override), outcomes must not change.
     let (n, q) = PAPER_CASES[2];
     let params = ParamSet::for_degree(n).expect("paper degree");
-    let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-    let a = rand_vec(n, q, 7);
-    let b = rand_vec(n, q, 8);
-    let (c_seq, t_seq) = Engine::new(&mapping)
-        .with_threads(Threads::Fixed(1))
-        .multiply(&a, &b)
-        .expect("sequential multiply");
-    let (c_auto, t_auto) = Engine::new(&mapping)
-        .with_threads(Threads::Auto)
-        .multiply(&a, &b)
-        .expect("auto multiply");
-    assert_eq!(c_auto, c_seq);
-    assert_eq!(t_auto, t_seq);
+    let pairs = jobs(n, q, 5, 7);
+    for check in [CheckPolicy::Disabled, CheckPolicy::Recompute] {
+        let seq = outcomes(
+            &accelerator(&params, Threads::Fixed(1), check, false),
+            &pairs,
+        );
+        let auto = outcomes(&accelerator(&params, Threads::Auto, check, false), &pairs);
+        assert_eq!(auto, seq, "{check:?}");
+    }
 }
 
 #[test]
 fn persistent_pool_stays_deterministic_over_many_multiplies() {
-    // 100 back-to-back multiplies per worker count, all through the
-    // persistent pool: every one must be bit-identical to the sequential
-    // engine, and the pool must not grow (regions reuse parked workers
-    // instead of spawning).
+    // 100 back-to-back batches per worker count, all fanned out through
+    // the persistent pool: every outcome must equal the one-thread run,
+    // and the pool must not grow (regions reuse parked workers instead
+    // of spawning).
     let (n, q) = PAPER_CASES[0];
     let params = ParamSet::for_degree(n).expect("paper degree");
-    let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-    let seq = Engine::new(&mapping).with_threads(Threads::Fixed(1));
+    let seq = accelerator(&params, Threads::Fixed(1), CheckPolicy::Disabled, false);
 
     for workers in [2usize, 4, 8] {
-        let par = Engine::new(&mapping).with_threads(Threads::Fixed(workers));
+        let par = accelerator(
+            &params,
+            Threads::Fixed(workers),
+            CheckPolicy::Disabled,
+            false,
+        );
         // Prime the pool to its high-water mark for this worker count.
-        let warm_a = rand_vec(n, q, 0xA5);
-        par.multiply(&warm_a, &warm_a).expect("pool warm-up");
+        outcomes(&par, &jobs(n, q, 8, 0xA5));
         let pool_before = pim::par::pool_threads();
-        let mut out_seq = Vec::new();
-        let mut out_par = Vec::new();
         for round in 0..100u64 {
-            let a = rand_vec(n, q, 0x5EED_0000 + round);
-            let b = rand_vec(n, q, 0xFACE_0000 + round);
-            let t_seq = seq.multiply_into(&a, &b, &mut out_seq).expect("sequential");
-            let t_par = par.multiply_into(&a, &b, &mut out_par).expect("parallel");
+            let pairs = jobs(n, q, 8, 0x5EED_0000 + 1000 * round);
             assert_eq!(
-                out_par, out_seq,
-                "products: workers = {workers}, round = {round}"
-            );
-            assert_eq!(t_par, t_seq, "trace: workers = {workers}, round = {round}");
-            assert_eq!(
-                t_par.total().energy_pj.to_bits(),
-                t_seq.total().energy_pj.to_bits(),
-                "energy bits: workers = {workers}, round = {round}"
+                outcomes(&par, &pairs),
+                outcomes(&seq, &pairs),
+                "workers = {workers}, round = {round}"
             );
         }
         assert_eq!(
             pim::par::pool_threads(),
             pool_before,
-            "pool must reuse its workers, not spawn per multiply (workers = {workers})"
+            "pool must reuse its workers, not spawn per batch (workers = {workers})"
         );
     }
 }
