@@ -27,8 +27,16 @@ use ntt::poly::Polynomial;
 use pim::par;
 use pim::{PimError, CYCLE_TIME_NS};
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
+
+thread_local! {
+    /// [`run_jobs`]'s `B·n`-word engine product buffer, kept per thread
+    /// so a worker's steady state reuses one buffer instead of
+    /// allocating a fresh one for every chunk.
+    static PRODUCTS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
 
 /// Outcome of a batched run.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,7 +137,7 @@ pub fn multiply_batch_outcomes(
 
 /// Jobs fused into one engine (and referee) pass. Twiddle-walk
 /// amortization saturates after a handful of polynomials, while scratch
-/// grows as `3·B·n` words — this caps the memory at a size that stays
+/// grows as `2·B·n` words — this caps the memory at a size that stays
 /// cache-friendly for every paper degree.
 const MAX_FUSED_JOBS: usize = 16;
 
@@ -206,12 +214,12 @@ fn run_jobs(acc: &CryptoPim, jobs: &[(&Polynomial, &Polynomial)]) -> Vec<Result<
         hot.is_some() && !acc.faults_armed() && !recompute && cached.iter().any(Option::is_none);
 
     let mut inputs = BatchScratch::checkout(n, jobs.len());
-    let (fa, fb, _) = inputs.buffers();
+    let (fa, fb) = inputs.buffers();
     for (i, (a, b)) in jobs.iter().enumerate() {
         fa[lane(i)].copy_from_slice(a.coeffs());
         fb[lane(i)].copy_from_slice(b.coeffs());
     }
-    let mut out = Vec::new();
+    let mut out = PRODUCTS.take();
     let mut cap = Vec::new();
     let engine_start = Instant::now();
     let run = acc.engine().multiply_batch(
@@ -234,7 +242,7 @@ fn run_jobs(acc: &CryptoPim, jobs: &[(&Polynomial, &Polynomial)]) -> Vec<Result<
     }
 
     let product = |i: usize| Polynomial::from_canonical_coeffs(out[lane(i)].to_vec(), q);
-    match acc.check_policy() {
+    let outcomes = match acc.check_policy() {
         CheckPolicy::Disabled => (0..jobs.len())
             .map(|i| product(i).map_err(Into::into))
             .collect(),
@@ -288,7 +296,9 @@ fn run_jobs(acc: &CryptoPim, jobs: &[(&Polynomial, &Polynomial)]) -> Vec<Result<
             );
             verdicts
         }
-    }
+    };
+    PRODUCTS.set(out);
+    outcomes
 }
 
 /// The [`CheckPolicy::Recompute`] referee: re-derives every product of

@@ -126,7 +126,7 @@ impl<'m> Engine<'m> {
     /// `cached` empty and no `capture`.
     ///
     /// Unarmed, the batch walks the cached [`StagePlan`] **once**: per
-    /// stage the jobs run in the inner loop over a pooled `3·B·n`
+    /// stage the jobs run in the inner loop over a pooled `2·B·n`
     /// scratch slab, so the twiddle tables stay hot across jobs.
     /// Products are canonical and independent of `B` (pinned by
     /// proptests against per-lane runs and the software NTT). The
@@ -439,7 +439,7 @@ impl<'m> Engine<'m> {
         let rev = plan.rev();
         let tables = self.mapping.tables();
         let batch = a.len() / n;
-        let (ba, bb, _) = scratch.buffers();
+        let (ba, bb) = scratch.buffers();
         let hit = |lane: usize| cached.get(lane).copied().flatten();
 
         // --- forward transforms (ψ merged into the twiddles). ---

@@ -1,7 +1,7 @@
 //! Reusable scratch arenas for the engine hot path.
 //!
 //! The engine's merged-kernel datapath works in a [`BatchScratch`], a
-//! `3·B·n`-word slab; a lane on an armed write path runs the row
+//! `2·B·n`-word slab; a lane on an armed write path runs the row
 //! datapath, which needs four working vectors (two double-buffered
 //! transforms) from a [`Scratch`], a flat `4n`-word slab. Both check
 //! their slab out of a thread-local pool, hand out disjoint views, and
@@ -108,10 +108,10 @@ thread_local! {
     static BATCH_POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A checked-out `3·B·n`-word slab: three disjoint `B·n` buffers
-/// (operand A spectra, operand B spectra, products) that the engine's
-/// merged-kernel datapath and the software referee walk in one fused
-/// pass.
+/// A checked-out `2·B·n`-word slab: two disjoint `B·n` buffers, one per
+/// operand, that the engine's merged-kernel datapath transforms in place
+/// (and that `batch::run_jobs` stages the operands in for the engine and
+/// the software referee). Products go to the caller's own buffer.
 ///
 /// Pooled separately from [`Scratch`] because batch sizes vary call to
 /// call: a pooled slab is reused whenever its capacity covers the
@@ -128,17 +128,23 @@ impl BatchScratch {
     /// Checks out a slab for `batch` degree-`n` jobs, allocating only
     /// when no pooled slab is large enough.
     ///
-    /// A reused slab keeps its previous contents (zeroing `3·B·n` words
+    /// A reused slab keeps its previous contents (zeroing `2·B·n` words
     /// per checkout is pure memset traffic): every consumer fully
     /// overwrites the buffers it reads, so treat them as uninitialized.
     pub fn checkout(n: usize, batch: usize) -> BatchScratch {
         let lane = n * batch.max(1);
-        let want = 3 * lane;
+        let want = 2 * lane;
         let mut slab = BATCH_POOL
             .with(|p| {
                 let mut p = p.borrow_mut();
-                p.iter()
-                    .position(|s| s.capacity() >= want)
+                // Best fit, so a small batch does not take the slab the
+                // next large one needs; failing that, the largest slab
+                // is grown, so batch sizes varying call to call leave
+                // as many slabs pooled as were ever checked out at
+                // once, not one per size.
+                let cap = |i: &usize| p[*i].capacity();
+                let fit = (0..p.len()).filter(|i| cap(i) >= want).min_by_key(cap);
+                fit.or_else(|| (0..p.len()).max_by_key(cap))
                     .map(|i| p.swap_remove(i))
             })
             .unwrap_or_default();
@@ -148,11 +154,10 @@ impl BatchScratch {
         BatchScratch { slab, lane }
     }
 
-    /// The three disjoint `B·n`-word buffers: (a, b, out).
-    pub fn buffers(&mut self) -> (&mut [u64], &mut [u64], &mut [u64]) {
+    /// The two disjoint `B·n`-word buffers: (a, b).
+    pub fn buffers(&mut self) -> (&mut [u64], &mut [u64]) {
         let (a, rest) = self.slab.split_at_mut(self.lane);
-        let (b, out) = rest.split_at_mut(self.lane);
-        (a, b, &mut out[..self.lane])
+        (a, &mut rest[..self.lane])
     }
 }
 
@@ -225,8 +230,38 @@ mod tests {
         // contents are unspecified on reuse — consumers overwrite.
         let mut small = BatchScratch::checkout(64, 2);
         assert_eq!(small.slab.as_ptr() as usize, big_ptr);
-        let (a, b, out) = small.buffers();
-        assert_eq!([a.len(), b.len(), out.len()], [128, 128, 128]);
+        let (a, b) = small.buffers();
+        assert_eq!([a.len(), b.len()], [128, 128]);
+    }
+
+    #[test]
+    fn batch_checkout_is_best_fit_and_grows_on_a_miss() {
+        let pooled = || BATCH_POOL.with(|p| p.borrow().len());
+        // A miss grows the pooled slab instead of allocating beside it.
+        drop(BatchScratch::checkout(64, 2));
+        drop(BatchScratch::checkout(64, 8));
+        assert_eq!(pooled(), 1, "one slab, grown");
+        // With a large and a small slab pooled, a small request takes
+        // the small one and leaves the large one for the next large
+        // request.
+        let large = BatchScratch::checkout(64, 8);
+        let small = BatchScratch::checkout(64, 1);
+        let small_ptr = small.slab.as_ptr() as usize;
+        drop((large, small));
+        let s = BatchScratch::checkout(64, 1);
+        assert_eq!(s.slab.as_ptr() as usize, small_ptr);
+        assert_eq!(pooled(), 1, "the large slab stays pooled");
+    }
+
+    #[test]
+    fn batch_scratch_holds_two_lanes_of_words() {
+        // One `B·n` buffer per operand and nothing else: the products
+        // live in the caller's buffer.
+        drop(BatchScratch::checkout(4096, 8));
+        let s = BatchScratch::checkout(4096, 8);
+        assert_eq!(s.slab.len(), 2 * 8 * 4096);
+        let fresh = BatchScratch::checkout(512, 3);
+        assert_eq!(fresh.slab.len(), 2 * 3 * 512);
     }
 
     #[test]
@@ -255,10 +290,9 @@ mod tests {
     #[test]
     fn batch_scratch_buffers_are_disjoint() {
         let mut s = BatchScratch::checkout(4, 2);
-        let (a, b, out) = s.buffers();
-        a[0] = 1;
-        b[0] = 2;
-        out[0] = 3;
-        assert_eq!((a[0], b[0], out[0]), (1, 2, 3));
+        let (a, b) = s.buffers();
+        a.fill(1);
+        b.fill(2);
+        assert!(a.iter().all(|&x| x == 1) && b.iter().all(|&x| x == 2));
     }
 }

@@ -7,7 +7,7 @@
 //! typed [`ErrorCode`], so callers can distinguish quota exhaustion
 //! from overload from a genuinely broken peer.
 
-use crate::wire::{read_frame, write_frame, ErrorCode, Frame, JobState, WireError};
+use crate::wire::{Codec, ErrorCode, Frame, JobState, WireError};
 use service::ProtocolKind;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -109,6 +109,7 @@ pub struct DoneProtocol {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    codec: Codec,
 }
 
 impl Client {
@@ -122,7 +123,11 @@ impl Client {
         stream.set_nodelay(true).ok();
         let reader = BufReader::new(stream.try_clone()?);
         let writer = BufWriter::new(stream);
-        let mut client = Client { reader, writer };
+        let mut client = Client {
+            reader,
+            writer,
+            codec: Codec::default(),
+        };
         let reply = client.call(&Frame::Hello {
             token: token.to_string(),
         })?;
@@ -141,9 +146,9 @@ impl Client {
     }
 
     fn call(&mut self, frame: &Frame) -> Result<Frame, NetError> {
-        write_frame(&mut self.writer, frame)?;
+        self.codec.write_frame(&mut self.writer, frame)?;
         self.writer.flush().map_err(WireError::Io)?;
-        Ok(read_frame(&mut self.reader)?)
+        Ok(self.codec.read_frame(&mut self.reader)?)
     }
 
     fn refusal_or(frame: Frame, expected: &'static str) -> NetError {

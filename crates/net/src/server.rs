@@ -34,7 +34,7 @@
 //! submitting connection goes away.
 
 use crate::wire::{
-    encode_frame_versioned, read_frame, write_frame, ErrorCode, Frame, JobState, WireError,
+    encode_version_refusal, write_frame, Codec, ErrorCode, Frame, JobState, WireError,
 };
 use ntt::poly::Polynomial;
 use service::{
@@ -407,35 +407,29 @@ fn handle_connection(shared: &Arc<NetShared>, _conn_id: u64, stream: TcpStream) 
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
+        let mut codec = Codec::default();
         loop {
-            let frame = match read_frame(&mut reader) {
+            let frame = match codec.read_frame(&mut reader) {
                 Ok(f) => f,
                 Err(e) if e.is_disconnect() => return Ok(()),
                 Err(WireError::Io(e)) => return Err(e),
                 Err(WireError::BadVersion(peer_version)) => {
-                    // A peer speaking another protocol revision gets a
-                    // typed refusal, not a silent close — and the reply
-                    // envelope carries the *peer's* version byte so an
-                    // older client's strict envelope check still lets
-                    // it decode why it was turned away.
+                    // A v1/v2 peer gets a typed refusal in its own
+                    // envelope and checksum, so its strict envelope
+                    // check still lets it decode why it was turned
+                    // away; any other version byte gets a plain close.
                     shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    let reply = Frame::Error {
-                        code: ErrorCode::UnsupportedVersion,
-                        job_id: 0,
-                        detail: format!(
-                            "peer speaks protocol version {peer_version}; this server speaks {}",
-                            crate::wire::VERSION
-                        ),
-                    };
-                    let _ = writer.write_all(&encode_frame_versioned(&reply, peer_version));
-                    let _ = writer.flush();
+                    if let Some(reply) = encode_version_refusal(peer_version) {
+                        let _ = writer.write_all(&reply);
+                        let _ = writer.flush();
+                    }
                     return Ok(());
                 }
                 Err(e) => {
                     // Protocol violation: answer one typed error frame,
                     // then drop the connection. Never a panic.
                     shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = write_frame(
+                    let _ = codec.write_frame(
                         &mut writer,
                         &Frame::Error {
                             code: ErrorCode::Malformed,
@@ -449,7 +443,7 @@ fn handle_connection(shared: &Arc<NetShared>, _conn_id: u64, stream: TcpStream) 
             };
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
             let (reply, after) = dispatch(shared, session, frame);
-            write_frame(&mut writer, &reply)?;
+            codec.write_frame(&mut writer, &reply)?;
             writer.flush()?;
             shared.frames_out.fetch_add(1, Ordering::Relaxed);
             if matches!(after, After::Close) {

@@ -46,6 +46,11 @@ impl Polynomial {
 
     /// Builds a polynomial from coefficients, reducing each into `[0, q)`.
     ///
+    /// The coefficients are compared against `q` first and the `%` sweep
+    /// runs only if some coefficient is not canonical, so canonical input
+    /// (the common case: operands off the wire or out of another
+    /// polynomial) costs one compare per coefficient, not one division.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidDegree`] when the length is not a power of
@@ -55,8 +60,10 @@ impl Polynomial {
         if !n.is_power_of_two() || n < 2 {
             return Err(Error::InvalidDegree { n });
         }
-        for c in &mut coeffs {
-            *c %= q;
+        if coeffs.iter().any(|&c| c >= q) {
+            for c in &mut coeffs {
+                *c %= q;
+            }
         }
         Ok(Polynomial { coeffs, q })
     }
@@ -249,6 +256,31 @@ mod tests {
     fn construction_reduces() {
         let p = Polynomial::from_coeffs(vec![20, 17, 0, 1], 17).unwrap();
         assert_eq!(p.coeffs(), &[3, 0, 0, 1]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Skipping the sweep on canonical input changes nothing: any
+        /// mix of canonical and non-canonical coefficients, including
+        /// none of either, reduces exactly like the unconditional `%`.
+        #[test]
+        fn prop_from_coeffs_reduces_exactly(
+            q in 1u64..u64::MAX,
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 64),
+            canonical_mask in proptest::prelude::any::<u64>(),
+        ) {
+            let coeffs: Vec<u64> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| if canonical_mask >> i & 1 == 1 { c % q } else { c })
+                .collect();
+            let expected: Vec<u64> = coeffs.iter().map(|&c| c % q).collect();
+            let p = Polynomial::from_coeffs(coeffs, q).unwrap();
+            proptest::prop_assert_eq!(p.coeffs(), &expected[..]);
+            let canonical = Polynomial::from_coeffs(expected.clone(), q).unwrap();
+            proptest::prop_assert_eq!(canonical.coeffs(), &expected[..]);
+        }
     }
 
     #[test]

@@ -1130,6 +1130,8 @@ fn run_batch(
 
     let mut requeue: Vec<Job> = Vec::new();
     let mut fulfilled_at: Vec<Instant> = Vec::with_capacity(count);
+    let mut results: Vec<(Arc<TicketState>, Result<CompletedJob, ServiceError>)> =
+        Vec::with_capacity(count);
     let mut faults = 0u64;
     let mut recovered = 0u64;
 
@@ -1144,8 +1146,8 @@ fn run_batch(
                             recovered += 1;
                         }
                         fulfilled_at.push(submitted);
-                        fulfill(
-                            &ticket,
+                        results.push((
+                            ticket,
                             Ok(CompletedJob {
                                 product,
                                 queue_us: dispatch.duration_since(submitted).as_secs_f64() * 1e6,
@@ -1154,7 +1156,7 @@ fn run_batch(
                                 packed_lanes: lanes,
                                 attempts,
                             }),
-                        );
+                        ));
                     }
                     Err(PimError::CorruptResult(report)) => {
                         faults += 1;
@@ -1171,71 +1173,81 @@ fn run_batch(
                             });
                         } else {
                             fulfilled_at.push(submitted);
-                            fulfill(
-                                &ticket,
+                            results.push((
+                                ticket,
                                 Err(ServiceError::FaultUnrecovered {
                                     bank: report.bank,
                                     attempts,
                                 }),
-                            );
+                            ));
                         }
                     }
                     Err(e) => {
                         fulfilled_at.push(submitted);
-                        fulfill(&ticket, Err(ServiceError::Pim(e)));
+                        results.push((ticket, Err(ServiceError::Pim(e))));
                     }
                 }
             }
         }
         Err(e) => {
-            for (ticket, submitted, _) in &metas {
-                fulfilled_at.push(*submitted);
-                fulfill(ticket, Err(ServiceError::Pim(e.clone())));
+            for (ticket, submitted, _) in metas {
+                fulfilled_at.push(submitted);
+                results.push((ticket, Err(ServiceError::Pim(e.clone()))));
             }
         }
     }
 
     let retried = requeue.len();
-    let mut st = shared.state.lock().expect("service state poisoned");
-    st.in_flight -= count;
-    st.busy_workers -= 1;
-    st.completed += (count - retried) as u64;
-    st.faults_detected += faults;
-    st.retries += retried as u64;
-    st.recovered += recovered;
-    for submitted in &fulfilled_at {
-        st.hist
-            .record_us(done.duration_since(*submitted).as_micros() as u64);
-    }
-    if !requeue.is_empty() {
-        st.formed_jobs += retried;
-        st.formed.push_front(FormedBatch { key, jobs: requeue });
-        shared.work.notify_one();
-    }
-    // Quarantine policy: K consecutive faulted batches retire the bank.
-    if faults > 0 {
-        st.bank_streak[bank] += 1;
-        if st.bank_streak[bank] >= shared.cfg.quarantine_after && !st.quarantined[bank] {
-            st.quarantined[bank] = true;
-            st.active_workers -= 1;
-            // Epoch bump: transforms the quarantined bank may have
-            // produced must never be replayed from the cache.
-            if let Some(hot) = &shared.hot {
-                hot.bump_epoch();
-            }
-            if st.active_workers == 0 {
-                degrade(shared, &mut st);
-            }
-            // Wake Block-mode submitters (capacity changed or degraded)
-            // and idle workers (requeued work may need a new owner).
-            shared.admit.notify_all();
-            shared.work.notify_all();
-            return true;
+    let quarantined = 'count: {
+        let mut st = shared.state.lock().expect("service state poisoned");
+        st.in_flight -= count;
+        st.busy_workers -= 1;
+        st.completed += (count - retried) as u64;
+        st.faults_detected += faults;
+        st.retries += retried as u64;
+        st.recovered += recovered;
+        for submitted in &fulfilled_at {
+            st.hist
+                .record_us(done.duration_since(*submitted).as_micros() as u64);
         }
-    } else {
-        st.bank_streak[bank] = 0;
+        if !requeue.is_empty() {
+            st.formed_jobs += retried;
+            st.formed.push_front(FormedBatch { key, jobs: requeue });
+            shared.work.notify_one();
+        }
+        // Quarantine policy: K consecutive faulted batches retire the bank.
+        if faults > 0 {
+            st.bank_streak[bank] += 1;
+            if st.bank_streak[bank] >= shared.cfg.quarantine_after && !st.quarantined[bank] {
+                st.quarantined[bank] = true;
+                st.active_workers -= 1;
+                // Epoch bump: transforms the quarantined bank may have
+                // produced must never be replayed from the cache.
+                if let Some(hot) = &shared.hot {
+                    hot.bump_epoch();
+                }
+                if st.active_workers == 0 {
+                    degrade(shared, &mut st);
+                }
+                // Wake Block-mode submitters (capacity changed or degraded)
+                // and idle workers (requeued work may need a new owner).
+                shared.admit.notify_all();
+                shared.work.notify_all();
+                break 'count true;
+            }
+        } else {
+            st.bank_streak[bank] = 0;
+        }
+        false
+    };
+    // Results reach their tickets only once the batch is counted and
+    // the state lock is released, so a waiter that sees its result also
+    // sees it in `ServiceStats`, and wakes without contending for the
+    // lock.
+    for (ticket, result) in results {
+        fulfill(&ticket, result);
     }
-    false
+    quarantined
 }
 
 /// Last bank quarantined: fail everything queued (no bank can ever run

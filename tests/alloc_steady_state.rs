@@ -1,5 +1,6 @@
 //! Zero-allocation steady state: after warm-up, the engine's multiply
-//! loop must not touch the heap at all.
+//! loop must not touch the heap at all, and a connection's frame codec
+//! allocates nothing beyond the decoded frame's own vectors.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the plan cache, the thread-local scratch pool, and the output
@@ -15,6 +16,7 @@
 use cryptopim::engine::Engine;
 use cryptopim::mapping::NttMapping;
 use modmath::params::ParamSet;
+use net::wire::{self, Codec, Frame};
 use ntt::negacyclic::NttMultiplier;
 use pim::reduce::ReductionStyle;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -111,7 +113,7 @@ fn steady_state_multiply_is_allocation_free() {
 #[test]
 fn engine_batch_fused_multiply_is_allocation_free() {
     // The batch-fused *engine* path: one `StagePlan` walk over the
-    // pooled `3·B·n` scratch slab per batch. After warm-up (plan cache,
+    // pooled `2·B·n` scratch slab per batch. After warm-up (plan cache,
     // slab pool, `out` capacity) a whole fused batch — products plus
     // the merged trace — performs zero heap operations.
     let n = 1024usize;
@@ -198,4 +200,66 @@ fn batch_fused_multiply_is_allocation_free() {
     assert_eq!(out, reference, "products must stay correct");
     assert_eq!(allocs, 0, "batch-fused multiply must not allocate");
     assert_eq!(deallocs, 0, "batch-fused multiply must not deallocate");
+}
+
+#[test]
+fn codec_write_of_done_frame_is_allocation_free() {
+    // A server answers every `Wait` with a `Done` frame through its
+    // connection's codec: once the transmit buffer has held one frame
+    // of the size, encoding and writing another performs zero heap
+    // operations.
+    let n = 4096usize;
+    let params = ParamSet::for_degree(n).expect("paper degree");
+    let done = Frame::Done {
+        job_id: 7,
+        q: params.q,
+        product: rand_vec(n, params.q, 5),
+        queue_us: 120,
+        service_us: 340,
+        attempts: 1,
+    };
+    let mut codec = Codec::default();
+    let mut sink = std::io::sink();
+    codec.write_frame(&mut sink, &done).expect("warm-up");
+
+    let allocs_before = count(&ALLOCS);
+    let deallocs_before = count(&DEALLOCS);
+    for _ in 0..10 {
+        codec.write_frame(&mut sink, &done).expect("steady state");
+    }
+    let allocs = count(&ALLOCS) - allocs_before;
+    let deallocs = count(&DEALLOCS) - deallocs_before;
+
+    assert_eq!(allocs, 0, "steady-state write_frame must not allocate");
+    assert_eq!(deallocs, 0, "steady-state write_frame must not deallocate");
+}
+
+#[test]
+fn codec_read_of_submit_frame_allocates_only_the_operands() {
+    // A server reads every `Submit` through its connection's codec:
+    // after the receive buffer has held one frame of the size, a read
+    // allocates exactly the two operand vectors the decoded frame owns.
+    let n = 4096usize;
+    let params = ParamSet::for_degree(n).expect("paper degree");
+    let submit = Frame::Submit {
+        job_id: 9,
+        q: params.q,
+        a: rand_vec(n, params.q, 6),
+        b: rand_vec(n, params.q, 7),
+    };
+    let bytes = wire::encode_frame(&submit);
+    let mut codec = Codec::default();
+    let warm = codec.read_frame(&mut bytes.as_slice()).expect("warm-up");
+    assert_eq!(warm, submit);
+    drop(warm);
+
+    for _ in 0..10 {
+        let allocs_before = count(&ALLOCS);
+        let frame = codec
+            .read_frame(&mut bytes.as_slice())
+            .expect("steady state");
+        let allocs = count(&ALLOCS) - allocs_before;
+        assert_eq!(allocs, 2, "exactly the two operand vectors");
+        assert_eq!(frame, submit);
+    }
 }

@@ -507,37 +507,97 @@ fn protocol_ops_over_tcp_match_direct_digests() {
 /// of a silent close.
 #[test]
 fn legacy_version_peer_gets_typed_refusal_in_its_own_envelope() {
+    legacy_peer_is_refused(1);
+}
+
+#[test]
+fn v2_peer_gets_typed_refusal_in_its_own_envelope() {
+    legacy_peer_is_refused(2);
+}
+
+/// A peer speaking a version newer than this build (or one that never
+/// existed) gets a plain close: there is no knowing how it frames a
+/// reply. The server keeps serving afterwards.
+#[test]
+fn future_version_peer_gets_a_plain_close() {
+    let server = start_server(one_tenant(4), ServiceConfig::default());
+    let addr = server.local_addr();
+    for version in [0, wire::VERSION + 1, u8::MAX] {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut hello = wire::encode_frame(&Frame::Hello {
+            token: "alpha-token".into(),
+        });
+        hello[4] = version;
+        raw.write_all(&hello).unwrap();
+        let mut reply = Vec::new();
+        raw.read_to_end(&mut reply).unwrap();
+        assert!(
+            reply.is_empty(),
+            "v{version} peer got {} bytes",
+            reply.len()
+        );
+    }
+    let (mut client, _, _) = Client::connect(addr, "alpha-token").expect("still serving");
+    assert_eq!(client.status(1).unwrap(), JobState::Unknown);
+    server.shutdown();
+}
+
+/// FNV-1a 64 over (type byte ‖ payload): the checksum a v1 or v2 peer
+/// computes on every frame it sends and verifies on every frame it
+/// reads. Written out here, independent of the server's code.
+fn legacy_fnv1a(tag: u8, payload: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in std::iter::once(&tag).chain(payload) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A v1/v2 peer sends `Hello` in its own envelope; the reply must carry
+/// that peer's version byte and verify under that peer's FNV-1a
+/// checksum, and its payload must be an `UnsupportedVersion` error.
+fn legacy_peer_is_refused(version: u8) {
     let server = start_server(one_tenant(4), ServiceConfig::default());
     let addr = server.local_addr();
     let mut raw = TcpStream::connect(addr).unwrap();
-    // Speak v1: a Hello frame with the legacy version byte.
-    let hello = wire::encode_frame_versioned(
-        &Frame::Hello {
-            token: "alpha-token".into(),
-        },
-        wire::LEGACY_VERSION,
-    );
+    // The envelope layout is unchanged since v1; only the version byte
+    // and the checksum differ.
+    let mut hello = wire::encode_frame(&Frame::Hello {
+        token: "alpha-token".into(),
+    });
+    let len = hello.len();
+    hello[4] = version;
+    let sum = legacy_fnv1a(hello[5], &hello[wire::HEADER_LEN..len - 8]);
+    hello[len - 8..].copy_from_slice(&sum.to_le_bytes());
     raw.write_all(&hello).unwrap();
-    // The reply envelope must carry the peer's version byte...
+
+    // Read the reply the way the old peer does: strict envelope check on
+    // its own version, then its own checksum, then the payload.
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).unwrap();
     assert!(
-        reply.len() > wire::HEADER_LEN,
+        reply.len() > wire::HEADER_LEN + 8,
         "typed reply, not a bare close"
     );
     assert_eq!(&reply[..4], &wire::MAGIC);
+    assert_eq!(reply[4], version, "reply speaks the peer's version");
+    assert_eq!(reply[5], 13, "an Error frame");
+    let payload_len = u32::from_le_bytes(reply[6..10].try_into().unwrap()) as usize;
+    assert_eq!(reply.len(), wire::HEADER_LEN + payload_len + 8, "one frame");
+    let payload = &reply[wire::HEADER_LEN..wire::HEADER_LEN + payload_len];
+    let sum = u64::from_le_bytes(reply[wire::HEADER_LEN + payload_len..].try_into().unwrap());
     assert_eq!(
-        reply[4],
-        wire::LEGACY_VERSION,
-        "reply speaks the peer's version"
+        sum,
+        legacy_fnv1a(reply[5], payload),
+        "reply verifies under the peer's own checksum"
     );
-    // ...and decode (after re-stamping to the current version, which is
-    // exactly the strict-envelope check a v1 reader would have passed)
-    // as an UnsupportedVersion error.
-    reply[4] = wire::VERSION;
-    match wire::read_frame(&mut reply.as_slice()).expect("decodable reply") {
-        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVersion),
-        other => panic!("expected Error frame, got {}", other.name()),
-    }
+    // Error payload (DESIGN §15.2): code u8, job_id u64, detail str.
+    assert_eq!(payload[0], ErrorCode::UnsupportedVersion as u8);
+    assert_eq!(u64::from_le_bytes(payload[1..9].try_into().unwrap()), 0);
+    let detail_len = u32::from_le_bytes(payload[9..13].try_into().unwrap()) as usize;
+    assert_eq!(payload.len(), 13 + detail_len);
+    let detail = std::str::from_utf8(&payload[13..]).expect("UTF-8 detail");
+    assert!(detail.contains(&format!("version {version}")), "{detail}");
     server.shutdown();
 }
