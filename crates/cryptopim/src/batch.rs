@@ -136,9 +136,9 @@ pub fn multiply_batch_outcomes(
 }
 
 /// Jobs fused into one engine (and referee) pass. Twiddle-walk
-/// amortization saturates after a handful of polynomials, while scratch
-/// grows as `2·B·n` words — this caps the memory at a size that stays
-/// cache-friendly for every paper degree.
+/// amortization saturates after a handful of polynomials, while working
+/// memory grows as `4·B·n` words — this caps the memory at a size that
+/// stays cache-friendly for every paper degree.
 const MAX_FUSED_JOBS: usize = 16;
 
 /// The one multiply path: runs a chunk of at most [`MAX_FUSED_JOBS`]
@@ -213,8 +213,8 @@ fn run_jobs(acc: &CryptoPim, jobs: &[(&Polynomial, &Polynomial)]) -> Vec<Result<
     let capture_misses =
         hot.is_some() && !acc.faults_armed() && !recompute && cached.iter().any(Option::is_none);
 
-    let mut inputs = BatchScratch::checkout(n, jobs.len());
-    let (fa, fb) = inputs.buffers();
+    let mut inputs = BatchScratch::checkout(2 * jobs.len() * n);
+    let (fa, fb) = inputs.words().split_at_mut(jobs.len() * n);
     for (i, (a, b)) in jobs.iter().enumerate() {
         fa[lane(i)].copy_from_slice(a.coeffs());
         fb[lane(i)].copy_from_slice(b.coeffs());

@@ -126,8 +126,9 @@ impl<'m> Engine<'m> {
     /// `cached` empty and no `capture`.
     ///
     /// Unarmed, the batch walks the cached [`StagePlan`] **once**: per
-    /// stage the jobs run in the inner loop over a pooled `2·B·n`
-    /// scratch slab, so the twiddle tables stay hot across jobs.
+    /// stage the jobs run in the inner loop over the `B·n` output
+    /// buffer and one pooled `B·n` scratch slab, so the twiddle tables
+    /// stay hot across jobs.
     /// Products are canonical and independent of `B` (pinned by
     /// proptests against per-lane runs and the software NTT). The
     /// returned trace is the phase-wise sum of the `B` per-job traces,
@@ -236,7 +237,7 @@ impl<'m> Engine<'m> {
                 }
             }
         } else {
-            let mut scratch = BatchScratch::checkout(n, batch);
+            let mut scratch = BatchScratch::checkout(batch * n);
             self.datapath_batch_fast(
                 &plan,
                 &mut scratch,
@@ -439,12 +440,13 @@ impl<'m> Engine<'m> {
         let rev = plan.rev();
         let tables = self.mapping.tables();
         let batch = a.len() / n;
-        let (ba, bb) = scratch.buffers();
         let hit = |lane: usize| cached.get(lane).copied().flatten();
 
-        // --- forward transforms (ψ merged into the twiddles). ---
+        // --- forward transforms (ψ merged into the twiddles): `a`'s
+        //     spectra in the caller's output buffer, `b`'s in the
+        //     scratch slab. ---
+        let ba = out;
         ba.copy_from_slice(a);
-        bb.copy_from_slice(b);
         let mut lane = 0;
         while lane < batch {
             if let Some(image) = hit(lane) {
@@ -474,12 +476,14 @@ impl<'m> Engine<'m> {
                 }
             }
         }
+        let bb = scratch.words();
+        bb.copy_from_slice(b);
         ntt::merged::forward_lazy_batch_in_place(bb, tables);
 
-        // --- point-wise multiply + inverse transform, in the caller's
+        // --- point-wise multiply + inverse transform, in place in the
         //     output buffer (n⁻¹ and ψ⁻¹ folded; output canonical). ---
-        ntt::merged::pointwise_lazy(ba, bb, out, q);
-        ntt::merged::inverse_batch_in_place(out, tables);
+        ntt::merged::pointwise_lazy_in_place(ba, bb, q);
+        ntt::merged::inverse_batch_in_place(ba, tables);
     }
 }
 
@@ -1067,7 +1071,7 @@ mod tests {
                 .unwrap();
             let tables = modmath::roots::NttTables::for_degree_modulus(n, q).unwrap();
             let mut sw = a.clone();
-            ntt::merged::forward_lazy_in_place(&mut sw, &tables);
+            ntt::merged::forward_lazy_batch_in_place(&mut sw, &tables);
             for v in &mut sw {
                 if *v >= q {
                     *v -= q;

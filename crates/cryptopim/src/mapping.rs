@@ -20,13 +20,25 @@ use modmath::roots::NttTables;
 use modmath::zq;
 use pim::reduce::{Reducer, ReductionStyle};
 use pim::Result;
+use std::sync::OnceLock;
 
 /// Precomputed, hardware-ready constant vectors for one parameter set.
+///
+/// The `R`-scaled vectors feed only the row datapath (an armed write
+/// path, the bank/controller simulations); they are built on first use,
+/// so a fleet serving through the merged-kernel fast path never holds
+/// them.
 #[derive(Debug, Clone)]
 pub struct NttMapping {
     params: ParamSet,
     tables: NttTables,
     reducer: Reducer,
+    scaled: OnceLock<Scaled>,
+}
+
+/// The `R`-scaled constant vectors.
+#[derive(Debug, Clone)]
+struct Scaled {
     /// Forward twiddles `ω^i`, bit-reversed order, scaled by `R`.
     twiddle_fwd: Vec<u64>,
     /// Inverse twiddles `ω^{-i}`, bit-reversed order, scaled by `R`.
@@ -41,6 +53,34 @@ pub struct NttMapping {
     phi_post: Vec<u64>,
 }
 
+impl Scaled {
+    fn build(tables: &NttTables, reducer: &Reducer) -> Scaled {
+        let q = tables.modulus();
+        let scale = |v: u64| reducer.to_mont(v);
+        let n_inv = tables.n_inv();
+        Scaled {
+            twiddle_fwd: tables.omega_powers().iter().map(|&w| scale(w)).collect(),
+            twiddle_inv: tables
+                .omega_inv_powers()
+                .iter()
+                .map(|&w| scale(w))
+                .collect(),
+            phi_a: tables.phi_powers().iter().map(|&p| scale(p)).collect(),
+            // φ·R²: scale twice — REDC(b · φR²) = b·φ·R (Montgomery form).
+            phi_b: tables
+                .phi_powers()
+                .iter()
+                .map(|&p| scale(scale(p)))
+                .collect(),
+            phi_post: tables
+                .phi_inv_powers()
+                .iter()
+                .map(|&p| scale(zq::mul(p, n_inv, q)))
+                .collect(),
+        }
+    }
+}
+
 impl NttMapping {
     /// Builds the mapping for a parameter set, using the given reduction
     /// style for cost accounting (the CryptoPIM accelerator uses
@@ -51,39 +91,18 @@ impl NttMapping {
     /// Fails when the modulus has no specialized reduction sequence or
     /// the degree admits no NTT.
     pub fn new(params: &ParamSet, style: ReductionStyle) -> Result<Self> {
-        let tables = NttTables::new(params)?;
-        let reducer = Reducer::new(params.q, style)?;
-        let q = params.q;
-        let scale = |v: u64| reducer.to_mont(v);
-        let twiddle_fwd = tables.omega_powers().iter().map(|&w| scale(w)).collect();
-        let twiddle_inv = tables
-            .omega_inv_powers()
-            .iter()
-            .map(|&w| scale(w))
-            .collect();
-        let phi_a = tables.phi_powers().iter().map(|&p| scale(p)).collect();
-        // φ·R²: scale twice — REDC(b · φR²) = b·φ·R (Montgomery form).
-        let phi_b = tables
-            .phi_powers()
-            .iter()
-            .map(|&p| scale(scale(p)))
-            .collect();
-        let n_inv = tables.n_inv();
-        let phi_post = tables
-            .phi_inv_powers()
-            .iter()
-            .map(|&p| scale(zq::mul(p, n_inv, q)))
-            .collect();
         Ok(NttMapping {
             params: *params,
-            tables,
-            reducer,
-            twiddle_fwd,
-            twiddle_inv,
-            phi_a,
-            phi_b,
-            phi_post,
+            tables: NttTables::new(params)?,
+            reducer: Reducer::new(params.q, style)?,
+            scaled: OnceLock::new(),
         })
+    }
+
+    /// The `R`-scaled vectors, built by the first caller.
+    fn scaled(&self) -> &Scaled {
+        self.scaled
+            .get_or_init(|| Scaled::build(&self.tables, &self.reducer))
     }
 
     /// The parameter set.
@@ -107,13 +126,13 @@ impl NttMapping {
     /// Forward twiddles (bit-reversed order, `×R`).
     #[inline]
     pub fn twiddle_fwd(&self) -> &[u64] {
-        &self.twiddle_fwd
+        &self.scaled().twiddle_fwd
     }
 
     /// Inverse twiddles (bit-reversed order, `×R`).
     #[inline]
     pub fn twiddle_inv(&self) -> &[u64] {
-        &self.twiddle_inv
+        &self.scaled().twiddle_inv
     }
 
     /// The forward twiddles stage `stage` actually consumes: block `b`
@@ -122,32 +141,32 @@ impl NttMapping {
     /// prefix of the bit-reversed table.
     #[inline]
     pub fn twiddle_fwd_stage(&self, stage: u32) -> &[u64] {
-        &self.twiddle_fwd[..self.params.n >> (stage + 1)]
+        &self.twiddle_fwd()[..self.params.n >> (stage + 1)]
     }
 
     /// Per-stage slice of the inverse twiddles (see
     /// [`NttMapping::twiddle_fwd_stage`]).
     #[inline]
     pub fn twiddle_inv_stage(&self, stage: u32) -> &[u64] {
-        &self.twiddle_inv[..self.params.n >> (stage + 1)]
+        &self.twiddle_inv()[..self.params.n >> (stage + 1)]
     }
 
     /// `φ^i · R` for the first input.
     #[inline]
     pub fn phi_a(&self) -> &[u64] {
-        &self.phi_a
+        &self.scaled().phi_a
     }
 
     /// `φ^i · R²` for the second input.
     #[inline]
     pub fn phi_b(&self) -> &[u64] {
-        &self.phi_b
+        &self.scaled().phi_b
     }
 
     /// `φ^{-i} · n⁻¹ · R` for the output block.
     #[inline]
     pub fn phi_post(&self) -> &[u64] {
-        &self.phi_post
+        &self.scaled().phi_post
     }
 }
 
@@ -158,6 +177,17 @@ mod tests {
     fn mapping(n: usize) -> NttMapping {
         let p = ParamSet::for_degree(n).unwrap();
         NttMapping::new(&p, ReductionStyle::CryptoPim).unwrap()
+    }
+
+    #[test]
+    fn scaled_constants_are_built_on_first_use_only() {
+        let m = mapping(256);
+        assert!(
+            m.scaled.get().is_none(),
+            "construction builds nothing R-scaled"
+        );
+        assert_eq!(m.phi_post().len(), 256);
+        assert!(m.scaled.get().is_some());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Reusable scratch arenas for the engine hot path.
 //!
-//! The engine's merged-kernel datapath works in a [`BatchScratch`], a
-//! `2·B·n`-word slab; a lane on an armed write path runs the row
-//! datapath, which needs four working vectors (two double-buffered
-//! transforms) from a [`Scratch`], a flat `4n`-word slab. Both check
-//! their slab out of a thread-local pool, hand out disjoint views, and
-//! return the slab on drop. In the steady state (same shape, same
-//! thread) the checkout is a `Vec` pop and the whole multiply performs
-//! **zero** heap allocations — asserted by the counting-allocator test
-//! in `tests/alloc_steady_state.rs`.
+//! The engine's merged-kernel datapath and `batch::run_jobs` work in
+//! [`BatchScratch`] slabs sized per batch; a lane on an armed write
+//! path runs the row datapath, which needs four working vectors (two
+//! double-buffered transforms) from a [`Scratch`], a flat `4n`-word
+//! slab. Both check their slab out of a thread-local pool, hand out
+//! disjoint views, and return the slab on drop. In the steady state
+//! (same shape, same thread) the checkout is a `Vec` pop and the whole
+//! multiply performs **zero** heap allocations — asserted by the
+//! counting-allocator test in `tests/alloc_steady_state.rs`.
 //!
 //! Lifetime rules (also documented in DESIGN.md §10):
 //!
@@ -108,10 +108,12 @@ thread_local! {
     static BATCH_POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A checked-out `2·B·n`-word slab: two disjoint `B·n` buffers, one per
-/// operand, that the engine's merged-kernel datapath transforms in place
-/// (and that `batch::run_jobs` stages the operands in for the engine and
-/// the software referee). Products go to the caller's own buffer.
+/// A checked-out slab of words for the batch paths: `batch::run_jobs`
+/// stages both operands of a `B`-job chunk in one (`2·B·n` words, one
+/// `B·n` lane per operand, read by the engine and transformed in place
+/// by the software referee), and the engine's merged-kernel datapath
+/// transforms its second operand in another (`B·n` words; the first is
+/// transformed in the caller's output buffer, where the product lands).
 ///
 /// Pooled separately from [`Scratch`] because batch sizes vary call to
 /// call: a pooled slab is reused whenever its capacity covers the
@@ -121,19 +123,17 @@ thread_local! {
 #[derive(Debug)]
 pub struct BatchScratch {
     slab: Vec<u64>,
-    lane: usize,
+    len: usize,
 }
 
 impl BatchScratch {
-    /// Checks out a slab for `batch` degree-`n` jobs, allocating only
-    /// when no pooled slab is large enough.
+    /// Checks out a slab of `len` words, allocating only when no pooled
+    /// slab is large enough.
     ///
-    /// A reused slab keeps its previous contents (zeroing `2·B·n` words
-    /// per checkout is pure memset traffic): every consumer fully
-    /// overwrites the buffers it reads, so treat them as uninitialized.
-    pub fn checkout(n: usize, batch: usize) -> BatchScratch {
-        let lane = n * batch.max(1);
-        let want = 2 * lane;
+    /// A reused slab keeps its previous contents (zeroing it per
+    /// checkout is pure memset traffic): every consumer fully overwrites
+    /// the words it reads, so treat them as uninitialized.
+    pub fn checkout(len: usize) -> BatchScratch {
         let mut slab = BATCH_POOL
             .with(|p| {
                 let mut p = p.borrow_mut();
@@ -143,21 +143,20 @@ impl BatchScratch {
                 // as many slabs pooled as were ever checked out at
                 // once, not one per size.
                 let cap = |i: &usize| p[*i].capacity();
-                let fit = (0..p.len()).filter(|i| cap(i) >= want).min_by_key(cap);
+                let fit = (0..p.len()).filter(|i| cap(i) >= len).min_by_key(cap);
                 fit.or_else(|| (0..p.len()).max_by_key(cap))
                     .map(|i| p.swap_remove(i))
             })
             .unwrap_or_default();
-        if slab.len() < want {
-            slab.resize(want, 0);
+        if slab.len() < len {
+            slab.resize(len, 0);
         }
-        BatchScratch { slab, lane }
+        BatchScratch { slab, len }
     }
 
-    /// The two disjoint `B·n`-word buffers: (a, b).
-    pub fn buffers(&mut self) -> (&mut [u64], &mut [u64]) {
-        let (a, rest) = self.slab.split_at_mut(self.lane);
-        (a, &mut rest[..self.lane])
+    /// The `len` checked-out words.
+    pub fn words(&mut self) -> &mut [u64] {
+        &mut self.slab[..self.len]
     }
 }
 
@@ -223,45 +222,45 @@ mod tests {
     #[test]
     fn batch_scratch_reuses_capacity_for_smaller_batches() {
         let big_ptr = {
-            let s = BatchScratch::checkout(64, 8);
+            let s = BatchScratch::checkout(2 * 8 * 64);
             s.slab.as_ptr() as usize
         };
         // A smaller request rides the pooled large slab (trimmed view);
         // contents are unspecified on reuse — consumers overwrite.
-        let mut small = BatchScratch::checkout(64, 2);
+        let mut small = BatchScratch::checkout(2 * 2 * 64);
         assert_eq!(small.slab.as_ptr() as usize, big_ptr);
-        let (a, b) = small.buffers();
-        assert_eq!([a.len(), b.len()], [128, 128]);
+        assert_eq!(small.words().len(), 256);
     }
 
     #[test]
     fn batch_checkout_is_best_fit_and_grows_on_a_miss() {
         let pooled = || BATCH_POOL.with(|p| p.borrow().len());
         // A miss grows the pooled slab instead of allocating beside it.
-        drop(BatchScratch::checkout(64, 2));
-        drop(BatchScratch::checkout(64, 8));
+        drop(BatchScratch::checkout(128));
+        drop(BatchScratch::checkout(512));
         assert_eq!(pooled(), 1, "one slab, grown");
         // With a large and a small slab pooled, a small request takes
         // the small one and leaves the large one for the next large
         // request.
-        let large = BatchScratch::checkout(64, 8);
-        let small = BatchScratch::checkout(64, 1);
+        let large = BatchScratch::checkout(512);
+        let small = BatchScratch::checkout(64);
         let small_ptr = small.slab.as_ptr() as usize;
         drop((large, small));
-        let s = BatchScratch::checkout(64, 1);
+        let s = BatchScratch::checkout(64);
         assert_eq!(s.slab.as_ptr() as usize, small_ptr);
         assert_eq!(pooled(), 1, "the large slab stays pooled");
     }
 
     #[test]
-    fn batch_scratch_holds_two_lanes_of_words() {
-        // One `B·n` buffer per operand and nothing else: the products
-        // live in the caller's buffer.
-        drop(BatchScratch::checkout(4096, 8));
-        let s = BatchScratch::checkout(4096, 8);
+    fn batch_scratch_holds_the_requested_words() {
+        // Exactly the words asked for and nothing else: a chunk's two
+        // staged operands, or the engine's one transformed operand.
+        drop(BatchScratch::checkout(2 * 8 * 4096));
+        let mut s = BatchScratch::checkout(2 * 8 * 4096);
         assert_eq!(s.slab.len(), 2 * 8 * 4096);
-        let fresh = BatchScratch::checkout(512, 3);
-        assert_eq!(fresh.slab.len(), 2 * 3 * 512);
+        assert_eq!(s.words().len(), 2 * 8 * 4096);
+        let fresh = BatchScratch::checkout(3 * 512);
+        assert_eq!(fresh.slab.len(), 3 * 512);
     }
 
     #[test]
@@ -269,30 +268,21 @@ mod tests {
         // Fill the batch pool to its bound with small slabs (the state a
         // degree sweep leaves behind)...
         let small: Vec<BatchScratch> = (0..MAX_POOLED)
-            .map(|_| BatchScratch::checkout(64, 1))
+            .map(|_| BatchScratch::checkout(64))
             .collect();
         drop(small);
         // ...then return a large slab to the now-full pool: it must
         // evict a small slab rather than be freed, so the next large
         // checkout reuses it instead of re-allocating.
         let big_ptr = {
-            let s = BatchScratch::checkout(1024, 4);
+            let s = BatchScratch::checkout(4 * 1024);
             s.slab.as_ptr() as usize
         };
-        let s = BatchScratch::checkout(1024, 4);
+        let s = BatchScratch::checkout(4 * 1024);
         assert_eq!(
             s.slab.as_ptr() as usize,
             big_ptr,
             "large slab must survive a full pool"
         );
-    }
-
-    #[test]
-    fn batch_scratch_buffers_are_disjoint() {
-        let mut s = BatchScratch::checkout(4, 2);
-        let (a, b) = s.buffers();
-        a.fill(1);
-        b.fill(2);
-        assert!(a.iter().all(|&x| x == 1) && b.iter().all(|&x| x == 2));
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::params::ParamSet;
 use crate::{bitrev, primes, shoup, zq, Error};
+use std::sync::OnceLock;
 
 /// Finds a generator of the multiplicative group `Z_q^*` for prime `q`.
 ///
@@ -81,13 +82,37 @@ pub fn is_primitive_root(root: u64, order: u64, q: u64) -> bool {
 /// (`⌊w·2^64/q⌋`, see [`crate::shoup`]) so the NTT kernels can run with
 /// lazy reduction, and `phi_inv_n_inv_powers` stores the fused
 /// `φ^{-i}·n⁻¹` post-scaling constants so the inverse negacyclic
-/// transform finishes in a single pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// transform finishes in a single pass. These classic-pipeline tables
+/// are built on first use: a multiplier that only runs the merged
+/// kernels (the serving referee, the engine's fast datapath) never holds
+/// them. The merged-kernel twiddles ([`MergedTwiddles`]) are built
+/// eagerly and stored once, at the lane width those kernels run.
+#[derive(Debug, Clone)]
 pub struct NttTables {
     n: usize,
     q: u64,
     omega: u64,
     phi: u64,
+    n_inv: u64,
+    n_inv_shoup: u64,
+    merged: MergedTwiddles,
+    classic: OnceLock<ClassicTables>,
+}
+
+/// Tables are a function of `(n, q)` and the chosen roots; whether the
+/// classic tables have been built yet does not change what they are.
+impl PartialEq for NttTables {
+    fn eq(&self, other: &Self) -> bool {
+        (self.n, self.q, self.omega, self.phi) == (other.n, other.q, other.omega, other.phi)
+    }
+}
+
+impl Eq for NttTables {}
+
+/// The Algorithm-1 tables of the classic (φ-scaled, Gentleman–Sande)
+/// pipeline; see [`NttTables`] for the layout.
+#[derive(Debug, Clone)]
+struct ClassicTables {
     omega_powers: Vec<u64>,
     omega_powers_shoup: Vec<u64>,
     omega_inv_powers: Vec<u64>,
@@ -97,12 +122,89 @@ pub struct NttTables {
     phi_inv_powers: Vec<u64>,
     phi_inv_n_inv_powers: Vec<u64>,
     phi_inv_n_inv_powers_shoup: Vec<u64>,
-    phi_powers_bitrev: Vec<u64>,
-    phi_powers_bitrev_shoup: Vec<u64>,
-    phi_inv_powers_bitrev: Vec<u64>,
-    phi_inv_powers_bitrev_shoup: Vec<u64>,
-    n_inv: u64,
-    n_inv_shoup: u64,
+}
+
+/// `1, x, x², …` — `len` successive powers of `x` mod `q`.
+fn powers(x: u64, len: usize, q: u64) -> Vec<u64> {
+    let mut acc = 1u64;
+    (0..len)
+        .map(|_| {
+            let p = acc;
+            acc = zq::mul(acc, x, q);
+            p
+        })
+        .collect()
+}
+
+impl ClassicTables {
+    fn build(n: usize, q: u64, omega: u64, phi: u64, n_inv: u64) -> ClassicTables {
+        let omega_inv = zq::inv(omega, q).expect("a root of unity is invertible");
+        let phi_inv = zq::inv(phi, q).expect("a root of unity is invertible");
+        // w-powers in natural order, then permuted bit-reversed.
+        let half = n / 2;
+        let bits = bitrev::log2_exact(half).map_or(0, |b| b);
+        let bit_reversed = |natural: Vec<u64>| -> Vec<u64> {
+            let mut out = natural.clone();
+            if half > 1 {
+                for (i, &w) in natural.iter().enumerate() {
+                    out[bitrev::reverse_bits(i, bits)] = w;
+                }
+            }
+            out
+        };
+        let omega_powers = bit_reversed(powers(omega, half.max(1), q));
+        let omega_inv_powers = bit_reversed(powers(omega_inv, half.max(1), q));
+        let phi_powers = powers(phi, n, q);
+        let phi_inv_powers = powers(phi_inv, n, q);
+        let phi_inv_n_inv_powers: Vec<u64> = phi_inv_powers
+            .iter()
+            .map(|&p| zq::mul(p, n_inv, q))
+            .collect();
+        ClassicTables {
+            omega_powers_shoup: shoup::precompute_table(&omega_powers, q),
+            omega_inv_powers_shoup: shoup::precompute_table(&omega_inv_powers, q),
+            phi_powers_shoup: shoup::precompute_table(&phi_powers, q),
+            phi_inv_n_inv_powers_shoup: shoup::precompute_table(&phi_inv_n_inv_powers, q),
+            omega_powers,
+            omega_inv_powers,
+            phi_powers,
+            phi_inv_powers,
+            phi_inv_n_inv_powers,
+        }
+    }
+}
+
+/// One merged twiddle table and its Shoup companions at lane width `W`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Twiddles<W> {
+    /// Entry `i` is `φ^{±rev(i, log2 n)}`, canonical.
+    pub w: Vec<W>,
+    /// Shoup companions: `⌊w·2^32/q⌋` in `u32` lanes, `⌊w·2^64/q⌋` in
+    /// `u64` lanes.
+    pub shoup: Vec<W>,
+}
+
+/// The merged-kernel twiddle tables, stored once at the lane width the
+/// merged kernels run for the modulus: `u32` with half-width companions
+/// when `q <` [`shoup::HALF_MODULUS_LIMIT`] (every paper modulus), `u64`
+/// with full-width companions otherwise. The variant is the routing
+/// decision; no kernel narrows or widens a table per call.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MergedTwiddles {
+    /// `q < 2^30`: `u32` tables.
+    Half {
+        /// Forward (CT) twiddles, `φ^{rev(i)}`.
+        forward: Twiddles<u32>,
+        /// Inverse (GS) twiddles, `φ^{-rev(i)}`.
+        inverse: Twiddles<u32>,
+    },
+    /// `q ≥ 2^30`: `u64` tables.
+    Wide {
+        /// Forward (CT) twiddles, `φ^{rev(i)}`.
+        forward: Twiddles<u64>,
+        /// Inverse (GS) twiddles, `φ^{-rev(i)}`.
+        inverse: Twiddles<u64>,
+    },
 }
 
 impl NttTables {
@@ -130,43 +232,8 @@ impl NttTables {
         let omega = zq::mul(phi, phi, q);
         debug_assert!(is_primitive_root(omega, n as u64, q));
 
-        let half = n / 2;
-        let bits = bitrev::log2_exact(half).map_or(0, |b| b);
-        let omega_inv = zq::inv(omega, q)?;
         let phi_inv = zq::inv(phi, q)?;
-
-        // Powers in natural order first, then permute w-powers bit-reversed.
-        let mut omega_powers = vec![0u64; half.max(1)];
-        let mut omega_inv_powers = vec![0u64; half.max(1)];
-        let (mut acc_f, mut acc_i) = (1u64, 1u64);
-        for i in 0..half.max(1) {
-            let slot = if half > 1 {
-                bitrev::reverse_bits(i, bits)
-            } else {
-                0
-            };
-            omega_powers[slot] = acc_f;
-            omega_inv_powers[slot] = acc_i;
-            acc_f = zq::mul(acc_f, omega, q);
-            acc_i = zq::mul(acc_i, omega_inv, q);
-        }
-
-        let mut phi_powers = Vec::with_capacity(n);
-        let mut phi_inv_powers = Vec::with_capacity(n);
-        let (mut pf, mut pi) = (1u64, 1u64);
-        for _ in 0..n {
-            phi_powers.push(pf);
-            phi_inv_powers.push(pi);
-            pf = zq::mul(pf, phi, q);
-            pi = zq::mul(pi, phi_inv, q);
-        }
-
         let n_inv = zq::inv(n as u64 % q, q)?;
-
-        let phi_inv_n_inv_powers: Vec<u64> = phi_inv_powers
-            .iter()
-            .map(|&p| zq::mul(p, n_inv, q))
-            .collect();
 
         // Merged-twiddle (Longa–Naehrig style) tables: entry i holds
         // φ^{±rev(i, log2 n)}. The merged negacyclic kernels index these
@@ -174,19 +241,38 @@ impl NttTables {
         // each stage reads entries `m..2m` sequentially and the φ
         // pre/post-scaling passes disappear into the butterflies.
         let n_bits = bitrev::log2_exact(n).expect("validated power of two");
-        let phi_powers_bitrev: Vec<u64> = (0..n)
-            .map(|i| phi_powers[bitrev::reverse_bits(i, n_bits)])
-            .collect();
-        let phi_inv_powers_bitrev: Vec<u64> = (0..n)
-            .map(|i| phi_inv_powers[bitrev::reverse_bits(i, n_bits)])
-            .collect();
+        let merged_order = |natural: &[u64]| -> Vec<u64> {
+            (0..n)
+                .map(|i| natural[bitrev::reverse_bits(i, n_bits)])
+                .collect()
+        };
+        let (fwd, inv) = (
+            merged_order(&powers(phi, n, q)),
+            merged_order(&powers(phi_inv, n, q)),
+        );
+        let merged = if q < shoup::HALF_MODULUS_LIMIT {
+            let half = |ws: Vec<u64>| Twiddles {
+                shoup: ws
+                    .iter()
+                    .map(|&w| shoup::precompute_half(w, q) as u32)
+                    .collect(),
+                w: ws.iter().map(|&w| w as u32).collect(),
+            };
+            MergedTwiddles::Half {
+                forward: half(fwd),
+                inverse: half(inv),
+            }
+        } else {
+            let wide = |ws: Vec<u64>| Twiddles {
+                shoup: shoup::precompute_table(&ws, q),
+                w: ws,
+            };
+            MergedTwiddles::Wide {
+                forward: wide(fwd),
+                inverse: wide(inv),
+            }
+        };
 
-        let omega_powers_shoup = shoup::precompute_table(&omega_powers, q);
-        let omega_inv_powers_shoup = shoup::precompute_table(&omega_inv_powers, q);
-        let phi_powers_shoup = shoup::precompute_table(&phi_powers, q);
-        let phi_inv_n_inv_powers_shoup = shoup::precompute_table(&phi_inv_n_inv_powers, q);
-        let phi_powers_bitrev_shoup = shoup::precompute_table(&phi_powers_bitrev, q);
-        let phi_inv_powers_bitrev_shoup = shoup::precompute_table(&phi_inv_powers_bitrev, q);
         let n_inv_shoup = shoup::precompute(n_inv, q);
 
         Ok(NttTables {
@@ -194,22 +280,17 @@ impl NttTables {
             q,
             omega,
             phi,
-            omega_powers,
-            omega_powers_shoup,
-            omega_inv_powers,
-            omega_inv_powers_shoup,
-            phi_powers,
-            phi_powers_shoup,
-            phi_inv_powers,
-            phi_inv_n_inv_powers,
-            phi_inv_n_inv_powers_shoup,
-            phi_powers_bitrev,
-            phi_powers_bitrev_shoup,
-            phi_inv_powers_bitrev,
-            phi_inv_powers_bitrev_shoup,
             n_inv,
             n_inv_shoup,
+            merged,
+            classic: OnceLock::new(),
         })
+    }
+
+    /// The classic-pipeline tables, built by the first caller.
+    fn classic(&self) -> &ClassicTables {
+        self.classic
+            .get_or_init(|| ClassicTables::build(self.n, self.q, self.omega, self.phi, self.n_inv))
     }
 
     /// Transform length.
@@ -239,86 +320,67 @@ impl NttTables {
     /// `w^i` for `i ∈ [0, n/2)`, bit-reversed order.
     #[inline]
     pub fn omega_powers(&self) -> &[u64] {
-        &self.omega_powers
+        &self.classic().omega_powers
     }
 
     /// Shoup companions of [`NttTables::omega_powers`].
     #[inline]
     pub fn omega_powers_shoup(&self) -> &[u64] {
-        &self.omega_powers_shoup
+        &self.classic().omega_powers_shoup
     }
 
     /// `w^-i` for `i ∈ [0, n/2)`, bit-reversed order.
     #[inline]
     pub fn omega_inv_powers(&self) -> &[u64] {
-        &self.omega_inv_powers
+        &self.classic().omega_inv_powers
     }
 
     /// Shoup companions of [`NttTables::omega_inv_powers`].
     #[inline]
     pub fn omega_inv_powers_shoup(&self) -> &[u64] {
-        &self.omega_inv_powers_shoup
+        &self.classic().omega_inv_powers_shoup
     }
 
     /// `φ^i` for `i ∈ [0, n)`, normal order.
     #[inline]
     pub fn phi_powers(&self) -> &[u64] {
-        &self.phi_powers
+        &self.classic().phi_powers
     }
 
     /// Shoup companions of [`NttTables::phi_powers`].
     #[inline]
     pub fn phi_powers_shoup(&self) -> &[u64] {
-        &self.phi_powers_shoup
+        &self.classic().phi_powers_shoup
     }
 
     /// `φ^-i` for `i ∈ [0, n)`, normal order.
     #[inline]
     pub fn phi_inv_powers(&self) -> &[u64] {
-        &self.phi_inv_powers
+        &self.classic().phi_inv_powers
     }
 
     /// Fused `φ^{-i}·n⁻¹` for `i ∈ [0, n)`, normal order — the inverse
     /// transform's entire post-scaling in one table.
     #[inline]
     pub fn phi_inv_n_inv_powers(&self) -> &[u64] {
-        &self.phi_inv_n_inv_powers
+        &self.classic().phi_inv_n_inv_powers
     }
 
     /// Shoup companions of [`NttTables::phi_inv_n_inv_powers`].
     #[inline]
     pub fn phi_inv_n_inv_powers_shoup(&self) -> &[u64] {
-        &self.phi_inv_n_inv_powers_shoup
+        &self.classic().phi_inv_n_inv_powers_shoup
     }
 
-    /// `φ^{rev(i, log2 n)}` for `i ∈ [0, n)` — the merged forward
-    /// negacyclic twiddles. The CT stage with `m` blocks reads entries
-    /// `m..2m` (one per block), which folds the `φ ⊙ a` pre-scaling into
-    /// the butterflies.
+    /// The merged forward (`φ^{rev(i)}`) and inverse (`φ^{-rev(i)}`)
+    /// twiddle tables with their Shoup companions. The CT stage with `m`
+    /// blocks reads forward entries `m..2m` (one per block), folding the
+    /// `φ ⊙ a` pre-scaling into the butterflies; the GS stage with `h`
+    /// blocks reads inverse entries `h..2h`, folding the `φ̄`
+    /// post-scaling in, so only the `n⁻¹` factor remains as a final pass.
     #[inline]
-    pub fn phi_powers_bitrev(&self) -> &[u64] {
-        &self.phi_powers_bitrev
-    }
-
-    /// Shoup companions of [`NttTables::phi_powers_bitrev`].
-    #[inline]
-    pub fn phi_powers_bitrev_shoup(&self) -> &[u64] {
-        &self.phi_powers_bitrev_shoup
-    }
-
-    /// `φ^{-rev(i, log2 n)}` for `i ∈ [0, n)` — the merged inverse
-    /// negacyclic twiddles (GS stage with `h` blocks reads entries
-    /// `h..2h`), folding the `φ̄` post-scaling into the butterflies; only
-    /// the `n⁻¹` factor remains as a final pass.
-    #[inline]
-    pub fn phi_inv_powers_bitrev(&self) -> &[u64] {
-        &self.phi_inv_powers_bitrev
-    }
-
-    /// Shoup companions of [`NttTables::phi_inv_powers_bitrev`].
-    #[inline]
-    pub fn phi_inv_powers_bitrev_shoup(&self) -> &[u64] {
-        &self.phi_inv_powers_bitrev_shoup
+    pub fn merged_twiddles(&self) -> &MergedTwiddles {
+        &self.merged
     }
 
     /// `n⁻¹ mod q`.
@@ -441,29 +503,76 @@ mod tests {
     }
 
     #[test]
+    fn classic_tables_are_built_on_first_use_only() {
+        // Everything the merged kernels read leaves the classic tables
+        // unbuilt; the first classic accessor builds them, and equality
+        // does not depend on it.
+        let t = NttTables::for_degree_modulus(64, 12289).unwrap();
+        let _ = (
+            t.merged_twiddles(),
+            t.n_inv(),
+            t.n_inv_shoup(),
+            t.phi(),
+            t.omega(),
+        );
+        assert!(t.classic.get().is_none());
+        let eager = t.clone();
+        assert_eq!(t.phi_inv_powers().len(), 64);
+        assert!(t.classic.get().is_some());
+        assert_eq!(t, eager);
+    }
+
+    #[test]
     fn merged_twiddle_tables_layout() {
-        let n = 16;
-        let q = 7681u64;
-        let t = NttTables::for_degree_modulus(n, q).unwrap();
-        assert_eq!(t.phi_powers_bitrev().len(), n);
-        assert_eq!(t.phi_inv_powers_bitrev().len(), n);
+        // Entry i of the forward table is φ^{rev(i)}, the inverse entry
+        // its inverse; companions are half-width below 2^30, full-width
+        // above.
+        let n = 16usize;
         let bits = bitrev::log2_exact(n).unwrap();
-        for i in 0..n {
-            let r = bitrev::reverse_bits(i, bits) as u64;
-            assert_eq!(t.phi_powers_bitrev()[i], zq::pow(t.phi(), r, q), "i={i}");
-            assert_eq!(
-                zq::mul(t.phi_powers_bitrev()[i], t.phi_inv_powers_bitrev()[i], q),
-                1,
-                "inverse entry at i={i}"
-            );
-            assert_eq!(
-                t.phi_powers_bitrev_shoup()[i],
-                shoup::precompute(t.phi_powers_bitrev()[i], q)
-            );
-            assert_eq!(
-                t.phi_inv_powers_bitrev_shoup()[i],
-                shoup::precompute(t.phi_inv_powers_bitrev()[i], q)
-            );
+        let mut wide_q = shoup::HALF_MODULUS_LIMIT + 1;
+        while !crate::primes::is_prime(wide_q) {
+            wide_q += 2 * n as u64;
+        }
+        for q in [7681u64, 786433, wide_q] {
+            let t = NttTables::for_degree_modulus(n, q).unwrap();
+            let (fwd, inv, fwd_shoup, inv_shoup): (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) =
+                match t.merged_twiddles() {
+                    MergedTwiddles::Half { forward, inverse } => {
+                        assert!(q < shoup::HALF_MODULUS_LIMIT, "q = {q}");
+                        let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect();
+                        (
+                            wide(&forward.w),
+                            wide(&inverse.w),
+                            wide(&forward.shoup),
+                            wide(&inverse.shoup),
+                        )
+                    }
+                    MergedTwiddles::Wide { forward, inverse } => {
+                        assert!(q >= shoup::HALF_MODULUS_LIMIT, "q = {q}");
+                        (
+                            forward.w.clone(),
+                            inverse.w.clone(),
+                            forward.shoup.clone(),
+                            inverse.shoup.clone(),
+                        )
+                    }
+                };
+            assert_eq!(fwd.len(), n);
+            assert_eq!(inv.len(), n);
+            let companion = |w: u64| {
+                if q < shoup::HALF_MODULUS_LIMIT {
+                    shoup::precompute_half(w, q)
+                } else {
+                    shoup::precompute(w, q)
+                }
+            };
+            for i in 0..n {
+                let r = bitrev::reverse_bits(i, bits) as u64;
+                assert_eq!(fwd[i], zq::pow(t.phi(), r, q), "q={q} i={i}");
+                assert_eq!(zq::mul(fwd[i], inv[i], q), 1, "inverse entry, q={q} i={i}");
+                assert_eq!(fwd_shoup[i], companion(fwd[i]), "q={q} i={i}");
+                assert_eq!(inv_shoup[i], companion(inv[i]), "q={q} i={i}");
+            }
         }
     }
 

@@ -376,10 +376,10 @@ impl PolyMultiplier for NttMultiplier {
         // classic pipeline's.
         let mut fa = a.coeffs().to_vec();
         let mut fb = b.coeffs().to_vec();
-        merged::forward_lazy_in_place(&mut fa, &self.tables);
-        merged::forward_lazy_in_place(&mut fb, &self.tables);
+        merged::forward_lazy_batch_in_place(&mut fa, &self.tables);
+        merged::forward_lazy_batch_in_place(&mut fb, &self.tables);
         merged::pointwise_lazy_in_place(&mut fa, &fb, self.tables.modulus());
-        merged::inverse_in_place(&mut fa, &self.tables);
+        merged::inverse_batch_in_place(&mut fa, &self.tables);
         Polynomial::from_canonical_coeffs(fa, self.tables.modulus())
     }
 }

@@ -110,96 +110,126 @@ fn steady_state_multiply_is_allocation_free() {
     assert_eq!(deallocs, 0, "steady-state multiply must not deallocate");
 }
 
+/// Heap operations (allocations, deallocations) `f` performs on this
+/// thread over ten calls.
+fn heap_ops(mut f: impl FnMut()) -> (u64, u64) {
+    let allocs_before = count(&ALLOCS);
+    let deallocs_before = count(&DEALLOCS);
+    for _ in 0..10 {
+        f();
+    }
+    (
+        count(&ALLOCS) - allocs_before,
+        count(&DEALLOCS) - deallocs_before,
+    )
+}
+
+/// Degrees the batch-fused guards run at: a NewHope-size and the
+/// n = 4096 SEAL-size ring the TCP benchmark serves.
+const BATCH_DEGREES: [usize; 2] = [1024, 4096];
+
 #[test]
 fn engine_batch_fused_multiply_is_allocation_free() {
     // The batch-fused *engine* path: one `StagePlan` walk over the
     // pooled `2·B·n` scratch slab per batch. After warm-up (plan cache,
     // slab pool, `out` capacity) a whole fused batch — products plus
-    // the merged trace — performs zero heap operations.
-    let n = 1024usize;
+    // the merged trace — performs zero heap operations, and so does a
+    // smaller batch after it (best-fit reuse of the larger slab).
     let batch = 4usize;
-    let params = ParamSet::for_degree(n).expect("paper degree");
-    let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
-    let engine = Engine::new(&mapping);
-    let a: Vec<u64> = (0..batch as u64)
-        .flat_map(|j| rand_vec(n, params.q, 10 + j))
-        .collect();
-    let b: Vec<u64> = (0..batch as u64)
-        .flat_map(|j| rand_vec(n, params.q, 20 + j))
-        .collect();
-    let mut out = Vec::new();
+    for n in BATCH_DEGREES {
+        let params = ParamSet::for_degree(n).expect("paper degree");
+        let mapping = NttMapping::new(&params, ReductionStyle::CryptoPim).expect("mapping");
+        let engine = Engine::new(&mapping);
+        let a: Vec<u64> = (0..batch as u64)
+            .flat_map(|j| rand_vec(n, params.q, 10 + j))
+            .collect();
+        let b: Vec<u64> = (0..batch as u64)
+            .flat_map(|j| rand_vec(n, params.q, 20 + j))
+            .collect();
+        let mut out = Vec::new();
 
-    for _ in 0..2 {
-        let trace = engine
-            .multiply_batch(&a, &b, &mut out, &[], None)
-            .expect("warm-up");
-        assert!(trace.total().cycles > 0);
+        for _ in 0..2 {
+            let trace = engine
+                .multiply_batch(&a, &b, &mut out, &[], None)
+                .expect("warm-up");
+            assert!(trace.total().cycles > 0);
+        }
+        let reference = out.clone();
+
+        let (allocs, deallocs) = heap_ops(|| {
+            engine
+                .multiply_batch(&a, &b, &mut out, &[], None)
+                .expect("steady state");
+        });
+        assert_eq!(out, reference, "products must stay correct, n = {n}");
+        assert_eq!(
+            allocs, 0,
+            "batch-fused engine multiply must not allocate, n = {n}"
+        );
+        assert_eq!(
+            deallocs, 0,
+            "batch-fused engine multiply must not deallocate, n = {n}"
+        );
+
+        let half = batch / 2 * n;
+        let (allocs, deallocs) = heap_ops(|| {
+            engine
+                .multiply_batch(&a[..half], &b[..half], &mut out, &[], None)
+                .expect("shrunk batch");
+        });
+        assert_eq!(out, reference[..half], "shrunk batch products, n = {n}");
+        assert_eq!(allocs, 0, "a shrunk batch must not allocate, n = {n}");
+        assert_eq!(deallocs, 0, "a shrunk batch must not deallocate, n = {n}");
     }
-    let reference = out.clone();
-
-    let allocs_before = count(&ALLOCS);
-    let deallocs_before = count(&DEALLOCS);
-    for _ in 0..10 {
-        engine
-            .multiply_batch(&a, &b, &mut out, &[], None)
-            .expect("steady state");
-    }
-    let allocs = count(&ALLOCS) - allocs_before;
-    let deallocs = count(&DEALLOCS) - deallocs_before;
-
-    assert_eq!(out, reference, "products must stay correct");
-    assert_eq!(allocs, 0, "batch-fused engine multiply must not allocate");
-    assert_eq!(
-        deallocs, 0,
-        "batch-fused engine multiply must not deallocate"
-    );
 }
 
 #[test]
 fn batch_fused_multiply_is_allocation_free() {
     // The batch-fused referee path (`multiply_batch_into`) runs entirely
-    // in caller buffers: once the multiplier and the three B·n slabs
-    // exist, a whole batch of transforms touches the heap zero times.
-    let n = 1024usize;
+    // in caller buffers — the `u32` lanes of the merged kernels are
+    // packed into those same buffers — so once the multiplier and the
+    // three B·n slabs exist, a whole batch of transforms, or a smaller
+    // batch over prefixes of the slabs, touches the heap zero times.
     let batch = 4usize;
-    let params = ParamSet::for_degree(n).expect("paper degree");
-    let q = params.q;
-    let m = NttMultiplier::new(&params).expect("paper parameters");
-    let fill = |buf: &mut [u64], seed: u64| {
-        let mut state = seed;
-        for c in buf.iter_mut() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *c = (state >> 16) % q;
-        }
-    };
-    let mut a = vec![0u64; batch * n];
-    let mut b = vec![0u64; batch * n];
-    let mut out = vec![0u64; batch * n];
-    fill(&mut a, 3);
-    fill(&mut b, 4);
-    let (a0, b0) = (a.clone(), b.clone());
+    for n in BATCH_DEGREES {
+        let params = ParamSet::for_degree(n).expect("paper degree");
+        let q = params.q;
+        let m = NttMultiplier::new(&params).expect("paper parameters");
+        let a0: Vec<u64> = (0..batch as u64)
+            .flat_map(|j| rand_vec(n, q, 3 + j))
+            .collect();
+        let b0: Vec<u64> = (0..batch as u64)
+            .flat_map(|j| rand_vec(n, q, 30 + j))
+            .collect();
+        let (mut a, mut b) = (a0.clone(), b0.clone());
+        let mut out = vec![0u64; batch * n];
 
-    // Warm-up (also produces the reference products).
-    m.multiply_batch_into(&mut a, &mut b, &mut out)
-        .expect("warm-up");
-    let reference = out.clone();
-
-    let allocs_before = count(&ALLOCS);
-    let deallocs_before = count(&DEALLOCS);
-    for _ in 0..10 {
-        a.copy_from_slice(&a0);
-        b.copy_from_slice(&b0);
+        // Warm-up (also produces the reference products).
         m.multiply_batch_into(&mut a, &mut b, &mut out)
-            .expect("steady state");
-    }
-    let allocs = count(&ALLOCS) - allocs_before;
-    let deallocs = count(&DEALLOCS) - deallocs_before;
+            .expect("warm-up");
+        let reference = out.clone();
 
-    assert_eq!(out, reference, "products must stay correct");
-    assert_eq!(allocs, 0, "batch-fused multiply must not allocate");
-    assert_eq!(deallocs, 0, "batch-fused multiply must not deallocate");
+        for len in [batch * n, batch / 2 * n] {
+            let (allocs, deallocs) = heap_ops(|| {
+                a.copy_from_slice(&a0);
+                b.copy_from_slice(&b0);
+                m.multiply_batch_into(&mut a[..len], &mut b[..len], &mut out[..len])
+                    .expect("steady state");
+            });
+            assert_eq!(
+                out, reference,
+                "products must stay correct, n = {n}, len = {len}"
+            );
+            assert_eq!(
+                allocs, 0,
+                "batch-fused multiply must not allocate, n = {n}, len = {len}"
+            );
+            assert_eq!(
+                deallocs, 0,
+                "batch-fused multiply must not deallocate, n = {n}, len = {len}"
+            );
+        }
+    }
 }
 
 #[test]

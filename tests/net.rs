@@ -287,7 +287,10 @@ fn wait_timeout_over_tcp_keeps_job_claimable() {
         .submit(7, a.modulus(), a.into_coeffs(), b.into_coeffs())
         .expect("probe admitted");
 
-    let err = client.wait(7, 1).unwrap_err();
+    // A zero-timeout Wait polls: the probe still sits behind the
+    // blockers, so it times out however fast an optimized build runs a
+    // multiply (a 1-ms wait could outlast them).
+    let err = client.wait(7, 0).unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::WaitTimeout));
     // Still claimable — and correct — once the workers get to it.
     let done = client.wait(7, 120_000).expect("probe completes");
