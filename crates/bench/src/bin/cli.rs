@@ -8,9 +8,10 @@
 //! cargo run -p cryptopim-bench --bin cli -- montecarlo --samples 2000 --variation 15
 //! cargo run -p cryptopim-bench --bin cli -- bench --json [--threads N] [--degrees 256,1024] [--out PATH]
 //! cargo run -p cryptopim-bench --bin cli -- bench --compare OLD.json NEW.json
-//! cargo run -p cryptopim-bench --bin cli -- serve-loadgen --seed 7 --jobs 1920 --clients 4
+//! cargo run -p cryptopim-bench --bin cli -- serve-loadgen --seed 7 --ops 1024 --clients 4
 //! cargo run -p cryptopim-bench --bin cli -- serve --listen 127.0.0.1:7681 --token secret
-//! cargo run -p cryptopim-bench --bin cli -- serve-loadgen --tcp --clients 64 --jobs 1024
+//! cargo run -p cryptopim-bench --bin cli -- serve-loadgen --tcp --clients 64 --window 4 --ops 1024
+//! cargo run -p cryptopim-bench --bin cli -- serve-loadgen --protocols kem:40,sign:30,she:20,mul:10
 //! cargo run -p cryptopim-bench --bin cli -- fault-campaign --seed 9 --rates 1e-4,1e-3
 //! cargo run -p cryptopim-bench --bin cli -- --json              # shorthand for bench --json
 //! ```
@@ -20,29 +21,27 @@
 //! functional accelerator at the paper degrees, plus the RNG seed, the
 //! worker count, and the git commit. The timestamped default keeps
 //! same-day snapshots from clobbering each other; committed baselines
-//! (like `BENCH_2026-08-06.json`) are written with an explicit `--out`.
+//! (like `BENCH_2026-08-07.json`) are written with an explicit `--out`.
 //! `bench --compare` diffs two such snapshots and exits non-zero when
 //! any common benchmark regressed by more than 10 %; `--filter A,B`
 //! restricts the diff to ids containing one of the substrings — the CI
 //! `bench-smoke` job gates hard on
-//! `poly_multiply,engine_multiply,engine_batch` against the committed
-//! baseline.
+//! `poly_multiply,engine_multiply,engine_batch,rns_seq,proto_encaps,proto_sign`
+//! against the committed baseline.
 //!
-//! `serve-loadgen` drives the `service` crate's job scheduler with a
-//! deterministic seeded workload, bit-verifies every product against
-//! the direct engine path, and prints throughput, latency percentiles,
-//! and packed-lane occupancy. It exits non-zero when any product
-//! mismatches or any admitted job is dropped — the CI `service-smoke`
-//! job relies on that.
+//! `serve-loadgen` runs the `net::drive` load driver: a seeded workload
+//! (raw multiplies, a wide blend, or a protocol mix) served in process
+//! or over loopback TCP (`--tcp`), every op bit-verified against the
+//! software NTT. It prints one report — exact client-observed latency
+//! quantiles, per-kind outcomes, flow-control counters, scheduler
+//! stats — optionally writes it as JSON, and exits non-zero on any
+//! mismatch, failure or dropped job, or when `--min-occupancy` /
+//! `--max-p99-us` fails. The CI `service-smoke`, `net-smoke` and
+//! `protocol-smoke` jobs rely on that.
 //!
 //! `serve` binds the `net` crate's TCP front end (wire format:
 //! DESIGN.md §15) and serves until an operator client sends the
-//! `Shutdown` verb. `serve-loadgen --tcp` drives that socket path
-//! end-to-end — N client threads over loopback, every product
-//! bit-verified against the software NTT — and writes a `BENCH_tcp_*`
-//! snapshot with client-observed latency quantiles; `--max-p99-us`
-//! turns the p99 into a hard gate. The CI `net-smoke` job relies on
-//! both.
+//! `Shutdown` verb.
 //!
 //! `fault-campaign` sweeps seeded fault injections (kind × rate ×
 //! degree) through the recover-or-quarantine serving stack under the
@@ -55,11 +54,10 @@ use baselines::bp::PimDesign;
 use cryptopim::accelerator::CryptoPim;
 use cryptopim::batch;
 use cryptopim::check::CheckPolicy;
-use cryptopim::phase::PhaseSnapshot;
 use cryptopim::pipeline::Organization;
 use modmath::crt::RnsBasis;
 use modmath::params::ParamSet;
-use net::loadgen::{extract_object, TcpLoadConfig};
+use net::drive::{self, DriveConfig, Transport, Workload};
 use net::server::{Server, ServerConfig, TenantConfig};
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
 use ntt::poly::Polynomial;
@@ -73,9 +71,7 @@ use pim::variation::{run_monte_carlo, MonteCarloConfig};
 use reliability::campaign::{
     self, CampaignConfig, CampaignKind, ProtocolCellConfig, WideCellConfig,
 };
-use service::loadgen::{self, LoadMode, LoadgenConfig};
-use service::protoload::{self, ProtoLoadgenConfig, ProtocolMix};
-use service::{Backpressure, ProtocolJob, ProtocolKind, ServiceConfig};
+use service::{Backpressure, ProtocolJob, ProtocolKind, ProtocolMix, ServiceConfig};
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
@@ -91,29 +87,25 @@ fn usage() -> ! {
          \x20                                                         host-side ns/op benchmarks\n\
          \x20 bench       --compare OLD.json NEW.json [--filter A,B] [--limit PCT]\n\
          \x20                                                         diff two snapshots; exit 1 past the regression limit (default 10 %)\n\
-         \x20 rns-bench   [--degree N] [--channels K] [--fleet F]     residue-sharded wide multiply vs the\n\
+         \x20 rns-bench   [--degree N] [--channels K] [--fleet F]     modeled fleet-sharded wide multiply vs the\n\
          \x20             [--jobs N] [--seed N] [--json] [--out PATH] sequential residue loop; bit-verified\n\
          \x20             [--min-speedup X]                           exit 1 below the modeled fleet speedup gate\n\
-         \x20 serve-loadgen [--seed N] [--jobs N] [--degrees A,B]     drive the batch-forming job scheduler\n\
-         \x20             [--mode closed|open] [--clients C] [--rate R]\n\
-         \x20             [--workers S] [--queue-cap N] [--linger-us U]\n\
-         \x20             [--backpressure block|reject] [--no-verify]\n\
+         \x20 serve-loadgen [--seed N] [--ops N] [--degrees A,B]      seeded load driver; every op bit-verified\n\
+         \x20             [--clients C] [--window W] [--rate R]        C clients × W outstanding, paced at R ops/s\n\
+         \x20             [--workers S] [--protocol-workers G] [--queue-cap N] [--linger-us U]\n\
+         \x20             [--backpressure block|reject]\n\
          \x20             [--check off|residue[:points[:seed]]|recompute]\n\
-         \x20             [--hot-keys K]                              reuse K seeded `a` keys + hot cache\n\
+         \x20             [--hot-keys K] [--hot-capacity N]            reuse K seeded `a` keys; hot cache size\n\
          \x20             [--wide R] [--wide-channels K]              blend fraction R of wide RNS-decomposed jobs\n\
-         \x20             [--min-speedup X] [--json] [--out PATH]     exit 1 on mismatch/drop\n\
-         \x20             [--tcp]                                     drive a real loopback socket instead (see below)\n\
-         \x20 serve-loadgen --protocols kem:40,sign:30,she:20,mul:10  drive full protocol ops through the job graph\n\
-         \x20             [--ops N] [--key-churn K]                   fresh keys every K ops (0 = reuse all run)\n\
-         \x20             [--protocol-workers G] [--hot-capacity N]\n\
-         \x20             [--min-occupancy X] [--json] [--out PATH]   exit 1 on mismatch or occupancy below gate\n\
+         \x20             [--protocols kem:40,sign:30,she:20,mul:10]  serve a protocol mix instead of raw multiplies\n\
+         \x20             [--key-churn K]                             fresh keys every K ops (0 = reuse all run)\n\
+         \x20             [--tcp] [--quota N] [--wait-timeout-ms N]   over loopback TCP (narrow raw multiplies only)\n\
+         \x20             [--connect ADDR --token T]                  drive an external server (default: in-process)\n\
+         \x20             [--min-occupancy X] [--max-p99-us X]        exit 1 on mismatch/failure/drop or a failed gate\n\
+         \x20             [--json] [--out PATH]\n\
          \x20 serve       --listen ADDR --token T [--quota N]         TCP front end; serves until Shutdown\n\
          \x20             [--op-token T] [--max-conns N] [--max-wait-ms N]\n\
          \x20             [--workers S] [--queue-cap N] [--linger-us U] [--check ...]\n\
-         \x20 serve-loadgen --tcp [--clients C] [--jobs N] [--degrees A,B]\n\
-         \x20             [--window W] [--quota N] [--wait-timeout-ms N]\n\
-         \x20             [--connect ADDR --token T]                  drive an external server (default: in-process)\n\
-         \x20             [--max-p99-us X] [--json] [--out PATH]      exit 1 on mismatch or p99 over gate\n\
          \x20 fault-campaign [--seed N] [--degrees A,B] [--rates R1,R2]\n\
          \x20             [--kinds stuck0,stuck1,transient,wearout]\n\
          \x20             [--jobs N] [--points P] [--max-attempts N]\n\
@@ -515,13 +507,11 @@ fn run_bench(args: &[String]) {
             }) / BATCH as f64,
         ));
 
-        // Residue-sharded wide multiply: one k-channel RNS job under
-        // the product of discovered NTT-friendly primes. `rns_multiply`
-        // is the batch-fused sharded path (all jobs' residues of one
-        // channel share a single transform walk); `rns_seq` is the
-        // sequential residue loop (split → per-lane multiply → combine,
-        // one lane after another). Both are per-job ns, so the pair
-        // reads directly against each other and `poly_multiply/{n}`.
+        // Wide multiply: one k-channel RNS job under the product of
+        // discovered NTT-friendly primes, run as the sequential residue
+        // loop (split → per-lane multiply → combine, one lane after
+        // another). Per-job ns, so it reads directly against
+        // `poly_multiply/{n}`.
         const RNS_CHANNELS: usize = 2;
         if let Ok(rns) = RnsMultiplier::with_discovered_basis(n, RNS_CHANNELS, 1 << 20) {
             let q_wide = rns.modulus();
@@ -537,15 +527,6 @@ fn run_bench(args: &[String]) {
             let wide_jobs: Vec<(Vec<u128>, Vec<u128>)> = (0..BATCH as u64)
                 .map(|i| (wide_operand(30 + i), wide_operand(40 + i)))
                 .collect();
-            results.push((
-                format!("rns_multiply/{n}x{RNS_CHANNELS}"),
-                time_ns(|| {
-                    std::hint::black_box(
-                        rns.multiply_batch(std::hint::black_box(&wide_jobs))
-                            .unwrap(),
-                    );
-                }) / BATCH as f64,
-            ));
             results.push((
                 format!("rns_seq/{n}x{RNS_CHANNELS}"),
                 time_ns(|| {
@@ -635,9 +616,9 @@ fn run_bench(args: &[String]) {
     }
 }
 
-/// `rns-bench`: residue-sharded wide-modulus multiply against the
-/// sequential residue loop, bit-verified, with the simulator's modeled
-/// fleet latency alongside the host wall-clock.
+/// `rns-bench`: the modeled residue-sharded wide-modulus multiply
+/// against the sequential residue loop, bit-verified, with the host
+/// wall-clock of the loop alongside.
 ///
 /// The host runs every residue lane on the same cores, so the fleet's
 /// concurrency is invisible in wall-clock: the honest parallel-speedup
@@ -646,10 +627,10 @@ fn run_bench(args: &[String]) {
 /// superbank executes the k lanes back to back); the **sharded**
 /// latency is the makespan of the same lanes placed greedily
 /// (longest-first) on `--fleet` superbanks, which run concurrently by
-/// construction — they share no banks, blocks, or wordlines. Both
-/// paths' products are bit-compared against each other, and the first
-/// job against the `O(n²)` schoolbook oracle, before any number is
-/// reported; `--min-speedup` gates on the modeled speedup.
+/// construction — they share no banks, blocks, or wordlines. Every
+/// job's product is bit-compared against the `O(n²)` schoolbook oracle
+/// before any number is reported; `--min-speedup` gates on the modeled
+/// speedup.
 fn run_rns_bench(args: &[String]) {
     let parse_num = |name: &str, default: u64| -> u64 {
         match opt(args, name) {
@@ -692,40 +673,39 @@ fn run_rns_bench(args: &[String]) {
         .map(|i| (wide_operand(2 * i + 1), wide_operand(2 * i + 2)))
         .collect();
 
-    // Bit-verification before any timing: sharded batch == sequential
-    // loop on every job, and job 0 == the schoolbook oracle.
-    let sharded = rns.multiply_batch(&pairs).expect("sharded batch");
-    let sequential: Vec<Vec<u128>> = pairs
-        .iter()
-        .map(|(a, b)| rns.multiply(a, b).expect("sequential loop"))
-        .collect();
-    let mismatches = sharded
-        .iter()
-        .zip(&sequential)
-        .filter(|(s, q)| s != q)
-        .count();
-    let oracle_ok = if q_wide < 1 << 63 {
-        let oracle = ntt::rns::schoolbook_u128(&pairs[0].0, &pairs[0].1, q_wide);
-        sharded[0] == oracle
+    // Bit-verification before any timing: every job's sequential
+    // residue-loop product against the schoolbook oracle, whenever the
+    // wide modulus fits the oracle's headroom.
+    let oracle_fits = q_wide < 1 << 63;
+    let mismatches = if oracle_fits {
+        pairs
+            .iter()
+            .filter(|(a, b)| {
+                rns.multiply(a, b).expect("sequential loop")
+                    != ntt::rns::schoolbook_u128(a, b, q_wide)
+            })
+            .count()
     } else {
-        true
+        0
     };
-    if mismatches > 0 || !oracle_ok {
-        eprintln!("FAILED: {mismatches} sharded/sequential mismatches, oracle match: {oracle_ok}");
+    if mismatches > 0 {
+        eprintln!(
+            "FAILED: {mismatches} of {jobs} sequential products differ from the schoolbook oracle"
+        );
         std::process::exit(1);
     }
-    println!("verified: {jobs} sharded products == sequential loop; job 0 == schoolbook oracle");
+    if oracle_fits {
+        println!("verified: {jobs} sequential products == schoolbook oracle");
+    } else {
+        println!("unverified: the wide modulus exceeds the schoolbook oracle's headroom");
+    }
 
     // Host wall-clock, per job (median over repeated passes).
-    let wall_sharded_ns = time_ns(|| {
-        std::hint::black_box(rns.multiply_batch(std::hint::black_box(&pairs)).unwrap());
-    }) / jobs as f64;
     let wall_seq_ns = time_ns(|| {
         for (a, b) in &pairs {
             std::hint::black_box(rns.multiply(a, b).unwrap());
         }
     }) / jobs as f64;
-    let wall_speedup = wall_seq_ns / wall_sharded_ns;
 
     // Modeled fleet latency from the pipeline model: per-lane pipelined
     // latency at (n, q_i), summed for the sequential loop, scheduled
@@ -758,10 +738,7 @@ fn run_rns_bench(args: &[String]) {
     let modeled_sharded_us = bank_load.iter().cloned().fold(0.0f64, f64::max);
     let modeled_speedup = modeled_seq_us / modeled_sharded_us;
 
-    println!(
-        "host wall-clock: sharded {wall_sharded_ns:.0} ns/job, \
-         sequential {wall_seq_ns:.0} ns/job ({wall_speedup:.2}× — one core runs all lanes)"
-    );
+    println!("host wall-clock: sequential {wall_seq_ns:.0} ns/job (one core runs all lanes)");
     println!(
         "modeled fleet:   per-lane {lane_latency_us:?} µs; sequential {modeled_seq_us:.2} µs, \
          sharded over {fleet} superbanks {modeled_sharded_us:.2} µs → {modeled_speedup:.2}× per job"
@@ -788,15 +765,8 @@ fn run_rns_bench(args: &[String]) {
                 .join(", ")
         ));
         out.push_str(&format!("  \"wide_modulus\": \"{q_wide}\",\n"));
-        out.push_str(&format!(
-            "  \"verified\": {},\n",
-            mismatches == 0 && oracle_ok
-        ));
-        out.push_str(&format!(
-            "  \"wall_sharded_ns_per_job\": {wall_sharded_ns:.0},\n"
-        ));
+        out.push_str(&format!("  \"verified\": {oracle_fits},\n"));
         out.push_str(&format!("  \"wall_seq_ns_per_job\": {wall_seq_ns:.0},\n"));
-        out.push_str(&format!("  \"wall_speedup\": {wall_speedup:.3},\n"));
         out.push_str(&format!(
             "  \"modeled_lane_latency_us\": [{}],\n",
             lane_latency_us
@@ -859,22 +829,14 @@ fn parse_check_policy(args: &[String], default_seed: u64) -> (CheckPolicy, Strin
     (check, check_arg)
 }
 
-/// `serve-loadgen`: drives the batch-forming job scheduler with a
-/// seeded workload, verifies products against the direct engine path,
-/// and exits 1 on any mismatch, drop, or execution failure.
+/// `serve-loadgen`: the load driver behind one flag parser. Serves a
+/// seeded workload — raw multiplies (narrow, hot-key, wide blend) or a
+/// protocol mix — in process or over loopback TCP, bit-verifies every
+/// op against the software oracle, prints and optionally writes one
+/// report, and exits 1 on any mismatch, failure or drop, or when a
+/// `--min-occupancy` / `--max-p99-us` gate fails. Flags the chosen
+/// transport cannot honour exit 2.
 fn run_serve_loadgen(args: &[String]) {
-    if args.iter().any(|a| a == "--tcp") {
-        // The socket-path variant lives in its own function: different
-        // loop structure, different report, different gate.
-        run_tcp_loadgen(args);
-        return;
-    }
-    if opt(args, "--protocols").is_some() {
-        // Full protocol ops through the job-graph layer, not raw
-        // multiply pairs: its own stream, report, and gates.
-        run_protocol_loadgen(args);
-        return;
-    }
     let parse_num = |name: &str, default: u64| -> u64 {
         match opt(args, name) {
             None => default,
@@ -884,432 +846,305 @@ fn run_serve_loadgen(args: &[String]) {
             }),
         }
     };
+    let parse_f64 = |name: &str| -> Option<f64> {
+        opt(args, name).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("invalid {name}: {v}");
+                std::process::exit(2);
+            })
+        })
+    };
+    let refuse = |why: &str| -> ! {
+        eprintln!("serve-loadgen: {why}");
+        std::process::exit(2);
+    };
+    let tcp = args.iter().any(|a| a == "--tcp");
     let seed = parse_num("--seed", 7);
-    // Defaults favour stable measurement over spectacle: enough jobs
-    // to dominate thread spin-up, and a small fleet — closed-loop
-    // clients and workers contend for the same host cores, so modest
-    // counts measure the scheduler rather than the context switcher.
-    let jobs = parse_num("--jobs", 1920) as usize;
-    let clients = parse_num("--clients", 4).max(1) as usize;
-    let workers = parse_num("--workers", 2).max(1) as usize;
-    let queue_cap = parse_num("--queue-cap", 4096).max(1) as usize;
-    let linger_us = parse_num("--linger-us", 500);
+    let ops = parse_num("--ops", parse_num("--jobs", 1024)) as usize;
     let degrees = if opt(args, "--degrees").is_some() {
         parse_degrees(args)
     } else {
         vec![256, 512, 1024]
     };
-    let mode = match opt(args, "--mode").as_deref() {
-        None | Some("closed") => LoadMode::Closed { clients },
-        Some("open") => {
-            let rate: f64 = opt(args, "--rate")
-                .map(|v| {
-                    v.parse().unwrap_or_else(|_| {
-                        eprintln!("invalid --rate: {v}");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or(20_000.0);
-            LoadMode::Open { rate_per_s: rate }
-        }
-        Some(other) => {
-            eprintln!("unknown mode: {other}");
-            std::process::exit(2);
-        }
-    };
+    if let Some(&n) = degrees.iter().find(|&&n| ParamSet::for_degree(n).is_err()) {
+        refuse(&format!("degree {n} has no paper parameter set"));
+    }
+    let clients = parse_num("--clients", 4).max(1) as usize;
+    let window = parse_num("--window", 1).max(1) as usize;
+    let rate = parse_f64("--rate");
+    let workers = parse_num("--workers", 2).max(1) as usize;
+    let protocol_workers = parse_num("--protocol-workers", 4).max(1) as usize;
+    let queue_cap = parse_num("--queue-cap", 4096).max(1) as usize;
+    let linger_us = parse_num("--linger-us", 500);
     let backpressure = match opt(args, "--backpressure").as_deref() {
         None | Some("block") => Backpressure::Block,
         Some("reject") => Backpressure::Reject,
-        Some(other) => {
-            eprintln!("unknown backpressure policy: {other}");
-            std::process::exit(2);
-        }
+        Some(other) => refuse(&format!("unknown backpressure policy: {other}")),
     };
-    let verify = !args.iter().any(|a| a == "--no-verify");
-    // --hot-keys K: protocol-shaped workload — every job's `a` operand
-    // comes from a pool of K reused seeded keys, and the service runs
-    // with a hot-operand transform cache sized to hold all of them.
+    let (check, check_arg) = parse_check_policy(args, seed);
     let hot_keys = parse_num("--hot-keys", 0) as usize;
-    // --wide R: a seeded fraction R of the stream becomes wide
-    // RNS-decomposed jobs whose residue lanes shard across the fleet.
-    let wide: f64 = match opt(args, "--wide") {
-        None => 0.0,
-        Some(v) => match v.parse() {
-            Ok(r) if (0.0..=1.0).contains(&r) => r,
-            _ => {
-                eprintln!("invalid --wide (need a fraction in 0..=1): {v}");
-                std::process::exit(2);
-            }
-        },
-    };
+    let hot_capacity = parse_num("--hot-capacity", hot_keys as u64) as usize;
+    let wide = parse_f64("--wide").unwrap_or(0.0);
+    if !(0.0..=1.0).contains(&wide) {
+        refuse(&format!(
+            "invalid --wide (need a fraction in 0..=1): {wide}"
+        ));
+    }
     let wide_channels = parse_num("--wide-channels", 2).clamp(2, 4) as usize;
-    let (check, check_arg) = parse_check_policy(args, seed);
-
-    let config = LoadgenConfig {
-        seed,
-        jobs,
-        degrees: degrees.clone(),
-        hot_keys,
-        mode,
-        service: ServiceConfig {
-            workers,
-            queue_capacity: queue_cap,
-            backpressure,
-            linger: Duration::from_micros(linger_us),
-            check,
-            hot_capacity: hot_keys,
-            ..ServiceConfig::default()
-        },
-        verify_direct: verify,
-        wide,
-        wide_channels,
-    };
-    println!(
-        "serve-loadgen: seed {seed}, {jobs} jobs over n ∈ {degrees:?}, {mode:?}, \
-         {workers} superbank workers, queue {queue_cap} ({backpressure:?}), linger {linger_us} µs, \
-         check {check_arg}, hot keys {hot_keys}, wide blend {wide} × {wide_channels} channels"
-    );
-    let report = loadgen::run(&config);
-
-    println!(
-        "service: {} ok, {} rejected, {} failed in {:.3} s → {:.0} mult/s",
-        report.ok, report.rejected, report.failed, report.wall_s, report.throughput
-    );
-    if report.wide_jobs > 0 {
-        let s = &report.stats;
-        println!(
-            "wide jobs: {} of {} ({} lanes each); p50 {:.0} µs, p95 {:.0} µs, p99 {:.0} µs",
-            report.wide_jobs,
-            report.jobs,
+    let workload = match opt(args, "--protocols") {
+        None => Workload::Raw {
+            hot_keys,
+            wide,
             wide_channels,
-            s.wide_p50_us,
-            s.wide_p95_us,
-            s.wide_p99_us
-        );
-    }
-    if verify {
-        println!(
-            "direct (one-at-a-time CryptoPim::multiply): {:.3} s → {:.0} mult/s; \
-             service speedup {:.2}×, {} product mismatches",
-            report.direct_wall_s, report.direct_throughput, report.speedup, report.mismatches
-        );
-    }
-    println!("{}", report.stats);
-    let phase_line = |label: &str, p: &PhaseSnapshot| {
-        if p.engine_ns + p.check_total_ns() + p.recombine_ns > 0 {
-            println!(
-                "{label} phases: engine {:.1} ms, check transform {:.1} ms, \
-                 pointwise {:.1} ms, compare {:.1} ms, recombine {:.1} ms",
-                p.engine_ns as f64 / 1e6,
-                p.check_transform_ns as f64 / 1e6,
-                p.check_pointwise_ns as f64 / 1e6,
-                p.check_compare_ns as f64 / 1e6,
-                p.recombine_ns as f64 / 1e6,
-            );
-        }
+        },
+        Some(spec) => Workload::Protocols {
+            mix: ProtocolMix::parse(&spec)
+                .unwrap_or_else(|e| refuse(&format!("invalid --protocols: {e}"))),
+            key_churn: parse_num("--key-churn", 0) as usize,
+        },
     };
-    phase_line("service", &report.phase);
-    if verify {
-        phase_line("direct", &report.direct_phase);
-    }
-
-    if args.iter().any(|a| a == "--json") {
-        let path =
-            opt(args, "--out").unwrap_or_else(|| format!("BENCH_service_{}.json", utc_timestamp()));
-        let s = &report.stats;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"date\": \"{}\",\n", today_utc()));
-        out.push_str(&format!("  \"commit\": \"{}\",\n", git_commit()));
-        out.push_str(&format!("  \"seed\": {seed},\n"));
-        out.push_str(&format!(
-            "  \"degrees\": [{}],\n",
-            degrees
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("  \"workers\": {workers},\n"));
-        out.push_str(&format!(
-            "  \"mode\": \"{}\",\n",
-            match mode {
-                LoadMode::Closed { .. } => "closed",
-                LoadMode::Open { .. } => "open",
-            }
-        ));
-        out.push_str(&format!("  \"clients\": {clients},\n"));
-        out.push_str(&format!("  \"queue_capacity\": {queue_cap},\n"));
-        out.push_str(&format!(
-            "  \"backpressure\": \"{}\",\n",
-            match backpressure {
-                Backpressure::Block => "block",
-                Backpressure::Reject => "reject",
-            }
-        ));
-        out.push_str(&format!("  \"linger_us\": {linger_us},\n"));
-        out.push_str(&format!("  \"jobs\": {},\n", report.jobs));
-        out.push_str(&format!("  \"wide_jobs\": {},\n", report.wide_jobs));
-        out.push_str(&format!("  \"wide_blend\": {wide},\n"));
-        out.push_str(&format!("  \"wide_channels\": {wide_channels},\n"));
-        out.push_str(&format!("  \"ok\": {},\n", report.ok));
-        out.push_str(&format!("  \"rejected\": {},\n", report.rejected));
-        out.push_str(&format!("  \"failed\": {},\n", report.failed));
-        out.push_str(&format!("  \"mismatches\": {},\n", report.mismatches));
-        out.push_str(&format!("  \"dropped\": {},\n", report.dropped));
-        out.push_str(&format!("  \"throughput\": {:.1},\n", report.throughput));
-        out.push_str(&format!(
-            "  \"direct_throughput\": {:.1},\n",
-            report.direct_throughput
-        ));
-        out.push_str(&format!("  \"speedup\": {:.3},\n", report.speedup));
-        // The whole stats block in one shot — the same serializer the
-        // net crate's Stats verb uses, so every emitter agrees on
-        // field names and formatting.
-        out.push_str(&format!("  \"service_stats\": {},\n", s.to_json()));
-        out.push_str(&format!("  \"check\": \"{check_arg}\",\n"));
-        out.push_str(&format!("  \"hot_keys\": {hot_keys},\n"));
-        let lookups = s.hot_hits + s.hot_misses;
-        out.push_str(&format!(
-            "  \"hot_hit_rate\": {:.4},\n",
-            if lookups == 0 {
-                0.0
-            } else {
-                s.hot_hits as f64 / lookups as f64
-            }
-        ));
-        let phase_json = |p: &PhaseSnapshot| {
-            format!(
-                "{{ \"engine_ns\": {}, \"check_transform_ns\": {}, \
-                 \"check_pointwise_ns\": {}, \"check_compare_ns\": {}, \
-                 \"recombine_ns\": {} }}",
-                p.engine_ns,
-                p.check_transform_ns,
-                p.check_pointwise_ns,
-                p.check_compare_ns,
-                p.recombine_ns
-            )
-        };
-        out.push_str(&format!("  \"phase\": {},\n", phase_json(&report.phase)));
-        out.push_str(&format!(
-            "  \"direct_phase\": {}\n",
-            phase_json(&report.direct_phase)
-        ));
-        out.push_str("}\n");
-        std::fs::write(&path, out).expect("write service JSON");
-        println!("wrote {path}");
-    }
-
-    if !report.is_clean() {
-        eprintln!(
-            "FAILED: {} mismatches, {} dropped, {} failed",
-            report.mismatches, report.dropped, report.failed
-        );
-        std::process::exit(1);
-    }
-    if let Some(min) = opt(args, "--min-speedup") {
-        let min: f64 = min.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --min-speedup");
-            std::process::exit(2);
-        });
-        if verify && report.speedup < min {
-            eprintln!(
-                "FAILED: service speedup {:.2}× below required {min:.2}×",
-                report.speedup
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `serve-loadgen --protocols`: drives a weighted mix of full protocol
-/// ops (KEM, signatures, SHE, raw multiplies) through the job-graph
-/// layer, bit-verifies every output against the direct host path, and
-/// measures the hot-operand cache under key **reuse** versus key
-/// **churn** by running the same stream twice — once with long-lived
-/// keys and once rotating them every `--key-churn` ops. Exits 1 on any
-/// mismatch/failure or when the reuse run's packed-lane occupancy falls
-/// below `--min-occupancy`.
-fn run_protocol_loadgen(args: &[String]) {
-    let parse_num = |name: &str, default: u64| -> u64 {
-        match opt(args, name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid {name}: {v}");
-                std::process::exit(2);
-            }),
-        }
-    };
-    let seed = parse_num("--seed", 7);
-    let ops = parse_num("--ops", 192) as usize;
-    let clients = parse_num("--clients", 4).max(1) as usize;
-    let workers = parse_num("--workers", 2).max(1) as usize;
-    let protocol_workers = parse_num("--protocol-workers", 4).max(1) as usize;
-    let linger_us = parse_num("--linger-us", 500);
-    let hot_capacity = parse_num("--hot-capacity", 64) as usize;
-    let key_churn = parse_num("--key-churn", 1).max(1) as usize;
-    let degrees = if opt(args, "--degrees").is_some() {
-        parse_degrees(args)
-    } else {
-        vec![256]
-    };
-    let mix_spec = opt(args, "--protocols").expect("--protocols checked by caller");
-    let mix = ProtocolMix::parse(&mix_spec).unwrap_or_else(|e| {
-        eprintln!("invalid --protocols: {e}");
-        std::process::exit(2);
-    });
-    let verify = !args.iter().any(|a| a == "--no-verify");
-    let (check, check_arg) = parse_check_policy(args, seed);
+    let min_occupancy = parse_f64("--min-occupancy");
+    let max_p99_us = parse_f64("--max-p99-us");
     let service = ServiceConfig {
         workers,
         protocol_workers,
+        queue_capacity: queue_cap,
+        backpressure,
         linger: Duration::from_micros(linger_us),
         check,
         hot_capacity,
         ..ServiceConfig::default()
     };
-    println!(
-        "serve-loadgen --protocols: seed {seed}, {ops} ops of [{mix_spec}] over n ∈ {degrees:?}, \
-         {clients} clients, {workers} superbank workers + {protocol_workers} graph executors, \
-         linger {linger_us} µs, check {check_arg}, hot capacity {hot_capacity}"
-    );
 
-    // Reuse leg: one key pool for the whole run (key_churn = 0).
-    // Churn leg: identical shape, keys rotated every --key-churn ops.
-    let run_leg = |key_churn: usize| {
-        protoload::run_protocols(&ProtoLoadgenConfig {
-            seed,
-            ops,
-            degrees: degrees.clone(),
-            mix: mix.clone(),
-            key_churn,
-            clients,
-            service: service.clone(),
-            verify_direct: verify,
-        })
-    };
-    let reuse = run_leg(0);
-    let churn = run_leg(key_churn);
-
-    for (label, report) in [("reuse", &reuse), ("churn", &churn)] {
-        println!(
-            "{label}: {} ok, {} failed, {} mismatches in {:.3} s → {:.0} ops/s; \
-             hot hit rate {:.1} % ({} / {} lookups); occupancy {:.2}",
-            report.ok,
-            report.failed,
-            report.mismatches,
-            report.wall_s,
-            report.throughput,
-            100.0 * report.hot_hit_rate(),
-            report.stats.hot_hits,
-            report.stats.hot_hits + report.stats.hot_misses,
-            report.stats.mean_occupancy,
-        );
-        for lane in &report.stats.protocol {
-            if lane.submitted > 0 {
-                println!(
-                    "  {label}/{:<8} {} ops; p50 {:.0} µs, p95 {:.0} µs, p99 {:.0} µs",
-                    lane.kind, lane.completed, lane.p50_us, lane.p95_us, lane.p99_us
-                );
-            }
+    // TCP: a self-contained run against an in-process server on an
+    // ephemeral loopback port, or --connect to an external `serve`.
+    let mut server = None;
+    let transport = if tcp {
+        if let Err(e) = drive::tcp_carries(&workload) {
+            refuse(&format!("--tcp: {e}"));
         }
+        let quota = parse_num("--quota", (clients * window) as u64).max(1) as usize;
+        let wait_timeout_ms =
+            parse_num("--wait-timeout-ms", 10_000).min(u64::from(u32::MAX)) as u32;
+        let token = opt(args, "--token").unwrap_or_else(|| "loadgen".into());
+        let addr = match opt(args, "--connect") {
+            Some(external) => external
+                .parse()
+                .unwrap_or_else(|e| refuse(&format!("invalid --connect {external}: {e}"))),
+            None => {
+                let started = Server::start(
+                    "127.0.0.1:0",
+                    ServerConfig {
+                        tenants: vec![TenantConfig::new("loadgen", &token, quota)],
+                        max_connections: clients + 8,
+                        max_wait: Duration::from_millis(u64::from(wait_timeout_ms)),
+                        service: service.clone(),
+                    },
+                )
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot bind loopback: {e}");
+                    std::process::exit(1);
+                });
+                server.insert(started).local_addr()
+            }
+        };
+        Transport::Tcp {
+            addr,
+            token,
+            wait_timeout_ms,
+        }
+    } else {
+        Transport::InProcess(service)
+    };
+    let config = DriveConfig {
+        seed,
+        ops,
+        degrees,
+        clients,
+        window,
+        rate,
+        workload,
+        transport,
+    };
+    let transport_label = match &config.transport {
+        Transport::InProcess(_) => "in-process".to_string(),
+        Transport::Tcp { addr, .. } => format!("tcp {addr}"),
+    };
+    let workload_label = match &config.workload {
+        Workload::Raw { .. } if wide > 0.0 => {
+            format!("raw, wide blend {wide} × {wide_channels} channels")
+        }
+        Workload::Raw { .. } if hot_keys > 0 => format!("raw, {hot_keys} hot keys"),
+        Workload::Raw { .. } => "raw".to_string(),
+        Workload::Protocols { key_churn, .. } => format!(
+            "protocols [{}], key churn {key_churn}",
+            opt(args, "--protocols").unwrap_or_default()
+        ),
+    };
+    println!(
+        "serve-loadgen: {transport_label}, {workload_label}; seed {seed}, {ops} ops over n ∈ {:?}, \
+         {clients} clients × window {window}{}, {workers} superbank workers + {protocol_workers} \
+         graph executors, queue {queue_cap} ({backpressure:?}), linger {linger_us} µs, \
+         check {check_arg}, hot capacity {hot_capacity}",
+        config.degrees,
+        rate.map_or(String::new(), |r| format!(" at {r} ops/s")),
+    );
+    let report = drive::run(&config).unwrap_or_else(|e| {
+        eprintln!("FAILED: {e}");
+        std::process::exit(1);
+    });
+    if let Some(server) = server {
+        server.shutdown();
+    }
+
+    let t = &report.total;
+    println!(
+        "served: {} ok, {} rejected, {} failed, {} mismatches of {} ops in {:.3} s → {:.0} ops/s",
+        t.ok, t.rejected, t.failed, t.mismatches, t.ops, report.wall_s, report.throughput
+    );
+    for (kind, k) in &report.per_kind {
+        println!(
+            "  {:<8} {} ops: {} ok, {} rejected, {} failed, {} mismatches",
+            kind.as_str(),
+            k.ops,
+            k.ok,
+            k.rejected,
+            k.failed,
+            k.mismatches
+        );
+    }
+    println!(
+        "client-observed latency: p50 {:.0} µs, p95 {:.0} µs, p99 {:.0} µs, max {} µs",
+        report.p50_us, report.p95_us, report.p99_us, report.max_us
+    );
+    println!(
+        "flow control: {} quota rejects, {} sheds, {} wait timeouts, {} fault-recovered",
+        report.quota_rejected, report.shed, report.wait_timeouts, report.recovered
+    );
+    println!("{}", report.stats);
+    let p = &report.phase;
+    if p.engine_ns + p.check_total_ns() + p.recombine_ns > 0 {
+        println!(
+            "phases: engine {:.1} ms, check transform {:.1} ms, pointwise {:.1} ms, \
+             compare {:.1} ms, recombine {:.1} ms",
+            p.engine_ns as f64 / 1e6,
+            p.check_transform_ns as f64 / 1e6,
+            p.check_pointwise_ns as f64 / 1e6,
+            p.check_compare_ns as f64 / 1e6,
+            p.recombine_ns as f64 / 1e6,
+        );
     }
 
     if args.iter().any(|a| a == "--json") {
-        let path = opt(args, "--out")
-            .unwrap_or_else(|| format!("BENCH_protocols_{}.json", utc_timestamp()));
-        let leg_json =
-            |report: &service::ProtoLoadgenReport, key_churn: usize| -> String {
-                let mut out = String::from("{\n");
-                out.push_str(&format!("    \"key_churn\": {key_churn},\n"));
-                out.push_str(&format!("    \"ops\": {},\n", report.ops));
-                out.push_str(&format!("    \"ok\": {},\n", report.ok));
-                out.push_str(&format!("    \"failed\": {},\n", report.failed));
-                out.push_str(&format!("    \"mismatches\": {},\n", report.mismatches));
-                out.push_str(&format!("    \"throughput\": {:.1},\n", report.throughput));
-                out.push_str(&format!(
-                    "    \"hot_hit_rate\": {:.4},\n",
-                    report.hot_hit_rate()
-                ));
-                out.push_str(&format!(
-                    "    \"mean_occupancy\": {:.3},\n",
-                    report.stats.mean_occupancy
-                ));
-                out.push_str("    \"per_kind\": [\n");
-                let lanes: Vec<String> =
-                    report
-                        .per_kind
-                        .iter()
-                        .map(|k| {
-                            let lane = report
-                                .stats
-                                .protocol
-                                .iter()
-                                .find(|l| l.kind == k.kind.as_str())
-                                .expect("served kind has a stats lane");
-                            format!(
-                        "      {{ \"kind\": \"{}\", \"ops\": {}, \"ok\": {}, \"failed\": {}, \
-                         \"mismatches\": {}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \
-                         \"p99_us\": {:.1} }}",
-                        k.kind, k.ops, k.ok, k.failed, k.mismatches, lane.p50_us, lane.p95_us,
-                        lane.p99_us
-                    )
-                        })
-                        .collect();
-                out.push_str(&lanes.join(",\n"));
-                out.push_str("\n    ],\n");
-                out.push_str(&format!(
-                    "    \"service_stats\": {}\n",
-                    report.stats.to_json()
-                ));
-                out.push_str("  }");
-                out
-            };
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"date\": \"{}\",\n", today_utc()));
-        out.push_str(&format!("  \"commit\": \"{}\",\n", git_commit()));
-        out.push_str(&format!("  \"seed\": {seed},\n"));
-        out.push_str(&format!("  \"mix\": \"{mix_spec}\",\n"));
-        out.push_str(&format!(
-            "  \"degrees\": [{}],\n",
-            degrees
-                .iter()
+        let path =
+            opt(args, "--out").unwrap_or_else(|| format!("BENCH_loadgen_{}.json", utc_timestamp()));
+        let tally = |t: &drive::Tally| {
+            format!(
+                "\"ops\": {}, \"ok\": {}, \"rejected\": {}, \"failed\": {}, \"mismatches\": {}",
+                t.ops, t.ok, t.rejected, t.failed, t.mismatches
+            )
+        };
+        let per_kind: Vec<String> = report
+            .per_kind
+            .iter()
+            .map(|(kind, k)| format!("    {{ \"kind\": \"{kind}\", {} }}", tally(k)))
+            .collect();
+        let list = |xs: &[usize]| {
+            xs.iter()
                 .map(|n| n.to_string())
                 .collect::<Vec<_>>()
                 .join(", ")
-        ));
+        };
+        let mut out = String::from("{\n");
+        out.push_str(&format!("  \"date\": \"{}\",\n", today_utc()));
+        out.push_str(&format!("  \"commit\": \"{}\",\n", git_commit()));
+        out.push_str(&format!("  \"transport\": \"{transport_label}\",\n"));
+        out.push_str(&format!("  \"workload\": \"{workload_label}\",\n"));
+        out.push_str(&format!("  \"seed\": {seed},\n"));
+        out.push_str(&format!("  \"degrees\": [{}],\n", list(&config.degrees)));
         out.push_str(&format!("  \"clients\": {clients},\n"));
+        out.push_str(&format!("  \"window\": {window},\n"));
+        out.push_str(&format!(
+            "  \"rate\": {},\n",
+            rate.map_or("null".to_string(), |r| r.to_string())
+        ));
         out.push_str(&format!("  \"workers\": {workers},\n"));
         out.push_str(&format!("  \"protocol_workers\": {protocol_workers},\n"));
+        out.push_str(&format!("  \"queue_capacity\": {queue_cap},\n"));
         out.push_str(&format!("  \"linger_us\": {linger_us},\n"));
         out.push_str(&format!("  \"check\": \"{check_arg}\",\n"));
         out.push_str(&format!("  \"hot_capacity\": {hot_capacity},\n"));
-        out.push_str(&format!("  \"reuse\": {},\n", leg_json(&reuse, 0)));
-        out.push_str(&format!("  \"churn\": {}\n", leg_json(&churn, key_churn)));
+        out.push_str(&format!("  \"total\": {{ {} }},\n", tally(t)));
+        out.push_str(&format!(
+            "  \"per_kind\": [\n{}\n  ],\n",
+            per_kind.join(",\n")
+        ));
+        out.push_str(&format!("  \"wide_ops\": {},\n", report.wide_ops()));
+        out.push_str(&format!("  \"dropped\": {},\n", report.dropped));
+        out.push_str(&format!(
+            "  \"quota_rejected\": {},\n",
+            report.quota_rejected
+        ));
+        out.push_str(&format!("  \"shed\": {},\n", report.shed));
+        out.push_str(&format!("  \"wait_timeouts\": {},\n", report.wait_timeouts));
+        out.push_str(&format!("  \"recovered\": {},\n", report.recovered));
+        out.push_str(&format!("  \"wall_s\": {:.3},\n", report.wall_s));
+        out.push_str(&format!("  \"throughput\": {:.1},\n", report.throughput));
+        out.push_str(&format!("  \"p50_us\": {:.1},\n", report.p50_us));
+        out.push_str(&format!("  \"p95_us\": {:.1},\n", report.p95_us));
+        out.push_str(&format!("  \"p99_us\": {:.1},\n", report.p99_us));
+        out.push_str(&format!("  \"max_us\": {},\n", report.max_us));
+        out.push_str(&format!(
+            "  \"hot_hit_rate\": {:.4},\n",
+            report.stats.hot_hit_rate()
+        ));
+        out.push_str(&format!(
+            "  \"phase\": {{ \"engine_ns\": {}, \"check_transform_ns\": {}, \
+             \"check_pointwise_ns\": {}, \"check_compare_ns\": {}, \"recombine_ns\": {} }},\n",
+            p.engine_ns,
+            p.check_transform_ns,
+            p.check_pointwise_ns,
+            p.check_compare_ns,
+            p.recombine_ns
+        ));
+        // The same serializer the net crate's Stats verb uses; over TCP
+        // the server's whole Stats document rides along verbatim.
+        out.push_str(&format!(
+            "  \"service_stats\": {},\n",
+            report.stats.to_json()
+        ));
+        out.push_str(&format!(
+            "  \"server\": {}\n",
+            report.server_json.as_deref().map_or("null", str::trim)
+        ));
         out.push_str("}\n");
-        std::fs::write(&path, out).expect("write protocol loadgen JSON");
+        std::fs::write(&path, out).expect("write loadgen JSON");
         println!("wrote {path}");
     }
 
     let mut sound = true;
-    for (label, report) in [("reuse", &reuse), ("churn", &churn)] {
-        if !report.is_clean() {
+    if !report.is_clean() {
+        eprintln!(
+            "FAILED: {} mismatches, {} failed, {} dropped; {} of {} ops served",
+            t.mismatches, t.failed, report.dropped, t.ok, t.ops
+        );
+        sound = false;
+    }
+    if let Some(min) = min_occupancy {
+        if report.stats.mean_occupancy < min {
             eprintln!(
-                "FAILED ({label}): {} mismatches, {} failed of {} ops",
-                report.mismatches, report.failed, report.ops
+                "FAILED: mean occupancy {:.2} below required {min:.2} — concurrent ops are \
+                 not sharing batches",
+                report.stats.mean_occupancy
             );
             sound = false;
         }
     }
-    if let Some(min) = opt(args, "--min-occupancy") {
-        let min: f64 = min.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --min-occupancy");
-            std::process::exit(2);
-        });
-        if reuse.stats.mean_occupancy < min {
+    if let Some(max) = max_p99_us {
+        if report.p99_us > max {
             eprintln!(
-                "FAILED: mean occupancy {:.2} below required {min:.2} — concurrent \
-                 protocol ops are not sharing batches",
-                reuse.stats.mean_occupancy
+                "FAILED: client-observed p99 {:.0} µs above the {max:.0} µs gate",
+                report.p99_us
             );
             sound = false;
         }
@@ -1700,195 +1535,6 @@ fn run_serve(args: &[String]) {
     );
     let stats = server.wait();
     println!("drained; final scheduler state:\n{stats}");
-}
-
-/// `serve-loadgen --tcp`: the socket-path load generator. Spins up an
-/// in-process server on loopback (or targets `--connect ADDR`), drives
-/// it with N client threads, bit-verifies every product against the
-/// software NTT, and gates on mismatches and (optionally) tail
-/// latency.
-fn run_tcp_loadgen(args: &[String]) {
-    let parse_num = |name: &str, default: u64| -> u64 {
-        match opt(args, name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid {name}: {v}");
-                std::process::exit(2);
-            }),
-        }
-    };
-    let seed = parse_num("--seed", 7);
-    let clients = parse_num("--clients", 64).max(1) as usize;
-    let jobs = parse_num("--jobs", 1024).max(1) as usize;
-    let jobs_per_client = jobs.div_ceil(clients);
-    let window = parse_num("--window", 4).max(1) as usize;
-    // Default tenant quota: room for every client's full window, so
-    // quota rejects only appear when the operator asks for them.
-    let quota = parse_num("--quota", (clients * window) as u64).max(1) as usize;
-    let wait_timeout_ms = parse_num("--wait-timeout-ms", 10_000).min(u64::from(u32::MAX)) as u32;
-    let workers = parse_num("--workers", 2).max(1) as usize;
-    let queue_cap = parse_num("--queue-cap", 4096).max(2) as usize;
-    let linger_us = parse_num("--linger-us", 500);
-    let degrees = if opt(args, "--degrees").is_some() {
-        parse_degrees(args)
-    } else {
-        vec![256, 512, 1024]
-    };
-
-    // Default: a self-contained run against an in-process server on an
-    // ephemeral loopback port. --connect targets an external `serve`.
-    let token = opt(args, "--token").unwrap_or_else(|| "loadgen".into());
-    let (server, addr) = match opt(args, "--connect") {
-        Some(external) => {
-            let addr = external.parse().unwrap_or_else(|e| {
-                eprintln!("invalid --connect {external}: {e}");
-                std::process::exit(2);
-            });
-            (None, addr)
-        }
-        None => {
-            let server = Server::start(
-                "127.0.0.1:0",
-                ServerConfig {
-                    tenants: vec![TenantConfig::new("loadgen", &token, quota)],
-                    max_connections: clients + 8,
-                    max_wait: Duration::from_millis(u64::from(wait_timeout_ms)),
-                    service: ServiceConfig {
-                        workers,
-                        queue_capacity: queue_cap,
-                        linger: Duration::from_micros(linger_us),
-                        ..ServiceConfig::default()
-                    },
-                },
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot bind loopback: {e}");
-                std::process::exit(1);
-            });
-            let addr = server.local_addr();
-            (Some(server), addr)
-        }
-    };
-
-    let loop_kind = if window == 1 { "closed" } else { "open" };
-    println!(
-        "serve-loadgen --tcp: seed {seed}, {clients} clients × {jobs_per_client} jobs \
-         ({loop_kind} loop, window {window}, quota {quota}) over n ∈ {degrees:?} against {addr}"
-    );
-    let report = net::loadgen::run_against(
-        addr,
-        &token,
-        &TcpLoadConfig {
-            seed,
-            clients,
-            jobs_per_client,
-            degrees: degrees.clone(),
-            window,
-            wait_timeout_ms,
-        },
-    );
-    if let Some(server) = server {
-        server.shutdown();
-    }
-
-    println!(
-        "tcp: {} of {} verified bit-exact, {} mismatches, {} failed in {:.3} s → {:.0} mult/s",
-        report.verified,
-        report.jobs,
-        report.mismatches,
-        report.failed,
-        report.wall_s,
-        report.throughput
-    );
-    println!(
-        "client-observed latency: p50 {:.0} µs, p95 {:.0} µs, p99 {:.0} µs, max {} µs",
-        report.p50_us, report.p95_us, report.p99_us, report.max_us
-    );
-    println!(
-        "flow control: {} quota rejects, {} sheds, {} wait timeouts, {} fault-recovered",
-        report.quota_rejected, report.shed, report.wait_timeouts, report.recovered
-    );
-
-    if args.iter().any(|a| a == "--json") {
-        let path =
-            opt(args, "--out").unwrap_or_else(|| format!("BENCH_tcp_{}.json", utc_timestamp()));
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"date\": \"{}\",\n", today_utc()));
-        out.push_str(&format!("  \"commit\": \"{}\",\n", git_commit()));
-        out.push_str(&format!("  \"seed\": {seed},\n"));
-        out.push_str(&format!("  \"clients\": {clients},\n"));
-        out.push_str(&format!("  \"jobs_per_client\": {jobs_per_client},\n"));
-        out.push_str(&format!("  \"window\": {window},\n"));
-        out.push_str(&format!("  \"quota\": {quota},\n"));
-        out.push_str(&format!("  \"workers\": {workers},\n"));
-        out.push_str(&format!(
-            "  \"degrees\": [{}],\n",
-            degrees
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("  \"jobs\": {},\n", report.jobs));
-        out.push_str(&format!("  \"verified\": {},\n", report.verified));
-        out.push_str(&format!("  \"mismatches\": {},\n", report.mismatches));
-        out.push_str(&format!("  \"failed\": {},\n", report.failed));
-        out.push_str(&format!(
-            "  \"quota_rejected\": {},\n",
-            report.quota_rejected
-        ));
-        out.push_str(&format!("  \"shed\": {},\n", report.shed));
-        out.push_str(&format!("  \"wait_timeouts\": {},\n", report.wait_timeouts));
-        out.push_str(&format!("  \"recovered\": {},\n", report.recovered));
-        out.push_str(&format!("  \"wall_s\": {:.3},\n", report.wall_s));
-        out.push_str(&format!("  \"throughput\": {:.1},\n", report.throughput));
-        out.push_str(&format!("  \"p50_us\": {:.1},\n", report.p50_us));
-        out.push_str(&format!("  \"p95_us\": {:.1},\n", report.p95_us));
-        out.push_str(&format!("  \"p99_us\": {:.1},\n", report.p99_us));
-        out.push_str(&format!("  \"max_us\": {},\n", report.max_us));
-        // The server's own Stats-verb document, verbatim: net counters
-        // plus the scheduler's ServiceStats::to_json object.
-        if report.stats_json.is_empty() {
-            out.push_str("  \"server\": null\n");
-        } else {
-            out.push_str(&format!("  \"server\": {}\n", report.stats_json.trim()));
-        }
-        out.push_str("}\n");
-        std::fs::write(&path, out).expect("write tcp loadgen JSON");
-        println!("wrote {path}");
-    }
-
-    // Sanity-check the Stats verb from the consumer side: the embedded
-    // service object must parse with the dependency-free reader.
-    if !report.stats_json.is_empty() {
-        let parsed = extract_object(&report.stats_json, "service")
-            .and_then(service::ServiceStats::from_json);
-        if parsed.is_none() {
-            eprintln!("FAILED: Stats verb returned an unparseable service object");
-            std::process::exit(1);
-        }
-    }
-
-    if !report.is_clean() {
-        eprintln!(
-            "FAILED: {} mismatches, {} failed, {} of {} verified",
-            report.mismatches, report.failed, report.verified, report.jobs
-        );
-        std::process::exit(1);
-    }
-    if let Some(max) = opt(args, "--max-p99-us") {
-        let max: f64 = max.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --max-p99-us");
-            std::process::exit(2);
-        });
-        if report.p99_us > max {
-            eprintln!(
-                "FAILED: client-observed p99 {:.0} µs above the {max:.0} µs gate",
-                report.p99_us
-            );
-            std::process::exit(1);
-        }
-    }
 }
 
 fn main() {

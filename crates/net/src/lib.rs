@@ -15,20 +15,21 @@
 //! - [`client`] — a blocking client speaking the same frames, with
 //!   server refusals surfaced as typed [`client::NetError::Server`]
 //!   values.
-//! - [`loadgen`] — N client threads driving a real server over
-//!   loopback, bit-verifying every product against the software NTT
-//!   and reporting exact client-observed latency quantiles. Backs
-//!   `cli serve-loadgen --tcp`.
+//! - [`drive`] — the load driver: a seeded workload served over an
+//!   in-process `Service` or over TCP clients, every op bit-verified
+//!   against the software oracle, with exact client-observed latency
+//!   quantiles. It lives here because this is the one crate that sees
+//!   both transports. Backs `cli serve-loadgen`.
 //!
 //! The wire format is specified in `DESIGN.md` §15; the README's
 //! "Networking" section has the two-command quickstart.
 
 pub mod client;
-pub mod loadgen;
+pub mod drive;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, DoneJob, NetError};
-pub use loadgen::{TcpLoadConfig, TcpLoadReport};
+pub use drive::{DriveConfig, DriveError, DriveReport, Transport, Workload};
 pub use server::{Server, ServerConfig, TenantConfig};
 pub use wire::{ErrorCode, Frame, JobState, WireError};

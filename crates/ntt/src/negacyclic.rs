@@ -22,9 +22,9 @@ use modmath::{bitrev, shoup, zq, Error};
 use std::time::Instant;
 
 /// Wall-clock split of a batch multiply, reported by
-/// [`NttMultiplier::multiply_batch_into`] so callers (the service
-/// loadgen, the reliability referee) can attribute time to transform
-/// work vs pointwise work without re-instrumenting the kernels.
+/// [`NttMultiplier::multiply_batch_into`] so callers can attribute time
+/// to transform work vs pointwise work without re-instrumenting the
+/// kernels.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchPhaseTiming {
     /// Nanoseconds spent in forward + inverse transforms.

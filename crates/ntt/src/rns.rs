@@ -7,9 +7,7 @@
 //! CryptoPIM, in its own superbank, in parallel — and the results
 //! recombine by Garner's mixed-radix CRT. The basis bookkeeping lives
 //! in [`modmath::crt::RnsBasis`]; this module stacks one
-//! [`NttMultiplier`] per residue channel on top of it and adds a
-//! batch-fused path that runs every job's residues for a channel
-//! through one fused transform pass.
+//! [`NttMultiplier`] per residue channel on top of it.
 
 use crate::negacyclic::{NttMultiplier, PolyMultiplier};
 use crate::poly::Polynomial;
@@ -154,53 +152,6 @@ impl RnsMultiplier {
         self.basis.combine_into(&lane_refs, &mut out);
         Ok(out)
     }
-
-    /// Multiplies a batch of wide-coefficient pairs, fusing each
-    /// residue channel's transforms: all jobs' lane-`i` residues flow
-    /// through one [`NttMultiplier::multiply_batch_into`] call, so the
-    /// per-stage twiddle walk is shared across the batch exactly as in
-    /// the single-prime engine batch path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDegree`] on an empty batch or any
-    /// operand-length mismatch.
-    pub fn multiply_batch(&self, jobs: &[(Vec<u128>, Vec<u128>)]) -> Result<Vec<Vec<u128>>> {
-        if jobs.is_empty() {
-            return Err(Error::InvalidDegree { n: 0 });
-        }
-        for (a, b) in jobs {
-            self.check_len(a, b)?;
-        }
-        let n = self.n;
-        let total = n * jobs.len();
-        // lane_products[i] holds every job's lane-i product back to back.
-        let mut lane_products: Vec<Vec<u64>> = Vec::with_capacity(self.channels.len());
-        let mut fa = vec![0u64; total];
-        let mut fb = vec![0u64; total];
-        for (lane, chan) in self.channels.iter().enumerate() {
-            for (j, (a, b)) in jobs.iter().enumerate() {
-                self.basis
-                    .split_lane_into(a, lane, &mut fa[j * n..(j + 1) * n]);
-                self.basis
-                    .split_lane_into(b, lane, &mut fb[j * n..(j + 1) * n]);
-            }
-            let mut fo = vec![0u64; total];
-            chan.multiply_batch_into(&mut fa, &mut fb, &mut fo)?;
-            lane_products.push(fo);
-        }
-        let mut out = Vec::with_capacity(jobs.len());
-        for j in 0..jobs.len() {
-            let lane_refs: Vec<&[u64]> = lane_products
-                .iter()
-                .map(|lane| &lane[j * n..(j + 1) * n])
-                .collect();
-            let mut wide = vec![0u128; n];
-            self.basis.combine_into(&lane_refs, &mut wide);
-            out.push(wide);
-        }
-        Ok(out)
-    }
 }
 
 /// Schoolbook negacyclic multiplication over a `u128` modulus — the
@@ -264,19 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential() {
-        let mult = RnsMultiplier::new(64, &[7681, 12289, 40961]).unwrap();
-        let q = mult.modulus();
-        let jobs: Vec<(Vec<u128>, Vec<u128>)> = (0..5)
-            .map(|j| (rand_vec(64, q, 10 + j), rand_vec(64, q, 20 + j)))
-            .collect();
-        let batched = mult.multiply_batch(&jobs).unwrap();
-        for (got, (a, b)) in batched.iter().zip(&jobs) {
-            assert_eq!(got, &mult.multiply(a, b).unwrap());
-        }
-    }
-
-    #[test]
     fn wide_modulus_actually_used() {
         // A coefficient above every single prime must survive intact:
         // x · 1 = x.
@@ -314,7 +252,6 @@ mod tests {
     fn degree_mismatch_errors() {
         let mult = RnsMultiplier::new(64, &[12289, 40961]).unwrap();
         assert!(mult.multiply(&[0; 32], &[0; 64]).is_err());
-        assert!(mult.multiply_batch(&[]).is_err());
     }
 
     #[test]

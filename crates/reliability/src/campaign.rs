@@ -41,7 +41,7 @@ use modmath::params::ParamSet;
 use ntt::negacyclic::PolyMultiplier;
 use ntt::rns::RnsMultiplier;
 use pim::fault::{layout, splitmix64, Injector};
-use service::loadgen::{generate_hot_jobs, generate_jobs};
+use service::workload::{generate_hot_jobs, generate_jobs};
 use service::{
     Backpressure, ProtocolJob, ProtocolKind, Service, ServiceConfig, ServiceError, ServiceStats,
 };

@@ -509,8 +509,9 @@ impl ProtocolJob {
     /// `n` from `seed`: keys, messages, and ciphertexts are derived
     /// host-side with the software NTT (bit-identical to the engine),
     /// so the same `(kind, n, seed)` triple always denotes the same op.
-    /// This is what the TCP `SubmitProtocol` frame and the protocol
-    /// loadgen speak: a scenario reference small enough for the wire.
+    /// This is what the TCP `SubmitProtocol` frame and the fault
+    /// campaign's protocol cell speak: a scenario reference small enough
+    /// for the wire.
     ///
     /// # Errors
     ///
@@ -640,8 +641,8 @@ impl ProtocolJob {
     }
 
     /// Executes the job directly on the host with the software NTT —
-    /// the bit-identity oracle the proptests, the protocol loadgen, and
-    /// the CI smoke gates compare served outputs against.
+    /// the bit-identity oracle the proptests, the load driver, and the
+    /// CI smoke gates compare served outputs against.
     ///
     /// # Errors
     ///
@@ -844,8 +845,9 @@ fn execute_job(
     match job {
         ProtocolJob::Mul { a, b } => {
             let q = a.modulus();
-            let done = scheduler::submit_shared(shared, a, b)
-                .and_then(crate::JobTicket::wait)
+            let done = scheduler::submit_leaves(shared, vec![(a, b)])
+                .map_err(|(_, e)| e)
+                .and_then(|mut tickets| tickets.remove(0).wait())
                 .map_err(|e| node_err(0, q, e))?;
             Ok((ProtocolOutput::Product(done.product), 1, done.attempts))
         }
@@ -859,7 +861,7 @@ fn execute_job(
                 other => other,
             };
             let nodes = basis.channels() as u32;
-            let done = scheduler::submit_wide_shared(shared, &a, &b, &basis)
+            let done = scheduler::split_wide(shared, &a, &b, &basis)
                 .and_then(crate::WideTicket::wait)
                 .map_err(widen)?;
             let attempts = done.lanes.iter().map(|l| l.attempts).max().unwrap_or(1);
@@ -1008,8 +1010,9 @@ impl PolyMultiplier for SvcMult<'_> {
         self.degree.set(a.degree_bound());
         let node = self.nodes.get() as usize;
         self.nodes.set(self.nodes.get() + 1);
-        match scheduler::submit_shared(self.shared, a.clone(), b.clone())
-            .and_then(crate::JobTicket::wait)
+        match scheduler::submit_leaves(self.shared, vec![(a.clone(), b.clone())])
+            .map_err(|(_, e)| e)
+            .and_then(|mut tickets| tickets.remove(0).wait())
         {
             Ok(done) => {
                 self.absorb(&done);
@@ -1029,15 +1032,13 @@ impl PolyMultiplier for SvcMult<'_> {
         self.degree.set(a0.degree_bound());
         let node = self.nodes.get() as usize;
         self.nodes.set(self.nodes.get() + 2);
-        let (t0, t1) = match scheduler::submit_pair_shared(
-            self.shared,
-            a0.clone(),
-            b0.clone(),
-            a1.clone(),
-            b1.clone(),
-        ) {
-            Ok(pair) => pair,
-            Err(e) => return Err(self.stash(node, e)),
+        let pairs = vec![(a0.clone(), b0.clone()), (a1.clone(), b1.clone())];
+        let (t0, t1) = match scheduler::submit_leaves(self.shared, pairs) {
+            Ok(mut tickets) => {
+                let t1 = tickets.pop().expect("two tickets");
+                (tickets.pop().expect("two tickets"), t1)
+            }
+            Err((i, e)) => return Err(self.stash(node + i, e)),
         };
         // Drain both tickets even when the first fails, so no result is
         // stranded in a slot.

@@ -24,9 +24,10 @@
 //!   packed-lane occupancy, and p50/p95/p99 job latency from a
 //!   fixed-bucket histogram.
 //!
-//! The [`loadgen`] module drives all of it with a seeded, deterministic
-//! open-/closed-loop workload (exposed as the `cli serve-loadgen`
-//! subcommand) and bit-verifies against the direct path.
+//! The [`workload`] module generates the seeded, deterministic op
+//! streams — raw multiplies and protocol mixes — that the load driver
+//! (`net::drive`, behind `cli serve-loadgen`), the fault campaign and
+//! the integration suites submit.
 //!
 //! # Example
 //!
@@ -48,20 +49,23 @@
 
 pub mod error;
 pub mod graph;
-pub mod loadgen;
-pub mod protoload;
 pub mod scheduler;
 pub mod stats;
+pub mod workload;
 
+/// The referee policy [`ServiceConfig::check`] selects.
+pub use cryptopim::check::CheckPolicy;
+/// The per-phase time counters, re-exported so front ends can report a
+/// run window's engine/referee split without depending on the core
+/// crate.
+pub use cryptopim::phase;
 pub use error::ServiceError;
 pub use graph::{ProtocolCompleted, ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket};
-pub use protoload::{
-    run_protocols, ProtoKindReport, ProtoLoadgenConfig, ProtoLoadgenReport, ProtocolMix,
-};
 pub use scheduler::{
     Backpressure, CompletedJob, JobTicket, Service, ServiceConfig, WideCompletedJob, WideTicket,
 };
 pub use stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
+pub use workload::ProtocolMix;
 
 /// Convenience result alias for service operations.
 pub type Result<T> = std::result::Result<T, ServiceError>;

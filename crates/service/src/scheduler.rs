@@ -616,7 +616,9 @@ impl Service {
     ///   [`Backpressure::Reject`], or every bank quarantined.
     /// * [`ServiceError::ShuttingDown`] — submitted during drain.
     pub fn submit(&self, a: Polynomial, b: Polynomial) -> Result<JobTicket, ServiceError> {
-        submit_shared(&self.shared, a, b)
+        submit_leaves(&self.shared, vec![(a, b)])
+            .map(|mut tickets| tickets.remove(0))
+            .map_err(|(_, e)| e)
     }
 
     /// Submits one wide-modulus multiplication over `Q = Π q_i`: the
@@ -643,7 +645,7 @@ impl Service {
         b: &[u128],
         basis: &RnsBasis,
     ) -> Result<WideTicket, ServiceError> {
-        submit_wide_shared(&self.shared, a, b, basis)
+        split_wide(&self.shared, a, b, basis)
     }
 
     /// A point-in-time snapshot of queue depth, counters, occupancy,
@@ -727,19 +729,41 @@ pub(crate) fn validate_leaf(
     Ok(((n, params.q), lanes))
 }
 
-/// Leaf-submit core shared by [`Service::submit`], the wide residue
-/// lanes, and the protocol graph executors: admits `pairs` (all
-/// pre-validated to the same `(n, q)` key) under a *single* state-lock
-/// acquisition, so multi-job callers land every job in the same
-/// formation group — a flushed batch carries them together, which is
-/// how a protocol op's independent inner products ride one batch.
-fn submit_group_shared(
+/// The one leaf-admission entry, behind [`Service::submit`], the wide
+/// residue-lane split and the protocol graph executors. Every pair is
+/// validated before any is admitted. Pairs that share one `(n, q)` key
+/// are admitted under a *single* state-lock acquisition, so they land in
+/// the same formation group and a flushed batch carries them together —
+/// how a protocol op's independent inner products ride one batch. When
+/// the keys differ, or the queue cannot hold every pair at once, each
+/// pair is admitted on its own, in order.
+///
+/// # Errors
+///
+/// The index of the first pair that failed validation or admission,
+/// with its error. Pairs admitted before it stay queued and execute
+/// harmlessly, their tickets discarded.
+pub(crate) fn submit_leaves(
     shared: &Shared,
-    key: ParamKey,
-    lanes: usize,
     pairs: Vec<(Polynomial, Polynomial)>,
-) -> Result<Vec<JobTicket>, ServiceError> {
+) -> Result<Vec<JobTicket>, (usize, ServiceError)> {
+    let keys = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, (a, b))| validate_leaf(a, b).map_err(|e| (i, e)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let Some(&(key, lanes)) = keys.first() else {
+        return Ok(Vec::new());
+    };
     let count = pairs.len();
+    if count > 1 && (keys.iter().any(|k| k.0 != key) || count > shared.cfg.queue_capacity) {
+        let mut tickets = Vec::with_capacity(count);
+        for (i, pair) in pairs.into_iter().enumerate() {
+            let mut one = submit_leaves(shared, vec![pair]).map_err(|(_, e)| (i, e))?;
+            tickets.append(&mut one);
+        }
+        return Ok(tickets);
+    }
     let tickets: Vec<Arc<TicketState>> = (0..count)
         .map(|_| {
             Arc::new(TicketState {
@@ -751,16 +775,19 @@ fn submit_group_shared(
     let mut st = shared.state.lock().expect("service state poisoned");
     loop {
         if st.shutdown {
-            return Err(ServiceError::ShuttingDown);
+            return Err((0, ServiceError::ShuttingDown));
         }
         if st.degraded {
             // Graceful degradation: with the whole fleet quarantined no
             // admitted job could ever execute, so even Block-mode
             // submitters are turned away.
             st.rejected += count as u64;
-            return Err(ServiceError::Overloaded {
-                capacity: shared.cfg.queue_capacity,
-            });
+            return Err((
+                0,
+                ServiceError::Overloaded {
+                    capacity: shared.cfg.queue_capacity,
+                },
+            ));
         }
         if st.pending_jobs + st.formed_jobs + count <= shared.cfg.queue_capacity {
             break;
@@ -768,9 +795,12 @@ fn submit_group_shared(
         match shared.cfg.backpressure {
             Backpressure::Reject => {
                 st.rejected += count as u64;
-                return Err(ServiceError::Overloaded {
-                    capacity: shared.cfg.queue_capacity,
-                });
+                return Err((
+                    0,
+                    ServiceError::Overloaded {
+                        capacity: shared.cfg.queue_capacity,
+                    },
+                ));
             }
             Backpressure::Block => {
                 st = shared.admit.wait(st).expect("service state poisoned");
@@ -827,48 +857,11 @@ fn submit_group_shared(
         .collect())
 }
 
-/// Free-function form of [`Service::submit`], callable from graph
-/// executors that hold only the shared state.
-pub(crate) fn submit_shared(
-    shared: &Shared,
-    a: Polynomial,
-    b: Polynomial,
-) -> Result<JobTicket, ServiceError> {
-    let (key, lanes) = validate_leaf(&a, &b)?;
-    let mut tickets = submit_group_shared(shared, key, lanes, vec![(a, b)])?;
-    Ok(tickets.pop().expect("one ticket per pair"))
-}
-
-/// Submits two *independent* leaf multiplies as one admission: when the
-/// pairs share a `(n, q)` key (the common case inside a protocol op)
-/// both jobs join the same formation group atomically, so they pack
-/// into the same hardware batch instead of racing other tenants for
-/// separate ones. Falls back to two ordinary submissions when the keys
-/// differ or the queue cannot hold two jobs at once.
-pub(crate) fn submit_pair_shared(
-    shared: &Shared,
-    a0: Polynomial,
-    b0: Polynomial,
-    a1: Polynomial,
-    b1: Polynomial,
-) -> Result<(JobTicket, JobTicket), ServiceError> {
-    let (k0, lanes) = validate_leaf(&a0, &b0)?;
-    let (k1, _) = validate_leaf(&a1, &b1)?;
-    if k0 == k1 && shared.cfg.queue_capacity >= 2 {
-        let mut tickets = submit_group_shared(shared, k0, lanes, vec![(a0, b0), (a1, b1)])?;
-        let t1 = tickets.pop().expect("two tickets");
-        let t0 = tickets.pop().expect("two tickets");
-        Ok((t0, t1))
-    } else {
-        let t0 = submit_shared(shared, a0, b0)?;
-        let t1 = submit_shared(shared, a1, b1)?;
-        Ok((t0, t1))
-    }
-}
-
-/// Free-function form of [`Service::submit_wide`], callable from graph
-/// executors that hold only the shared state.
-pub(crate) fn submit_wide_shared(
+/// The wide residue-lane split behind [`Service::submit_wide`] and the
+/// graph's wide multiply: validates every lane, splits the operands
+/// into one residue pair per basis channel, and admits the lanes
+/// through [`submit_leaves`].
+pub(crate) fn split_wide(
     shared: &Arc<Shared>,
     a: &[u128],
     b: &[u128],
@@ -889,41 +882,43 @@ pub(crate) fn submit_wide_shared(
         }
     }
     let submitted = Instant::now();
-    let mut lanes = Vec::with_capacity(basis.channels());
     let mut buf = vec![0u64; n];
-    for (lane, &q) in basis.moduli().iter().enumerate() {
-        basis.split_lane_into(a, lane, &mut buf);
-        let pa = Polynomial::from_canonical_coeffs(buf.clone(), q)
-            .expect("residues are canonical mod q");
-        basis.split_lane_into(b, lane, &mut buf);
-        let pb = Polynomial::from_canonical_coeffs(buf.clone(), q)
-            .expect("residues are canonical mod q");
-        match submit_shared(shared, pa, pb) {
-            Ok(ticket) => lanes.push((ticket, q)),
-            Err(error) => {
-                let mut st = shared.state.lock().expect("service state poisoned");
-                st.wide_submitted += 1;
-                st.wide_failed += 1;
-                drop(st);
-                return Err(ServiceError::WideLane {
-                    lane,
-                    q,
-                    error: Box::new(error),
-                });
-            }
+    let mut residue = |x: &[u128], lane: usize, q: u64| {
+        basis.split_lane_into(x, lane, &mut buf);
+        Polynomial::from_canonical_coeffs(buf.clone(), q).expect("residues are canonical mod q")
+    };
+    let pairs: Vec<(Polynomial, Polynomial)> = basis
+        .moduli()
+        .iter()
+        .enumerate()
+        .map(|(lane, &q)| (residue(a, lane, q), residue(b, lane, q)))
+        .collect();
+    let admitted = submit_leaves(shared, pairs);
+    let mut st = shared.state.lock().expect("service state poisoned");
+    st.wide_submitted += 1;
+    match admitted {
+        Ok(tickets) => {
+            drop(st);
+            Ok(WideTicket {
+                lanes: tickets
+                    .into_iter()
+                    .zip(basis.moduli().iter().copied())
+                    .collect(),
+                basis: basis.clone(),
+                n,
+                shared: Arc::clone(shared),
+                submitted,
+            })
+        }
+        Err((lane, error)) => {
+            st.wide_failed += 1;
+            Err(ServiceError::WideLane {
+                lane,
+                q: basis.moduli()[lane],
+                error: Box::new(error),
+            })
         }
     }
-    {
-        let mut st = shared.state.lock().expect("service state poisoned");
-        st.wide_submitted += 1;
-    }
-    Ok(WideTicket {
-        lanes,
-        basis: basis.clone(),
-        n,
-        shared: Arc::clone(shared),
-        submitted,
-    })
 }
 
 fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {

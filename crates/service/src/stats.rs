@@ -200,6 +200,16 @@ fn json_number<'a>(text: &'a str, key: &str) -> Option<&'a str> {
 }
 
 impl ServiceStats {
+    /// Hot-operand cache hit rate (0.0 with no lookups).
+    pub fn hot_hit_rate(&self) -> f64 {
+        let lookups = self.hot_hits + self.hot_misses;
+        if lookups == 0 {
+            0.0
+        } else {
+            self.hot_hits as f64 / lookups as f64
+        }
+    }
+
     /// Serializes the snapshot as one flat JSON object — the single
     /// source of truth for every emitter (`serve-loadgen --json`,
     /// `fault-campaign --json`, the net layer's `Stats` verb) instead

@@ -6,12 +6,12 @@
 
 use modmath::params::ParamSet;
 use net::client::{Client, NetError};
-use net::loadgen::{self, TcpLoadConfig};
+use net::drive::{self, DriveConfig, DriveError, DriveReport, Transport, Workload};
 use net::server::{Server, ServerConfig, TenantConfig};
 use net::wire::{self, ErrorCode, Frame, JobState};
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
 use ntt::poly::Polynomial;
-use service::loadgen::generate_jobs;
+use service::workload::generate_jobs;
 use service::{ServiceConfig, ServiceStats};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -311,7 +311,7 @@ fn stats_verb_json_is_parseable() {
         client.wait(i as u64, 30_000).unwrap();
     }
     let doc = client.stats_json().expect("stats");
-    let service_obj = loadgen::extract_object(&doc, "service").expect("service object");
+    let service_obj = drive::extract_object(&doc, "service").expect("service object");
     let stats = ServiceStats::from_json(service_obj).expect("parseable service stats");
     assert!(stats.completed >= 4, "completed={}", stats.completed);
     // The net layer's own counters are present too.
@@ -407,37 +407,124 @@ fn duplicate_job_id_is_refused() {
     server.shutdown();
 }
 
-/// The TCP load generator on loopback: every product bit-verified,
-/// zero mismatches, and the post-run stats document parses.
+fn narrow() -> Workload {
+    Workload::Raw {
+        hot_keys: 0,
+        wide: 0.0,
+        wide_channels: 2,
+    }
+}
+
+fn tcp_drive(
+    addr: std::net::SocketAddr,
+    token: &str,
+    seed: u64,
+    ops: usize,
+    degrees: &[usize],
+    clients: usize,
+    window: usize,
+) -> Result<DriveReport, DriveError> {
+    drive::run(&DriveConfig {
+        seed,
+        ops,
+        degrees: degrees.to_vec(),
+        clients,
+        window,
+        rate: None,
+        workload: narrow(),
+        transport: Transport::Tcp {
+            addr,
+            token: token.into(),
+            wait_timeout_ms: 30_000,
+        },
+    })
+}
+
+/// The load driver over loopback TCP: every product bit-verified, zero
+/// mismatches, and the post-run stats document parses.
 #[test]
 fn tcp_loadgen_verifies_everything() {
     let server = start_server(one_tenant(32), ServiceConfig::default());
-    let report = loadgen::run_against(
+    let report = tcp_drive(server.local_addr(), "alpha-token", 17, 32, &[64, 128], 4, 4)
+        .expect("healthy server");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.total.ok, 32);
+    assert!(report.p99_us >= report.p50_us);
+    let doc = report.server_json.as_deref().expect("Stats document");
+    let service_obj = drive::extract_object(doc, "service").expect("service object");
+    assert_eq!(ServiceStats::from_json(service_obj), Some(report.stats));
+    server.shutdown();
+}
+
+/// Clients stride one shared stream: 10 ops over 4 clients serve
+/// exactly 10, not 4 × ceil(10 / 4).
+#[test]
+fn tcp_loadgen_serves_exactly_the_requested_ops() {
+    let server = start_server(one_tenant(16), ServiceConfig::default());
+    let report =
+        tcp_drive(server.local_addr(), "alpha-token", 3, 10, &[64], 4, 1).expect("healthy server");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.total.ops, 10);
+    assert_eq!(report.total.ok, 10);
+    assert_eq!(report.stats.admitted, 10);
+    server.shutdown();
+}
+
+/// An unreachable server and a wrong token are typed connect errors,
+/// never a panic in a client thread.
+#[test]
+fn tcp_loadgen_reports_connect_failures() {
+    let closed = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap()
+    };
+    let err = tcp_drive(closed, "alpha-token", 1, 4, &[64], 2, 1).unwrap_err();
+    assert!(matches!(err, DriveError::Connect(_)), "{err}");
+
+    let server = start_server(one_tenant(4), ServiceConfig::default());
+    let err = tcp_drive(server.local_addr(), "wrong-token", 1, 4, &[64], 2, 1).unwrap_err();
+    match &err {
+        DriveError::Connect(e) => assert_eq!(e.code(), Some(ErrorCode::BadToken), "{e}"),
+        other => panic!("expected a connect error, got {other}"),
+    }
+    server.shutdown();
+}
+
+/// The same narrow workload served in process and over TCP: identical
+/// verified outputs and identical ok counts. Every output of both runs
+/// is compared with the oracle output of the one seeded stream, so two
+/// clean runs with equal ok counts served identical outputs.
+#[test]
+fn transports_serve_identical_outputs() {
+    let server = start_server(one_tenant(16), ServiceConfig::default());
+    let tcp = tcp_drive(
         server.local_addr(),
         "alpha-token",
-        &TcpLoadConfig {
-            seed: 17,
-            clients: 4,
-            jobs_per_client: 8,
-            degrees: vec![64, 128],
-            window: 4,
-            wait_timeout_ms: 30_000,
-        },
-    );
-    assert!(
-        report.is_clean(),
-        "mismatches={} failed={} verified={}/{}",
-        report.mismatches,
-        report.failed,
-        report.verified,
-        report.jobs
-    );
-    assert_eq!(report.jobs, 32);
-    assert!(report.p99_us >= report.p50_us);
-    let service_obj =
-        loadgen::extract_object(&report.stats_json, "service").expect("service object");
-    assert!(ServiceStats::from_json(service_obj).is_some());
+        29,
+        24,
+        &[64, 128, 256],
+        3,
+        2,
+    )
+    .expect("healthy server");
     server.shutdown();
+    let local = drive::run(&DriveConfig {
+        seed: 29,
+        ops: 24,
+        degrees: vec![64, 128, 256],
+        clients: 3,
+        window: 2,
+        rate: None,
+        workload: narrow(),
+        transport: Transport::InProcess(ServiceConfig::default()),
+    })
+    .expect("in-process runs always start");
+    for report in [&tcp, &local] {
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.total.mismatches, 0);
+    }
+    assert_eq!(tcp.total.ok, 24);
+    assert_eq!(tcp.total.ok, local.total.ok);
 }
 
 /// The `NetError` display surface names the code and detail.

@@ -11,7 +11,7 @@ use modmath::params::ParamSet;
 use ntt::negacyclic::PolyMultiplier;
 use ntt::poly::Polynomial;
 use proptest::prelude::*;
-use service::loadgen::generate_jobs;
+use service::workload::generate_jobs;
 use service::{Backpressure, Service, ServiceConfig, ServiceError};
 
 /// Multiplies every job pair one at a time on the verified engine,
