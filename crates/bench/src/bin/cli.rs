@@ -1002,15 +1002,21 @@ fn run_serve_loadgen(args: &[String]) {
         "served: {} ok, {} rejected, {} failed, {} mismatches of {} ops in {:.3} s → {:.0} ops/s",
         t.ok, t.rejected, t.failed, t.mismatches, t.ops, report.wall_s, report.throughput
     );
+    let graph = matches!(config.workload, Workload::Protocols { .. });
     for (kind, k) in &report.per_kind {
         println!(
-            "  {:<8} {} ops: {} ok, {} rejected, {} failed, {} mismatches",
+            "  {:<8} {} ops: {} ok, {} rejected, {} failed, {} mismatches{}",
             kind.as_str(),
             k.ops,
             k.ok,
             k.rejected,
             k.failed,
-            k.mismatches
+            k.mismatches,
+            if graph {
+                format!("; host {:.1} µs/op", k.mean_host_us())
+            } else {
+                String::new()
+            }
         );
     }
     println!(
@@ -1040,8 +1046,14 @@ fn run_serve_loadgen(args: &[String]) {
             opt(args, "--out").unwrap_or_else(|| format!("BENCH_loadgen_{}.json", utc_timestamp()));
         let tally = |t: &drive::Tally| {
             format!(
-                "\"ops\": {}, \"ok\": {}, \"rejected\": {}, \"failed\": {}, \"mismatches\": {}",
-                t.ops, t.ok, t.rejected, t.failed, t.mismatches
+                "\"ops\": {}, \"ok\": {}, \"rejected\": {}, \"failed\": {}, \"mismatches\": {}, \
+                 \"mean_host_us\": {:.1}",
+                t.ops,
+                t.ok,
+                t.rejected,
+                t.failed,
+                t.mismatches,
+                t.mean_host_us()
             )
         };
         let per_kind: Vec<String> = report

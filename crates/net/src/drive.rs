@@ -134,6 +134,20 @@ pub struct Tally {
     pub rejected: usize,
     /// Outputs that differed from the software oracle (must be 0).
     pub mismatches: usize,
+    /// Summed [`service::ProtocolCompleted::host_us`] of the served
+    /// ops, ns. Only in-process protocol graphs report it; 0 otherwise.
+    pub host_ns: u64,
+}
+
+impl Tally {
+    /// Mean graph host time per served op, µs.
+    pub fn mean_host_us(&self) -> f64 {
+        if self.ok == 0 {
+            0.0
+        } else {
+            self.host_ns as f64 / self.ok as f64 / 1e3
+        }
+    }
 }
 
 /// Outcome of one driver run.
@@ -199,7 +213,7 @@ struct Op {
 }
 
 enum Outcome {
-    Served { matches: bool },
+    Served { matches: bool, host_ns: u64 },
     Failed,
     Rejected,
 }
@@ -284,27 +298,32 @@ impl Conn<'_> {
     }
 
     /// Blocks for an op's output and returns whether it equals
-    /// `expected`, with the op's worst execution attempt count; `Err`
-    /// when the op failed.
+    /// `expected`, with the op's worst execution attempt count and its
+    /// graph host time in ns (0 off the graph path); `Err` when the op
+    /// failed.
     fn wait(
         &mut self,
         pending: Pending,
         expected: &ProtocolOutput,
         wait_timeouts: &mut u64,
-    ) -> Result<(bool, u32), ()> {
+    ) -> Result<(bool, u32, u64), ()> {
         match pending {
             Pending::Leaf(t) => t.wait().map(|d| {
                 let output = ProtocolOutput::Product(d.product);
-                (output == *expected, d.attempts)
+                (output == *expected, d.attempts, 0)
             }),
             Pending::Wide(t) => t.wait().map(|d| {
                 let attempts = d.lanes.iter().map(|l| l.attempts).max().unwrap_or(1);
                 (
                     ProtocolOutput::WideProduct(d.product) == *expected,
                     attempts,
+                    0,
                 )
             }),
-            Pending::Graph(t) => t.wait().map(|d| (d.output == *expected, d.attempts)),
+            Pending::Graph(t) => t.wait().map(|d| {
+                let host_ns = (d.host_us * 1e3) as u64;
+                (d.output == *expected, d.attempts, host_ns)
+            }),
             Pending::Remote(id) => {
                 let Conn::Remote {
                     client,
@@ -321,7 +340,7 @@ impl Conn<'_> {
                         Ok(d) => {
                             let matches = matches!(expected, ProtocolOutput::Product(p)
                                 if p.modulus() == d.q && p.coeffs() == d.product);
-                            return Ok((matches, d.attempts));
+                            return Ok((matches, d.attempts, 0));
                         }
                         // Flow control, not failure: the job still runs.
                         Err(e) if e.code() == Some(ErrorCode::WaitTimeout) => *wait_timeouts += 1,
@@ -347,13 +366,13 @@ impl ClientRun {
             return false;
         };
         let outcome = match conn.wait(f.pending, &ops[f.op].expected, &mut self.wait_timeouts) {
-            Ok((matches, attempts)) => {
+            Ok((matches, attempts, host_ns)) => {
                 self.latencies
                     .push(f.submitted.elapsed().as_micros() as u64);
                 if attempts > 1 {
                     self.recovered += 1;
                 }
-                Outcome::Served { matches }
+                Outcome::Served { matches, host_ns }
             }
             Err(()) => Outcome::Failed,
         };
@@ -589,9 +608,10 @@ fn report(
         for t in [&mut total, &mut per_kind[op.job.kind() as usize]] {
             t.ops += 1;
             match outcome {
-                Outcome::Served { matches } => {
+                Outcome::Served { matches, host_ns } => {
                     t.ok += 1;
                     t.mismatches += usize::from(!matches);
+                    t.host_ns += host_ns;
                 }
                 Outcome::Failed => t.failed += 1,
                 Outcome::Rejected => t.rejected += 1,

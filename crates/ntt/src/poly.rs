@@ -27,6 +27,20 @@ pub struct Polynomial {
     q: u64,
 }
 
+/// `c mod q` in `[0, q)`, equal to `c.rem_euclid(q as i64)`. Samplers
+/// produce `|c| < q`, which takes the branch-free `c + (q & (c >> 63))`
+/// (the arithmetic shift is all ones exactly when `c < 0`) instead of a
+/// 64-bit division per coefficient.
+#[inline]
+fn signed_residue(c: i64, q: u64) -> u64 {
+    let qi = q as i64;
+    if qi > 0 && c.unsigned_abs() < q {
+        c.wrapping_add(qi & (c >> 63)) as u64
+    } else {
+        c.rem_euclid(qi) as u64
+    }
+}
+
 impl Polynomial {
     /// The zero polynomial of length `n`.
     ///
@@ -100,13 +114,7 @@ impl Polynomial {
     ///
     /// Returns [`Error::InvalidDegree`] when the length is invalid.
     pub fn from_signed_coeffs(coeffs: &[i64], q: u64) -> Result<Self, Error> {
-        let mapped = coeffs
-            .iter()
-            .map(|&c| {
-                let r = c.rem_euclid(q as i64);
-                r as u64
-            })
-            .collect();
+        let mapped = coeffs.iter().map(|&c| signed_residue(c, q)).collect();
         Polynomial::from_coeffs(mapped, q)
     }
 
@@ -303,6 +311,49 @@ mod tests {
     #[should_panic(expected = "requires coefficients in [0, q)")]
     fn canonical_construction_asserts_canonicity() {
         let _ = Polynomial::from_canonical_coeffs(vec![17, 0, 0, 0], 17);
+    }
+
+    #[test]
+    fn signed_residue_is_rem_euclid() {
+        let mut qs: Vec<u64> = modmath::params::PAPER_DEGREES
+            .iter()
+            .map(|&n| modmath::params::ParamSet::for_degree(n).unwrap().q)
+            .collect();
+        qs.dedup();
+        // Beyond the paper: the largest fast-path modulus and one past
+        // it, where `q as i64` is negative and the fallback must run.
+        qs.extend([17, i64::MAX as u64, i64::MAX as u64 + 2]);
+        let mut x = 0x243f_6a88_85a3_08d3u64;
+        for q in qs {
+            let qi = q as i64;
+            let mut cases = vec![
+                0,
+                1,
+                -1,
+                qi.wrapping_sub(1),
+                1i64.wrapping_sub(qi),
+                qi,
+                qi.wrapping_neg(),
+                i64::MIN,
+                i64::MAX,
+            ];
+            for _ in 0..2000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Alternately anywhere in i64 and inside (−q, q).
+                let r = x as i64;
+                cases.push(r);
+                cases.push(r % qi.max(1));
+            }
+            for c in cases {
+                assert_eq!(
+                    signed_residue(c, q),
+                    c.rem_euclid(qi) as u64,
+                    "c = {c}, q = {q}"
+                );
+            }
+        }
     }
 
     #[test]

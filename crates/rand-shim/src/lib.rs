@@ -117,8 +117,13 @@ macro_rules! impl_range_int {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "empty range");
-                let span = (end as i128 - start as i128) as u64 as u128 + 1;
-                (start as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                // `end - start` as a u64; the full 64-bit span keeps the
+                // raw draw, every other span reduces it with a u64 `%`
+                // (the same value a u128 `% (span + 1)` gives).
+                let span = (end as i128 - start as i128) as u64;
+                let draw = rng.next_u64();
+                let offset = if span == u64::MAX { draw } else { draw % (span + 1) };
+                (start as i128 + offset as i128) as $t
             }
         }
     )*};
@@ -261,6 +266,47 @@ mod tests {
             assert!((-5..=5).contains(&y));
             let f: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
             assert!(f > 0.0 && f < 1.0);
+        }
+    }
+
+    #[test]
+    fn signed_inclusive_range_matches_u128_formula() {
+        // The u128 reduction the u64 path replaced, on the same stream.
+        fn reference(start: i64, end: i64, draw: u64) -> i64 {
+            let span = (end as i128 - start as i128) as u64 as u128 + 1;
+            (start as i128 + (draw as u128 % span) as i128) as i64
+        }
+        let ranges = [
+            (i64::MIN, i64::MAX),
+            (i64::MIN, i64::MAX - 1),
+            (i64::MIN + 1, i64::MAX),
+            (i64::MIN, 0),
+            (-1, i64::MAX),
+            (-5775, 5775),
+            (-369_623, 369_623),
+            (-3, 3),
+            (7, 7),
+            (i64::MIN, i64::MIN),
+        ];
+        for (start, end) in ranges {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut raw = StdRng::seed_from_u64(11);
+            for _ in 0..2000 {
+                let got: i64 = rng.gen_range(start..=end);
+                assert_eq!(
+                    got,
+                    reference(start, end, raw.gen::<u64>()),
+                    "{start}..={end}"
+                );
+            }
+        }
+        // Narrow types: the full i8 span is an ordinary 256-value span.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut raw = StdRng::seed_from_u64(5);
+        for _ in 0..2000 {
+            let got: i8 = rng.gen_range(i8::MIN..=i8::MAX);
+            let draw = raw.gen::<u64>();
+            assert_eq!(got, (i8::MIN as i128 + (draw as u128 % 256) as i128) as i8);
         }
     }
 

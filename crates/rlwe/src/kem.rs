@@ -14,7 +14,7 @@
 //! encapsulate/decapsulate pair) — it is **not** a vetted production
 //! KEM.
 
-use crate::hash::{expand, sha256_tagged, Digest};
+use crate::hash::{expand, sha256_tagged, Digest, Sha256};
 use crate::pke::{Ciphertext, KeyPair, PublicKey, SecretKey};
 use crate::Result;
 use modmath::params::ParamSet;
@@ -90,10 +90,10 @@ impl KemKeyPair {
         } else {
             // Implicit rejection: a pseudorandom key bound to the
             // ciphertext and the secret rejection seed.
-            let mut buf = Vec::with_capacity(64);
-            buf.extend_from_slice(&self.rejection_seed);
-            buf.extend_from_slice(&ciphertext_digest(ct));
-            Ok(sha256_tagged(b"implicit", &buf))
+            let mut h = Sha256::tagged(b"implicit");
+            h.update(&self.rejection_seed);
+            h.update(&ciphertext_digest(ct));
+            Ok(h.finalize())
         }
     }
 }
@@ -115,42 +115,34 @@ fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
 }
 
 fn public_key_digest(pk: &PublicKey) -> Digest {
-    let mut buf = Vec::with_capacity(pk.params().n * 16);
-    for &c in pk.a().coeffs() {
-        buf.extend_from_slice(&c.to_be_bytes());
-    }
-    for &c in pk.b().coeffs() {
-        buf.extend_from_slice(&c.to_be_bytes());
-    }
-    sha256_tagged(b"pk", &buf)
+    let mut h = Sha256::tagged(b"pk");
+    h.update_u64_be(pk.a().coeffs());
+    h.update_u64_be(pk.b().coeffs());
+    h.finalize()
 }
 
 fn ciphertext_digest(ct: &Ciphertext) -> Digest {
-    let mut buf = Vec::with_capacity(ct.u.degree_bound() * 16);
-    for &c in ct.u.coeffs() {
-        buf.extend_from_slice(&c.to_be_bytes());
-    }
-    for &c in ct.v.coeffs() {
-        buf.extend_from_slice(&c.to_be_bytes());
-    }
-    sha256_tagged(b"ct", &buf)
+    let mut h = Sha256::tagged(b"ct");
+    h.update_u64_be(ct.u.coeffs());
+    h.update_u64_be(ct.v.coeffs());
+    h.finalize()
 }
 
 /// Deterministic encryption coins: `H("coins", m ‖ H(pk))` folded into
 /// a `u64` seed for the CBD samplers.
 fn derive_coins(m_bytes: &[u8], pk: &PublicKey) -> u64 {
-    let mut buf = Vec::with_capacity(m_bytes.len() + 32);
-    buf.extend_from_slice(m_bytes);
-    buf.extend_from_slice(&public_key_digest(pk));
-    let d = sha256_tagged(b"coins", &buf);
+    let mut h = Sha256::tagged(b"coins");
+    h.update(m_bytes);
+    h.update(&public_key_digest(pk));
+    let d = h.finalize();
     u64::from_be_bytes(d[..8].try_into().expect("8 bytes"))
 }
 
 fn derive_secret(m_bytes: &[u8], ct: &Ciphertext) -> [u8; SHARED_SECRET_BYTES] {
-    let mut buf = Vec::with_capacity(m_bytes.len() + 32);
-    buf.extend_from_slice(m_bytes);
-    buf.extend_from_slice(&ciphertext_digest(ct));
-    sha256_tagged(b"ss", &buf)
+    let mut h = Sha256::tagged(b"ss");
+    h.update(m_bytes);
+    h.update(&ciphertext_digest(ct));
+    h.finalize()
 }
 
 fn encrypt_with_coins<M: PolyMultiplier + ?Sized>(

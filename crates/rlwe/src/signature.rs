@@ -19,7 +19,7 @@
 //! verification, all through the pluggable backend. Toy parameters,
 //! **not** a production signature scheme.
 
-use crate::hash::{expand, sha256_tagged, Digest};
+use crate::hash::{expand, Digest, Sha256};
 use crate::sampling;
 use crate::{Result, RlweError};
 use modmath::params::ParamSet;
@@ -208,12 +208,10 @@ fn infinity_norm(p: &Polynomial) -> i64 {
 
 /// The Fiat–Shamir hash of the commitment and the message.
 fn challenge_digest(w: &Polynomial, message: &[u8]) -> Digest {
-    let mut buf = Vec::with_capacity(w.degree_bound() * 8 + message.len());
-    for &c in w.coeffs() {
-        buf.extend_from_slice(&c.to_be_bytes());
-    }
-    buf.extend_from_slice(message);
-    sha256_tagged(b"glp-challenge", &buf)
+    let mut h = Sha256::tagged(b"glp-challenge");
+    h.update_u64_be(w.coeffs());
+    h.update(message);
+    h.finalize()
 }
 
 /// Expands a challenge digest into the sparse ±1 polynomial: κ distinct
@@ -320,7 +318,7 @@ mod tests {
     #[test]
     fn challenge_poly_is_sparse_and_deterministic() {
         let p = ParamSet::for_degree(512).unwrap();
-        let d = sha256_tagged(b"test", b"challenge");
+        let d = crate::hash::sha256_tagged(b"test", b"challenge");
         let c1 = challenge_poly(&d, &p).unwrap();
         let c2 = challenge_poly(&d, &p).unwrap();
         assert_eq!(c1, c2);

@@ -57,6 +57,7 @@ use rlwe::serialize;
 use rlwe::she::HomCiphertext;
 use rlwe::signature::{Signature, SigningKey, VerifyKey};
 use std::cell::{Cell, RefCell};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -344,6 +345,10 @@ pub struct ProtocolCompleted {
     pub queue_us: f64,
     /// End-to-end op time (submit → output ready), µs.
     pub service_us: f64,
+    /// The executor's time on this op outside leaf-multiply waits, µs:
+    /// sampling, additions, hashing, encoding — the op's "graph host
+    /// ops" share of `service_us`.
+    pub host_us: f64,
 }
 
 #[derive(Debug)]
@@ -451,9 +456,10 @@ impl ProtocolJob {
     }
 
     /// Synchronous admission validation: every ring the job's multiply
-    /// nodes will run under must have an accelerator configuration, and
-    /// host-op preconditions that would otherwise panic (KEM message
-    /// capacity) or fail deep inside the executor are checked here.
+    /// nodes will run under must have an accelerator configuration,
+    /// every operand must live in the job's ring, and host-op
+    /// preconditions that would otherwise panic (KEM message capacity)
+    /// or fail deep inside the executor are checked here.
     fn validate(&self) -> Result<(), ServiceError> {
         match self {
             ProtocolJob::Mul { a, b } => {
@@ -472,37 +478,51 @@ impl ProtocolJob {
                     }
                 }
             }
-            ProtocolJob::SheMul { ct: _, plain } => {
-                let (n, q) = self.ring();
-                if plain.degree_bound() != n {
-                    return Err(ServiceError::PairMismatch {
-                        left: n,
-                        right: plain.degree_bound(),
-                    });
-                }
-                if plain.modulus() != q || scheduler::params_for(n, q).is_none() {
-                    return Err(ServiceError::UnsupportedJob { n, q });
-                }
-            }
-            ProtocolJob::Encaps { .. } | ProtocolJob::Decaps { .. } => {
-                let (n, q) = self.ring();
-                if scheduler::params_for(n, q).is_none() {
-                    return Err(ServiceError::UnsupportedJob { n, q });
-                }
-                if n < MESSAGE_BITS {
-                    return Err(ServiceError::ProtocolHost {
-                        detail: format!("ring degree {n} below the {MESSAGE_BITS}-bit KEM message"),
-                    });
-                }
-            }
             _ => {
                 let (n, q) = self.ring();
                 if scheduler::params_for(n, q).is_none() {
                     return Err(ServiceError::UnsupportedJob { n, q });
                 }
+                for p in self.ring_operands() {
+                    if p.degree_bound() != n {
+                        return Err(ServiceError::PairMismatch {
+                            left: n,
+                            right: p.degree_bound(),
+                        });
+                    }
+                    if p.modulus() != q {
+                        return Err(ServiceError::UnsupportedJob { n, q: p.modulus() });
+                    }
+                }
+                let kem = matches!(
+                    self,
+                    ProtocolJob::Encaps { .. } | ProtocolJob::Decaps { .. }
+                );
+                if kem && n < MESSAGE_BITS {
+                    return Err(ServiceError::ProtocolHost {
+                        detail: format!("ring degree {n} below the {MESSAGE_BITS}-bit KEM message"),
+                    });
+                }
             }
         }
         Ok(())
+    }
+
+    /// The polynomials a job carries besides its keys: ciphertexts,
+    /// plaintexts and signatures, which may come from any ring. (Keys
+    /// are built only by their `generate`, so their polynomials share
+    /// the ring [`ProtocolJob::ring`] reads from them.) Polynomial
+    /// arithmetic panics on a ring mismatch, so
+    /// [`ProtocolJob::validate`] checks each one at admission.
+    fn ring_operands(&self) -> Vec<&Polynomial> {
+        match self {
+            ProtocolJob::PkeDecrypt { ct, .. } | ProtocolJob::Decaps { ct, .. } => {
+                vec![&ct.u, &ct.v]
+            }
+            ProtocolJob::SheMul { ct, plain } => vec![&ct.inner().u, &ct.inner().v, plain],
+            ProtocolJob::Verify { signature, .. } => vec![signature.z1(), signature.z2()],
+            _ => Vec::new(),
+        }
     }
 
     /// Builds a deterministic, self-contained job of `kind` at degree
@@ -754,6 +774,11 @@ pub(crate) fn submit_protocol_shared(
     job: ProtocolJob,
 ) -> Result<ProtocolTicket, ServiceError> {
     job.validate()?;
+    enqueue(shared, job)
+}
+
+/// Queues an admitted job for the graph executors.
+fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, ServiceError> {
     let kind = job.kind();
     let ticket = Arc::new(ProtoTicketState {
         slot: Mutex::new(None),
@@ -804,7 +829,20 @@ pub(crate) fn proto_worker_loop(shared: &Arc<Shared>) {
 fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
     let picked_up = Instant::now();
     let queue_us = picked_up.duration_since(task.submitted).as_secs_f64() * 1e6;
-    let result = execute_job(shared, task.job);
+    // A host op that panics despite admission validation resolves its
+    // own ticket with a typed error; the executor keeps serving.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| execute_job(shared, task.job)))
+        .unwrap_or_else(|payload| {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string payload".into());
+            Err(ServiceError::ProtocolHost {
+                detail: format!("host op panicked: {what}"),
+            })
+        });
+    let executed = picked_up.elapsed();
     let service_us = task.submitted.elapsed().as_secs_f64() * 1e6;
     {
         let mut st = shared.state.lock().expect("service state poisoned");
@@ -817,16 +855,26 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
             Err(_) => lane.failed += 1,
         }
     }
-    let result = result.map(|(output, nodes, attempts)| ProtocolCompleted {
-        output,
-        nodes,
-        attempts,
+    let result = result.map(|done| ProtocolCompleted {
+        output: done.output,
+        nodes: done.nodes,
+        attempts: done.attempts,
         queue_us,
         service_us,
+        host_us: executed.saturating_sub(done.leaf_wait).as_secs_f64() * 1e6,
     });
     let mut slot = task.ticket.slot.lock().expect("ticket poisoned");
     *slot = Some(result);
     task.ticket.done.notify_all();
+}
+
+/// What [`execute_job`] produced: the output, its node accounting, and
+/// how long the executor was blocked on leaf multiplies.
+struct Executed {
+    output: ProtocolOutput,
+    nodes: u32,
+    attempts: u32,
+    leaf_wait: Duration,
 }
 
 /// Wraps a leaf failure with its node attribution.
@@ -838,18 +886,22 @@ fn node_err(node: usize, q: u64, error: ServiceError) -> ServiceError {
     }
 }
 
-fn execute_job(
-    shared: &Arc<Shared>,
-    job: ProtocolJob,
-) -> Result<(ProtocolOutput, u32, u32), ServiceError> {
+fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, ServiceError> {
+    let svc = SvcMult::new(shared, job.ring().1);
     match job {
         ProtocolJob::Mul { a, b } => {
             let q = a.modulus();
+            let started = Instant::now();
             let done = scheduler::submit_leaves(shared, vec![(a, b)])
                 .map_err(|(_, e)| e)
                 .and_then(|mut tickets| tickets.remove(0).wait())
                 .map_err(|e| node_err(0, q, e))?;
-            Ok((ProtocolOutput::Product(done.product), 1, done.attempts))
+            Ok(Executed {
+                output: ProtocolOutput::Product(done.product),
+                nodes: 1,
+                attempts: done.attempts,
+                leaf_wait: started.elapsed(),
+            })
         }
         ProtocolJob::WideMul { a, b, basis } => {
             let widen = |e: ServiceError| match e {
@@ -860,61 +912,48 @@ fn execute_job(
                 },
                 other => other,
             };
-            let nodes = basis.channels() as u32;
+            let started = Instant::now();
             let done = scheduler::split_wide(shared, &a, &b, &basis)
                 .and_then(crate::WideTicket::wait)
                 .map_err(widen)?;
-            let attempts = done.lanes.iter().map(|l| l.attempts).max().unwrap_or(1);
-            Ok((ProtocolOutput::WideProduct(done.product), nodes, attempts))
+            Ok(Executed {
+                attempts: done.lanes.iter().map(|l| l.attempts).max().unwrap_or(1),
+                output: ProtocolOutput::WideProduct(done.product),
+                nodes: basis.channels() as u32,
+                leaf_wait: started.elapsed(),
+            })
         }
         ProtocolJob::KeyGen { params, seed } => {
-            let svc = SvcMult::new(shared, params.q);
             let out = KeyPair::generate(&params, &svc, seed);
-            svc.settle(out)
-                .map(|(kp, n, a)| (ProtocolOutput::KeyPair(Box::new(kp)), n, a))
+            svc.settle(out, |kp| ProtocolOutput::KeyPair(Box::new(kp)))
         }
         ProtocolJob::PkeEncrypt { pk, bits, seed } => {
-            let svc = SvcMult::new(shared, pk.params().q);
             let out = pk.encrypt_bits(&bits, &svc, seed);
-            svc.settle(out)
-                .map(|(ct, n, a)| (ProtocolOutput::Ciphertext(ct), n, a))
+            svc.settle(out, ProtocolOutput::Ciphertext)
         }
         ProtocolJob::PkeDecrypt { sk, ct } => {
-            let svc = SvcMult::new(shared, sk.params().q);
             let out = sk.decrypt_bits(&ct, &svc);
-            svc.settle(out)
-                .map(|(bits, n, a)| (ProtocolOutput::Bits(bits), n, a))
+            svc.settle(out, ProtocolOutput::Bits)
         }
         ProtocolJob::Encaps { pk, entropy } => {
-            let svc = SvcMult::new(shared, pk.params().q);
             let out = kem::encapsulate(&pk, &svc, entropy);
-            svc.settle(out)
-                .map(|(enc, n, a)| (ProtocolOutput::Encapsulated(enc), n, a))
+            svc.settle(out, ProtocolOutput::Encapsulated)
         }
         ProtocolJob::Decaps { keys, ct } => {
-            let svc = SvcMult::new(shared, keys.public().params().q);
             let out = keys.decapsulate(&ct, &svc);
-            svc.settle(out)
-                .map(|(ss, n, a)| (ProtocolOutput::SharedSecret(ss), n, a))
+            svc.settle(out, ProtocolOutput::SharedSecret)
         }
         ProtocolJob::SheMul { ct, plain } => {
-            let svc = SvcMult::new(shared, ct.inner().u.modulus());
             let out = ct.mul_plaintext(&plain, &svc);
-            svc.settle(out)
-                .map(|(hc, n, a)| (ProtocolOutput::SheCiphertext(hc), n, a))
+            svc.settle(out, ProtocolOutput::SheCiphertext)
         }
         ProtocolJob::Sign { key, message, seed } => {
-            let svc = SvcMult::new(shared, key.params().q);
             let out = key.sign(&message, &svc, seed);
-            svc.settle(out).map(|((signature, sign_attempts), n, a)| {
-                (
-                    ProtocolOutput::Signature {
-                        signature,
-                        sign_attempts,
-                    },
-                    n,
-                    a,
-                )
+            svc.settle(out, |(signature, sign_attempts)| {
+                ProtocolOutput::Signature {
+                    signature,
+                    sign_attempts,
+                }
             })
         }
         ProtocolJob::Verify {
@@ -922,10 +961,8 @@ fn execute_job(
             message,
             signature,
         } => {
-            let svc = SvcMult::new(shared, key.params().q);
             let out = key.verify(&message, &signature, &svc);
-            svc.settle(out)
-                .map(|(ok, n, a)| (ProtocolOutput::Verdict(ok), n, a))
+            svc.settle(out, ProtocolOutput::Verdict)
         }
     }
 }
@@ -950,6 +987,8 @@ struct SvcMult<'a> {
     /// The ring degree, discovered lazily from the first operand (the
     /// rlwe layer guarantees every multiply of one op shares the ring).
     degree: Cell<usize>,
+    /// Time spent blocked on leaf multiplies, submit to result.
+    leaf_wait: Cell<Duration>,
 }
 
 impl<'a> SvcMult<'a> {
@@ -961,7 +1000,12 @@ impl<'a> SvcMult<'a> {
             attempts: Cell::new(1),
             failure: RefCell::new(None),
             degree: Cell::new(0),
+            leaf_wait: Cell::new(Duration::ZERO),
         }
+    }
+
+    fn waited_since(&self, started: Instant) {
+        self.leaf_wait.set(self.leaf_wait.get() + started.elapsed());
     }
 
     fn stash(&self, node: usize, error: ServiceError) -> modmath::Error {
@@ -979,14 +1023,21 @@ impl<'a> SvcMult<'a> {
     }
 
     /// Converts the finished rlwe result into the graph result: on
-    /// success the output plus node/attempt accounting, on failure the
-    /// stashed per-node attribution (or a host-op error when no leaf
-    /// failed).
-    fn settle<T>(self, out: Result<T, rlwe::RlweError>) -> Result<(T, u32, u32), ServiceError> {
-        let nodes = self.nodes.get();
-        let attempts = self.attempts.get();
+    /// success the wrapped output plus node/attempt/leaf-wait
+    /// accounting, on failure the stashed per-node attribution (or a
+    /// host-op error when no leaf failed).
+    fn settle<T>(
+        self,
+        out: Result<T, rlwe::RlweError>,
+        wrap: impl FnOnce(T) -> ProtocolOutput,
+    ) -> Result<Executed, ServiceError> {
         match out {
-            Ok(v) => Ok((v, nodes, attempts)),
+            Ok(v) => Ok(Executed {
+                output: wrap(v),
+                nodes: self.nodes.get(),
+                attempts: self.attempts.get(),
+                leaf_wait: self.leaf_wait.get(),
+            }),
             Err(e) => match self.failure.into_inner() {
                 Some((node, error)) => Err(node_err(node, self.q, error)),
                 None => Err(ServiceError::ProtocolHost {
@@ -1010,10 +1061,12 @@ impl PolyMultiplier for SvcMult<'_> {
         self.degree.set(a.degree_bound());
         let node = self.nodes.get() as usize;
         self.nodes.set(self.nodes.get() + 1);
-        match scheduler::submit_leaves(self.shared, vec![(a.clone(), b.clone())])
+        let started = Instant::now();
+        let done = scheduler::submit_leaves(self.shared, vec![(a.clone(), b.clone())])
             .map_err(|(_, e)| e)
-            .and_then(|mut tickets| tickets.remove(0).wait())
-        {
+            .and_then(|mut tickets| tickets.remove(0).wait());
+        self.waited_since(started);
+        match done {
             Ok(done) => {
                 self.absorb(&done);
                 Ok(done.product)
@@ -1033,6 +1086,7 @@ impl PolyMultiplier for SvcMult<'_> {
         let node = self.nodes.get() as usize;
         self.nodes.set(self.nodes.get() + 2);
         let pairs = vec![(a0.clone(), b0.clone()), (a1.clone(), b1.clone())];
+        let started = Instant::now();
         let (t0, t1) = match scheduler::submit_leaves(self.shared, pairs) {
             Ok(mut tickets) => {
                 let t1 = tickets.pop().expect("two tickets");
@@ -1044,6 +1098,7 @@ impl PolyMultiplier for SvcMult<'_> {
         // stranded in a slot.
         let r0 = t0.wait();
         let r1 = t1.wait();
+        self.waited_since(started);
         match (r0, r1) {
             (Ok(d0), Ok(d1)) => {
                 self.absorb(&d0);
@@ -1128,6 +1183,140 @@ mod tests {
         // not a panic in the executor.
         let err = ProtocolJob::scripted(ProtocolKind::Encaps, 64, 1).expect_err("too small");
         assert!(matches!(err, ServiceError::ProtocolHost { .. }));
+        drop(svc);
+    }
+
+    /// One job per kind whose ciphertext, plaintext or signature lives
+    /// in another ring than its key.
+    fn mismatched_operand_jobs() -> Vec<ProtocolJob> {
+        let foreign = Polynomial::zero(256, 12289).unwrap();
+        let with_foreign_v = |ct: &Ciphertext| Ciphertext {
+            u: ct.u.clone(),
+            v: foreign.clone(),
+        };
+        let mut jobs = Vec::new();
+        let ProtocolJob::PkeDecrypt { sk, ct } =
+            ProtocolJob::scripted(ProtocolKind::PkeDecrypt, 256, 1).unwrap()
+        else {
+            unreachable!()
+        };
+        jobs.push(ProtocolJob::PkeDecrypt {
+            sk,
+            ct: with_foreign_v(&ct),
+        });
+        let ProtocolJob::Decaps { keys, ct } =
+            ProtocolJob::scripted(ProtocolKind::Decaps, 256, 1).unwrap()
+        else {
+            unreachable!()
+        };
+        jobs.push(ProtocolJob::Decaps {
+            keys,
+            ct: with_foreign_v(&ct),
+        });
+        let ProtocolJob::SheMul { ct, plain } =
+            ProtocolJob::scripted(ProtocolKind::SheMul, 256, 1).unwrap()
+        else {
+            unreachable!()
+        };
+        jobs.push(ProtocolJob::SheMul {
+            ct: HomCiphertext::fresh(with_foreign_v(ct.inner())),
+            plain,
+        });
+        // A signature made under q = 12289, checked by an n = 256 key.
+        let wide_q = ParamSet::custom(256, 12289, 16).unwrap();
+        let ntt = NttMultiplier::new(&wide_q).unwrap();
+        let (signature, _) = SigningKey::generate(&wide_q, &ntt, 1)
+            .unwrap()
+            .sign(b"m", &ntt, 2)
+            .unwrap();
+        let ProtocolJob::Verify { key, message, .. } =
+            ProtocolJob::scripted(ProtocolKind::Verify, 256, 1).unwrap()
+        else {
+            unreachable!()
+        };
+        jobs.push(ProtocolJob::Verify {
+            key,
+            message,
+            signature,
+        });
+        jobs
+    }
+
+    #[test]
+    fn mismatched_operands_are_refused_at_admission() {
+        let svc = service(1);
+        for job in mismatched_operand_jobs() {
+            let kind = job.kind();
+            let err = svc.submit_protocol(job).expect_err("foreign operand");
+            assert!(
+                matches!(
+                    err,
+                    ServiceError::UnsupportedJob { n: 256, q: 12289 }
+                        | ServiceError::PairMismatch { .. }
+                ),
+                "{kind}: {err}"
+            );
+            // The executor is untouched: a valid op of the kind serves.
+            let job = ProtocolJob::scripted(kind, 256, 2).unwrap();
+            let direct = job.run_direct().unwrap();
+            let served = svc.submit_protocol(job).unwrap().wait().unwrap();
+            assert_eq!(served.output, direct, "{kind}");
+        }
+        drop(svc);
+    }
+
+    #[test]
+    fn host_op_panic_resolves_its_ticket_and_the_executor_survives() {
+        // Bypass admission so the host ops meet the foreign operand: a
+        // panic (or a leaf error) must resolve the ticket with a typed
+        // error, and the one executor thread must keep serving.
+        let svc = service(1);
+        for job in mismatched_operand_jobs() {
+            let kind = job.kind();
+            let ticket = enqueue(svc.shared_ref(), job).unwrap();
+            match ticket.wait_timeout(Duration::from_secs(3)) {
+                // `v − u·s` under two moduli panics in `Polynomial::sub`.
+                Err(ServiceError::ProtocolHost { detail })
+                    if matches!(kind, ProtocolKind::PkeDecrypt | ProtocolKind::Decaps) =>
+                {
+                    assert!(detail.contains("panicked"), "{kind}: {detail}");
+                }
+                // The others stop at a leaf's ring check or the norm bound.
+                Err(ServiceError::ProtocolNode { .. }) if kind == ProtocolKind::SheMul => {}
+                Ok(done) if kind == ProtocolKind::Verify => {
+                    assert_eq!(done.output, ProtocolOutput::Verdict(false));
+                }
+                other => panic!("{kind}: {other:?}"),
+            }
+            let job = ProtocolJob::scripted(kind, 256, 2).unwrap();
+            let direct = job.run_direct().unwrap();
+            let served = svc
+                .submit_protocol(job)
+                .unwrap()
+                .wait_timeout(Duration::from_secs(3))
+                .unwrap();
+            assert_eq!(served.output, direct, "{kind}");
+        }
+        // Shutdown joins the executor without a "panicked" abort.
+        let stats = svc.shutdown();
+        for kind in [
+            ProtocolKind::PkeDecrypt,
+            ProtocolKind::Decaps,
+            ProtocolKind::SheMul,
+            ProtocolKind::Verify,
+        ] {
+            let lane = &stats.protocol[kind as usize];
+            assert_eq!(lane.failed + lane.completed, 2, "{kind}");
+        }
+    }
+
+    #[test]
+    fn host_time_excludes_leaf_waits() {
+        let svc = service(1);
+        let job = ProtocolJob::scripted(ProtocolKind::Encaps, 256, 3).unwrap();
+        let done = svc.submit_protocol(job).unwrap().wait().unwrap();
+        assert!(done.host_us > 0.0);
+        assert!(done.host_us <= done.service_us - done.queue_us + 1.0);
         drop(svc);
     }
 
