@@ -14,7 +14,7 @@
 //! thread exhaustion. Handler threads can never wedge: admission uses
 //! the scheduler's `Reject` policy (forced at
 //! [`Server::start`], whatever the config said), and `Wait` blocks
-//! through [`JobTicket::wait_timeout`] capped by
+//! through [`service::Ticket::wait_timeout`] capped by
 //! [`ServerConfig::max_wait`].
 //!
 //! ## Tenancy, quotas, and fairness
@@ -381,11 +381,55 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>, max_connections:
 struct Session {
     /// Index into `shared.tenants` once authenticated.
     tenant: Option<usize>,
-    /// Outstanding multiply tickets submitted on this connection.
-    jobs: HashMap<u64, JobTicket>,
-    /// Outstanding protocol-op tickets (same id space as `jobs`; both
-    /// count against the tenant's outstanding quota).
-    proto_jobs: HashMap<u64, (ProtocolKind, ProtocolTicket)>,
+    /// Requests submitted on this connection and not yet collected, by
+    /// job id. `Submit` and `SubmitProtocol` share this one id space,
+    /// and each entry holds one slot of the tenant's outstanding quota.
+    jobs: HashMap<u64, Outstanding>,
+}
+
+/// One uncollected request: a raw multiply or a protocol op.
+enum Outstanding {
+    Mul(JobTicket),
+    Protocol(ProtocolKind, ProtocolTicket),
+}
+
+impl Outstanding {
+    fn is_done(&self) -> bool {
+        match self {
+            Outstanding::Mul(ticket) => ticket.is_done(),
+            Outstanding::Protocol(_, ticket) => ticket.is_done(),
+        }
+    }
+
+    /// Waits up to `timeout` and renders the result as this variant's
+    /// completion frame.
+    fn wait_timeout(&self, job_id: u64, timeout: Duration) -> Result<Frame, ServiceError> {
+        Ok(match self {
+            Outstanding::Mul(ticket) => {
+                let done = ticket.wait_timeout(timeout)?;
+                Frame::Done {
+                    job_id,
+                    q: done.product.modulus(),
+                    product: done.product.into_coeffs(),
+                    queue_us: done.queue_us as u64,
+                    service_us: done.service_us as u64,
+                    attempts: done.attempts,
+                }
+            }
+            Outstanding::Protocol(kind, ticket) => {
+                let done = ticket.wait_timeout(timeout)?;
+                Frame::ProtocolDone {
+                    job_id,
+                    kind: *kind,
+                    digest: done.output.digest(),
+                    nodes: done.nodes,
+                    attempts: done.attempts,
+                    queue_us: done.queue_us as u64,
+                    service_us: done.service_us as u64,
+                }
+            }
+        })
+    }
 }
 
 /// What the dispatcher wants done after replying.
@@ -398,7 +442,6 @@ fn handle_connection(shared: &Arc<NetShared>, _conn_id: u64, stream: TcpStream) 
     let mut session = Session {
         tenant: None,
         jobs: HashMap::new(),
-        proto_jobs: HashMap::new(),
     };
     let reader = stream.try_clone();
     let run = |session: &mut Session| -> io::Result<()> {
@@ -456,10 +499,9 @@ fn handle_connection(shared: &Arc<NetShared>, _conn_id: u64, stream: TcpStream) 
     // the jobs themselves keep executing and their tickets resolve
     // unobserved, but the quota must not leak.
     if let Some(t) = session.tenant {
-        shared.tenants[t].outstanding.fetch_sub(
-            session.jobs.len() + session.proto_jobs.len(),
-            Ordering::SeqCst,
-        );
+        shared.tenants[t]
+            .outstanding
+            .fetch_sub(session.jobs.len(), Ordering::SeqCst);
     }
 }
 
@@ -498,28 +540,35 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
             error(ErrorCode::AuthRequired, 0, "Hello must come first"),
             After::Close,
         ),
-        Frame::Submit { job_id, q, a, b } => {
-            (submit(shared, session, job_id, q, a, b), After::Keep)
-        }
+        Frame::Submit { job_id, q, a, b } => (
+            admit(shared, session, job_id, |service| {
+                let (a, b) = operands(q, a, b)?;
+                service.submit(a, b).map(Outstanding::Mul)
+            }),
+            After::Keep,
+        ),
         Frame::SubmitProtocol {
             job_id,
             kind,
             n,
             seed,
         } => (
-            submit_protocol(shared, session, job_id, kind, n, seed),
+            admit(shared, session, job_id, |service| {
+                let job = scenario(kind, n, seed)?;
+                service
+                    .submit_protocol(job)
+                    .map(|ticket| Outstanding::Protocol(kind, ticket))
+            }),
             After::Keep,
         ),
         Frame::Wait { job_id, timeout_ms } => {
             (wait(shared, session, job_id, timeout_ms), After::Keep)
         }
         Frame::Status { job_id } => {
-            let state = match (session.jobs.get(&job_id), session.proto_jobs.get(&job_id)) {
-                (Some(t), _) if t.is_done() => JobState::Done,
-                (Some(_), _) => JobState::Pending,
-                (None, Some((_, t))) if t.is_done() => JobState::Done,
-                (None, Some(_)) => JobState::Pending,
-                (None, None) => JobState::Unknown,
+            let state = match session.jobs.get(&job_id) {
+                Some(job) if job.is_done() => JobState::Done,
+                Some(_) => JobState::Pending,
+                None => JobState::Unknown,
             };
             (Frame::StatusOk { job_id, state }, After::Keep)
         }
@@ -558,13 +607,15 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
     }
 }
 
-fn submit(
-    shared: &Arc<NetShared>,
+/// The one admission step of `Submit` and `SubmitProtocol`: refuse
+/// during drain or on an id still outstanding as either kind, take one
+/// slot of the tenant's quota, then let `start` build and submit the
+/// request. A refusal after the take gives the slot back.
+fn admit(
+    shared: &NetShared,
     session: &mut Session,
     job_id: u64,
-    q: u64,
-    a: Vec<u64>,
-    b: Vec<u64>,
+    start: impl FnOnce(&Service) -> Result<Outstanding, ServiceError>,
 ) -> Frame {
     let tenant = &shared.tenants[session.tenant.expect("authenticated")];
     if shared.stop.load(Ordering::SeqCst) {
@@ -594,249 +645,101 @@ fn submit(
             format!("outstanding quota {quota} exhausted; collect results first"),
         );
     }
-    let release = || {
-        tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-    };
-    if q == 0 {
-        // from_coeffs would divide by zero; a remote peer must get a
-        // typed frame for that, not a panicked handler thread.
-        release();
-        return error(ErrorCode::Unsupported, job_id, "modulus 0 is not a modulus");
-    }
-    let (pa, pb) = match (Polynomial::from_coeffs(a, q), Polynomial::from_coeffs(b, q)) {
-        (Ok(pa), Ok(pb)) => (pa, pb),
-        (ra, rb) => {
-            release();
-            let detail = ra
-                .err()
-                .or(rb.err())
-                .map_or_else(|| "invalid operands".to_string(), |e| e.to_string());
-            return error(ErrorCode::Unsupported, job_id, detail);
-        }
-    };
-    match shared.service.submit(pa, pb) {
-        Ok(ticket) => {
+    match start(&shared.service) {
+        Ok(job) => {
             tenant.submitted.fetch_add(1, Ordering::Relaxed);
-            session.jobs.insert(job_id, ticket);
+            session.jobs.insert(job_id, job);
             Frame::Submitted { job_id }
         }
         Err(e) => {
-            release();
-            match e {
-                ServiceError::Overloaded { capacity } => {
-                    tenant.shed.fetch_add(1, Ordering::Relaxed);
-                    error(
-                        ErrorCode::Overloaded,
-                        job_id,
-                        format!("admission queue full ({capacity})"),
-                    )
-                }
-                ServiceError::ShuttingDown => {
-                    error(ErrorCode::ShuttingDown, job_id, "service draining")
-                }
-                ServiceError::UnsupportedJob { .. } | ServiceError::PairMismatch { .. } => {
-                    error(ErrorCode::Unsupported, job_id, e.to_string())
-                }
-                other => error(ErrorCode::Internal, job_id, other.to_string()),
+            tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
+            if matches!(e, ServiceError::Overloaded { .. }) {
+                tenant.shed.fetch_add(1, Ordering::Relaxed);
             }
+            error_frame(job_id, &e)
         }
     }
 }
 
-/// `SubmitProtocol`: materialise the scripted scenario server-side and
-/// route it through the protocol graph executor. Shares the tenant's
-/// outstanding quota and the connection's job-id space with `Submit`.
-fn submit_protocol(
-    shared: &Arc<NetShared>,
-    session: &mut Session,
-    job_id: u64,
-    kind: ProtocolKind,
-    n: u64,
-    seed: u64,
-) -> Frame {
-    let tenant = &shared.tenants[session.tenant.expect("authenticated")];
-    if shared.stop.load(Ordering::SeqCst) {
-        return error(ErrorCode::ShuttingDown, job_id, "server is draining");
-    }
-    if session.jobs.contains_key(&job_id) || session.proto_jobs.contains_key(&job_id) {
-        return error(
-            ErrorCode::DuplicateJob,
-            job_id,
-            "job id already outstanding on this connection",
-        );
-    }
-    let quota = tenant.cfg.quota;
-    if tenant
-        .outstanding
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
-            (cur < quota).then_some(cur + 1)
-        })
-        .is_err()
-    {
-        tenant.quota_rejected.fetch_add(1, Ordering::Relaxed);
-        return error(
-            ErrorCode::QuotaExceeded,
-            job_id,
-            format!("outstanding quota {quota} exhausted; collect results first"),
-        );
-    }
-    let release = || {
-        tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
+/// `Submit`'s operands as ring elements mod `q`.
+fn operands(q: u64, a: Vec<u64>, b: Vec<u64>) -> Result<(Polynomial, Polynomial), ServiceError> {
+    let ring = |coeffs: Vec<u64>| {
+        let n = coeffs.len();
+        if q == 0 {
+            // from_coeffs would divide by zero; a remote peer must get
+            // a typed frame for that, not a panicked handler thread.
+            return Err(ServiceError::UnsupportedJob { n, q });
+        }
+        Polynomial::from_coeffs(coeffs, q).map_err(|_| ServiceError::UnsupportedJob { n, q })
     };
+    Ok((ring(a)?, ring(b)?))
+}
+
+/// `SubmitProtocol`'s scripted scenario, materialised server-side.
+fn scenario(kind: ProtocolKind, n: u64, seed: u64) -> Result<ProtocolJob, ServiceError> {
+    let n = usize::try_from(n).unwrap_or(usize::MAX);
     // A hostile degree must become a typed frame before any scenario
     // materialisation: cap it at the largest ring any parameter set
-    // covers so usize conversion and key generation stay bounded.
+    // covers so key generation stays bounded.
     if n == 0 || n > (1 << 20) {
-        release();
-        return error(
-            ErrorCode::Unsupported,
-            job_id,
-            format!("protocol ring degree {n} out of range"),
-        );
+        return Err(ServiceError::UnsupportedJob { n, q: 0 });
     }
-    let job = match ProtocolJob::scripted(kind, n as usize, seed) {
-        Ok(job) => job,
-        Err(e) => {
-            release();
-            return error(ErrorCode::Unsupported, job_id, e.to_string());
-        }
-    };
-    match shared.service.submit_protocol(job) {
-        Ok(ticket) => {
-            tenant.submitted.fetch_add(1, Ordering::Relaxed);
-            session.proto_jobs.insert(job_id, (kind, ticket));
-            Frame::Submitted { job_id }
-        }
-        Err(e) => {
-            release();
-            match e {
-                ServiceError::ShuttingDown => {
-                    error(ErrorCode::ShuttingDown, job_id, "service draining")
-                }
-                ServiceError::UnsupportedJob { .. }
-                | ServiceError::PairMismatch { .. }
-                | ServiceError::ProtocolHost { .. } => {
-                    error(ErrorCode::Unsupported, job_id, e.to_string())
-                }
-                other => error(ErrorCode::Internal, job_id, other.to_string()),
-            }
-        }
-    }
+    ProtocolJob::scripted(kind, n, seed)
 }
 
-/// `Wait` on a protocol-op job id: block up to the capped timeout, then
-/// answer `ProtocolDone` (digest + accounting) or a typed error that
-/// names the failed graph node.
-fn wait_protocol(
-    shared: &Arc<NetShared>,
-    session: &mut Session,
-    job_id: u64,
-    timeout_ms: u32,
-) -> Frame {
-    let tenant_idx = session.tenant.expect("authenticated");
-    let (kind, ticket) = session.proto_jobs.get(&job_id).expect("caller checked");
-    let kind = *kind;
-    let timeout = Duration::from_millis(u64::from(timeout_ms)).min(shared.max_wait);
-    match ticket.wait_timeout(timeout) {
-        Ok(done) => {
-            session.proto_jobs.remove(&job_id);
-            let tenant = &shared.tenants[tenant_idx];
-            tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-            tenant.completed.fetch_add(1, Ordering::Relaxed);
-            Frame::ProtocolDone {
-                job_id,
-                kind,
-                digest: done.output.digest(),
-                nodes: done.nodes,
-                attempts: done.attempts,
-                queue_us: done.queue_us as u64,
-                service_us: done.service_us as u64,
-            }
-        }
-        Err(ServiceError::WaitTimeout { timeout_ms }) => error(
-            ErrorCode::WaitTimeout,
-            job_id,
-            format!("not complete within {timeout_ms} ms; op still in flight"),
-        ),
-        Err(e) => {
-            session.proto_jobs.remove(&job_id);
-            shared.tenants[tenant_idx]
-                .outstanding
-                .fetch_sub(1, Ordering::SeqCst);
-            match &e {
-                ServiceError::ProtocolNode { error, .. }
-                    if matches!(**error, ServiceError::FaultUnrecovered { .. }) =>
-                {
-                    error_frame_fault(job_id, &e)
-                }
-                _ => error(ErrorCode::Internal, job_id, e.to_string()),
-            }
-        }
-    }
-}
-
-fn error_frame_fault(job_id: u64, e: &ServiceError) -> Frame {
-    error(ErrorCode::FaultUnrecovered, job_id, e.to_string())
-}
-
-fn wait(shared: &Arc<NetShared>, session: &mut Session, job_id: u64, timeout_ms: u32) -> Frame {
-    let tenant_idx = session.tenant.expect("authenticated");
-    if session.proto_jobs.contains_key(&job_id) {
-        return wait_protocol(shared, session, job_id, timeout_ms);
-    }
-    let Some(ticket) = session.jobs.get(&job_id) else {
+/// `Wait`: block up to the client's timeout capped by `max_wait`, so a
+/// remote peer can never occupy this handler thread longer than that.
+/// A timeout leaves the request claimable; any other outcome collects
+/// it and releases its quota slot.
+fn wait(shared: &NetShared, session: &mut Session, job_id: u64, timeout_ms: u32) -> Frame {
+    let Some(job) = session.jobs.get(&job_id) else {
         return error(
             ErrorCode::UnknownJob,
             job_id,
             "not outstanding on this connection",
         );
     };
-    // The client's deadline, capped by the server's own: a remote
-    // peer's Wait can never occupy this handler thread longer than
-    // max_wait.
     let timeout = Duration::from_millis(u64::from(timeout_ms)).min(shared.max_wait);
-    match ticket.wait_timeout(timeout) {
+    let result = job.wait_timeout(job_id, timeout);
+    if let Err(e @ ServiceError::WaitTimeout { .. }) = &result {
+        // Flow control, not failure: the ticket stays claimable.
+        return error_frame(job_id, e);
+    }
+    session.jobs.remove(&job_id);
+    let tenant = &shared.tenants[session.tenant.expect("authenticated")];
+    tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
+    match result {
         Ok(done) => {
-            session.jobs.remove(&job_id);
-            let tenant = &shared.tenants[tenant_idx];
-            tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
             tenant.completed.fetch_add(1, Ordering::Relaxed);
-            Frame::Done {
-                job_id,
-                q: done.product.modulus(),
-                product: done.product.into_coeffs(),
-                queue_us: done.queue_us as u64,
-                service_us: done.service_us as u64,
-                attempts: done.attempts,
-            }
+            done
         }
-        Err(ServiceError::WaitTimeout { timeout_ms }) => {
-            // The ticket stays claimable: this is flow control, not
-            // failure.
-            error(
-                ErrorCode::WaitTimeout,
-                job_id,
-                format!("not complete within {timeout_ms} ms; job still in flight"),
-            )
+        Err(e) => error_frame(job_id, &e),
+    }
+}
+
+/// The typed refusal for a service error: `Error` with
+/// [`error_code`] and the error's own description.
+fn error_frame(job_id: u64, e: &ServiceError) -> Frame {
+    error(error_code(e), job_id, e.to_string())
+}
+
+/// The one `ServiceError → ErrorCode` mapping, for admission refusals
+/// and execution failures of raw multiplies and protocol ops alike. A
+/// failed protocol node or wide lane answers with its inner error's
+/// code, so a refusal inside a graph reads the same as the refusal of
+/// a raw multiply.
+fn error_code(e: &ServiceError) -> ErrorCode {
+    match e {
+        ServiceError::Overloaded { .. } => ErrorCode::Overloaded,
+        ServiceError::ShuttingDown => ErrorCode::ShuttingDown,
+        ServiceError::UnsupportedJob { .. }
+        | ServiceError::PairMismatch { .. }
+        | ServiceError::ProtocolHost { .. } => ErrorCode::Unsupported,
+        ServiceError::FaultUnrecovered { .. } => ErrorCode::FaultUnrecovered,
+        ServiceError::WaitTimeout { .. } => ErrorCode::WaitTimeout,
+        ServiceError::ProtocolNode { error, .. } | ServiceError::WideLane { error, .. } => {
+            error_code(error)
         }
-        Err(e) => {
-            session.jobs.remove(&job_id);
-            shared.tenants[tenant_idx]
-                .outstanding
-                .fetch_sub(1, Ordering::SeqCst);
-            match e {
-                ServiceError::FaultUnrecovered { bank, attempts } => error(
-                    ErrorCode::FaultUnrecovered,
-                    job_id,
-                    format!("bank {bank} corrupted all {attempts} attempts; result discarded"),
-                ),
-                ServiceError::Overloaded { .. } => error(
-                    ErrorCode::Overloaded,
-                    job_id,
-                    "fleet degraded before the job could run",
-                ),
-                other => error(ErrorCode::Internal, job_id, other.to_string()),
-            }
-        }
+        _ => ErrorCode::Internal,
     }
 }

@@ -86,8 +86,9 @@ pub enum ErrorCode {
     /// The service's bounded admission queue is full (fleet-wide
     /// backpressure) or the fleet is fully quarantined.
     Overloaded = 3,
-    /// The job's `(n, q)` pair has no accelerator configuration, or the
-    /// operands are mutually inconsistent.
+    /// The job's `(n, q)` pair has no accelerator configuration, the
+    /// operands are mutually inconsistent, or a protocol op's host step
+    /// refused its scenario.
     Unsupported = 4,
     /// The job's product was detected corrupt on every execution
     /// attempt and discarded — never served wrong.
@@ -110,8 +111,8 @@ pub enum ErrorCode {
     Internal = 11,
     /// The bounded acceptor is at its connection limit; retry later.
     TooManyConnections = 12,
-    /// `Submit` reused a job id that is still outstanding on this
-    /// connection.
+    /// `Submit` or `SubmitProtocol` reused a job id that is still
+    /// outstanding on this connection, as either kind.
     DuplicateJob = 13,
     /// The peer's envelope carried a protocol version this build does
     /// not speak. Sent in the *peer's* envelope when that version is a

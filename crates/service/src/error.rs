@@ -2,9 +2,15 @@
 //!
 //! Admission failures ([`ServiceError::Overloaded`],
 //! [`ServiceError::ShuttingDown`], [`ServiceError::UnsupportedJob`]) are
-//! returned synchronously from [`crate::Service::submit`]; execution
-//! failures surface asynchronously through
-//! [`crate::JobTicket::wait`] wrapped as [`ServiceError::Pim`].
+//! returned synchronously from [`crate::Service::submit`] and
+//! [`crate::Service::submit_protocol`]; execution failures surface
+//! asynchronously through the one completion handle, [`crate::Ticket`]
+//! (a raw multiply's [`crate::JobTicket`] or a protocol op's
+//! [`crate::ProtocolTicket`]). A protocol op's failed leaf keeps its
+//! own error inside [`ServiceError::ProtocolNode`], so a front end can
+//! classify a raw multiply and a protocol op by the same inner variant;
+//! the TCP server maps both through one `ServiceError → ErrorCode`
+//! function.
 
 use pim::PimError;
 use std::fmt;
@@ -40,7 +46,7 @@ pub enum ServiceError {
     },
     /// An accelerator-level failure while executing the formed batch.
     Pim(PimError),
-    /// [`crate::JobTicket::wait_timeout`] gave up before the job
+    /// [`crate::Ticket::wait_timeout`] gave up before the job
     /// completed. The job is still queued or executing — the ticket
     /// stays valid and a later wait can still collect the result. This
     /// is what lets a network front end bound how long one job may
@@ -102,7 +108,10 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::Overloaded { capacity } => {
-                write!(f, "admission queue full ({capacity} jobs); job rejected")
+                write!(
+                    f,
+                    "admission queue full ({capacity} jobs) or every bank quarantined; job rejected"
+                )
             }
             ServiceError::ShuttingDown => {
                 write!(f, "service is shutting down; job rejected")

@@ -46,6 +46,7 @@
 
 use crate::error::ServiceError;
 use crate::scheduler::{self, Service, Shared};
+use crate::ticket::{ticket, Fulfiller, Ticket};
 use modmath::crt::RnsBasis;
 use modmath::params::ParamSet;
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
@@ -58,7 +59,7 @@ use rlwe::she::HomCiphertext;
 use rlwe::signature::{Signature, SigningKey, VerifyKey};
 use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The protocol kinds servable through
@@ -351,69 +352,15 @@ pub struct ProtocolCompleted {
     pub host_us: f64,
 }
 
-#[derive(Debug)]
-pub(crate) struct ProtoTicketState {
-    slot: Mutex<Option<Result<ProtocolCompleted, ServiceError>>>,
-    done: Condvar,
-}
-
 /// Handle to one submitted protocol op. Obtain the result with
-/// [`ProtocolTicket::wait`].
-#[derive(Debug)]
-pub struct ProtocolTicket {
-    state: Arc<ProtoTicketState>,
-}
-
-impl ProtocolTicket {
-    /// Blocks until the op completes, returning the typed output and
-    /// its latency breakdown (or the typed failure).
-    pub fn wait(self) -> Result<ProtocolCompleted, ServiceError> {
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self.state.done.wait(slot).expect("ticket poisoned");
-        }
-    }
-
-    /// Blocks for at most `timeout`, returning the completed op or
-    /// [`ServiceError::WaitTimeout`]. Borrows the ticket, so a
-    /// timed-out wait can be retried later — same contract as
-    /// [`crate::JobTicket::wait_timeout`].
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<ProtocolCompleted, ServiceError> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ServiceError::WaitTimeout {
-                    timeout_ms: timeout.as_millis() as u64,
-                });
-            }
-            slot = self
-                .state
-                .done
-                .wait_timeout(slot, remaining)
-                .expect("ticket poisoned")
-                .0;
-        }
-    }
-
-    /// Whether the op has completed (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.state.slot.lock().expect("ticket poisoned").is_some()
-    }
-}
+/// [`Ticket::wait`].
+pub type ProtocolTicket = Ticket<ProtocolCompleted>;
 
 /// One queued protocol op.
 pub(crate) struct ProtoTask {
     job: ProtocolJob,
     kind: ProtocolKind,
-    ticket: Arc<ProtoTicketState>,
+    ticket: Fulfiller<ProtocolCompleted>,
     submitted: Instant,
 }
 
@@ -780,10 +727,7 @@ pub(crate) fn submit_protocol_shared(
 /// Queues an admitted job for the graph executors.
 fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, ServiceError> {
     let kind = job.kind();
-    let ticket = Arc::new(ProtoTicketState {
-        slot: Mutex::new(None),
-        done: Condvar::new(),
-    });
+    let (ticket, fulfiller) = ticket();
     {
         let mut pq = shared.proto.lock().expect("proto queue poisoned");
         if pq.shutdown {
@@ -792,7 +736,7 @@ fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, Ser
         pq.queue.push_back(ProtoTask {
             job,
             kind,
-            ticket: Arc::clone(&ticket),
+            ticket: fulfiller,
             submitted: Instant::now(),
         });
     }
@@ -801,7 +745,7 @@ fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, Ser
         st.proto_lanes[kind as usize].submitted += 1;
     }
     shared.proto_work.notify_one();
-    Ok(ProtocolTicket { state: ticket })
+    Ok(ticket)
 }
 
 /// One graph executor: claims queued protocol ops, runs their host ops
@@ -863,9 +807,7 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
         service_us,
         host_us: executed.saturating_sub(done.leaf_wait).as_secs_f64() * 1e6,
     });
-    let mut slot = task.ticket.slot.lock().expect("ticket poisoned");
-    *slot = Some(result);
-    task.ticket.done.notify_all();
+    task.ticket.fulfil(result);
 }
 
 /// What [`execute_job`] produced: the output, its node accounting, and

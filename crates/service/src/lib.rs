@@ -51,6 +51,7 @@ pub mod error;
 pub mod graph;
 pub mod scheduler;
 pub mod stats;
+mod ticket;
 pub mod workload;
 
 /// The referee policy [`ServiceConfig::check`] selects.
@@ -65,6 +66,7 @@ pub use scheduler::{
     Backpressure, CompletedJob, JobTicket, Service, ServiceConfig, WideCompletedJob, WideTicket,
 };
 pub use stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
+pub use ticket::Ticket;
 pub use workload::ProtocolMix;
 
 /// Convenience result alias for service operations.

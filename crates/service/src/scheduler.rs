@@ -34,6 +34,7 @@
 
 use crate::error::ServiceError;
 use crate::stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
+use crate::ticket::{ticket, Fulfiller, Ticket};
 use cryptopim::accelerator::CryptoPim;
 use cryptopim::arch::ArchConfig;
 use cryptopim::batch::multiply_batch_outcomes;
@@ -166,68 +167,9 @@ pub struct CompletedJob {
     pub attempts: u32,
 }
 
-struct TicketState {
-    slot: Mutex<Option<Result<CompletedJob, ServiceError>>>,
-    done: Condvar,
-}
-
-/// Handle to one submitted job. Obtain the result with [`wait`].
-///
-/// [`wait`]: JobTicket::wait
-pub struct JobTicket {
-    state: Arc<TicketState>,
-}
-
-impl JobTicket {
-    /// Blocks until the job completes, returning the product and its
-    /// latency breakdown (or the execution failure).
-    pub fn wait(self) -> Result<CompletedJob, ServiceError> {
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self.state.done.wait(slot).expect("ticket poisoned");
-        }
-    }
-
-    /// Blocks for at most `timeout`, returning the completed job if it
-    /// resolved in time or [`ServiceError::WaitTimeout`] otherwise.
-    ///
-    /// Unlike [`wait`](JobTicket::wait) this borrows the ticket, so a
-    /// timed-out wait can be retried later — the job keeps executing
-    /// and its eventual result stays claimable. This is the primitive
-    /// the TCP front end builds on: a remote client's `Wait` verb can
-    /// never wedge a connection-handler thread forever. A successful
-    /// call *takes* the result; a second wait on the same ticket then
-    /// behaves as if the job never completed (it times out).
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<CompletedJob, ServiceError> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ServiceError::WaitTimeout {
-                    timeout_ms: timeout.as_millis() as u64,
-                });
-            }
-            slot = self
-                .state
-                .done
-                .wait_timeout(slot, remaining)
-                .expect("ticket poisoned")
-                .0;
-        }
-    }
-
-    /// Whether the job has completed (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.state.slot.lock().expect("ticket poisoned").is_some()
-    }
-}
+/// Handle to one submitted multiply. Obtain the result with
+/// [`Ticket::wait`].
+pub type JobTicket = Ticket<CompletedJob>;
 
 /// A fulfilled wide (RNS-decomposed) job, returned by
 /// [`WideTicket::wait`].
@@ -310,7 +252,7 @@ impl WideTicket {
 struct Job {
     a: Polynomial,
     b: Polynomial,
-    ticket: Arc<TicketState>,
+    ticket: Fulfiller<CompletedJob>,
     submitted: Instant,
     /// Execution attempts so far, counting the upcoming one (starts
     /// at 1; bumped on each detected-fault requeue).
@@ -764,14 +706,7 @@ pub(crate) fn submit_leaves(
         }
         return Ok(tickets);
     }
-    let tickets: Vec<Arc<TicketState>> = (0..count)
-        .map(|_| {
-            Arc::new(TicketState {
-                slot: Mutex::new(None),
-                done: Condvar::new(),
-            })
-        })
-        .collect();
+    let (tickets, fulfillers): (Vec<JobTicket>, Vec<_>) = (0..count).map(|_| ticket()).unzip();
     let mut st = shared.state.lock().expect("service state poisoned");
     loop {
         if st.shutdown {
@@ -811,7 +746,7 @@ pub(crate) fn submit_leaves(
     st.admitted += count as u64;
     st.pending_jobs += count;
     let pending_was_empty = st.pending.is_empty();
-    for ((a, b), ticket) in pairs.into_iter().zip(&tickets) {
+    for ((a, b), ticket) in pairs.into_iter().zip(fulfillers) {
         let group = st.pending.entry(key).or_insert_with(|| Group {
             jobs: Vec::with_capacity(lanes),
             oldest: now,
@@ -822,7 +757,7 @@ pub(crate) fn submit_leaves(
         group.jobs.push(Job {
             a,
             b,
-            ticket: Arc::clone(ticket),
+            ticket,
             submitted: now,
             attempts: 1,
         });
@@ -851,10 +786,7 @@ pub(crate) fn submit_leaves(
         }
     }
     drop(st);
-    Ok(tickets
-        .into_iter()
-        .map(|state| JobTicket { state })
-        .collect())
+    Ok(tickets)
 }
 
 /// The wide residue-lane split behind [`Service::submit_wide`] and the
@@ -1125,7 +1057,7 @@ fn run_batch(
 
     let mut requeue: Vec<Job> = Vec::new();
     let mut fulfilled_at: Vec<Instant> = Vec::with_capacity(count);
-    let mut results: Vec<(Arc<TicketState>, Result<CompletedJob, ServiceError>)> =
+    let mut results: Vec<(Fulfiller<CompletedJob>, Result<CompletedJob, ServiceError>)> =
         Vec::with_capacity(count);
     let mut faults = 0u64;
     let mut recovered = 0u64;
@@ -1240,7 +1172,7 @@ fn run_batch(
     // sees it in `ServiceStats`, and wakes without contending for the
     // lock.
     for (ticket, result) in results {
-        fulfill(&ticket, result);
+        ticket.fulfil(result);
     }
     quarantined
 }
@@ -1253,25 +1185,21 @@ fn degrade(shared: &Shared, st: &mut State) {
     let capacity = shared.cfg.queue_capacity;
     for batch in st.formed.drain(..) {
         for job in batch.jobs {
-            fulfill(&job.ticket, Err(ServiceError::Overloaded { capacity }));
+            job.ticket
+                .fulfil(Err(ServiceError::Overloaded { capacity }));
             st.completed += 1;
         }
     }
     st.formed_jobs = 0;
     for (_, group) in st.pending.drain() {
         for job in group.jobs {
-            fulfill(&job.ticket, Err(ServiceError::Overloaded { capacity }));
+            job.ticket
+                .fulfil(Err(ServiceError::Overloaded { capacity }));
             st.completed += 1;
         }
     }
     st.pending_jobs = 0;
     shared.former.notify_all();
-}
-
-fn fulfill(ticket: &Arc<TicketState>, result: Result<CompletedJob, ServiceError>) {
-    let mut slot = ticket.slot.lock().expect("ticket poisoned");
-    *slot = Some(result);
-    ticket.done.notify_all();
 }
 
 #[cfg(test)]

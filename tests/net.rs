@@ -583,12 +583,137 @@ fn protocol_ops_over_tcp_match_direct_digests() {
         .submit_protocol(200, service::ProtocolKind::Sign, 256, 2)
         .unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::DuplicateJob));
+    // ... in both orders across the two submit verbs.
+    let (a, b) = generate_jobs(61, 1, &[256]).pop().unwrap();
+    let err = client
+        .submit(200, a.modulus(), a.coeffs().to_vec(), b.coeffs().to_vec())
+        .unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::DuplicateJob));
     let _ = client.wait_protocol(200, 30_000).expect("collect");
+    client
+        .submit(202, a.modulus(), a.coeffs().to_vec(), b.coeffs().to_vec())
+        .expect("raw submit");
+    let err = client
+        .submit_protocol(202, service::ProtocolKind::KeyGen, 256, 4)
+        .unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::DuplicateJob));
+    client.wait(202, 30_000).expect("collect raw");
     // A hostile degree is a typed refusal, not a server-side panic.
     let err = client
         .submit_protocol(201, service::ProtocolKind::Encaps, 64, 3)
         .unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::Unsupported));
+    server.shutdown();
+}
+
+/// A protocol op whose leaf multiply a degraded (fully quarantined)
+/// fleet refused answers `Overloaded`, the same code a raw multiply
+/// gets in that state.
+#[test]
+fn degraded_fleet_refuses_protocol_ops_as_overloaded() {
+    use reliability::plan::FaultPlan;
+    use service::{CheckPolicy, ProtocolKind};
+    use std::sync::Arc;
+    let server = start_server(
+        one_tenant(8),
+        ServiceConfig {
+            workers: 1,
+            check: CheckPolicy::Recompute,
+            max_attempts: 1,
+            quarantine_after: 1,
+            injector: Some(Arc::new(FaultPlan::new(5).with_transient(1.0, 12))),
+            ..ServiceConfig::default()
+        },
+    );
+    let (mut client, _, _) = Client::connect(server.local_addr(), "alpha-token").unwrap();
+    // Every write is corrupted: the one raw op fails its only attempt
+    // and quarantines the only bank.
+    let (a, b) = generate_jobs(71, 1, &[256]).pop().unwrap();
+    client
+        .submit(1, a.modulus(), a.into_coeffs(), b.into_coeffs())
+        .expect("admitted before the fleet degrades");
+    let err = client.wait(1, 30_000).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::FaultUnrecovered));
+    client
+        .submit_protocol(2, ProtocolKind::Mul, 256, 9)
+        .expect("protocol ops queue for the graph executors");
+    let err = client.wait_protocol(2, 30_000).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Overloaded), "{err}");
+    server.shutdown();
+}
+
+/// `Status` reads a protocol op's id from the same table as a raw
+/// multiply's: `Pending`/`Done` while outstanding, `Unknown` once
+/// collected, and collecting it is counted for the tenant.
+#[test]
+fn status_tracks_protocol_op_lifecycle() {
+    let server = start_server(one_tenant(4), ServiceConfig::default());
+    let (mut client, _, _) = Client::connect(server.local_addr(), "alpha-token").unwrap();
+    client
+        .submit_protocol(5, service::ProtocolKind::KeyGen, 256, 11)
+        .expect("submit");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        match client.status(5).expect("status") {
+            JobState::Done => break,
+            JobState::Pending => {
+                assert!(std::time::Instant::now() < deadline, "op never finished");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            JobState::Unknown => panic!("outstanding op read as Unknown"),
+        }
+    }
+    client.wait_protocol(5, 30_000).expect("collect");
+    assert_eq!(client.status(5).expect("status"), JobState::Unknown);
+    // Collection balances the tenant's counters.
+    let doc = client.stats_json().expect("stats");
+    for counter in ["\"tenant_outstanding\": 0,", "\"tenant_completed\": 1,"] {
+        assert!(doc.contains(counter), "missing {counter} in {doc}");
+    }
+    server.shutdown();
+}
+
+/// A connection that drops with a raw and a protocol op uncollected
+/// gives both quota slots back, so the tenant's next connection can
+/// fill its whole quota again.
+#[test]
+fn dropped_connection_returns_quota_of_both_request_kinds() {
+    let server = start_server(one_tenant(2), ServiceConfig::default());
+    let addr = server.local_addr();
+    let jobs = generate_jobs(81, 3, &[256]);
+    {
+        let (mut first, _, _) = Client::connect(addr, "alpha-token").unwrap();
+        let (a, b) = &jobs[0];
+        first
+            .submit(1, a.modulus(), a.coeffs().to_vec(), b.coeffs().to_vec())
+            .expect("raw submit");
+        first
+            .submit_protocol(2, service::ProtocolKind::KeyGen, 256, 3)
+            .expect("protocol submit");
+    }
+    // Teardown runs on the server's handler thread after the drop, so
+    // poll until both slots are back.
+    let (mut second, _, _) = Client::connect(addr, "alpha-token").unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    for (id, (a, b)) in jobs[1..].iter().enumerate() {
+        loop {
+            match second.submit(
+                id as u64,
+                a.modulus(),
+                a.coeffs().to_vec(),
+                b.coeffs().to_vec(),
+            ) {
+                Ok(()) => break,
+                Err(e) if e.code() == Some(ErrorCode::QuotaExceeded) => {
+                    assert!(std::time::Instant::now() < deadline, "quota never released");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("submit {id}: {e}"),
+            }
+        }
+    }
+    second.wait(0, 30_000).expect("collect");
+    second.wait(1, 30_000).expect("collect");
     server.shutdown();
 }
 
