@@ -743,3 +743,22 @@ fn error_code(e: &ServiceError) -> ErrorCode {
         _ => ErrorCode::Internal,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn internal_errors_map_to_internal_inside_graphs_too() {
+        let internal = ServiceError::Internal {
+            detail: "batch unwound".into(),
+        };
+        assert_eq!(error_code(&internal), ErrorCode::Internal);
+        let node = ServiceError::ProtocolNode {
+            node: 1,
+            q: 7681,
+            error: Box::new(internal),
+        };
+        assert_eq!(error_code(&node), ErrorCode::Internal);
+    }
+}

@@ -10,7 +10,8 @@
 //! own error inside [`ServiceError::ProtocolNode`], so a front end can
 //! classify a raw multiply and a protocol op by the same inner variant;
 //! the TCP server maps both through one `ServiceError → ErrorCode`
-//! function.
+//! function. A job lost to a panic inside the service resolves with
+//! [`ServiceError::Internal`] rather than leaving its waiter hanging.
 
 use pim::PimError;
 use std::fmt;
@@ -102,6 +103,14 @@ pub enum ServiceError {
         /// Human-readable description of the host-op failure.
         detail: String,
     },
+    /// The job was lost inside the service: the batch or executor
+    /// holding it unwound before producing a result. The ticket
+    /// resolves with this instead of hanging; the job's bank is
+    /// released and the service keeps serving.
+    Internal {
+        /// Human-readable description of what was lost.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -144,6 +153,7 @@ impl fmt::Display for ServiceError {
             ServiceError::ProtocolHost { detail } => {
                 write!(f, "protocol host op failed: {detail}")
             }
+            ServiceError::Internal { detail } => write!(f, "internal service error: {detail}"),
         }
     }
 }
@@ -214,6 +224,11 @@ mod tests {
         }
         .to_string()
         .contains("rejection sampling"));
+        assert!(ServiceError::Internal {
+            detail: "batch unwound".into()
+        }
+        .to_string()
+        .contains("batch unwound"));
     }
 
     #[test]

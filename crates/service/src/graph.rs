@@ -6,10 +6,11 @@
 //!                                             │ host ops (sampling,
 //!                                             │ additions, hashing)
 //!                                             ▼
-//!                              leaf NTT multiplies ──► batch former
-//!                                                       (shared with
-//!                                                        submit /
-//!                                                        submit_wide)
+//!                     leaf NTT multiplies ──► batch former (shared with
+//!                     (run_leaves, blocking)   submit / submit_wide)
+//!                                             │
+//!                      idle bank: the executor claims it and runs the
+//!                      batch itself; all banks busy: a worker runs it
 //! ```
 //!
 //! A typed [`ProtocolJob`] (KeyGen / PKE-Enc/Dec / Encaps / Decaps /
@@ -19,7 +20,13 @@
 //! cheap host ops, all implemented in `crates/rlwe` against the
 //! pluggable [`PolyMultiplier`] trait. The graph executor runs the host
 //! ops inline and routes every multiply node through the ordinary
-//! `(n, q)` batch former as a leaf job, so:
+//! `(n, q)` batch former as a leaf job. Each leaf round is one blocking
+//! `scheduler::run_leaves` call: when the eager flush finds a bank idle,
+//! the executor claims that bank and runs the formed batch itself —
+//! the same batch a worker would have run, checks, retries and
+//! quarantine included — so a leaf round costs no thread handoff; only
+//! when every bank is busy does the leaf queue for a worker while the
+//! executor waits. So:
 //!
 //! * **Cross-tenant batching** — inner products of *different* protocol
 //!   ops (different tenants, different kinds) pack into the same
@@ -346,9 +353,11 @@ pub struct ProtocolCompleted {
     pub queue_us: f64,
     /// End-to-end op time (submit → output ready), µs.
     pub service_us: f64,
-    /// The executor's time on this op outside leaf-multiply waits, µs:
+    /// The executor's time on this op outside its leaf rounds, µs:
     /// sampling, additions, hashing, encoding — the op's "graph host
-    /// ops" share of `service_us`.
+    /// ops" share of `service_us`. A leaf round counts whole, from
+    /// admission to results, including the engine time of a batch the
+    /// executor ran itself on an idle bank.
     pub host_us: f64,
 }
 
@@ -811,7 +820,8 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
 }
 
 /// What [`execute_job`] produced: the output, its node accounting, and
-/// how long the executor was blocked on leaf multiplies.
+/// how long the executor spent in leaf rounds (waiting for a worker, or
+/// running the batch itself).
 struct Executed {
     output: ProtocolOutput,
     nodes: u32,
@@ -834,9 +844,9 @@ fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, Servi
         ProtocolJob::Mul { a, b } => {
             let q = a.modulus();
             let started = Instant::now();
-            let done = scheduler::submit_leaves(shared, vec![(a, b)])
+            let done = scheduler::run_leaves(shared, vec![(a, b)])
                 .map_err(|(_, e)| e)
-                .and_then(|mut tickets| tickets.remove(0).wait())
+                .and_then(|mut results| results.remove(0))
                 .map_err(|e| node_err(0, q, e))?;
             Ok(Executed {
                 output: ProtocolOutput::Product(done.product),
@@ -855,8 +865,8 @@ fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, Servi
                 other => other,
             };
             let started = Instant::now();
-            let done = scheduler::split_wide(shared, &a, &b, &basis)
-                .and_then(crate::WideTicket::wait)
+            let done = scheduler::admit_wide(shared, &a, &b, &basis, scheduler::run_leaves)
+                .and_then(|lanes| scheduler::combine_wide(shared, lanes, &basis, a.len(), started))
                 .map_err(widen)?;
             Ok(Executed {
                 attempts: done.lanes.iter().map(|l| l.attempts).max().unwrap_or(1),
@@ -912,7 +922,8 @@ fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, Servi
 /// The service-backed multiplier: every [`PolyMultiplier::multiply`] a
 /// protocol op performs becomes one leaf node through the shared batch
 /// former, and [`PolyMultiplier::multiply_pair`] admits both products
-/// under one lock so they pack into the same batch. Failures are
+/// under one lock so they pack into the same batch. Each is one blocking
+/// `run_leaves` round, run on this thread when a bank is idle. Failures are
 /// stashed with their node index; the placeholder `modmath` error
 /// returned to the rlwe code merely aborts the op and never escapes —
 /// [`SvcMult::settle`] converts the stash into
@@ -929,7 +940,7 @@ struct SvcMult<'a> {
     /// The ring degree, discovered lazily from the first operand (the
     /// rlwe layer guarantees every multiply of one op shares the ring).
     degree: Cell<usize>,
-    /// Time spent blocked on leaf multiplies, submit to result.
+    /// Time spent in leaf rounds, admission to results.
     leaf_wait: Cell<Duration>,
 }
 
@@ -1004,9 +1015,9 @@ impl PolyMultiplier for SvcMult<'_> {
         let node = self.nodes.get() as usize;
         self.nodes.set(self.nodes.get() + 1);
         let started = Instant::now();
-        let done = scheduler::submit_leaves(self.shared, vec![(a.clone(), b.clone())])
+        let done = scheduler::run_leaves(self.shared, vec![(a.clone(), b.clone())])
             .map_err(|(_, e)| e)
-            .and_then(|mut tickets| tickets.remove(0).wait());
+            .and_then(|mut results| results.remove(0));
         self.waited_since(started);
         match done {
             Ok(done) => {
@@ -1029,18 +1040,15 @@ impl PolyMultiplier for SvcMult<'_> {
         self.nodes.set(self.nodes.get() + 2);
         let pairs = vec![(a0.clone(), b0.clone()), (a1.clone(), b1.clone())];
         let started = Instant::now();
-        let (t0, t1) = match scheduler::submit_leaves(self.shared, pairs) {
-            Ok(mut tickets) => {
-                let t1 = tickets.pop().expect("two tickets");
-                (tickets.pop().expect("two tickets"), t1)
+        let results = scheduler::run_leaves(self.shared, pairs);
+        self.waited_since(started);
+        let (r0, r1) = match results {
+            Ok(mut results) => {
+                let r1 = results.pop().expect("two results");
+                (results.pop().expect("two results"), r1)
             }
             Err((i, e)) => return Err(self.stash(node + i, e)),
         };
-        // Drain both tickets even when the first fails, so no result is
-        // stranded in a slot.
-        let r0 = t0.wait();
-        let r1 = t1.wait();
-        self.waited_since(started);
         match (r0, r1) {
             (Ok(d0), Ok(d1)) => {
                 self.absorb(&d0);

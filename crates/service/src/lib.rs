@@ -16,9 +16,11 @@
 //!   (`32k/n`, from [`cryptopim::arch::ArchConfig`]) *or* a max-linger
 //!   deadline expires — the latency/occupancy trade-off of the paper's
 //!   packing model, made explicit as [`ServiceConfig::linger`];
-//! * a fleet of virtual **superbank workers** draining formed batches
-//!   through the verified engine path, so every product is bit-identical
-//!   to a direct `CryptoPim::multiply`;
+//! * a fleet of virtual **superbanks**, each claimed for one batch at a
+//!   time by a worker thread draining formed batches or by a protocol
+//!   graph executor running its own leaf batch, all through the
+//!   verified engine path, so every product is bit-identical to a
+//!   direct `CryptoPim::multiply`;
 //! * graceful [`Service::shutdown`] that drains every admitted job;
 //! * [`Service::stats`] — queue depth, admission counters, realized
 //!   packed-lane occupancy, and p50/p95/p99 job latency from a

@@ -4,24 +4,38 @@
 //! ```text
 //!  submit(a, b) ──► admission queue ──► batch forming ──► formed-batch
 //!   (bounded,        (jobs grouped       (flush on full,    queue
-//!    Block/Reject)    by (n, q))          idle worker,        │
-//!                                         or linger)          ▼
-//!  JobTicket::wait ◄── ticket fulfillment ◄── S superbank workers
-//!                                              (multiply_batch each)
+//!    Block/Reject)    by (n, q))          idle bank,          │
+//!          ▲                              or linger)          ▼
+//!          │                                  │       worker threads
+//!  graph executor ── run_leaves: idle bank? ──┘       claim a bank
+//!  (blocks on its     yes → claim it, run the              │
+//!   leaf results)     eager batch inline ──► run_batch ◄───┘
+//!                                           (S superbanks, one
+//!  Ticket::wait ◄──── ticket fulfillment ◄── batch each at a time)
 //! ```
 //!
 //! Batch forming is mostly *synchronous*: full groups and — whenever a
-//! worker is idle — partial groups flush inline on the submitting
-//! thread, and a worker going idle self-serves the oldest pending
-//! partial. The dedicated former thread handles only the one decision
-//! that needs a clock, sealing saturated-fleet partials at their linger
-//! deadline. The saturated steady state therefore runs with no condvar
-//! wakeups beyond per-job ticket fulfillment.
+//! bank is idle — partial groups flush on the submitting thread, and a
+//! worker finding a free bank self-serves the oldest pending partial. The
+//! dedicated former thread handles only the one decision that needs a
+//! clock, sealing saturated-fleet partials at their linger deadline.
+//!
+//! **Banks are claimed, not owned.** The `S` superbanks live in the
+//! shared state, each with its accelerators and its fault-injector
+//! write path. A bank runs one batch at a time for whichever thread
+//! claimed it under the state lock: a worker thread draining the formed
+//! queue, or a graph executor whose eager flush found the bank idle —
+//! that executor runs its own leaf batch ([`run_leaves`]) instead of
+//! handing it to a worker and sleeping until the worker wakes it, so a
+//! protocol leaf round costs no thread handoff. Both runners share one
+//! claim/release path and one `run_batch`; the batches themselves are
+//! formed exactly as before. At most `S` batches run at once, whoever
+//! runs them.
 //!
 //! Everything is plain `std` — one mutex-guarded state struct plus
 //! three condvars (`admit` for backpressure waiters, `former` for the
-//! batch-forming thread, `work` for the fleet), matching the no-deps
-//! style of `pim::pool`.
+//! batch-forming thread, `work` for the worker threads), matching the
+//! no-deps style of `pim::pool`.
 //!
 //! **Correctness contract.** Batching is a pure throughput mechanism:
 //! every product is computed by the verified engine path
@@ -49,7 +63,8 @@ use pim::fault::{Injector, WritePath};
 use pim::par::Threads;
 use pim::PimError;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,9 +83,12 @@ pub enum Backpressure {
 /// Tunables of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Virtual superbank workers draining formed batches. Each worker
-    /// runs its engine single-threaded (the fleet itself is the
-    /// parallelism), so this is also the host-thread budget.
+    /// Virtual superbanks in the fleet, and the worker threads that
+    /// drain formed batches onto them. A bank runs one batch at a time,
+    /// single-threaded (the fleet itself is the parallelism), on
+    /// whichever thread claimed it: a worker, or a graph executor
+    /// running its own leaf batch. The banks are therefore the
+    /// host-thread budget for engine work, whichever thread runs them.
     pub workers: usize,
     /// Admission-queue bound: jobs admitted but not yet dispatched
     /// (pending in the former plus formed-but-unclaimed).
@@ -79,13 +97,13 @@ pub struct ServiceConfig {
     pub backpressure: Backpressure,
     /// How long a partial batch may wait for batch-mates before it is
     /// flushed anyway. Batch forming is work-conserving: while the
-    /// fleet has an idle worker and nothing queued, partial batches
+    /// fleet has an idle bank and nothing queued, partial batches
     /// flush immediately regardless of this setting — linger only
-    /// delays jobs once every worker is busy, which is exactly when
+    /// delays jobs once every bank is busy, which is exactly when
     /// waiting buys packed-lane occupancy (§III-D) for free. Larger
     /// values trade saturated-load latency for occupancy.
     pub linger: Duration,
-    /// Result-integrity policy every worker applies to every product
+    /// Result-integrity policy every bank applies to every product
     /// ([`CheckPolicy::Residue`] enables the cheap probabilistic
     /// residue screen, [`CheckPolicy::Recompute`] the sound software
     /// referee; the default [`CheckPolicy::Disabled`] is the historical
@@ -99,15 +117,14 @@ pub struct ServiceConfig {
     /// requeue the job at the front of the formed queue, so transient
     /// faults recover with one extra batch trip.
     pub max_attempts: u32,
-    /// Consecutive faulted batches after which a bank (worker) is
+    /// Consecutive faulted batches after which a bank is
     /// quarantined — removed from the fleet for the service's lifetime
     /// (min 1). When every bank is quarantined the service degrades
     /// gracefully: queued jobs fail and new submissions return
     /// [`ServiceError::Overloaded`], never a wrong answer.
     pub quarantine_after: u32,
-    /// Optional fault injector (campaigns and tests): each worker
-    /// routes its block writes through
-    /// [`Injector::bank_writes`]`(worker_index)`. `None` — the default
+    /// Optional fault injector (campaigns and tests): each bank routes
+    /// its block writes through [`Injector::bank_writes`]`(bank_index)`. `None` — the default
     /// and the production setting — leaves the write path untouched.
     pub injector: Option<Arc<dyn Injector>>,
     /// Capacity of the fleet-wide hot-operand transform cache
@@ -122,7 +139,8 @@ pub struct ServiceConfig {
     /// [`Service::submit_protocol`]: each runs the cheap host ops
     /// (sampling, additions, hashing) of one protocol op at a time and
     /// routes every NTT multiply through the batch former as an
-    /// ordinary leaf job (min 1). More executors mean more protocol
+    /// ordinary leaf job, running the formed batch itself when a bank
+    /// is idle (min 1). More executors mean more protocol
     /// ops in flight, and therefore more chances for different
     /// tenants' inner products to pack into the same batch.
     pub protocol_workers: usize,
@@ -153,7 +171,7 @@ pub(crate) type ParamKey = (usize, u64);
 pub struct CompletedJob {
     /// The product, bit-identical to a direct engine multiply.
     pub product: Polynomial,
-    /// Time from submission to dispatch on a worker (queueing plus
+    /// Time from submission to dispatch onto a bank (queueing plus
     /// batch-forming linger), µs.
     pub queue_us: f64,
     /// Wall-clock execution time of the batch this job rode in, µs.
@@ -189,7 +207,7 @@ pub struct WideCompletedJob {
 /// Handle to one wide job: `k` residue-lane tickets plus the basis that
 /// recombines them. Obtain the product with [`WideTicket::wait`].
 pub struct WideTicket {
-    lanes: Vec<(JobTicket, u64)>,
+    lanes: Vec<JobTicket>,
     basis: RnsBasis,
     n: usize,
     shared: Arc<Shared>,
@@ -203,50 +221,64 @@ impl WideTicket {
     /// [`ServiceError::WideLane`] naming the lane (sibling lanes are
     /// still drained so their results are accounted for).
     pub fn wait(self) -> Result<WideCompletedJob, ServiceError> {
-        let mut lane_jobs = Vec::with_capacity(self.lanes.len());
-        let mut failure: Option<ServiceError> = None;
-        for (lane, (ticket, q)) in self.lanes.into_iter().enumerate() {
-            match ticket.wait() {
-                Ok(done) => lane_jobs.push(done),
-                Err(error) => {
-                    if failure.is_none() {
-                        failure = Some(ServiceError::WideLane {
-                            lane,
-                            q,
-                            error: Box::new(error),
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(error) = failure {
-            let mut st = self.shared.state.lock().expect("service state poisoned");
-            st.wide_failed += 1;
-            return Err(error);
-        }
-        let t = Instant::now();
-        let lane_refs: Vec<&[u64]> = lane_jobs.iter().map(|j| j.product.coeffs()).collect();
-        let mut product = vec![0u128; self.n];
-        self.basis.combine_into(&lane_refs, &mut product);
-        let recombine = t.elapsed();
-        phase::record_recombine(recombine);
-        {
-            let mut st = self.shared.state.lock().expect("service state poisoned");
-            st.wide_completed += 1;
-            st.wide_hist
-                .record_us(self.submitted.elapsed().as_micros() as u64);
-        }
-        Ok(WideCompletedJob {
-            product,
-            lanes: lane_jobs,
-            recombine_us: recombine.as_secs_f64() * 1e6,
-        })
+        let lanes = self.lanes.into_iter().map(Ticket::wait).collect();
+        combine_wide(&self.shared, lanes, &self.basis, self.n, self.submitted)
     }
 
     /// Whether every residue lane has completed (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.lanes.iter().all(|(t, _)| t.is_done())
+        self.lanes.iter().all(Ticket::is_done)
     }
+}
+
+/// CRT-recombines a wide job's landed residue lanes (basis order) and
+/// counts it in the wide-lane stats. A failed lane fails the job with
+/// [`ServiceError::WideLane`] naming the first failed lane.
+pub(crate) fn combine_wide(
+    shared: &Shared,
+    lanes: Vec<Result<CompletedJob, ServiceError>>,
+    basis: &RnsBasis,
+    n: usize,
+    submitted: Instant,
+) -> Result<WideCompletedJob, ServiceError> {
+    let mut lane_jobs = Vec::with_capacity(lanes.len());
+    let mut failure: Option<ServiceError> = None;
+    for (lane, result) in lanes.into_iter().enumerate() {
+        match result {
+            Ok(done) => lane_jobs.push(done),
+            Err(error) => {
+                if failure.is_none() {
+                    failure = Some(ServiceError::WideLane {
+                        lane,
+                        q: basis.moduli()[lane],
+                        error: Box::new(error),
+                    });
+                }
+            }
+        }
+    }
+    if let Some(error) = failure {
+        let mut st = shared.state.lock().expect("service state poisoned");
+        st.wide_failed += 1;
+        return Err(error);
+    }
+    let t = Instant::now();
+    let lane_refs: Vec<&[u64]> = lane_jobs.iter().map(|j| j.product.coeffs()).collect();
+    let mut product = vec![0u128; n];
+    basis.combine_into(&lane_refs, &mut product);
+    let recombine = t.elapsed();
+    phase::record_recombine(recombine);
+    {
+        let mut st = shared.state.lock().expect("service state poisoned");
+        st.wide_completed += 1;
+        st.wide_hist
+            .record_us(submitted.elapsed().as_micros() as u64);
+    }
+    Ok(WideCompletedJob {
+        product,
+        lanes: lane_jobs,
+        recombine_us: recombine.as_secs_f64() * 1e6,
+    })
 }
 
 struct Job {
@@ -276,9 +308,113 @@ enum FlushCause {
     Full,
     /// Oldest job hit the linger deadline with the fleet saturated.
     Linger,
-    /// A worker was idle with nothing queued — waiting would have
+    /// A bank was idle with nothing queued — waiting would have
     /// wasted hardware, so the partial batch shipped immediately.
     Eager,
+}
+
+/// One virtual superbank: its accelerators and its view of the fault
+/// injector. A bank runs one batch at a time, for whichever thread
+/// claimed it ([`Shared::claim_bank`]).
+pub(crate) struct Bank {
+    /// One accelerator per `(n, q)`, built on first use. Only the
+    /// bank's claimant locks it, so the lock is never contended; a
+    /// contended lock is a claim bug and fails its batch.
+    accelerators: Mutex<HashMap<ParamKey, CryptoPim>>,
+    /// Each bank gets its own write-path view from the injector, so
+    /// wear-out epochs age per bank, not per fleet.
+    writes: Option<Arc<dyn WritePath>>,
+}
+
+impl Bank {
+    /// The bank's accelerators, for its claimant. A batch that unwound
+    /// while running poisoned the lock and may have left an engine
+    /// half-way through an op, so the next claimant rebuilds them from
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// When another thread holds them: the bank was claimed twice.
+    fn accelerators(&self) -> MutexGuard<'_, HashMap<ParamKey, CryptoPim>> {
+        match self.accelerators.try_lock() {
+            Ok(map) => map,
+            Err(TryLockError::Poisoned(poisoned)) => {
+                self.accelerators.clear_poison();
+                let mut map = poisoned.into_inner();
+                map.clear();
+                map
+            }
+            Err(TryLockError::WouldBlock) => panic!("bank claimed by two threads at once"),
+        }
+    }
+}
+
+/// A bank claimed for one dispatched batch. `run_batch` releases it in
+/// the critical section that counts the batch; if the batch unwinds
+/// first, dropping the claim releases the bank, counts the batch as a
+/// faulted one against the bank's quarantine streak, and only then drops
+/// the batch's fulfillers, which resolve as [`ServiceError::Internal`].
+struct Claim<'a> {
+    shared: &'a Shared,
+    bank: usize,
+    jobs: usize,
+    /// Claimed by the submitter that will run the batch itself.
+    inline: bool,
+    /// The batch's tickets while its engine runs, so an unwind resolves
+    /// them after the batch is counted, never before.
+    tickets: Vec<Fulfiller<CompletedJob>>,
+    released: bool,
+}
+
+impl<'a> Claim<'a> {
+    /// Puts `jobs` in flight on the claimed `bank`.
+    fn new(shared: &'a Shared, st: &mut State, bank: usize, jobs: usize, inline: bool) -> Self {
+        st.in_flight += jobs;
+        Claim {
+            shared,
+            bank,
+            jobs,
+            inline,
+            tickets: Vec::new(),
+            released: false,
+        }
+    }
+
+    fn release(&mut self, st: &mut State) {
+        self.released = true;
+        st.bank_busy[self.bank] = false;
+        st.in_flight -= self.jobs;
+        // A worker releasing its bank loops and takes queued work
+        // itself; a submitter returns to its own op, so it hands any
+        // queued work to a worker.
+        if self.inline && !(st.formed.is_empty() && st.pending.is_empty()) {
+            self.shared.work.notify_one();
+        }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.released {
+            return;
+        }
+        {
+            let mut st = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.release(&mut st);
+            st.completed += self.jobs as u64;
+            // An unwound batch is a faulted one: a bank whose engine or
+            // write path panics on every op leaves the fleet like one
+            // that corrupts every product.
+            self.shared.score_bank(&mut st, self.bank, true);
+        }
+        // Counted first, so a waiter that sees the error also sees its
+        // job in `ServiceStats`.
+        self.tickets.clear();
+    }
 }
 
 pub(crate) struct State {
@@ -287,9 +423,10 @@ pub(crate) struct State {
     formed: VecDeque<FormedBatch>,
     formed_jobs: usize,
     in_flight: usize,
-    /// Workers currently executing a batch (for the work-conserving
-    /// flush decision: idle capacity = workers − busy − formed).
-    busy_workers: usize,
+    /// Per-bank claim flag: the bank is running a batch (for the
+    /// work-conserving flush decision: idle capacity = active banks −
+    /// busy − formed).
+    bank_busy: Vec<bool>,
     shutdown: bool,
     /// Set by the batch former once every pending group has been
     /// flushed during shutdown; workers exit only after this, so no
@@ -302,6 +439,8 @@ pub(crate) struct State {
     full_batches: u64,
     lingered_batches: u64,
     eager_batches: u64,
+    /// Batches run by the submitter that formed them.
+    inline_batches: u64,
     occupancy_jobs: u64,
     faults_detected: u64,
     retries: u64,
@@ -312,8 +451,8 @@ pub(crate) struct State {
     /// Banks removed from the fleet after `quarantine_after`
     /// consecutive faulted batches.
     quarantined: Vec<bool>,
-    /// Workers still serving (fleet size minus quarantined banks).
-    active_workers: usize,
+    /// Banks still serving (fleet size minus quarantined banks).
+    active_banks: usize,
     /// Every bank quarantined: queued jobs failed, new submissions
     /// refused with `Overloaded`.
     degraded: bool,
@@ -351,8 +490,10 @@ pub(crate) struct ProtoQueue {
 pub(crate) struct Shared {
     pub(crate) state: Mutex<State>,
     /// The started configuration (workers/attempts/quarantine already
-    /// clamped); workers read their check policy and injector here.
+    /// clamped); `run_batch` reads its check policy here.
     pub(crate) cfg: ServiceConfig,
+    /// The superbanks, claimed per batch under the state lock.
+    banks: Vec<Bank>,
     /// Fleet-wide hot-operand transform cache (`None` when
     /// [`ServiceConfig::hot_capacity`] is 0).
     hot: Option<Arc<HotCache>>,
@@ -361,7 +502,7 @@ pub(crate) struct Shared {
     /// Deadline scheduling for the former (first pending group under a
     /// saturated fleet, or shutdown).
     former: Condvar,
-    /// Formed batches for the fleet (workers wait).
+    /// Formed batches or a freed bank (worker threads wait).
     work: Condvar,
     /// Protocol ops waiting for a graph executor.
     pub(crate) proto: Mutex<ProtoQueue>,
@@ -370,13 +511,11 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn flush_locked(&self, st: &mut State, key: ParamKey, cause: FlushCause) {
-        let Some(group) = st.pending.remove(&key) else {
-            return;
-        };
+    /// Seals the pending group of `key` into a batch and counts it.
+    fn form_locked(st: &mut State, key: ParamKey, cause: FlushCause) -> Option<FormedBatch> {
+        let group = st.pending.remove(&key)?;
         let count = group.jobs.len();
         st.pending_jobs -= count;
-        st.formed_jobs += count;
         st.batches += 1;
         st.occupancy_jobs += count as u64;
         match cause {
@@ -384,17 +523,60 @@ impl Shared {
             FlushCause::Linger => st.lingered_batches += 1,
             FlushCause::Eager => st.eager_batches += 1,
         }
-        st.formed.push_back(FormedBatch {
+        Some(FormedBatch {
             key,
             jobs: group.jobs,
-        });
+        })
     }
 
-    /// Workers the fleet could put to work right now beyond what the
+    /// Seals the pending group of `key` onto the formed queue.
+    fn flush_locked(&self, st: &mut State, key: ParamKey, cause: FlushCause) {
+        if let Some(batch) = Self::form_locked(st, key, cause) {
+            st.formed_jobs += batch.jobs.len();
+            st.formed.push_back(batch);
+        }
+    }
+
+    /// Banks the fleet could put to work right now beyond what the
     /// formed queue will already occupy (quarantined banks excluded).
     fn idle_capacity(&self, st: &State) -> usize {
-        st.active_workers
-            .saturating_sub(st.busy_workers + st.formed.len())
+        let busy = st.bank_busy.iter().filter(|&&b| b).count();
+        st.active_banks.saturating_sub(busy + st.formed.len())
+    }
+
+    /// Scores a finished batch against its bank's quarantine streak:
+    /// `quarantine_after` consecutive faulted batches retire the bank;
+    /// a clean batch resets the streak.
+    fn score_bank(&self, st: &mut State, bank: usize, faulted: bool) {
+        if !faulted {
+            st.bank_streak[bank] = 0;
+            return;
+        }
+        st.bank_streak[bank] += 1;
+        if st.bank_streak[bank] >= self.cfg.quarantine_after && !st.quarantined[bank] {
+            st.quarantined[bank] = true;
+            st.active_banks -= 1;
+            // Epoch bump: transforms the quarantined bank may have
+            // produced must never be replayed from the cache.
+            if let Some(hot) = &self.hot {
+                hot.bump_epoch();
+            }
+            if st.active_banks == 0 {
+                degrade(self, st);
+            }
+            // Wake Block-mode submitters (capacity changed or degraded)
+            // and idle workers (requeued work may need a new bank).
+            self.admit.notify_all();
+            self.work.notify_all();
+        }
+    }
+
+    /// The one claim path of worker threads and blocking submitters:
+    /// marks the first free, unquarantined bank busy.
+    fn claim_bank(&self, st: &mut State) -> Option<usize> {
+        let bank = (0..self.banks.len()).find(|&b| !st.bank_busy[b] && !st.quarantined[b])?;
+        st.bank_busy[bank] = true;
+        Some(bank)
     }
 }
 
@@ -461,7 +643,7 @@ impl Service {
                 formed: VecDeque::new(),
                 formed_jobs: 0,
                 in_flight: 0,
-                busy_workers: 0,
+                bank_busy: vec![false; config.workers],
                 shutdown: false,
                 drained: false,
                 admitted: 0,
@@ -471,13 +653,14 @@ impl Service {
                 full_batches: 0,
                 lingered_batches: 0,
                 eager_batches: 0,
+                inline_batches: 0,
                 occupancy_jobs: 0,
                 faults_detected: 0,
                 retries: 0,
                 recovered: 0,
                 bank_streak: vec![0; config.workers],
                 quarantined: vec![false; config.workers],
-                active_workers: config.workers,
+                active_banks: config.workers,
                 degraded: false,
                 hist: LatencyHistogram::default(),
                 wide_submitted: 0,
@@ -489,6 +672,12 @@ impl Service {
                     .collect(),
             }),
             cfg: config.clone(),
+            banks: (0..config.workers)
+                .map(|bank| Bank {
+                    accelerators: Mutex::new(HashMap::new()),
+                    writes: config.injector.as_ref().map(|i| i.bank_writes(bank as u32)),
+                })
+                .collect(),
             hot: (config.hot_capacity > 0).then(|| Arc::new(HotCache::new(config.hot_capacity))),
             admit: Condvar::new(),
             former: Condvar::new(),
@@ -512,7 +701,7 @@ impl Service {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cryptopim-svc-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn superbank worker")
             })
             .collect();
@@ -545,7 +734,7 @@ impl Service {
     }
 
     /// Submits one multiplication job; the returned ticket resolves to
-    /// the product once a superbank worker has executed the batch the
+    /// the product once a superbank has executed the batch the
     /// job was packed into.
     ///
     /// # Errors
@@ -671,14 +860,15 @@ pub(crate) fn validate_leaf(
     Ok(((n, params.q), lanes))
 }
 
-/// The one leaf-admission entry, behind [`Service::submit`], the wide
-/// residue-lane split and the protocol graph executors. Every pair is
-/// validated before any is admitted. Pairs that share one `(n, q)` key
-/// are admitted under a *single* state-lock acquisition, so they land in
-/// the same formation group and a flushed batch carries them together —
-/// how a protocol op's independent inner products ride one batch. When
-/// the keys differ, or the queue cannot hold every pair at once, each
-/// pair is admitted on its own, in order.
+/// The asynchronous leaf-admission entry, behind [`Service::submit`] and
+/// the wide residue-lane split; [`run_leaves`] is its blocking twin for
+/// the graph executors. Every pair is validated before any is admitted.
+/// Pairs that share one `(n, q)` key are admitted under a *single*
+/// state-lock acquisition, so they land in the same formation group and
+/// a flushed batch carries them together — how a protocol op's
+/// independent inner products ride one batch. When the keys differ, or
+/// the queue cannot hold every pair at once, each pair is admitted on
+/// its own, in order.
 ///
 /// # Errors
 ///
@@ -688,6 +878,49 @@ pub(crate) fn validate_leaf(
 pub(crate) fn submit_leaves(
     shared: &Shared,
     pairs: Vec<(Polynomial, Polynomial)>,
+) -> Result<Vec<JobTicket>, (usize, ServiceError)> {
+    admit_leaves(shared, pairs, None)
+}
+
+/// The blocking leaf entry of the graph executors: admits `pairs` as
+/// [`submit_leaves`] does, and when the eager flush finds an idle bank
+/// the caller claims it and runs the batch itself, then collects its
+/// results — already resolved, unless a job was requeued for a retry.
+/// Only when every bank is busy do the leaves queue for a worker and
+/// the caller waits; pairs admitted one by one claim only on the last
+/// admission, and earlier ones go to workers. The batch is the one the
+/// eager flush would have handed a worker: the same jobs, checks,
+/// retries and quarantine.
+///
+/// # Errors
+///
+/// As [`submit_leaves`]; an admitted pair's execution failure is its
+/// own entry in the returned vector.
+pub(crate) fn run_leaves(
+    shared: &Shared,
+    pairs: Vec<(Polynomial, Polynomial)>,
+) -> Result<Vec<Result<CompletedJob, ServiceError>>, (usize, ServiceError)> {
+    let mut inline = None;
+    // A bank is claimed only by an admission that succeeded last.
+    let tickets = admit_leaves(shared, pairs, Some(&mut inline))?;
+    if let Some((claim, batch)) = inline {
+        run_claimed(shared, claim, batch);
+    }
+    Ok(tickets.into_iter().map(Ticket::wait).collect())
+}
+
+/// A bank claimed by a blocking submitter and the batch it will run.
+type InlineBatch<'a> = (Claim<'a>, FormedBatch);
+
+/// Admission behind [`submit_leaves`] and [`run_leaves`]. With `inline`
+/// set, the eager flush of the call's last admission claims its idle
+/// bank into it instead of queueing the batch for a worker. Earlier
+/// pairs admitted one by one hand their batches to workers, so no bank
+/// is held while a later pair waits for queue space.
+fn admit_leaves<'a>(
+    shared: &'a Shared,
+    pairs: Vec<(Polynomial, Polynomial)>,
+    mut inline: Option<&mut Option<InlineBatch<'a>>>,
 ) -> Result<Vec<JobTicket>, (usize, ServiceError)> {
     let keys = pairs
         .iter()
@@ -701,7 +934,10 @@ pub(crate) fn submit_leaves(
     if count > 1 && (keys.iter().any(|k| k.0 != key) || count > shared.cfg.queue_capacity) {
         let mut tickets = Vec::with_capacity(count);
         for (i, pair) in pairs.into_iter().enumerate() {
-            let mut one = submit_leaves(shared, vec![pair]).map_err(|(_, e)| (i, e))?;
+            // A claimed bank is never held across a blocking admission:
+            // only the last pair, after which nothing waits, may claim.
+            let claim = if i + 1 == count { inline.take() } else { None };
+            let mut one = admit_leaves(shared, vec![pair], claim).map_err(|(_, e)| (i, e))?;
             tickets.append(&mut one);
         }
         return Ok(tickets);
@@ -771,11 +1007,29 @@ pub(crate) fn submit_leaves(
     }
     if st.pending.contains_key(&key) {
         if shared.idle_capacity(&st) > 0 {
-            // Work-conserving fast path: an idle worker means waiting
+            // Work-conserving fast path: an idle bank means waiting
             // cannot buy occupancy, so the partial ships straight from
-            // the submitting thread — no batch-former hop.
-            shared.flush_locked(&mut st, key, FlushCause::Eager);
-            shared.work.notify_one();
+            // the submitting thread — no batch-former hop. A blocking
+            // submitter claims the bank and runs the batch itself; any
+            // other hands it to a worker.
+            match inline {
+                Some(slot @ None) => {
+                    let bank = shared
+                        .claim_bank(&mut st)
+                        .expect("idle capacity means a free bank");
+                    let batch = Shared::form_locked(&mut st, key, FlushCause::Eager)
+                        .expect("pending group");
+                    st.inline_batches += 1;
+                    // The batch left the admission queue.
+                    shared.admit.notify_all();
+                    let claim = Claim::new(shared, &mut st, bank, batch.jobs.len(), true);
+                    *slot = Some((claim, batch));
+                }
+                _ => {
+                    shared.flush_locked(&mut st, key, FlushCause::Eager);
+                    shared.work.notify_one();
+                }
+            }
         } else if pending_was_empty {
             // Fleet saturated and this is the first pending group: the
             // former must schedule its linger deadline. Any later job
@@ -789,16 +1043,14 @@ pub(crate) fn submit_leaves(
     Ok(tickets)
 }
 
-/// The wide residue-lane split behind [`Service::submit_wide`] and the
-/// graph's wide multiply: validates every lane, splits the operands
-/// into one residue pair per basis channel, and admits the lanes
-/// through [`submit_leaves`].
-pub(crate) fn split_wide(
-    shared: &Arc<Shared>,
+/// Validates a wide job and splits its operands into one residue pair
+/// per basis channel. Every lane is checked before anything is split,
+/// so an unsupported basis cannot strand half-submitted sibling lanes.
+fn wide_pairs(
     a: &[u128],
     b: &[u128],
     basis: &RnsBasis,
-) -> Result<WideTicket, ServiceError> {
+) -> Result<Vec<(Polynomial, Polynomial)>, ServiceError> {
     let n = a.len();
     if b.len() != n {
         return Err(ServiceError::PairMismatch {
@@ -806,51 +1058,66 @@ pub(crate) fn split_wide(
             right: b.len(),
         });
     }
-    // Validate every lane up front so an unsupported basis cannot
-    // strand half-submitted sibling lanes.
     for &q in basis.moduli() {
         if params_for(n, q).is_none() {
             return Err(ServiceError::UnsupportedJob { n, q });
         }
     }
-    let submitted = Instant::now();
     let mut buf = vec![0u64; n];
     let mut residue = |x: &[u128], lane: usize, q: u64| {
         basis.split_lane_into(x, lane, &mut buf);
         Polynomial::from_canonical_coeffs(buf.clone(), q).expect("residues are canonical mod q")
     };
-    let pairs: Vec<(Polynomial, Polynomial)> = basis
+    Ok(basis
         .moduli()
         .iter()
         .enumerate()
         .map(|(lane, &q)| (residue(a, lane, q), residue(b, lane, q)))
-        .collect();
-    let admitted = submit_leaves(shared, pairs);
+        .collect())
+}
+
+/// Runs a wide job's residue lanes through `admit` — [`submit_leaves`]
+/// for [`Service::submit_wide`], [`run_leaves`] for the graph's wide
+/// multiply — counting it as a submitted wide job, and as a failed one
+/// with the refused lane named when admission fails.
+pub(crate) fn admit_wide<T>(
+    shared: &Shared,
+    a: &[u128],
+    b: &[u128],
+    basis: &RnsBasis,
+    admit: impl FnOnce(&Shared, Vec<(Polynomial, Polynomial)>) -> Result<T, (usize, ServiceError)>,
+) -> Result<T, ServiceError> {
+    let pairs = wide_pairs(a, b, basis)?;
+    let admitted = admit(shared, pairs);
     let mut st = shared.state.lock().expect("service state poisoned");
     st.wide_submitted += 1;
-    match admitted {
-        Ok(tickets) => {
-            drop(st);
-            Ok(WideTicket {
-                lanes: tickets
-                    .into_iter()
-                    .zip(basis.moduli().iter().copied())
-                    .collect(),
-                basis: basis.clone(),
-                n,
-                shared: Arc::clone(shared),
-                submitted,
-            })
+    admitted.map_err(|(lane, error)| {
+        st.wide_failed += 1;
+        ServiceError::WideLane {
+            lane,
+            q: basis.moduli()[lane],
+            error: Box::new(error),
         }
-        Err((lane, error)) => {
-            st.wide_failed += 1;
-            Err(ServiceError::WideLane {
-                lane,
-                q: basis.moduli()[lane],
-                error: Box::new(error),
-            })
-        }
-    }
+    })
+}
+
+/// The wide residue-lane split behind [`Service::submit_wide`]: admits
+/// one residue lane per basis channel through [`submit_leaves`].
+fn split_wide(
+    shared: &Arc<Shared>,
+    a: &[u128],
+    b: &[u128],
+    basis: &RnsBasis,
+) -> Result<WideTicket, ServiceError> {
+    let submitted = Instant::now();
+    let lanes = admit_wide(shared, a, b, basis, submit_leaves)?;
+    Ok(WideTicket {
+        lanes,
+        basis: basis.clone(),
+        n: a.len(),
+        shared: Arc::clone(shared),
+        submitted,
+    })
 }
 
 fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
@@ -864,6 +1131,7 @@ fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
         full_batches: st.full_batches,
         lingered_batches: st.lingered_batches,
         eager_batches: st.eager_batches,
+        inline_batches: st.inline_batches,
         mean_occupancy: if st.batches == 0 {
             0.0
         } else {
@@ -873,7 +1141,7 @@ fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
         retries: st.retries,
         recovered: st.recovered,
         quarantined_banks: st.quarantined.iter().filter(|&&b| b).count(),
-        active_workers: st.active_workers,
+        active_workers: st.active_banks,
         hot_hits: hot.map_or(0, HotCache::hits),
         hot_misses: hot.map_or(0, HotCache::misses),
         latency_samples: st.hist.count(),
@@ -909,9 +1177,9 @@ fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
 
 /// The batch-forming thread, reduced to the one decision that needs a
 /// clock: sealing groups at their linger deadline. The work-conserving
-/// eager flushes happen synchronously elsewhere — in `submit` when a
-/// worker is idle at arrival, and in the worker loop when a worker goes
-/// idle with partials pending — so the saturated steady state runs
+/// eager flushes happen synchronously elsewhere — on the submitting
+/// thread when a bank is idle at arrival, and in the worker loop when a
+/// worker finds a free bank with partials pending — so the saturated steady state runs
 /// without a former hop per batch. On shutdown it flushes everything
 /// and marks the state drained so workers can exit.
 fn former_loop(shared: &Shared, linger: Duration) {
@@ -935,7 +1203,7 @@ fn former_loop(shared: &Shared, linger: Duration) {
             .collect();
         for key in expired {
             // A sealed group queues behind in-flight batches even when
-            // every worker is busy: the deadline closes the batch to
+            // every bank is busy: the deadline closes the batch to
             // further packing, it does not wait for idle capacity.
             shared.flush_locked(&mut st, key, FlushCause::Linger);
             shared.work.notify_one();
@@ -955,80 +1223,79 @@ fn former_loop(shared: &Shared, linger: Duration) {
     }
 }
 
-/// One virtual superbank: claims formed batches and runs them through
-/// the verified `multiply_batch_outcomes` engine path, single-threaded
-/// (the fleet is the parallelism), then fulfills every ticket. Returns
-/// (permanently) once its bank is quarantined.
-fn worker_loop(shared: &Shared, bank: usize) {
-    // Each bank gets its own write-path view from the injector so
-    // wear-out epochs age per bank, not per fleet.
-    let writes: Option<Arc<dyn WritePath>> = shared
-        .cfg
-        .injector
-        .as_ref()
-        .map(|i| i.bank_writes(bank as u32));
-    let mut accelerators: HashMap<ParamKey, CryptoPim> = HashMap::new();
+/// One worker thread: whenever batches are queued and a bank is free,
+/// claims the bank and runs the oldest formed batch on it — or, with
+/// nothing formed, self-serves the oldest pending partial. Exits once
+/// the state is drained for shutdown.
+fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let (claim, batch) = {
             let mut st = shared.state.lock().expect("service state poisoned");
             loop {
-                if let Some(batch) = st.formed.pop_front() {
-                    st.formed_jobs -= batch.jobs.len();
-                    st.in_flight += batch.jobs.len();
-                    st.busy_workers += 1;
-                    // Dispatch freed admission-queue space.
-                    shared.admit.notify_all();
-                    break batch;
+                if !(st.formed.is_empty() && st.pending.is_empty()) {
+                    if let Some(bank) = shared.claim_bank(&mut st) {
+                        if st.formed.is_empty() {
+                            // Self-serve: a bank is idle, so by the
+                            // work-conserving rule the oldest pending
+                            // partial ships now, with no former hop and
+                            // no condvar wake.
+                            let key = *st
+                                .pending
+                                .iter()
+                                .min_by_key(|(_, g)| g.oldest)
+                                .map(|(k, _)| k)
+                                .expect("pending non-empty");
+                            shared.flush_locked(&mut st, key, FlushCause::Eager);
+                        }
+                        let batch = st.formed.pop_front().expect("formed non-empty");
+                        st.formed_jobs -= batch.jobs.len();
+                        // Dispatch freed admission-queue space.
+                        shared.admit.notify_all();
+                        let claim = Claim::new(shared, &mut st, bank, batch.jobs.len(), false);
+                        break (claim, batch);
+                    }
                 }
-                if !st.pending.is_empty() {
-                    // Self-serve: this worker is idle, so by the
-                    // work-conserving rule the oldest pending partial
-                    // ships now — flushed here and popped on the next
-                    // turn of this loop, with no former hop and no
-                    // condvar wake.
-                    let key = *st
-                        .pending
-                        .iter()
-                        .min_by_key(|(_, g)| g.oldest)
-                        .map(|(k, _)| k)
-                        .expect("pending non-empty");
-                    shared.flush_locked(&mut st, key, FlushCause::Eager);
-                    continue;
-                }
+                // Work still formed here at shutdown has no free bank;
+                // the executors were joined first, so the banks' holders
+                // are workers, which take it when they finish.
                 if st.shutdown && st.drained {
                     return;
                 }
                 st = shared.work.wait(st).expect("service state poisoned");
             }
         };
-        if run_batch(shared, &mut accelerators, &writes, batch, bank) {
-            // Quarantined: this bank leaves the fleet. Remaining (or
-            // requeued) work belongs to the surviving workers.
-            return;
-        }
+        run_claimed(shared, claim, batch);
     }
 }
 
-/// Executes one formed batch: per-job outcomes, detected-fault retry
-/// bookkeeping, and the quarantine decision. Returns whether this bank
-/// was quarantined by the batch.
-fn run_batch(
-    shared: &Shared,
-    accelerators: &mut HashMap<ParamKey, CryptoPim>,
-    writes: &Option<Arc<dyn WritePath>>,
-    batch: FormedBatch,
-    bank: usize,
-) -> bool {
+/// Runs a dispatched batch on its claimed bank — the one execution path
+/// of worker threads and blocking submitters. A panic inside the batch
+/// stops here: the claim's drop has released the bank, the batch's
+/// tickets resolve as [`ServiceError::Internal`], and the caller keeps
+/// serving.
+fn run_claimed(shared: &Shared, claim: Claim<'_>, batch: FormedBatch) {
+    // The default panic hook has already reported the panic; what is
+    // left to do was done by the claim's and the fulfillers' drops.
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| run_batch(shared, claim, batch)));
+}
+
+/// Executes one formed batch on its claimed bank: per-job outcomes,
+/// detected-fault retry bookkeeping, the bank's release, and the
+/// quarantine decision.
+fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
+    let bank = claim.bank;
     let dispatch = Instant::now();
     let count = batch.jobs.len();
     let key = batch.key;
     let mut pairs = Vec::with_capacity(count);
-    let mut metas = Vec::with_capacity(count);
+    let mut timing = Vec::with_capacity(count);
     for job in batch.jobs {
         pairs.push((job.a, job.b));
-        metas.push((job.ticket, job.submitted, job.attempts));
+        timing.push((job.submitted, job.attempts));
+        claim.tickets.push(job.ticket);
     }
 
+    let mut accelerators = shared.banks[bank].accelerators();
     let acc = match accelerators.entry(key) {
         std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
         std::collections::hash_map::Entry::Vacant(e) => params_for(key.0, key.1)
@@ -1041,7 +1308,7 @@ fn run_batch(
                 e.insert(
                     acc.with_threads(Threads::Fixed(1))
                         .with_check(shared.cfg.check)
-                        .with_write_path(writes.clone())
+                        .with_write_path(shared.banks[bank].writes.clone())
                         .with_hot_cache(shared.hot.clone()),
                 )
             }),
@@ -1051,6 +1318,13 @@ fn run_batch(
     // cost per batch, painful at low occupancy) is skipped, and one
     // corrupt lane fails alone instead of failing its batch-mates.
     let outcome = acc.and_then(|acc| multiply_batch_outcomes(acc, &pairs));
+    drop(accelerators);
+    // The engine ran without unwinding: the bookkeeping below takes the
+    // tickets back from the claim.
+    let metas = std::mem::take(&mut claim.tickets)
+        .into_iter()
+        .zip(timing)
+        .map(|(ticket, (submitted, attempts))| (ticket, submitted, attempts));
     let done = Instant::now();
     let service_us = done.duration_since(dispatch).as_secs_f64() * 1e6;
     let lanes = ArchConfig::packed_lanes(key.0).expect("validated at submit");
@@ -1125,10 +1399,9 @@ fn run_batch(
     }
 
     let retried = requeue.len();
-    let quarantined = 'count: {
+    {
         let mut st = shared.state.lock().expect("service state poisoned");
-        st.in_flight -= count;
-        st.busy_workers -= 1;
+        claim.release(&mut st);
         st.completed += (count - retried) as u64;
         st.faults_detected += faults;
         st.retries += retried as u64;
@@ -1142,31 +1415,8 @@ fn run_batch(
             st.formed.push_front(FormedBatch { key, jobs: requeue });
             shared.work.notify_one();
         }
-        // Quarantine policy: K consecutive faulted batches retire the bank.
-        if faults > 0 {
-            st.bank_streak[bank] += 1;
-            if st.bank_streak[bank] >= shared.cfg.quarantine_after && !st.quarantined[bank] {
-                st.quarantined[bank] = true;
-                st.active_workers -= 1;
-                // Epoch bump: transforms the quarantined bank may have
-                // produced must never be replayed from the cache.
-                if let Some(hot) = &shared.hot {
-                    hot.bump_epoch();
-                }
-                if st.active_workers == 0 {
-                    degrade(shared, &mut st);
-                }
-                // Wake Block-mode submitters (capacity changed or degraded)
-                // and idle workers (requeued work may need a new owner).
-                shared.admit.notify_all();
-                shared.work.notify_all();
-                break 'count true;
-            }
-        } else {
-            st.bank_streak[bank] = 0;
-        }
-        false
-    };
+        shared.score_bank(&mut st, bank, faults > 0);
+    }
     // Results reach their tickets only once the batch is counted and
     // the state lock is released, so a waiter that sees its result also
     // sees it in `ServiceStats`, and wakes without contending for the
@@ -1174,7 +1424,6 @@ fn run_batch(
     for (ticket, result) in results {
         ticket.fulfil(result);
     }
-    quarantined
 }
 
 /// Last bank quarantined: fail everything queued (no bank can ever run
@@ -1769,5 +2018,414 @@ mod tests {
         assert_eq!(d2.product.degree_bound(), 512);
         let stats = svc.shutdown();
         assert_eq!(stats.batches, 2, "parameter keys form separate batches");
+    }
+
+    /// Direct engine product of one pair, the oracle of the tests below.
+    fn direct(a: &Polynomial, b: &Polynomial) -> Polynomial {
+        use ntt::negacyclic::PolyMultiplier;
+        let p = params_for(a.degree_bound(), a.modulus()).unwrap();
+        CryptoPim::new(&p).unwrap().multiply(a, b).unwrap()
+    }
+
+    /// Test injector: bank 0 panics mid-store in its first `bad_ops`
+    /// operations (`u64::MAX` = forever); other banks are clean.
+    #[derive(Debug)]
+    struct PanicInjector {
+        bad_ops: u64,
+    }
+
+    #[derive(Debug)]
+    struct PanicPath {
+        bank: u32,
+        bad_ops: u64,
+        ops: AtomicU64,
+    }
+
+    impl Injector for PanicInjector {
+        fn bank_writes(&self, bank: u32) -> Arc<dyn WritePathTrait> {
+            Arc::new(PanicPath {
+                bank,
+                bad_ops: if bank == 0 { self.bad_ops } else { 0 },
+                ops: AtomicU64::new(0),
+            })
+        }
+    }
+
+    impl WritePathTrait for PanicPath {
+        fn armed(&self) -> bool {
+            true
+        }
+        fn begin_op(&self) {
+            self.ops.fetch_add(1, Ordering::Relaxed);
+        }
+        fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+            assert!(
+                self.ops.load(Ordering::Relaxed) > self.bad_ops,
+                "injected write-path panic on bank {}",
+                self.bank
+            );
+            value
+        }
+        fn bank(&self) -> u32 {
+            self.bank
+        }
+        fn suspect_block(&self) -> Option<u32> {
+            None
+        }
+    }
+
+    #[test]
+    fn panic_in_an_inline_batch_resolves_its_tickets_and_frees_the_bank() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            injector: Some(Arc::new(PanicInjector { bad_ops: 1 })),
+            ..ServiceConfig::default()
+        });
+        let q = ParamSet::for_degree(256).unwrap().q;
+        let pairs: Vec<(Polynomial, Polynomial)> = (0..2u64)
+            .map(|k| (poly(256, q, k), poly(256, q, k + 20)))
+            .collect();
+        // The idle bank is claimed by this thread, and its first store
+        // panics: both jobs of the batch resolve with a typed error
+        // instead of hanging, and the bank is free again.
+        let results = run_leaves(&svc.shared, pairs.clone()).expect("admitted");
+        assert_eq!(results.len(), 2);
+        for r in &results {
+            assert!(matches!(r, Err(ServiceError::Internal { .. })), "{r:?}");
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.inline_batches, 1, "{stats}");
+        assert_eq!(stats.in_flight, 0, "{stats}");
+        assert_eq!(stats.completed, 2, "{stats}");
+        // The bank rebuilds its engine and serves the same pairs
+        // bit-exact, inline and through a worker.
+        let again = run_leaves(&svc.shared, pairs.clone()).expect("admitted");
+        for (r, (a, b)) in again.into_iter().zip(&pairs) {
+            assert_eq!(r.expect("served").product, direct(a, b));
+        }
+        let (a, b) = pairs[0].clone();
+        let want = direct(&a, &b);
+        let done = svc.submit(a, b).expect("admitted").wait().expect("served");
+        assert_eq!(done.product, want);
+        // Shutdown joins every thread: none of them died with the batch.
+        let stats = svc.shutdown();
+        assert_eq!(stats.inline_batches, 2, "{stats}");
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(stats.completed, 5);
+    }
+
+    #[test]
+    fn bank_that_panics_on_every_op_is_quarantined() {
+        let svc = Service::start(ServiceConfig {
+            workers: 2,
+            quarantine_after: 1,
+            injector: Some(Arc::new(PanicInjector { bad_ops: u64::MAX })),
+            ..ServiceConfig::default()
+        });
+        let q = ParamSet::for_degree(256).unwrap().q;
+        let pairs: Vec<(Polynomial, Polynomial)> = (0..2u64)
+            .map(|k| (poly(256, q, k), poly(256, q, k + 30)))
+            .collect();
+        // On an idle fleet the worker claims bank 0, whose batch unwinds.
+        // The waiter sees its job counted and the bank retired.
+        let (a, b) = pairs[0].clone();
+        let lost = svc.submit(a, b).expect("admitted").wait();
+        assert!(
+            matches!(lost, Err(ServiceError::Internal { .. })),
+            "{lost:?}"
+        );
+        let stats = svc.stats();
+        assert_eq!(stats.in_flight, 0, "{stats}");
+        assert_eq!(stats.completed, 1, "{stats}");
+        assert_eq!(stats.quarantined_banks, 1, "{stats}");
+        // Bank 1 serves everything after, inline and on a worker.
+        let results = run_leaves(&svc.shared, pairs.clone()).expect("admitted");
+        for (r, (a, b)) in results.into_iter().zip(&pairs) {
+            assert_eq!(r.expect("served").product, direct(a, b));
+        }
+        let (a, b) = pairs[1].clone();
+        let want = direct(&a, &b);
+        let done = svc.submit(a, b).expect("admitted").wait().expect("served");
+        assert_eq!(done.product, want);
+        let stats = svc.shutdown();
+        assert_eq!(stats.quarantined_banks, 1, "{stats}");
+        assert_eq!(stats.completed, 4, "{stats}");
+    }
+
+    /// Test injector whose write paths check bank exclusivity: each
+    /// records the thread that began its current op and asserts on
+    /// every store that the same thread is storing. A bank run by two
+    /// threads at once trips the assert, which fails that batch's jobs.
+    #[derive(Debug, Default)]
+    struct OwnerCheckInjector {
+        banks_seen: AtomicU64,
+    }
+
+    #[derive(Debug)]
+    struct OwnerCheckPath {
+        bank: u32,
+        owner: Mutex<Option<std::thread::ThreadId>>,
+    }
+
+    impl Injector for OwnerCheckInjector {
+        fn bank_writes(&self, bank: u32) -> Arc<dyn WritePathTrait> {
+            self.banks_seen
+                .fetch_max(u64::from(bank) + 1, Ordering::Relaxed);
+            Arc::new(OwnerCheckPath {
+                bank,
+                owner: Mutex::new(None),
+            })
+        }
+    }
+
+    impl WritePathTrait for OwnerCheckPath {
+        fn armed(&self) -> bool {
+            true
+        }
+        fn begin_op(&self) {
+            *self.owner.lock().unwrap() = Some(std::thread::current().id());
+        }
+        fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+            assert_eq!(
+                *self.owner.lock().unwrap(),
+                Some(std::thread::current().id()),
+                "bank {} run by two threads at once",
+                self.bank
+            );
+            value
+        }
+        fn bank(&self) -> u32 {
+            self.bank
+        }
+        fn suspect_block(&self) -> Option<u32> {
+            None
+        }
+    }
+
+    /// Serves `raw` raw multiplies from one thread (several outstanding
+    /// at once) and `proto` protocol ops from two, concurrently, and
+    /// checks every output bit-exact against its direct oracle.
+    fn serve_mixed(svc: &Service, raw: u64, proto: u64) {
+        use crate::graph::{ProtocolJob, ProtocolKind};
+        let q = ParamSet::for_degree(256).unwrap().q;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let pairs: Vec<(Polynomial, Polynomial)> = (0..raw)
+                    .map(|k| (poly(256, q, k), poly(256, q, k + 500)))
+                    .collect();
+                for chunk in pairs.chunks(4) {
+                    let tickets: Vec<JobTicket> = chunk
+                        .iter()
+                        .map(|(a, b)| svc.submit(a.clone(), b.clone()).expect("admitted"))
+                        .collect();
+                    for (t, (a, b)) in tickets.into_iter().zip(chunk) {
+                        assert_eq!(t.wait().expect("served").product, direct(a, b));
+                    }
+                }
+            });
+            for client in 0..2u64 {
+                scope.spawn(move || {
+                    let kinds = [
+                        ProtocolKind::Encaps,
+                        ProtocolKind::Sign,
+                        ProtocolKind::SheMul,
+                        ProtocolKind::Mul,
+                    ];
+                    for i in 0..proto {
+                        let kind = kinds[(i as usize + client as usize) % kinds.len()];
+                        let job = ProtocolJob::scripted(kind, 256, 10 * i + client).unwrap();
+                        let want = job.run_direct().unwrap();
+                        let done = svc.submit_protocol(job).unwrap().wait();
+                        assert_eq!(done.expect("served").output, want, "{kind}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn banks_run_one_batch_at_a_time_whoever_claims_them() {
+        // Every batch runs on a claimed bank and every lane of it calls
+        // its bank's `begin_op`, so with no bank ever run by two threads
+        // at once, at most `workers` batches run at a time.
+        for workers in [1, 2, 4] {
+            let injector = Arc::new(OwnerCheckInjector::default());
+            let svc = Service::start(ServiceConfig {
+                workers,
+                injector: Some(injector.clone()),
+                ..ServiceConfig::default()
+            });
+            // A lone op finds every bank idle and runs inline; then the
+            // executors and the worker threads contend.
+            serve_mixed(&svc, 0, 1);
+            serve_mixed(&svc, 16, 6);
+            let stats = svc.shutdown();
+            assert_eq!(injector.banks_seen.load(Ordering::Relaxed), workers as u64);
+            assert!(stats.inline_batches > 0, "workers {workers}: {stats}");
+            assert!(
+                stats.inline_batches < stats.batches,
+                "raw jobs ran on workers: {stats}"
+            );
+            assert_eq!(
+                stats.full_batches + stats.lingered_batches + stats.eager_batches,
+                stats.batches
+            );
+            assert_eq!(stats.in_flight, 0);
+            assert_eq!(stats.admitted, stats.completed);
+        }
+    }
+
+    #[test]
+    fn inline_batches_count_only_submitter_run_batches() {
+        use crate::graph::{ProtocolJob, ProtocolKind};
+        let balanced = |stats: &ServiceStats| {
+            stats.full_batches + stats.lingered_batches + stats.eager_batches == stats.batches
+        };
+        // Protocol ops only: the executors run their own leaf batches.
+        let svc = Service::start(ServiceConfig::default());
+        serve_mixed(&svc, 0, 4);
+        let job = ProtocolJob::scripted(ProtocolKind::WideMul, 256, 3).unwrap();
+        let want = job.run_direct().unwrap();
+        assert_eq!(
+            svc.submit_protocol(job).unwrap().wait().unwrap().output,
+            want
+        );
+        let stats = svc.shutdown();
+        assert!(stats.inline_batches > 0, "{stats}");
+        assert!(balanced(&stats), "{stats}");
+        // Raw multiplies only: every batch runs on a worker thread.
+        let svc = Service::start(ServiceConfig::default());
+        serve_mixed(&svc, 24, 0);
+        let stats = svc.shutdown();
+        assert!(stats.batches > 0);
+        assert_eq!(stats.inline_batches, 0, "{stats}");
+        assert!(balanced(&stats), "{stats}");
+    }
+
+    #[test]
+    fn leaf_rounds_finish_under_a_full_block_queue_on_one_bank() {
+        use crate::graph::{ProtocolJob, ProtocolKind};
+        use std::sync::mpsc;
+        // Pairs admitted one by one — more pairs than the queue holds,
+        // or a wide op's residue lanes, whose keys differ — must not
+        // hold a bank while a later pair waits for queue space: with
+        // one bank nothing else could drain the queue.
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let svc = Service::start(ServiceConfig {
+                workers: 1,
+                queue_capacity: 1,
+                backpressure: Backpressure::Block,
+                ..ServiceConfig::default()
+            });
+            let q = ParamSet::for_degree(256).unwrap().q;
+            let pairs: Vec<(Polynomial, Polynomial)> = (0..3u64)
+                .map(|k| (poly(256, q, k), poly(256, q, k + 40)))
+                .collect();
+            let results = run_leaves(&svc.shared, pairs.clone()).expect("admitted");
+            for (r, (a, b)) in results.into_iter().zip(&pairs) {
+                assert_eq!(r.expect("served").product, direct(a, b));
+            }
+            // Raw submitters keep the queue full while wide ops run.
+            std::thread::scope(|scope| {
+                for client in 0..3u64 {
+                    let svc = &svc;
+                    scope.spawn(move || {
+                        for k in 0..100u64 {
+                            let seed = 1000 * (client + 1) + k;
+                            let (a, b) = (poly(256, q, seed), poly(256, q, seed + 500));
+                            let want = direct(&a, &b);
+                            let t = svc.submit(a, b).expect("admitted");
+                            assert_eq!(t.wait().expect("served").product, want);
+                        }
+                    });
+                }
+                for client in 0..2u64 {
+                    let svc = &svc;
+                    scope.spawn(move || {
+                        for i in 0..20 {
+                            let job =
+                                ProtocolJob::scripted(ProtocolKind::WideMul, 256, 2 * i + client)
+                                    .unwrap();
+                            let want = job.run_direct().unwrap();
+                            let out = svc.submit_protocol(job).unwrap().wait();
+                            assert_eq!(out.expect("served").output, want);
+                        }
+                    });
+                }
+            });
+            done.send(svc.shutdown()).unwrap();
+        });
+        let stats = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("leaf rounds and raw load finish on one bank");
+        assert_eq!(stats.in_flight, 0, "{stats}");
+        assert_eq!(stats.admitted, stats.completed, "{stats}");
+    }
+
+    /// [`StuckBitInjector`] that keeps the write paths it hands out, so
+    /// a test can read how many ops each bank began.
+    #[derive(Debug, Default)]
+    struct RecordingInjector {
+        paths: Mutex<Vec<Arc<StuckBitPath>>>,
+    }
+
+    impl Injector for RecordingInjector {
+        fn bank_writes(&self, bank: u32) -> Arc<dyn WritePathTrait> {
+            let path = Arc::new(StuckBitPath {
+                bank,
+                bad_ops: if bank == 0 { u64::MAX } else { 0 },
+                epoch: AtomicU64::new(0),
+            });
+            self.paths.lock().unwrap().push(Arc::clone(&path));
+            path
+        }
+    }
+
+    impl RecordingInjector {
+        fn ops_begun(&self, bank: u32) -> u64 {
+            let paths = self.paths.lock().unwrap();
+            let path = paths.iter().find(|p| p.bank == bank).expect("bank path");
+            path.epoch.load(Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn bank_quarantined_by_an_inline_batch_is_never_claimed_again() {
+        use crate::graph::{ProtocolJob, ProtocolKind};
+        let injector = Arc::new(RecordingInjector::default());
+        let svc = Service::start(ServiceConfig {
+            workers: 2,
+            check: CheckPolicy::Recompute,
+            max_attempts: 3,
+            quarantine_after: 1,
+            injector: Some(injector.clone()),
+            ..ServiceConfig::default()
+        });
+        // The op's executor finds both banks idle and claims the first,
+        // bank 0, whose corrupt product quarantines it; the retry runs
+        // on bank 1.
+        let job = ProtocolJob::scripted(ProtocolKind::Mul, 256, 1).unwrap();
+        let want = job.run_direct().unwrap();
+        let done = svc.submit_protocol(job).unwrap().wait().expect("recovered");
+        assert_eq!(done.output, want);
+        assert_eq!(done.attempts, 2);
+        let stats = svc.stats();
+        assert_eq!(stats.inline_batches, 1, "{stats}");
+        assert_eq!(stats.quarantined_banks, 1, "{stats}");
+        assert_eq!(stats.faults_detected, 1, "{stats}");
+        let bank0_ops = injector.ops_begun(0);
+        assert_eq!(bank0_ops, 1, "one job ran on bank 0");
+        // Later work, inline and on workers, is served by bank 1 alone
+        // and never lands on bank 0.
+        serve_mixed(&svc, 8, 4);
+        assert_eq!(
+            injector.ops_begun(0),
+            bank0_ops,
+            "quarantined bank reclaimed"
+        );
+        let stats = svc.shutdown();
+        assert_eq!(stats.active_workers, 1);
+        assert_eq!(stats.faults_detected, 1, "{stats}");
     }
 }

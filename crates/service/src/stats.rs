@@ -84,9 +84,14 @@ pub struct ServiceStats {
     /// Batches flushed by the max-linger deadline (partial occupancy,
     /// fleet saturated).
     pub lingered_batches: u64,
-    /// Partial batches flushed immediately because a worker was idle
+    /// Partial batches flushed immediately because a bank was idle
     /// with nothing queued (the work-conserving path).
     pub eager_batches: u64,
+    /// Batches run by the submitter that formed them rather than by a
+    /// worker thread: a graph executor whose eager flush found a bank
+    /// idle claims it and runs its own leaf batch. Orthogonal to the
+    /// flush cause, so `full + lingered + eager == batches` still holds.
+    pub inline_batches: u64,
     /// Mean jobs per flushed batch — the realized packed-lane occupancy
     /// (1.0 means no packing; the `32k/n` capacity is the ceiling).
     pub mean_occupancy: f64,
@@ -231,7 +236,7 @@ impl ServiceStats {
                 "{{\"queue_depth\": {}, \"in_flight\": {}, \"admitted\": {}, ",
                 "\"rejected\": {}, \"completed\": {}, \"batches\": {}, ",
                 "\"full_batches\": {}, \"lingered_batches\": {}, \"eager_batches\": {}, ",
-                "\"mean_occupancy\": {}, \"faults_detected\": {}, \"retries\": {}, ",
+                "\"inline_batches\": {}, \"mean_occupancy\": {}, \"faults_detected\": {}, \"retries\": {}, ",
                 "\"recovered\": {}, \"quarantined_banks\": {}, \"active_workers\": {}, ",
                 "\"hot_hits\": {}, \"hot_misses\": {}, \"latency_samples\": {}"
             ),
@@ -244,6 +249,7 @@ impl ServiceStats {
             self.full_batches,
             self.lingered_batches,
             self.eager_batches,
+            self.inline_batches,
             self.mean_occupancy,
             self.faults_detected,
             self.retries,
@@ -344,6 +350,7 @@ impl ServiceStats {
             full_batches: u64_field(text, "full_batches")?,
             lingered_batches: u64_field(text, "lingered_batches")?,
             eager_batches: u64_field(text, "eager_batches")?,
+            inline_batches: u64_field(text, "inline_batches")?,
             mean_occupancy: f64_field(text, "mean_occupancy")?,
             faults_detected: u64_field(text, "faults_detected")?,
             retries: u64_field(text, "retries")?,
@@ -377,11 +384,12 @@ impl std::fmt::Display for ServiceStats {
         )?;
         writeln!(
             f,
-            "batches {} ({} full, {} lingered, {} eager) | mean occupancy {:.2} jobs/batch",
+            "batches {} ({} full, {} lingered, {} eager; {} run inline) | mean occupancy {:.2} jobs/batch",
             self.batches,
             self.full_batches,
             self.lingered_batches,
             self.eager_batches,
+            self.inline_batches,
             self.mean_occupancy
         )?;
         writeln!(
@@ -510,6 +518,7 @@ mod tests {
             full_batches: 80,
             lingered_batches: 10,
             eager_batches: 30,
+            inline_batches: 25,
             mean_occupancy: 1.0 / 3.0, // not exactly representable in decimal
             faults_detected: 5,
             retries: 4,

@@ -4,10 +4,14 @@
 //! [`crate::JobTicket`] (`Ticket<CompletedJob>`), a protocol op a
 //! [`crate::ProtocolTicket`] (`Ticket<ProtocolCompleted>`); both wait,
 //! time out and poll through this one implementation.
+//!
+//! A ticket always resolves: a fulfiller dropped without a result — the
+//! batch or executor holding it unwound — resolves its slot with
+//! [`ServiceError::Internal`], so no waiter can hang on an orphaned job.
 
 use crate::error::ServiceError;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 struct Slot<T> {
@@ -22,9 +26,11 @@ pub struct Ticket<T> {
 }
 
 /// The writing side of a [`Ticket`]: whoever executes the job resolves
-/// it exactly once, consuming the fulfiller.
+/// it exactly once, consuming the fulfiller. Dropping it unresolved
+/// resolves the ticket with [`ServiceError::Internal`].
 pub(crate) struct Fulfiller<T> {
-    slot: Arc<Slot<T>>,
+    /// `None` once [`Fulfiller::fulfil`] has stored the result.
+    slot: Option<Arc<Slot<T>>>,
 }
 
 /// A fresh, unresolved ticket and the fulfiller that resolves it.
@@ -37,15 +43,35 @@ pub(crate) fn ticket<T>() -> (Ticket<T>, Fulfiller<T>) {
         Ticket {
             slot: Arc::clone(&slot),
         },
-        Fulfiller { slot },
+        Fulfiller { slot: Some(slot) },
     )
 }
 
 impl<T> Fulfiller<T> {
     /// Stores the result and wakes every waiter.
-    pub(crate) fn fulfil(self, result: Result<T, ServiceError>) {
-        *self.slot.result.lock().expect("ticket poisoned") = Some(result);
-        self.slot.done.notify_all();
+    pub(crate) fn fulfil(mut self, result: Result<T, ServiceError>) {
+        if let Some(slot) = self.slot.take() {
+            slot.resolve(result);
+        }
+    }
+}
+
+impl<T> Drop for Fulfiller<T> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            slot.resolve(Err(ServiceError::Internal {
+                detail: "job dropped without a result: the batch or executor running it unwound"
+                    .into(),
+            }));
+        }
+    }
+}
+
+impl<T> Slot<T> {
+    fn resolve(&self, result: Result<T, ServiceError>) {
+        // Poison-tolerant: a fulfiller may drop while its thread unwinds.
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        self.done.notify_all();
     }
 }
 
@@ -105,5 +131,47 @@ impl<T> fmt::Debug for Ticket<T> {
         f.debug_struct("Ticket")
             .field("done", &self.is_done())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dropped_fulfiller_resolves_internal_and_fulfilled_one_does_not() {
+        let (t, f) = ticket::<u32>();
+        assert!(!t.is_done());
+        drop(f);
+        assert!(t.is_done(), "an orphaned slot resolves at once");
+        assert!(matches!(
+            t.wait_timeout(Duration::from_secs(5)),
+            Err(ServiceError::Internal { .. })
+        ));
+
+        // A fulfilled result is the one that resolves; once a wait took
+        // it the slot reads as never completed, not as Internal.
+        let (t, f) = ticket::<u32>();
+        f.fulfil(Ok(7));
+        assert_eq!(t.wait_timeout(Duration::from_secs(5)), Ok(7));
+        assert_eq!(
+            t.wait_timeout(Duration::from_millis(1)),
+            Err(ServiceError::WaitTimeout { timeout_ms: 1 })
+        );
+
+        // A waiter blocked on another thread wakes when its fulfiller
+        // is dropped by an unwinding thread.
+        let (t, f) = ticket::<u32>();
+        let waiter = std::thread::spawn(move || t.wait_timeout(Duration::from_secs(30)));
+        let unwound = std::thread::spawn(move || {
+            let _held = f;
+            panic!("batch unwound");
+        })
+        .join();
+        assert!(unwound.is_err());
+        assert!(matches!(
+            waiter.join().expect("waiter returns"),
+            Err(ServiceError::Internal { .. })
+        ));
     }
 }
