@@ -75,18 +75,16 @@ pub fn is_primitive_root(root: u64, order: u64, q: u64) -> bool {
 ///   `twiddle[j >> (i+1)]` which visits them sequentially per stage).
 /// * `phi_powers` / `phi_inv_powers` — `φ^i`, `φ^-i` for `i ∈ [0, n)`,
 ///   normal order.
-/// * `n_inv` — `n⁻¹ mod q`, folded into the inverse transform's
-///   post-scaling.
+/// * `n_inv` — `n⁻¹ mod q`, with its Shoup companion (`⌊n⁻¹·2^64/q⌋`,
+///   see [`crate::shoup`]) for the merged inverse's final scaling.
 ///
-/// Every multiplicand table additionally carries its Shoup companion
-/// (`⌊w·2^64/q⌋`, see [`crate::shoup`]) so the NTT kernels can run with
-/// lazy reduction, and `phi_inv_n_inv_powers` stores the fused
-/// `φ^{-i}·n⁻¹` post-scaling constants so the inverse negacyclic
-/// transform finishes in a single pass. These classic-pipeline tables
-/// are built on first use: a multiplier that only runs the merged
-/// kernels (the serving referee, the engine's fast datapath) never holds
-/// them. The merged-kernel twiddles ([`MergedTwiddles`]) are built
-/// eagerly and stored once, at the lane width those kernels run.
+/// The classic ω/φ tables feed the strict Algorithm-2 oracle
+/// (`ntt::gs`) and the simulated datapath's mapping; they are built on
+/// first use, so a multiplier that only runs the merged kernels (every
+/// software multiply, the serving referee, the engine's fast datapath)
+/// never holds them. The merged-kernel twiddles ([`MergedTwiddles`])
+/// are built eagerly and stored once, at the lane width those kernels
+/// run.
 #[derive(Debug, Clone)]
 pub struct NttTables {
     n: usize,
@@ -114,14 +112,9 @@ impl Eq for NttTables {}
 #[derive(Debug, Clone)]
 struct ClassicTables {
     omega_powers: Vec<u64>,
-    omega_powers_shoup: Vec<u64>,
     omega_inv_powers: Vec<u64>,
-    omega_inv_powers_shoup: Vec<u64>,
     phi_powers: Vec<u64>,
-    phi_powers_shoup: Vec<u64>,
     phi_inv_powers: Vec<u64>,
-    phi_inv_n_inv_powers: Vec<u64>,
-    phi_inv_n_inv_powers_shoup: Vec<u64>,
 }
 
 /// `1, x, x², …` — `len` successive powers of `x` mod `q`.
@@ -137,7 +130,7 @@ fn powers(x: u64, len: usize, q: u64) -> Vec<u64> {
 }
 
 impl ClassicTables {
-    fn build(n: usize, q: u64, omega: u64, phi: u64, n_inv: u64) -> ClassicTables {
+    fn build(n: usize, q: u64, omega: u64, phi: u64) -> ClassicTables {
         let omega_inv = zq::inv(omega, q).expect("a root of unity is invertible");
         let phi_inv = zq::inv(phi, q).expect("a root of unity is invertible");
         // w-powers in natural order, then permuted bit-reversed.
@@ -152,24 +145,11 @@ impl ClassicTables {
             }
             out
         };
-        let omega_powers = bit_reversed(powers(omega, half.max(1), q));
-        let omega_inv_powers = bit_reversed(powers(omega_inv, half.max(1), q));
-        let phi_powers = powers(phi, n, q);
-        let phi_inv_powers = powers(phi_inv, n, q);
-        let phi_inv_n_inv_powers: Vec<u64> = phi_inv_powers
-            .iter()
-            .map(|&p| zq::mul(p, n_inv, q))
-            .collect();
         ClassicTables {
-            omega_powers_shoup: shoup::precompute_table(&omega_powers, q),
-            omega_inv_powers_shoup: shoup::precompute_table(&omega_inv_powers, q),
-            phi_powers_shoup: shoup::precompute_table(&phi_powers, q),
-            phi_inv_n_inv_powers_shoup: shoup::precompute_table(&phi_inv_n_inv_powers, q),
-            omega_powers,
-            omega_inv_powers,
-            phi_powers,
-            phi_inv_powers,
-            phi_inv_n_inv_powers,
+            omega_powers: bit_reversed(powers(omega, half.max(1), q)),
+            omega_inv_powers: bit_reversed(powers(omega_inv, half.max(1), q)),
+            phi_powers: powers(phi, n, q),
+            phi_inv_powers: powers(phi_inv, n, q),
         }
     }
 }
@@ -290,7 +270,7 @@ impl NttTables {
     /// The classic-pipeline tables, built by the first caller.
     fn classic(&self) -> &ClassicTables {
         self.classic
-            .get_or_init(|| ClassicTables::build(self.n, self.q, self.omega, self.phi, self.n_inv))
+            .get_or_init(|| ClassicTables::build(self.n, self.q, self.omega, self.phi))
     }
 
     /// Transform length.
@@ -323,22 +303,10 @@ impl NttTables {
         &self.classic().omega_powers
     }
 
-    /// Shoup companions of [`NttTables::omega_powers`].
-    #[inline]
-    pub fn omega_powers_shoup(&self) -> &[u64] {
-        &self.classic().omega_powers_shoup
-    }
-
     /// `w^-i` for `i ∈ [0, n/2)`, bit-reversed order.
     #[inline]
     pub fn omega_inv_powers(&self) -> &[u64] {
         &self.classic().omega_inv_powers
-    }
-
-    /// Shoup companions of [`NttTables::omega_inv_powers`].
-    #[inline]
-    pub fn omega_inv_powers_shoup(&self) -> &[u64] {
-        &self.classic().omega_inv_powers_shoup
     }
 
     /// `φ^i` for `i ∈ [0, n)`, normal order.
@@ -347,29 +315,10 @@ impl NttTables {
         &self.classic().phi_powers
     }
 
-    /// Shoup companions of [`NttTables::phi_powers`].
-    #[inline]
-    pub fn phi_powers_shoup(&self) -> &[u64] {
-        &self.classic().phi_powers_shoup
-    }
-
     /// `φ^-i` for `i ∈ [0, n)`, normal order.
     #[inline]
     pub fn phi_inv_powers(&self) -> &[u64] {
         &self.classic().phi_inv_powers
-    }
-
-    /// Fused `φ^{-i}·n⁻¹` for `i ∈ [0, n)`, normal order — the inverse
-    /// transform's entire post-scaling in one table.
-    #[inline]
-    pub fn phi_inv_n_inv_powers(&self) -> &[u64] {
-        &self.classic().phi_inv_n_inv_powers
-    }
-
-    /// Shoup companions of [`NttTables::phi_inv_n_inv_powers`].
-    #[inline]
-    pub fn phi_inv_n_inv_powers_shoup(&self) -> &[u64] {
-        &self.classic().phi_inv_n_inv_powers_shoup
     }
 
     /// The merged forward (`φ^{rev(i)}`) and inverse (`φ^{-rev(i)}`)
@@ -471,34 +420,6 @@ mod tests {
             );
         }
         assert_eq!(zq::mul(t.n_inv(), n as u64, q), 1);
-    }
-
-    #[test]
-    fn shoup_companions_consistent() {
-        let n = 64;
-        let q = 7681;
-        let t = NttTables::for_degree_modulus(n, q).unwrap();
-        let pairs = [
-            (t.omega_powers(), t.omega_powers_shoup()),
-            (t.omega_inv_powers(), t.omega_inv_powers_shoup()),
-            (t.phi_powers(), t.phi_powers_shoup()),
-            (t.phi_inv_n_inv_powers(), t.phi_inv_n_inv_powers_shoup()),
-        ];
-        for (ws, duals) in pairs {
-            assert_eq!(ws.len(), duals.len());
-            for (&w, &dual) in ws.iter().zip(duals) {
-                assert_eq!(dual, shoup::precompute(w, q));
-                // Spot-check the product against plain modular mul.
-                assert_eq!(shoup::mul(12345 % q, w, dual, q), zq::mul(w, 12345 % q, q));
-            }
-        }
-        for i in 0..n {
-            assert_eq!(
-                t.phi_inv_n_inv_powers()[i],
-                zq::mul(t.phi_inv_powers()[i], t.n_inv(), q),
-                "fused post-scaling constant at i = {i}"
-            );
-        }
         assert_eq!(t.n_inv_shoup(), shoup::precompute(t.n_inv(), q));
     }
 

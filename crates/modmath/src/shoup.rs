@@ -62,12 +62,6 @@ pub fn mul_lazy(t: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     w.wrapping_mul(t).wrapping_sub(h.wrapping_mul(q))
 }
 
-/// Canonical Shoup product: `w · t mod q` in `[0, q)`.
-#[inline]
-pub fn mul(t: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
-    reduce_2q(mul_lazy(t, w, w_shoup, q), q)
-}
-
 /// Largest modulus (exclusive) for which the half-width Shoup path
 /// ([`mul_lazy_half`]) is valid: `q < 2^30` keeps every intermediate of
 /// the 32×32→64 schedule in range (see [`mul_lazy_half`]'s bounds
@@ -166,7 +160,11 @@ mod tests {
             for w in (0..q).step_by((q / 97) as usize + 1) {
                 let ws = precompute(w, q);
                 for t in (0..q).step_by((q / 89) as usize + 1) {
-                    assert_eq!(mul(t, w, ws, q), zq::mul(w, t, q), "q={q} w={w} t={t}");
+                    assert_eq!(
+                        reduce_2q(mul_lazy(t, w, ws, q), q),
+                        zq::mul(w, t, q),
+                        "q={q} w={w} t={t}"
+                    );
                 }
             }
         }

@@ -13,7 +13,8 @@
 //! * [`poly`] — the [`poly::Polynomial`] type over `Z_q[x]/(x^n + 1)`.
 //! * [`gs`] — the Gentleman–Sande in-place NTT of the paper's
 //!   Algorithm 2 (bit-reversed input, natural output, stage-doubling
-//!   butterfly distance, bit-reversed twiddle table).
+//!   butterfly distance, bit-reversed twiddle table) in strict canonical
+//!   arithmetic: the transform oracle.
 //! * [`merged`] — merged-twiddle (`ψ`-folded) CT/GS kernels: the
 //!   scale-free, permute-free hot path the multiplier runs on.
 //! * [`negacyclic`] — the full NTT-based negacyclic multiplier of

@@ -604,8 +604,15 @@ fn run_half(dir: Dir, data: &mut [u64], p: &Plan<HalfMul>) {
     widen(data);
 }
 
-/// Runtime-dispatched compilations of [`run_half`] (see
-/// [`crate::gs`] for the rationale).
+/// Runtime-dispatched compilations of [`run_half`].
+///
+/// The `u32`-lane butterflies are pure 32×32→64 arithmetic, which the
+/// loop vectorizer only lowers to packed multiplies (`vpmuludq`) when
+/// wide enough registers make it profitable. `#[target_feature]`
+/// recompiles the *same* generic passes with the AVX-512/AVX2 cost
+/// models; the arithmetic is identical, so results are bit-identical
+/// across compilations, and the portable build remains the fallback
+/// (and the only path off x86-64).
 mod simd {
     use super::{run_half, Dir, HalfMul, Plan};
 
@@ -748,37 +755,12 @@ pub fn inverse_batch_in_place(data: &mut [u64], tables: &NttTables) {
     dispatch(Dir::Inverse, data, tables);
 }
 
-/// Lazy pointwise product `out[i] = a[i]·b[i] mod q ∈ [0, 2q)` for lazy
-/// operands (`< 2q`).
+/// Lazy pointwise product in place: `a[i] ← a[i]·b[i] mod q ∈ [0, 2q)`
+/// for lazy operands (`< 2q`).
 ///
 /// For `q < 2^31` this is a Barrett multiply with the precomputed
 /// `µ = ⌊2^64/q⌋` — no `u128` remainder. Larger moduli fall back to
 /// normalizing the operands and a `u128` widening multiply.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn pointwise_lazy(a: &[u64], b: &[u64], out: &mut [u64], q: u64) {
-    assert!(
-        a.len() == b.len() && a.len() == out.len(),
-        "length mismatch"
-    );
-    if q < 1 << 31 {
-        let mu = barrett::precompute_mu(q);
-        for ((&x, &y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = barrett::mul_lazy_mu(x, y, mu, q);
-        }
-    } else {
-        for ((&x, &y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            let x = shoup::reduce_2q(x, q);
-            let y = shoup::reduce_2q(y, q);
-            *o = ((x as u128 * y as u128) % q as u128) as u64;
-        }
-    }
-}
-
-/// In-place variant of [`pointwise_lazy`]: `a[i] ← a[i]·b[i] mod q`,
-/// lazy in and out. Saves the third buffer in multiply pipelines.
 ///
 /// # Panics
 ///
@@ -1089,12 +1071,12 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_lazy_matches_canonical() {
+    fn pointwise_lazy_in_place_matches_canonical() {
         let q = 786433u64;
         let a: Vec<u64> = (0..256u64).map(|i| (i * 1337) % (2 * q)).collect();
         let b: Vec<u64> = (0..256u64).map(|i| (i * 7331 + 5) % (2 * q)).collect();
-        let mut out = vec![0u64; 256];
-        pointwise_lazy(&a, &b, &mut out, q);
+        let mut out = a.clone();
+        pointwise_lazy_in_place(&mut out, &b, q);
         for i in 0..256 {
             assert!(out[i] < 2 * q);
             assert_eq!(

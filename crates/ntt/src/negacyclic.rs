@@ -11,35 +11,18 @@
 //! is folded into the post-scaling, mirroring the hardware pipeline where
 //! that multiply shares the `c̄_i φ^{-i}` block.
 //!
+//! [`NttMultiplier`] computes it with the [`crate::merged`] kernels,
+//! which fold both scalings into their twiddles; [`crate::gs`] keeps the
+//! literal pipeline's transform as the oracle they are checked against.
+//!
 //! [`PolyMultiplier`] is the object-safe trait the RLWE layer and the
 //! PIM-backed accelerator both implement, so schemes can swap backends.
 
 use crate::poly::Polynomial;
-use crate::{gs, merged, Result};
+use crate::{merged, Result};
 use modmath::params::ParamSet;
 use modmath::roots::NttTables;
 use modmath::{bitrev, shoup, zq, Error};
-use std::time::Instant;
-
-/// Wall-clock split of a batch multiply, reported by
-/// [`NttMultiplier::multiply_batch_into`] so callers can attribute time
-/// to transform work vs pointwise work without re-instrumenting the
-/// kernels.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchPhaseTiming {
-    /// Nanoseconds spent in forward + inverse transforms.
-    pub transform_ns: u64,
-    /// Nanoseconds spent in the pointwise product pass.
-    pub pointwise_ns: u64,
-}
-
-impl BatchPhaseTiming {
-    /// Accumulates another timing split into this one.
-    pub fn accumulate(&mut self, other: BatchPhaseTiming) {
-        self.transform_ns += other.transform_ns;
-        self.pointwise_ns += other.pointwise_ns;
-    }
-}
 
 /// Anything that can multiply two polynomials in `Z_q[x]/(x^n + 1)`.
 ///
@@ -142,8 +125,15 @@ impl NttMultiplier {
     }
 
     /// Forward negacyclic transform: returns `NTT(φ ⊙ a)` in natural
-    /// order. Exposed so the frequency-domain representation can be
-    /// cached across multiplications (C-INTERMEDIATE).
+    /// order, canonical. Exposed so the frequency-domain representation
+    /// can be cached across multiplications (C-INTERMEDIATE).
+    ///
+    /// This is a view over the merged kernel every multiply runs:
+    /// [`forward_batch`] leaves spectrum value `X[k]` at index
+    /// `rev(k)`, so one bit-reversal permutation and one normalization
+    /// yield the natural-order canonical spectrum.
+    ///
+    /// [`forward_batch`]: NttMultiplier::forward_batch
     ///
     /// # Errors
     ///
@@ -156,30 +146,21 @@ impl NttMultiplier {
             });
         }
         let q = self.tables.modulus();
-        let phi = self.tables.phi_powers();
-        let phi_shoup = self.tables.phi_powers_shoup();
-        // Lazy hot path: the φ pre-scaling leaves values in [0, 2q),
-        // which is exactly what the lazy kernel accepts, and the GS
-        // kernel's bit-reversal permutation is folded into the same
-        // pass as a scatter. One normalization at the end restores
-        // canonical form.
-        let bits = bitrev::log2_exact(n).expect("degree is a power of two");
-        let mut data = vec![0u64; n];
-        for (i, &c) in a.coeffs().iter().enumerate() {
-            data[bitrev::reverse_bits(i, bits)] = shoup::mul_lazy(c, phi[i], phi_shoup[i], q);
-        }
-        gs::gs_kernel_lazy_in_place(
-            &mut data,
-            self.tables.omega_powers(),
-            self.tables.omega_powers_shoup(),
-            q,
-        );
-        shoup::normalize_slice(&mut data, q);
-        Ok(data)
+        let mut spec = a.coeffs().to_vec();
+        reduce_words(&mut spec, q);
+        merged::forward_lazy_batch_in_place(&mut spec, &self.tables);
+        bitrev::permute_in_place(&mut spec);
+        shoup::normalize_slice(&mut spec, q);
+        Ok(spec)
     }
 
-    /// Inverse negacyclic transform of a frequency-domain vector:
-    /// `φ̄ ⊙ INTT(spec)` with the `n⁻¹` folded in.
+    /// Inverse negacyclic transform of a natural-order frequency-domain
+    /// vector: `φ̄ ⊙ INTT(spec)` with the `n⁻¹` folded in — the inverse
+    /// of [`forward`], as a view over [`inverse_batch`]. Words need not
+    /// be canonical: any `u64` stands for its residue mod `q`.
+    ///
+    /// [`forward`]: NttMultiplier::forward
+    /// [`inverse_batch`]: NttMultiplier::inverse_batch
     ///
     /// # Errors
     ///
@@ -190,22 +171,10 @@ impl NttMultiplier {
             return Err(Error::InvalidDegree { n: spec.len() });
         }
         let q = self.tables.modulus();
-        // Lazy inverse: kernel output stays in [0, 2q); the fused
-        // φ^{-i}·n⁻¹ Shoup multiply performs the post-scaling and the
-        // final normalization in one pass.
+        reduce_words(&mut spec, q);
         bitrev::permute_in_place(&mut spec);
-        gs::gs_kernel_lazy_in_place(
-            &mut spec,
-            self.tables.omega_inv_powers(),
-            self.tables.omega_inv_powers_shoup(),
-            q,
-        );
-        let fused = self.tables.phi_inv_n_inv_powers();
-        let fused_shoup = self.tables.phi_inv_n_inv_powers_shoup();
-        for (i, c) in spec.iter_mut().enumerate() {
-            *c = shoup::mul(*c, fused[i], fused_shoup[i], q);
-        }
-        Polynomial::from_coeffs(spec, q)
+        merged::inverse_batch_in_place(&mut spec, &self.tables);
+        Polynomial::from_canonical_coeffs(spec, q)
     }
 
     /// Pointwise product of two frequency-domain vectors.
@@ -279,77 +248,25 @@ impl NttMultiplier {
         Ok(())
     }
 
-    /// Batch-fused negacyclic multiply: `out[k] = a[k] · b[k]` for each
-    /// stacked polynomial pair, walking every twiddle table once per
-    /// stage across the whole batch. `a` and `b` are consumed as
-    /// scratch (left in an unspecified state); `out` receives canonical
-    /// natural-order products. No allocation.
-    ///
-    /// Returns the wall-clock [`BatchPhaseTiming`] split.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDegree`] on a length mismatch or when the
-    /// length is not a positive multiple of the degree.
-    pub fn multiply_batch_into(
-        &self,
-        a: &mut [u64],
-        b: &mut [u64],
-        out: &mut [u64],
-    ) -> Result<BatchPhaseTiming> {
-        self.check_batch(a.len())?;
-        if a.len() != b.len() || a.len() != out.len() {
-            return Err(Error::InvalidDegree { n: b.len() });
-        }
-        let t0 = Instant::now();
-        merged::forward_lazy_batch_in_place(a, &self.tables);
-        merged::forward_lazy_batch_in_place(b, &self.tables);
-        let t1 = Instant::now();
-        merged::pointwise_lazy(a, b, out, self.tables.modulus());
-        let t2 = Instant::now();
-        merged::inverse_batch_in_place(out, &self.tables);
-        let t3 = Instant::now();
-        Ok(BatchPhaseTiming {
-            transform_ns: (t1 - t0).as_nanos() as u64 + (t3 - t2).as_nanos() as u64,
-            pointwise_ns: (t2 - t1).as_nanos() as u64,
-        })
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`NttMultiplier::multiply_batch_into`] for `Polynomial` slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDegree`] on a length mismatch between the
-    /// operand slices or any operand and the configured degree.
-    pub fn multiply_batch(&self, a: &[Polynomial], b: &[Polynomial]) -> Result<Vec<Polynomial>> {
-        if a.len() != b.len() || a.is_empty() {
-            return Err(Error::InvalidDegree { n: a.len() });
-        }
-        let n = self.tables.degree();
-        let q = self.tables.modulus();
-        for p in a.iter().chain(b) {
-            if p.degree_bound() != n {
-                return Err(Error::InvalidDegree {
-                    n: p.degree_bound(),
-                });
-            }
-        }
-        let mut fa: Vec<u64> = a.iter().flat_map(|p| p.coeffs().iter().copied()).collect();
-        let mut fb: Vec<u64> = b.iter().flat_map(|p| p.coeffs().iter().copied()).collect();
-        let mut out = vec![0u64; fa.len()];
-        self.multiply_batch_into(&mut fa, &mut fb, &mut out)?;
-        out.chunks_exact(n)
-            .map(|c| Polynomial::from_canonical_coeffs(c.to_vec(), q))
-            .collect()
-    }
-
     fn check_batch(&self, len: usize) -> Result<()> {
         let n = self.tables.degree();
         if len == 0 || !len.is_multiple_of(n) {
             return Err(Error::InvalidDegree { n: len });
         }
         Ok(())
+    }
+}
+
+/// Reduces `words` to canonical residues mod `q` in place, as
+/// [`Polynomial::from_coeffs`] does: one comparison sweep, and the `%`
+/// sweep only when some word is out of range. The merged kernels take
+/// lazy `< 2q` input only, and their `u32` lanes would truncate wider
+/// words.
+fn reduce_words(words: &mut [u64], q: u64) {
+    if words.iter().any(|&w| w >= q) {
+        for w in words.iter_mut() {
+            *w %= q;
+        }
     }
 }
 
@@ -373,7 +290,7 @@ impl PolyMultiplier for NttMultiplier {
         // permutations — both spectra stay in the same bit-reversed lazy
         // domain, where the pointwise product commutes with the
         // permutation, so the canonical output is bit-identical to the
-        // classic pipeline's.
+        // natural-order Algorithm-1 pipeline's.
         let mut fa = a.coeffs().to_vec();
         let mut fb = b.coeffs().to_vec();
         merged::forward_lazy_batch_in_place(&mut fa, &self.tables);
@@ -459,6 +376,42 @@ mod tests {
             let sq = m.multiply(&h, &h).unwrap();
             assert_eq!(sq.coeff(0), q - 1, "n = {n}");
             assert!(sq.coeffs()[1..].iter().all(|&c| c == 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn inverse_reduces_out_of_range_words() {
+        // Any u64 word stands for its residue: words at q, 2q − 1, 2q
+        // and near u64::MAX must give the polynomial of the reduced
+        // spectrum, on the u32 lanes and on the u64 lanes.
+        let wide_q = {
+            let mut q = (1u64 << 30) + 1;
+            while !modmath::primes::is_prime(q) {
+                q += 512;
+            }
+            q
+        };
+        for q in [7681u64, wide_q] {
+            let m = NttMultiplier::for_degree_modulus(256, q).unwrap();
+            let canonical = rand_poly(256, q, 29).coeffs().to_vec();
+            let spec: Vec<u64> = canonical
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match i % 4 {
+                    0 => x + q,
+                    1 => 2 * q - 1,
+                    2 => x + 2 * q,
+                    _ => x + (u64::MAX - x) / q * q,
+                })
+                .collect();
+            assert!(spec.iter().all(|&w| w >= q));
+            assert!(spec.iter().skip(3).step_by(4).all(|&w| w > u64::MAX - q));
+            let reduced: Vec<u64> = spec.iter().map(|&w| w % q).collect();
+            assert_eq!(
+                m.inverse(spec).unwrap(),
+                m.inverse(reduced).unwrap(),
+                "q = {q}"
+            );
         }
     }
 

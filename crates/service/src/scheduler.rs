@@ -1543,7 +1543,7 @@ mod tests {
         // 64 lanes at n = 256: with the lone worker saturated (so the
         // eager path cannot drain singles) and an hour-long linger, 64
         // same-key jobs must still flush — as one full batch.
-        let svc = Service::start(ServiceConfig {
+        let (svc, gate) = gated(ServiceConfig {
             workers: 1,
             linger: Duration::from_secs(3600),
             ..ServiceConfig::default()
@@ -1556,6 +1556,7 @@ mod tests {
                     .expect("admitted")
             })
             .collect();
+        gate.open();
         for t in tickets {
             let done = t.wait().expect("executed");
             assert_eq!(done.batch_jobs, 64, "full-occupancy batch");
@@ -1592,13 +1593,79 @@ mod tests {
         assert_eq!(stats.lingered_batches, 0);
     }
 
-    /// Occupies the single worker of `svc` for long enough to submit
-    /// more work underneath it. Degree-32k jobs have exactly one
-    /// packed lane, so each submit forms a *full* batch inline (no
-    /// former involvement) and a debug-mode 32k multiply runs long;
-    /// `count` of them keep the lone worker saturated back to back
-    /// (the formed queue covers the gap between batches in the
-    /// idle-capacity computation).
+    /// Test injector: every bank's ops wait at `begin_op` until the test
+    /// opens the gate, so a batch holds its bank for exactly as long as
+    /// the test needs rather than for however long its multiply takes.
+    /// The paths are armed only while the gate is closed: once it opens,
+    /// banks run the fast datapath again.
+    #[derive(Debug, Default)]
+    struct GateInjector {
+        gate: Arc<Gate>,
+    }
+
+    #[derive(Debug, Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    #[derive(Debug)]
+    struct GatePath {
+        bank: u32,
+        gate: Arc<Gate>,
+    }
+
+    impl GateInjector {
+        fn open(&self) {
+            *self.gate.open.lock().unwrap() = true;
+            self.gate.opened.notify_all();
+        }
+    }
+
+    impl Injector for GateInjector {
+        fn bank_writes(&self, bank: u32) -> Arc<dyn WritePathTrait> {
+            Arc::new(GatePath {
+                bank,
+                gate: Arc::clone(&self.gate),
+            })
+        }
+    }
+
+    impl WritePathTrait for GatePath {
+        fn armed(&self) -> bool {
+            !*self.gate.open.lock().unwrap()
+        }
+        fn begin_op(&self) {
+            let open = self.gate.open.lock().unwrap();
+            drop(self.gate.opened.wait_while(open, |open| !*open).unwrap());
+        }
+        fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+            value
+        }
+        fn bank(&self) -> u32 {
+            self.bank
+        }
+        fn suspect_block(&self) -> Option<u32> {
+            None
+        }
+    }
+
+    /// Starts `config` with every bank behind a closed [`GateInjector`].
+    fn gated(config: ServiceConfig) -> (Service, Arc<GateInjector>) {
+        let gate = Arc::new(GateInjector::default());
+        let svc = Service::start(ServiceConfig {
+            injector: Some(gate.clone()),
+            ..config
+        });
+        (svc, gate)
+    }
+
+    /// Occupies the single worker of a [`gated`] `svc` until the test
+    /// opens the gate, so more work can be submitted underneath it.
+    /// Degree-32k jobs have exactly one packed lane, so each submit
+    /// forms a *full* batch inline (no former involvement); the first
+    /// one's batch holds the lone bank at the closed gate, and the rest
+    /// wait on the formed queue behind it.
     fn saturate_one_worker(svc: &Service, count: usize) -> Vec<JobTicket> {
         let q = ParamSet::for_degree(32768).unwrap().q;
         let tickets: Vec<JobTicket> = (0..count as u64)
@@ -1622,7 +1689,7 @@ mod tests {
         // A job stuck behind a saturated single worker times out on a
         // short wait with a typed error, stays claimable, and resolves
         // to the correct product on a later (patient) wait.
-        let svc = Service::start(ServiceConfig {
+        let (svc, gate) = gated(ServiceConfig {
             workers: 1,
             linger: Duration::from_nanos(1),
             ..ServiceConfig::default()
@@ -1641,6 +1708,7 @@ mod tests {
             .wait_timeout(Duration::from_millis(1))
             .expect_err("worker still busy with 32k blockers");
         assert_eq!(err, ServiceError::WaitTimeout { timeout_ms: 1 });
+        gate.open();
         let done = ticket
             .wait_timeout(Duration::from_secs(300))
             .expect("eventually served");
@@ -1659,7 +1727,7 @@ mod tests {
 
     #[test]
     fn linger_holds_partials_while_fleet_saturated() {
-        let svc = Service::start(ServiceConfig {
+        let (svc, gate) = gated(ServiceConfig {
             workers: 1,
             linger: Duration::from_nanos(1),
             ..ServiceConfig::default()
@@ -1667,11 +1735,18 @@ mod tests {
         let blockers = saturate_one_worker(&svc, 2);
         // With the worker busy, this partial cannot flush eagerly; the
         // already-expired linger deadline flushes it on the former's
-        // next wakeup instead.
+        // next wakeup instead. The bank stays held until that flush has
+        // formed a third batch (or a minute has passed, which fails the
+        // assertion below rather than hanging).
         let q = ParamSet::for_degree(1024).unwrap().q;
         let t = svc
             .submit(poly(1024, q, 5), poly(1024, q, 6))
             .expect("admitted");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while svc.stats().batches < 3 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        gate.open();
         t.wait().expect("executed");
         for b in blockers {
             b.wait().expect("executed");
@@ -1682,7 +1757,7 @@ mod tests {
 
     #[test]
     fn reject_policy_returns_typed_error() {
-        let svc = Service::start(ServiceConfig {
+        let (svc, gate) = gated(ServiceConfig {
             workers: 1,
             queue_capacity: 1,
             backpressure: Backpressure::Reject,
@@ -1702,6 +1777,7 @@ mod tests {
         assert_eq!(second.err(), Some(ServiceError::Overloaded { capacity: 1 }));
         let stats = svc.stats();
         assert_eq!(stats.rejected, 1);
+        gate.open();
         drop(first);
         drop(blockers);
         let final_stats = svc.shutdown();

@@ -185,11 +185,12 @@ fn engine_batch_fused_multiply_is_allocation_free() {
 
 #[test]
 fn batch_fused_multiply_is_allocation_free() {
-    // The batch-fused referee path (`multiply_batch_into`) runs entirely
-    // in caller buffers — the `u32` lanes of the merged kernels are
-    // packed into those same buffers — so once the multiplier and the
-    // three B·n slabs exist, a whole batch of transforms, or a smaller
-    // batch over prefixes of the slabs, touches the heap zero times.
+    // The batch-fused referee sequence (`forward_batch` on both operand
+    // slabs, `pointwise_batch`, `inverse_batch`) runs entirely in caller
+    // buffers — the `u32` lanes of the merged kernels are packed into
+    // those same buffers — so once the multiplier and the two B·n slabs
+    // exist, a whole batch of transforms, or a smaller batch over
+    // prefixes of the slabs, touches the heap zero times.
     let batch = 4usize;
     for n in BATCH_DEGREES {
         let params = ParamSet::for_degree(n).expect("paper degree");
@@ -202,22 +203,26 @@ fn batch_fused_multiply_is_allocation_free() {
             .flat_map(|j| rand_vec(n, q, 30 + j))
             .collect();
         let (mut a, mut b) = (a0.clone(), b0.clone());
-        let mut out = vec![0u64; batch * n];
+        let multiply = |a: &mut [u64], b: &mut [u64]| {
+            m.forward_batch(a)?;
+            m.forward_batch(b)?;
+            m.pointwise_batch(a, b)?;
+            m.inverse_batch(a)
+        };
 
         // Warm-up (also produces the reference products).
-        m.multiply_batch_into(&mut a, &mut b, &mut out)
-            .expect("warm-up");
-        let reference = out.clone();
+        multiply(&mut a, &mut b).expect("warm-up");
+        let reference = a.clone();
 
         for len in [batch * n, batch / 2 * n] {
             let (allocs, deallocs) = heap_ops(|| {
                 a.copy_from_slice(&a0);
                 b.copy_from_slice(&b0);
-                m.multiply_batch_into(&mut a[..len], &mut b[..len], &mut out[..len])
-                    .expect("steady state");
+                multiply(&mut a[..len], &mut b[..len]).expect("steady state");
             });
             assert_eq!(
-                out, reference,
+                a[..len],
+                reference[..len],
                 "products must stay correct, n = {n}, len = {len}"
             );
             assert_eq!(

@@ -1,8 +1,9 @@
-//! Batch-fused transform correctness: the fused `B`-polynomial paths
-//! (`forward_batch` / `inverse_batch` / `multiply_batch`) walk each
-//! twiddle table once for the whole batch, and must be **bit-identical**
-//! to running the single-polynomial pipeline `B` times — for every batch
-//! width the serving layer forms and every paper modulus.
+//! Batch-fused transform correctness: the fused `B`-polynomial sequence
+//! the Recompute referee runs (`forward_batch` on both operand slabs,
+//! `pointwise_batch`, `inverse_batch`) walks each twiddle table once per
+//! stage for the whole batch, and must be **bit-identical** to running
+//! the single-polynomial multiply `B` times — for every batch width the
+//! serving layer forms and every paper modulus.
 //!
 //! Also pins the lazy-bound contract at its worst case: the half-width
 //! Shoup path is taken for every `q < 2^30`, so the largest NTT-friendly
@@ -26,11 +27,16 @@ fn check_batch_matches_sequential(n: usize, q: u64, batch: usize, a: Vec<u64>, b
             .collect()
     };
     let (aps, bps) = (split(&a), split(&b));
-    let fused = m.multiply_batch(&aps, &bps).expect("batch multiply");
+    let (mut fa, mut fb) = (a[..batch * n].to_vec(), b[..batch * n].to_vec());
+    m.forward_batch(&mut fa).expect("batch forward");
+    m.forward_batch(&mut fb).expect("batch forward");
+    m.pointwise_batch(&mut fa, &fb).expect("batch pointwise");
+    m.inverse_batch(&mut fa).expect("batch inverse");
     for i in 0..batch {
         let sequential = m.multiply(&aps[i], &bps[i]).expect("sequential multiply");
         assert_eq!(
-            fused[i], sequential,
+            fa[i * n..(i + 1) * n],
+            *sequential.coeffs(),
             "n = {n}, q = {q}, B = {batch}, job {i}"
         );
     }
