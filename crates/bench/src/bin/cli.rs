@@ -96,7 +96,7 @@ fn usage() -> ! {
          \x20             [--backpressure block|reject]\n\
          \x20             [--check off|residue[:points[:seed]]|recompute]\n\
          \x20             [--hot-keys K] [--hot-capacity N]            reuse K seeded `a` keys; hot cache size\n\
-         \x20             [--wide R] [--wide-channels K]              blend fraction R of wide RNS-decomposed jobs\n\
+         \x20             [--wide R] [--wide-channels K]              blend fraction R of wide RNS jobs (WideMul graph ops)\n\
          \x20             [--protocols kem:40,sign:30,she:20,mul:10]  serve a protocol mix instead of raw multiplies\n\
          \x20             [--key-churn K]                             fresh keys every K ops (0 = reuse all run)\n\
          \x20             [--tcp] [--quota N] [--wait-timeout-ms N]   over loopback TCP (narrow raw multiplies only)\n\
@@ -1355,8 +1355,9 @@ fn run_fault_campaign(args: &[String]) {
         println!("wrote {path}");
     }
 
-    // --wide: one extra cell streams RNS-decomposed wide jobs through
-    // the residue-sharded pipeline under seeded transient faults. The
+    // --wide: one extra cell streams RNS-decomposed wide jobs, each one
+    // `WideMul` graph op, through the residue-sharded pipeline under
+    // seeded transient faults. The
     // claim gated here is the per-lane checking story: a fault lands in
     // one residue lane, is detected and retried alone, and the
     // recombined product is never wrong.

@@ -251,7 +251,9 @@ impl CryptoPim {
     /// # Errors
     ///
     /// Returns [`PimError::LengthMismatch`] when operand degrees differ
-    /// from the configured degree, plus any engine-level failure.
+    /// from the configured degree, [`modmath::Error::ModulusMismatch`]
+    /// when an operand is reduced modulo another modulus, plus any
+    /// engine-level failure.
     pub fn multiply_with_trace(
         &self,
         a: &Polynomial,
@@ -264,6 +266,8 @@ impl CryptoPim {
                 right: b.degree_bound(),
             });
         }
+        a.expect_modulus(self.params().q)?;
+        b.expect_modulus(self.params().q)?;
         let mut coeffs = Vec::new();
         let trace = self
             .engine()
@@ -313,18 +317,19 @@ impl CryptoPim {
         }
     }
 
-    /// Multiplies two polynomials, returning the product and the report.
+    /// Multiplies two polynomials through [`CryptoPim::multiply_product`]
+    /// (the configured check applied), returning the product and the
+    /// report.
     ///
     /// # Errors
     ///
-    /// Same as [`CryptoPim::multiply_with_trace`].
+    /// Same as [`CryptoPim::multiply_product`].
     pub fn multiply_with_report(
         &self,
         a: &Polynomial,
         b: &Polynomial,
     ) -> Result<(Polynomial, ExecutionReport)> {
-        let (p, r, _) = self.multiply_with_trace(a, b)?;
-        Ok((p, r))
+        Ok((self.multiply_product(a, b)?, self.report()?))
     }
 
     /// Largest degree a single pass supports; larger inputs segment.
@@ -343,20 +348,13 @@ impl PolyMultiplier for CryptoPim {
     }
 
     fn multiply(&self, a: &Polynomial, b: &Polynomial) -> ntt::Result<Polynomial> {
-        self.multiply_with_report(a, b)
-            .map(|(p, _)| p)
-            .map_err(|e| match e {
-                PimError::LengthMismatch { left, .. } => modmath::Error::InvalidDegree { n: left },
-                PimError::Math(m) => m,
-                other => modmath::Error::InvalidDegree {
-                    n: {
-                        // Non-degree PIM failures cannot occur for
-                        // validated parameter sets; surface the degree.
-                        let _ = other;
-                        self.params().n
-                    },
-                },
-            })
+        self.multiply_product(a, b).map_err(|e| match e {
+            PimError::LengthMismatch { left, .. } => modmath::Error::InvalidDegree { n: left },
+            PimError::Math(m) => m,
+            // A failed check or engine fault has no `modmath`
+            // counterpart; the trait's error names the configured degree.
+            _ => modmath::Error::InvalidDegree { n: self.params().n },
+        })
     }
 }
 
@@ -526,6 +524,59 @@ mod tests {
             checked.multiply_product(&a, &b).unwrap(),
             clean.multiply_product(&a, &b).unwrap()
         );
+    }
+
+    #[test]
+    fn foreign_modulus_operands_are_refused() {
+        // q = 786433 operands on an n = 256, q = 7681 accelerator, with
+        // and without the referee: a typed error, never a product in
+        // the wrong ring.
+        let p = ParamSet::for_degree(256).unwrap();
+        let foreign = rand_poly(256, 786433, 41);
+        let native = rand_poly(256, p.q, 42);
+        let mismatch = PimError::Math(modmath::Error::ModulusMismatch {
+            expected: 7681,
+            found: 786433,
+        });
+        for check in [CheckPolicy::Disabled, CheckPolicy::Recompute] {
+            let acc = CryptoPim::new(&p).unwrap().with_check(check);
+            for (a, b) in [(&foreign, &native), (&native, &foreign)] {
+                assert_eq!(acc.multiply_product(a, b), Err(mismatch.clone()));
+                assert_eq!(
+                    acc.multiply(a, b),
+                    Err(modmath::Error::ModulusMismatch {
+                        expected: 7681,
+                        found: 786433
+                    })
+                );
+                assert!(acc.multiply_with_trace(a, b).is_err());
+            }
+        }
+        // In a chunk, only the foreign job fails.
+        let acc = CryptoPim::new(&p).unwrap();
+        let outcomes =
+            crate::batch::chunk_outcomes(&acc, &[(&native, &native), (&foreign, &native)]);
+        assert_eq!(outcomes[0], acc.multiply_product(&native, &native));
+        assert!(outcomes[0].is_ok());
+        assert_eq!(outcomes[1], Err(mismatch));
+    }
+
+    #[test]
+    fn trait_multiply_applies_the_configured_check() {
+        // Through the `PolyMultiplier` trait a Recompute accelerator
+        // with a corrupting write path refuses the product instead of
+        // returning it.
+        let p = ParamSet::for_degree(256).unwrap();
+        let block = pim::fault::layout::pointwise(8);
+        let checked = CryptoPim::new(&p)
+            .unwrap()
+            .with_write_path(Some(Arc::new(PointwiseBitPath { block })))
+            .with_check(CheckPolicy::Recompute);
+        let a = rand_poly(256, p.q, 43);
+        let b = rand_poly(256, p.q, 44);
+        let backend: &dyn PolyMultiplier = &checked;
+        assert!(backend.multiply(&a, &b).is_err());
+        assert!(checked.multiply_with_report(&a, &b).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! throughput from the occupancy simulation.
 //!
 //! Every multiply — a served batch or one direct job — runs through one
-//! chunk function, `chunk_outcomes`: degree check, hot-cache lookup, one
+//! chunk function, `chunk_outcomes`: ring check, hot-cache lookup, one
 //! fused engine pass, then one check policy. Chunks fan out over the
 //! persistent worker pool (`pim::par`) when the accelerator's
 //! [`Threads`](pim::par::Threads) policy resolves to more than one
@@ -145,9 +145,10 @@ const MAX_FUSED_JOBS: usize = 16;
 /// borrowed pairs and returns one outcome per job, in order.
 /// [`CryptoPim::multiply_product`] is the chunk of one.
 ///
-/// 1. **Degree check.** A job whose operands do not match the
-///    configured degree fails alone with [`PimError::LengthMismatch`];
-///    the rest still run.
+/// 1. **Ring check.** A job whose operands do not match the
+///    configured degree fails alone with [`PimError::LengthMismatch`],
+///    and one with an operand reduced modulo another modulus with
+///    [`modmath::Error::ModulusMismatch`]; the rest still run.
 /// 2. **Hot-cache lookup** of every job's `a` operand
 ///    ([`CryptoPim::with_hot_cache`]).
 /// 3. **One engine pass** over the chunk (`Engine::multiply_batch`),
@@ -165,12 +166,21 @@ pub(crate) fn chunk_outcomes<P: Borrow<Polynomial>>(
     acc: &CryptoPim,
     chunk: &[(P, P)],
 ) -> Vec<Result<Polynomial>> {
-    let n = acc.params().n;
-    let fits = |a: &Polynomial, b: &Polynomial| a.degree_bound() == n && b.degree_bound() == n;
+    let (n, q) = (acc.params().n, acc.params().q);
+    let check_ring = |a: &Polynomial, b: &Polynomial| -> Result<()> {
+        if a.degree_bound() != n || b.degree_bound() != n {
+            return Err(PimError::LengthMismatch {
+                left: a.degree_bound(),
+                right: b.degree_bound(),
+            });
+        }
+        a.expect_modulus(q)?;
+        Ok(b.expect_modulus(q)?)
+    };
     let jobs: Vec<(&Polynomial, &Polynomial)> = chunk
         .iter()
         .map(|(a, b)| (a.borrow(), b.borrow()))
-        .filter(|&(a, b)| fits(a, b))
+        .filter(|&(a, b)| check_ring(a, b).is_ok())
         .collect();
     let mut verdicts = if jobs.is_empty() {
         Vec::new()
@@ -181,20 +191,13 @@ pub(crate) fn chunk_outcomes<P: Borrow<Polynomial>>(
     chunk
         .iter()
         .map(|(a, b)| {
-            let (a, b) = (a.borrow(), b.borrow());
-            if fits(a, b) {
-                verdicts.next().expect("one verdict per fitting job")
-            } else {
-                Err(PimError::LengthMismatch {
-                    left: a.degree_bound(),
-                    right: b.degree_bound(),
-                })
-            }
+            check_ring(a.borrow(), b.borrow())
+                .and_then(|()| verdicts.next().expect("one verdict per fitting job"))
         })
         .collect()
 }
 
-/// Steps 2–4 of [`chunk_outcomes`] over jobs of the configured degree.
+/// Steps 2–4 of [`chunk_outcomes`] over jobs of the configured ring.
 fn run_jobs(acc: &CryptoPim, jobs: &[(&Polynomial, &Polynomial)]) -> Vec<Result<Polynomial>> {
     let (n, q) = (acc.params().n, acc.params().q);
     let lane = |i: usize| i * n..(i + 1) * n;

@@ -27,7 +27,7 @@
 
 use crate::mapping::NttMapping;
 use crate::plan::StagePlan;
-use crate::scratch::{BatchScratch, Scratch};
+use crate::scratch::BatchScratch;
 use pim::block::{MemoryBlock, MultiplierKind};
 use pim::fault::{layout, WritePath};
 use pim::reduce::Reducer;
@@ -218,23 +218,18 @@ impl<'m> Engine<'m> {
             // operation with its own `begin_op` and the exact one-job
             // store order, so injected-fault addressing and wear-out
             // epochs are indistinguishable from per-job execution.
-            let mut scratch = Scratch::checkout(n);
+            let mut scratch = BatchScratch::checkout(4 * n);
             for lane in 0..batch {
                 w.begin_op();
                 let la = &a[lane * n..(lane + 1) * n];
                 let lb = &b[lane * n..(lane + 1) * n];
                 let lout = &mut out[lane * n..(lane + 1) * n];
+                let resident = cached.get(lane).copied().flatten();
                 let lcap = capture
                     .as_deref_mut()
+                    .filter(|_| resident.is_none())
                     .map(|c| &mut c[lane * n..(lane + 1) * n]);
-                match cached.get(lane).copied().flatten() {
-                    Some(image) => {
-                        self.datapath_hit(&plan, &mut scratch, image, lb, lout, w);
-                    }
-                    None => {
-                        self.datapath_sequential(&plan, &mut scratch, la, lb, lout, w, lcap);
-                    }
-                }
+                self.datapath_sequential(&plan, scratch.words(), la, resident, lb, lout, w, lcap);
             }
         } else {
             let mut scratch = BatchScratch::checkout(batch * n);
@@ -253,14 +248,22 @@ impl<'m> Engine<'m> {
 
     /// The one-job row datapath an armed write path runs per lane:
     /// bit-reversal folded into the ψ pre-multiply gather, then fused
-    /// row-centric butterfly stages double-buffered through the scratch
-    /// arena, every phase's stores routed through the write path.
+    /// row-centric butterfly stages double-buffered through a `4n`-word
+    /// scratch slab, every phase's stores routed through the write path.
+    ///
+    /// `resident` is `a`'s forward image on a hot-cache hit (stored by an
+    /// earlier operation), `None` on a miss. A resident lane skips the
+    /// `a`-side pre-multiply and forward stages and — because those rows
+    /// are not rewritten — fires no store hooks for them; everything
+    /// from the point-wise multiply on runs unchanged, store order
+    /// included.
     #[allow(clippy::too_many_arguments)]
     fn datapath_sequential(
         &self,
         plan: &StagePlan,
-        scratch: &mut Scratch,
+        scratch: &mut [u64],
         a: &[u64],
+        resident: Option<&[u64]>,
         b: &[u64],
         out: &mut [u64],
         faults: &dyn WritePath,
@@ -270,41 +273,48 @@ impl<'m> Engine<'m> {
         let q = self.mapping.params().q;
         let red = self.mapping.reducer();
         let rev = plan.rev();
-        let (mut xa, mut xa2, mut xb, mut xb2) = scratch.buffers();
+        let (mut xa, rest) = scratch.split_at_mut(out.len());
+        let (mut xa2, rest) = rest.split_at_mut(out.len());
+        let (mut xb, mut xb2) = rest.split_at_mut(out.len());
 
         // --- ψ pre-multiply, bit-reversed write folded in (free). ---
-        let phi_a = self.mapping.phi_a();
         let phi_b = self.mapping.phi_b();
-        redc_map(red, q, xa, |k| {
-            let i = rev[k] as usize;
-            a[i] * phi_a[i]
-        });
         redc_map(red, q, xb, |k| {
             let i = rev[k] as usize;
             b[i] * phi_b[i]
         });
-        corrupt_writes(faults, q, layout::premul(), xa);
+        if resident.is_none() {
+            let phi_a = self.mapping.phi_a();
+            redc_map(red, q, xa, |k| {
+                let i = rev[k] as usize;
+                a[i] * phi_a[i]
+            });
+            corrupt_writes(faults, q, layout::premul(), xa);
+        }
 
         // --- forward NTT stages (the two inputs in parallel banks). ---
         for stage in 0..log_n {
             let tw = self.mapping.twiddle_fwd_stage(stage);
-            stage_rows(red, q, xa, xa2, stage, tw);
+            if resident.is_none() {
+                stage_rows(red, q, xa, xa2, stage, tw);
+                corrupt_writes(faults, q, layout::forward(stage), xa2);
+                std::mem::swap(&mut xa, &mut xa2);
+            }
             stage_rows(red, q, xb, xb2, stage, tw);
-            corrupt_writes(faults, q, layout::forward(stage), xa2);
-            std::mem::swap(&mut xa, &mut xa2);
             std::mem::swap(&mut xb, &mut xb2);
         }
 
         // Post-forward `a` image — what the bank rows physically hold
         // (faults included), so a later hit replays exactly these bits.
+        let sa: &[u64] = resident.unwrap_or(xa);
         if let Some(cap) = capture {
-            cap.copy_from_slice(xa);
+            cap.copy_from_slice(sa);
         }
 
         // --- point-wise multiply, REDC(Â · B̂R) = Â·B̂; bit-reversed
         //     write into the inverse transform folded in (free). ---
         {
-            let (sa, sb) = (&*xa, &*xb);
+            let sb = &*xb;
             redc_map(red, q, xa2, |k| {
                 let i = rev[k] as usize;
                 sa[i] * sb[i]
@@ -312,75 +322,6 @@ impl<'m> Engine<'m> {
         }
         corrupt_writes(faults, q, layout::pointwise(log_n), xa2);
         let (mut xc, mut xc2) = (xa2, xb2);
-
-        // --- inverse NTT stages. ---
-        for stage in 0..log_n {
-            stage_rows(
-                red,
-                q,
-                xc,
-                xc2,
-                stage,
-                self.mapping.twiddle_inv_stage(stage),
-            );
-            corrupt_writes(faults, q, layout::inverse(log_n, stage), xc2);
-            std::mem::swap(&mut xc, &mut xc2);
-        }
-
-        // --- ψ⁻¹ · n⁻¹ post-multiply. ---
-        let phi_post = self.mapping.phi_post();
-        {
-            let src = &*xc;
-            redc_map(red, q, out, |k| src[k] * phi_post[k]);
-        }
-        corrupt_writes(faults, q, layout::postmul(log_n), out);
-    }
-
-    /// The one-lane hit datapath for an armed write path: the `a` rows
-    /// are resident (their forward image `image` was stored by an
-    /// earlier operation), so the lane skips the `a`-side pre-multiply
-    /// and forward stages and — because those rows are not rewritten —
-    /// fires no store hooks for them. Everything from the point-wise
-    /// multiply on is the ordinary sequential path, store order
-    /// included.
-    fn datapath_hit(
-        &self,
-        plan: &StagePlan,
-        scratch: &mut Scratch,
-        image: &[u64],
-        b: &[u64],
-        out: &mut [u64],
-        faults: &dyn WritePath,
-    ) {
-        let log_n = plan.log_n();
-        let q = self.mapping.params().q;
-        let red = self.mapping.reducer();
-        let rev = plan.rev();
-        let (mut xc, mut xc2, mut xb, mut xb2) = scratch.buffers();
-
-        // --- ψ pre-multiply, `b` side only. ---
-        let phi_b = self.mapping.phi_b();
-        redc_map(red, q, xb, |k| {
-            let i = rev[k] as usize;
-            b[i] * phi_b[i]
-        });
-
-        // --- forward NTT stages, `b` side only. ---
-        for stage in 0..log_n {
-            let tw = self.mapping.twiddle_fwd_stage(stage);
-            stage_rows(red, q, xb, xb2, stage, tw);
-            std::mem::swap(&mut xb, &mut xb2);
-        }
-
-        // --- point-wise multiply against the resident image. ---
-        {
-            let sb = &*xb;
-            redc_map(red, q, xc, |k| {
-                let i = rev[k] as usize;
-                image[i] * sb[i]
-            });
-        }
-        corrupt_writes(faults, q, layout::pointwise(log_n), xc);
 
         // --- inverse NTT stages. ---
         for stage in 0..log_n {

@@ -2,18 +2,18 @@
 //!
 //! The engine's merged-kernel datapath and `batch::run_jobs` work in
 //! [`BatchScratch`] slabs sized per batch; a lane on an armed write
-//! path runs the row datapath, which needs four working vectors (two
-//! double-buffered transforms) from a [`Scratch`], a flat `4n`-word
-//! slab. Both check their slab out of a thread-local pool, hand out
-//! disjoint views, and return the slab on drop. In the steady state
-//! (same shape, same thread) the checkout is a `Vec` pop and the whole
-//! multiply performs **zero** heap allocations — asserted by the
-//! counting-allocator test in `tests/alloc_steady_state.rs`.
+//! path runs the row datapath, which carves four working vectors (two
+//! double-buffered transforms) out of a `4n`-word one. Each checkout
+//! takes its slab from a thread-local pool and returns it on drop. In
+//! the steady state (same shape, same thread) the checkout is a `Vec`
+//! pop and the whole multiply performs **zero** heap allocations —
+//! asserted by the counting-allocator test in
+//! `tests/alloc_steady_state.rs`.
 //!
 //! Lifetime rules (also documented in DESIGN.md §10):
 //!
-//! * A `Scratch` is checked out per multiply and must not outlive the
-//!   call that checked it out — the engine keeps it on the stack.
+//! * A slab is checked out per multiply and must not outlive the call
+//!   that checked it out — the engine keeps it on the stack.
 //! * The pool is thread-local, so pool workers executing batched jobs
 //!   each warm their own slabs; there is no cross-thread hand-off and
 //!   therefore no locking on the hot path.
@@ -22,9 +22,9 @@
 
 use std::cell::RefCell;
 
-/// Slabs retained per thread. Two covers the engine (one multiply in
-/// flight) plus one nested checkout (e.g. a batch job calling back into
-/// the engine); beyond that, extra slabs are freed rather than hoarded.
+/// Slabs retained per thread. Two cover a chunk (its staged operands
+/// plus the engine's slab); beyond the bound, extra slabs are freed
+/// rather than hoarded.
 const MAX_POOLED: usize = 4;
 
 /// Returns a slab to a full-or-not pool, preferring to keep the
@@ -51,75 +51,18 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A checked-out `4n`-word scratch slab; returns itself on drop.
-#[derive(Debug)]
-pub struct Scratch {
-    slab: Vec<u64>,
-    n: usize,
-}
-
-impl Scratch {
-    /// Checks a slab for degree `n` out of the thread-local pool,
-    /// allocating only when the pool has no slab of this exact size.
-    pub fn checkout(n: usize) -> Scratch {
-        let want = 4 * n;
-        let slab = POOL
-            .with(|p| {
-                let mut p = p.borrow_mut();
-                p.iter()
-                    .position(|s| s.len() == want)
-                    .map(|i| p.swap_remove(i))
-            })
-            .unwrap_or_else(|| vec![0u64; want]);
-        Scratch { slab, n }
-    }
-
-    /// The four disjoint `n`-word working buffers.
-    pub fn buffers(&mut self) -> (&mut [u64], &mut [u64], &mut [u64], &mut [u64]) {
-        let (a, rest) = self.slab.split_at_mut(self.n);
-        let (b, rest) = rest.split_at_mut(self.n);
-        let (c, d) = rest.split_at_mut(self.n);
-        (a, b, c, &mut d[..self.n])
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let slab = std::mem::take(&mut self.slab);
-        if slab.is_empty() {
-            return;
-        }
-        // Best-effort return; during thread teardown the TLS may already
-        // be gone, in which case the slab is just freed.
-        let _ = POOL.try_with(|p| {
-            if let Ok(mut p) = p.try_borrow_mut() {
-                give_back(&mut p, slab);
-            }
-        });
-    }
-}
-
-/// Number of slabs currently pooled on this thread (diagnostics/tests).
-pub fn pooled_slabs() -> usize {
-    POOL.with(|p| p.borrow().len())
-}
-
-thread_local! {
-    static BATCH_POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
-}
-
 /// A checked-out slab of words for the batch paths: `batch::run_jobs`
 /// stages both operands of a `B`-job chunk in one (`2·B·n` words, one
 /// `B·n` lane per operand, read by the engine and transformed in place
 /// by the software referee), and the engine's merged-kernel datapath
 /// transforms its second operand in another (`B·n` words; the first is
-/// transformed in the caller's output buffer, where the product lands).
+/// transformed in the caller's output buffer, where the product lands),
+/// or carves an armed lane's four row buffers out of a `4n`-word one.
 ///
-/// Pooled separately from [`Scratch`] because batch sizes vary call to
-/// call: a pooled slab is reused whenever its capacity covers the
-/// request (the view is trimmed), so a worker thread that has seen its
-/// largest batch once reaches the same zero-allocation steady state as
-/// the engine's fixed-size slabs.
+/// Batch sizes vary call to call, so a pooled slab is reused whenever
+/// its capacity covers the request (the view is trimmed): a worker
+/// thread that has seen its largest batch once reaches a
+/// zero-allocation steady state.
 #[derive(Debug)]
 pub struct BatchScratch {
     slab: Vec<u64>,
@@ -134,7 +77,7 @@ impl BatchScratch {
     /// checkout is pure memset traffic): every consumer fully overwrites
     /// the words it reads, so treat them as uninitialized.
     pub fn checkout(len: usize) -> BatchScratch {
-        let mut slab = BATCH_POOL
+        let mut slab = POOL
             .with(|p| {
                 let mut p = p.borrow_mut();
                 // Best fit, so a small batch does not take the slab the
@@ -166,7 +109,7 @@ impl Drop for BatchScratch {
         if slab.capacity() == 0 {
             return;
         }
-        let _ = BATCH_POOL.try_with(|p| {
+        let _ = POOL.try_with(|p| {
             if let Ok(mut p) = p.try_borrow_mut() {
                 give_back(&mut p, slab);
             }
@@ -179,44 +122,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn checkout_reuses_the_returned_slab() {
-        let first_ptr = {
-            let mut s = Scratch::checkout(64);
-            s.buffers().0[0] = 7;
-            s.slab.as_ptr() as usize
-        };
-        let s = Scratch::checkout(64);
-        assert_eq!(
-            s.slab.as_ptr() as usize,
-            first_ptr,
-            "steady state must reuse the pooled slab"
-        );
-    }
-
-    #[test]
-    fn buffers_are_disjoint_full_length_views() {
-        let mut s = Scratch::checkout(8);
-        let (a, b, c, d) = s.buffers();
-        assert_eq!([a.len(), b.len(), c.len(), d.len()], [8, 8, 8, 8]);
-        a[0] = 1;
-        b[0] = 2;
-        c[0] = 3;
-        d[0] = 4;
-        assert_eq!((a[0], b[0], c[0], d[0]), (1, 2, 3, 4));
-    }
-
-    #[test]
-    fn mismatched_sizes_do_not_cross_pollinate() {
-        drop(Scratch::checkout(16));
-        let s = Scratch::checkout(32);
-        assert_eq!(s.slab.len(), 128, "a 16-slab must not serve n = 32");
-    }
-
-    #[test]
     fn pool_is_bounded() {
-        let many: Vec<Scratch> = (0..2 * MAX_POOLED).map(|_| Scratch::checkout(4)).collect();
+        let many: Vec<BatchScratch> = (0..2 * MAX_POOLED)
+            .map(|_| BatchScratch::checkout(4))
+            .collect();
         drop(many);
-        assert!(pooled_slabs() <= MAX_POOLED);
+        assert!(POOL.with(|p| p.borrow().len()) <= MAX_POOLED);
     }
 
     #[test]
@@ -234,7 +145,7 @@ mod tests {
 
     #[test]
     fn batch_checkout_is_best_fit_and_grows_on_a_miss() {
-        let pooled = || BATCH_POOL.with(|p| p.borrow().len());
+        let pooled = || POOL.with(|p| p.borrow().len());
         // A miss grows the pooled slab instead of allocating beside it.
         drop(BatchScratch::checkout(128));
         drop(BatchScratch::checkout(512));

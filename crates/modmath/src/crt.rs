@@ -4,10 +4,8 @@
 //! wide coefficient moduli as a residue number system over several
 //! NTT-friendly primes, so every transform stays in machine words — the
 //! natural multi-lane extension of CryptoPIM, where each residue channel
-//! maps to its own softbank. [`RnsBasis`] is the general k-residue
-//! composition (k ∈ 2..=4) used by `ntt::rns` and the service's
-//! wide-job decomposition layer; [`Crt2`] remains as the fixed
-//! two-prime special case.
+//! maps to its own softbank. [`RnsBasis`] is the k-residue composition
+//! (k ∈ 2..=4) used by `ntt::rns` and the service's wide multiply.
 //!
 //! Recombination uses Garner's mixed-radix algorithm: the digits are
 //! computed entirely in `u64` mulmods against precomputed pairwise
@@ -19,92 +17,6 @@ use crate::{primes, zq, Error};
 
 /// Largest supported number of RNS residue channels.
 pub const MAX_RNS_CHANNELS: usize = 4;
-
-/// CRT composition context for a pair of coprime moduli.
-///
-/// # Example
-///
-/// ```
-/// use modmath::crt::Crt2;
-///
-/// # fn main() -> Result<(), modmath::Error> {
-/// let crt = Crt2::new(12289, 40961)?;
-/// let x = 123_456_789u128;
-/// let r1 = (x % 12289) as u64;
-/// let r2 = (x % 40961) as u64;
-/// assert_eq!(crt.combine(r1, r2), x);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crt2 {
-    q1: u64,
-    q2: u64,
-    /// `q1 · q2`.
-    modulus: u128,
-    /// `q2⁻¹ mod q1`.
-    q2_inv_mod_q1: u64,
-}
-
-impl Crt2 {
-    /// Builds the context. Both moduli must be prime (which guarantees
-    /// coprimality for distinct values) and below 2^63.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NotPrime`] if either modulus is composite.
-    /// * [`Error::NotInvertible`] if the moduli are equal.
-    pub fn new(q1: u64, q2: u64) -> Result<Self, Error> {
-        if !primes::is_prime(q1) {
-            return Err(Error::NotPrime { q: q1 });
-        }
-        if !primes::is_prime(q2) {
-            return Err(Error::NotPrime { q: q2 });
-        }
-        if q1 == q2 {
-            return Err(Error::NotInvertible { value: q2, q: q1 });
-        }
-        Ok(Crt2 {
-            q1,
-            q2,
-            modulus: q1 as u128 * q2 as u128,
-            q2_inv_mod_q1: zq::inv(q2 % q1, q1)?,
-        })
-    }
-
-    /// The first modulus.
-    #[inline]
-    pub fn q1(&self) -> u64 {
-        self.q1
-    }
-
-    /// The second modulus.
-    #[inline]
-    pub fn q2(&self) -> u64 {
-        self.q2
-    }
-
-    /// The composite modulus `q1·q2`.
-    #[inline]
-    pub fn modulus(&self) -> u128 {
-        self.modulus
-    }
-
-    /// Splits a residue mod `q1·q2` into its RNS pair.
-    #[inline]
-    pub fn split(&self, x: u128) -> (u64, u64) {
-        ((x % self.q1 as u128) as u64, (x % self.q2 as u128) as u64)
-    }
-
-    /// Combines an RNS pair back into the canonical residue mod `q1·q2`
-    /// (Garner's formula: `r2 + q2 · ((r1 − r2) · q2⁻¹ mod q1)`).
-    pub fn combine(&self, r1: u64, r2: u64) -> u128 {
-        debug_assert!(r1 < self.q1 && r2 < self.q2);
-        let diff = zq::sub(r1 % self.q1, r2 % self.q1, self.q1);
-        let k = zq::mul(diff, self.q2_inv_mod_q1, self.q1);
-        r2 as u128 + self.q2 as u128 * k as u128
-    }
-}
 
 /// A k-residue RNS basis over distinct primes (k ∈ 2..=4), with
 /// precomputed Garner constants for overflow-safe recombination and
@@ -384,49 +296,25 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn split_combine_roundtrip() {
-        let crt = Crt2::new(12289, 40961).unwrap();
-        for x in [0u128, 1, 12288, 12289, 40961, 503316479, 503316480] {
-            let x = x % crt.modulus();
-            let (r1, r2) = crt.split(x);
-            assert_eq!(crt.combine(r1, r2), x);
-        }
-    }
-
-    #[test]
-    fn combine_respects_both_residues() {
-        let crt = Crt2::new(7681, 12289).unwrap();
-        let x = crt.combine(5, 9);
+    fn combine_respects_every_residue() {
+        let basis = RnsBasis::new(&[7681, 12289]).unwrap();
+        let x = basis.combine(&[5, 9]);
         assert_eq!(x % 7681, 5);
         assert_eq!(x % 12289, 9);
-        assert!(x < crt.modulus());
-    }
-
-    #[test]
-    fn rejects_bad_moduli() {
-        assert!(matches!(
-            Crt2::new(12288, 40961),
-            Err(Error::NotPrime { .. })
-        ));
-        assert!(matches!(
-            Crt2::new(12289, 40962),
-            Err(Error::NotPrime { .. })
-        ));
-        assert!(Crt2::new(12289, 12289).is_err());
+        assert!(x < basis.modulus());
     }
 
     #[test]
     fn arithmetic_is_componentwise() {
         // (a·b) mod Q decomposes into component products.
-        let crt = Crt2::new(7681, 12289).unwrap();
-        let a = 1_000_003u128 % crt.modulus();
+        let basis = RnsBasis::new(&[7681, 12289]).unwrap();
+        let a = 1_000_003u128 % basis.modulus();
         let b = 77_777u128;
-        let prod = (a * b) % crt.modulus();
-        let (a1, a2) = crt.split(a);
-        let (b1, b2) = crt.split(b);
-        let p1 = zq::mul(a1, b1, 7681);
-        let p2 = zq::mul(a2, b2, 12289);
-        assert_eq!(crt.combine(p1, p2), prod);
+        let prod = (a * b) % basis.modulus();
+        let (ra, rb) = (basis.split(a), basis.split(b));
+        let p1 = zq::mul(ra[0], rb[0], 7681);
+        let p2 = zq::mul(ra[1], rb[1], 12289);
+        assert_eq!(basis.combine(&[p1, p2]), prod);
     }
 
     #[test]
@@ -441,6 +329,9 @@ mod tests {
                 0u128,
                 1,
                 12288,
+                12289,
+                40961,
+                503316479,
                 503316480,
                 basis.modulus() - 1,
                 basis.modulus() / 2,
@@ -452,18 +343,6 @@ mod tests {
                     assert_eq!(r as u128, x % basis.moduli()[i] as u128);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn rns_basis_agrees_with_crt2() {
-        let crt = Crt2::new(12289, 40961).unwrap();
-        let basis = RnsBasis::new(&[12289, 40961]).unwrap();
-        assert_eq!(basis.modulus(), crt.modulus());
-        for x in [0u128, 1, 777_777_777, crt.modulus() - 1] {
-            let (r1, r2) = crt.split(x);
-            assert_eq!(basis.split(x), vec![r1, r2]);
-            assert_eq!(basis.combine(&[r1, r2]), crt.combine(r1, r2));
         }
     }
 
@@ -480,6 +359,10 @@ mod tests {
         assert!(matches!(
             RnsBasis::new(&[12288, 40961]),
             Err(Error::NotPrime { q: 12288 })
+        ));
+        assert!(matches!(
+            RnsBasis::new(&[12289, 40962]),
+            Err(Error::NotPrime { q: 40962 })
         ));
         assert!(matches!(
             RnsBasis::new(&[12289, 40961, 12289]),
@@ -567,10 +450,9 @@ mod tests {
     proptest! {
         #[test]
         fn prop_roundtrip(x in any::<u128>()) {
-            let crt = Crt2::new(12289, 786433).unwrap();
-            let x = x % crt.modulus();
-            let (r1, r2) = crt.split(x);
-            prop_assert_eq!(crt.combine(r1, r2), x);
+            let basis = RnsBasis::new(&[12289, 786433]).unwrap();
+            let x = x % basis.modulus();
+            prop_assert_eq!(basis.combine(&basis.split(x)), x);
         }
 
         #[test]

@@ -58,6 +58,14 @@ pub enum Error {
     /// The product of the RNS basis moduli overflows `u128`, the widest
     /// composite modulus the combine arithmetic supports.
     BasisOverflow,
+    /// An operand is reduced modulo a different modulus than the one
+    /// the operation is configured for.
+    ModulusMismatch {
+        /// The configured modulus.
+        expected: u64,
+        /// The operand's modulus.
+        found: u64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -87,6 +95,12 @@ impl fmt::Display for Error {
             }
             Error::BasisOverflow => {
                 write!(f, "product of RNS basis moduli overflows u128")
+            }
+            Error::ModulusMismatch { expected, found } => {
+                write!(
+                    f,
+                    "operand modulus {found} differs from the configured {expected}"
+                )
             }
         }
     }

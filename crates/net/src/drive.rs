@@ -25,7 +25,7 @@ use service::phase::{self, PhaseSnapshot};
 use service::workload::{self, ProtocolMix};
 use service::{
     JobTicket, ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket, Service, ServiceConfig,
-    ServiceStats, WideTicket,
+    ServiceStats,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -51,8 +51,10 @@ pub enum Transport {
 /// What is served.
 #[derive(Debug, Clone)]
 pub enum Workload {
-    /// Raw multiplies through `Service::submit` / `submit_wide`, or
-    /// `Client::submit` over TCP (narrow only).
+    /// Raw multiplies: narrow ones through `Service::submit` and wide
+    /// ones as `ProtocolJob::WideMul` graph ops through
+    /// `Service::submit_protocol`, or `Client::submit` over TCP (narrow
+    /// only).
     Raw {
         /// When non-zero, `a` operands come from this many reused keys.
         hot_keys: usize,
@@ -135,7 +137,8 @@ pub struct Tally {
     /// Outputs that differed from the software oracle (must be 0).
     pub mismatches: usize,
     /// Summed [`service::ProtocolCompleted::host_us`] of the served
-    /// ops, ns. Only in-process protocol graphs report it; 0 otherwise.
+    /// ops, ns. Only ops served in process as protocol graphs report
+    /// it (a raw workload's wide ops among them); 0 otherwise.
     pub host_ns: u64,
 }
 
@@ -232,7 +235,6 @@ enum Conn<'a> {
 
 enum Pending {
     Leaf(JobTicket),
-    Wide(WideTicket),
     Graph(ProtocolTicket),
     Remote(u64),
 }
@@ -269,14 +271,10 @@ impl Conn<'_> {
         match self {
             Conn::Local { service, graph } => {
                 let admitted = match job {
-                    _ if *graph => service.submit_protocol(job.clone()).map(Pending::Graph),
-                    ProtocolJob::Mul { a, b } => {
+                    ProtocolJob::Mul { a, b } if !*graph => {
                         service.submit(a.clone(), b.clone()).map(Pending::Leaf)
                     }
-                    ProtocolJob::WideMul { a, b, basis } => {
-                        service.submit_wide(a, b, basis).map(Pending::Wide)
-                    }
-                    _ => unreachable!("raw workloads hold multiplies only"),
+                    _ => service.submit_protocol(job.clone()).map(Pending::Graph),
                 };
                 admitted.map_err(|_| Refusal::Final(Outcome::Rejected))
             }
@@ -311,14 +309,6 @@ impl Conn<'_> {
             Pending::Leaf(t) => t.wait().map(|d| {
                 let output = ProtocolOutput::Product(d.product);
                 (output == *expected, d.attempts, 0)
-            }),
-            Pending::Wide(t) => t.wait().map(|d| {
-                let attempts = d.lanes.iter().map(|l| l.attempts).max().unwrap_or(1);
-                (
-                    ProtocolOutput::WideProduct(d.product) == *expected,
-                    attempts,
-                    0,
-                )
             }),
             Pending::Graph(t) => t.wait().map(|d| {
                 let host_ns = (d.host_us * 1e3) as u64;

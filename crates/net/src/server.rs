@@ -725,8 +725,8 @@ fn error_frame(job_id: u64, e: &ServiceError) -> Frame {
 
 /// The one `ServiceError → ErrorCode` mapping, for admission refusals
 /// and execution failures of raw multiplies and protocol ops alike. A
-/// failed protocol node or wide lane answers with its inner error's
-/// code, so a refusal inside a graph reads the same as the refusal of
+/// failed protocol node (a wide multiply's residue lane among them)
+/// answers with its inner error's code, so a refusal inside a graph reads the same as the refusal of
 /// a raw multiply.
 fn error_code(e: &ServiceError) -> ErrorCode {
     match e {
@@ -737,9 +737,7 @@ fn error_code(e: &ServiceError) -> ErrorCode {
         | ServiceError::ProtocolHost { .. } => ErrorCode::Unsupported,
         ServiceError::FaultUnrecovered { .. } => ErrorCode::FaultUnrecovered,
         ServiceError::WaitTimeout { .. } => ErrorCode::WaitTimeout,
-        ServiceError::ProtocolNode { error, .. } | ServiceError::WideLane { error, .. } => {
-            error_code(error)
-        }
+        ServiceError::ProtocolNode { error, .. } => error_code(error),
         _ => ErrorCode::Internal,
     }
 }

@@ -41,7 +41,9 @@ pub trait PolyMultiplier {
     /// # Errors
     ///
     /// Implementations return [`Error::InvalidDegree`] when the operands
-    /// do not match the configured degree.
+    /// do not match the configured degree, and
+    /// [`Error::ModulusMismatch`] when one is reduced modulo another
+    /// modulus.
     fn multiply(&self, a: &Polynomial, b: &Polynomial) -> Result<Polynomial>;
 
     /// Multiplies two *independent* products `a0 · b0` and `a1 · b1`.
@@ -286,6 +288,8 @@ impl PolyMultiplier for NttMultiplier {
                 n: a.degree_bound(),
             });
         }
+        a.expect_modulus(self.tables.modulus())?;
+        b.expect_modulus(self.tables.modulus())?;
         // Merged-twiddle pipeline: no φ-scaling passes, no bit-reversal
         // permutations — both spectra stay in the same bit-reversed lazy
         // domain, where the pointwise product commutes with the
@@ -435,6 +439,22 @@ mod tests {
         assert!(m.forward(&a).is_err());
         assert!(m.inverse(vec![0; 128]).is_err());
         assert!(m.pointwise(&[0; 128], &[0; 256]).is_err());
+    }
+
+    #[test]
+    fn foreign_modulus_operands_are_refused() {
+        // Operands reduced mod q = 786433 on a q = 7681 multiplier: the
+        // kernels would return a product mod 7681 of the wrong ring.
+        let m = mult(256);
+        let foreign = rand_poly(256, 786433, 5);
+        let native = rand_poly(256, m.modulus(), 6);
+        let refused = Err(Error::ModulusMismatch {
+            expected: 7681,
+            found: 786433,
+        });
+        assert_eq!(m.multiply(&foreign, &native), refused);
+        assert_eq!(m.multiply(&native, &foreign), refused);
+        assert_eq!(m.multiply(&foreign, &foreign), refused);
     }
 
     #[test]

@@ -131,6 +131,24 @@ impl Polynomial {
         self.q
     }
 
+    /// Checks that the polynomial is reduced modulo `q`: a multiplier
+    /// configured for `q` would otherwise return a product in the
+    /// wrong ring.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ModulusMismatch`] when the moduli differ.
+    pub fn expect_modulus(&self, q: u64) -> Result<(), Error> {
+        if self.q == q {
+            Ok(())
+        } else {
+            Err(Error::ModulusMismatch {
+                expected: q,
+                found: self.q,
+            })
+        }
+    }
+
     /// The coefficient of `x^i`.
     ///
     /// # Panics

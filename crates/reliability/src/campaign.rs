@@ -43,7 +43,8 @@ use ntt::rns::RnsMultiplier;
 use pim::fault::{layout, splitmix64, Injector};
 use service::workload::{generate_hot_jobs, generate_jobs};
 use service::{
-    Backpressure, ProtocolJob, ProtocolKind, Service, ServiceConfig, ServiceError, ServiceStats,
+    Backpressure, ProtocolJob, ProtocolKind, ProtocolOutput, Service, ServiceConfig, ServiceError,
+    ServiceStats,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -485,8 +486,9 @@ pub struct WideCellResult {
     pub stats: ServiceStats,
 }
 
-/// Runs one wide-modulus cell: RNS-decomposed jobs stream through a
-/// one-bank referee-checked service while a seeded transient process
+/// Runs one wide-modulus cell: RNS-decomposed jobs stream as
+/// `ProtocolJob::WideMul` graph ops through a one-bank referee-checked
+/// service while a seeded transient process
 /// flips written bits; every recombined product is held against the
 /// fault-free sequential residue loop. A fault lands in exactly one
 /// residue lane's execution, is detected by the per-lane recompute
@@ -508,12 +510,22 @@ pub fn run_wide_cell(config: &WideCellConfig) -> WideCellResult {
             })
             .collect()
     };
-    let jobs: Vec<(Vec<u128>, Vec<u128>)> = (0..config.jobs as u64)
+    let pairs: Vec<(Vec<u128>, Vec<u128>)> = (0..config.jobs as u64)
         .map(|j| (draw_wide(2 * j + 1), draw_wide(2 * j + 2)))
         .collect();
-    let reference: Vec<Vec<u128>> = jobs
+    let reference: Vec<ProtocolOutput> = pairs
         .iter()
-        .map(|(a, b)| seq.multiply(a, b).expect("fault-free sequential loop"))
+        .map(|(a, b)| {
+            ProtocolOutput::WideProduct(seq.multiply(a, b).expect("fault-free sequential loop"))
+        })
+        .collect();
+    let jobs: Vec<ProtocolJob> = pairs
+        .into_iter()
+        .map(|(a, b)| ProtocolJob::WideMul {
+            a,
+            b,
+            basis: basis.clone(),
+        })
         .collect();
 
     // Bit flips bounded by the narrowest lane's word width stay
@@ -525,60 +537,28 @@ pub fn run_wide_cell(config: &WideCellConfig) -> WideCellResult {
         .min()
         .expect("non-empty basis");
     let plan = Arc::new(FaultPlan::new(cell_seed).with_transient(config.rate, bits));
-    let svc = Service::start(ServiceConfig {
-        workers: 1,
-        backpressure: Backpressure::Block,
-        linger: Duration::ZERO,
-        check: CheckPolicy::Recompute,
-        max_attempts: config.max_attempts,
-        quarantine_after: config.quarantine_after,
-        injector: Some(plan),
-        ..ServiceConfig::default()
-    });
-
-    let (mut served, mut wrong, mut unrecovered, mut refused, mut failed, mut lane_retry_jobs) =
-        (0, 0, 0, 0, 0, 0);
-    let classify_lane = |error: ServiceError| match error {
-        ServiceError::WideLane { error, .. } => *error,
-        other => other,
-    };
-    for (k, (a, b)) in jobs.iter().enumerate() {
-        let outcome = svc
-            .submit_wide(a, b, &basis)
-            .and_then(|ticket| ticket.wait());
-        match outcome {
-            Ok(done) => {
-                served += 1;
-                if done.product != reference[k] {
-                    wrong += 1;
-                }
-                if done.lanes.iter().any(|l| l.attempts > 1) {
-                    lane_retry_jobs += 1;
-                }
-            }
-            Err(e) => match classify_lane(e) {
-                ServiceError::FaultUnrecovered { .. } => unrecovered += 1,
-                ServiceError::Overloaded { .. } => refused += 1,
-                _ => failed += 1,
-            },
-        }
-    }
-    let stats = svc.shutdown();
+    let run = serve_cell(
+        &jobs,
+        &reference,
+        plan,
+        config.max_attempts,
+        config.quarantine_after,
+    );
 
     WideCellResult {
         channels: basis.moduli().len(),
         degree: config.degree,
         rate: config.rate,
         jobs: config.jobs,
-        served,
-        wrong,
-        unrecovered,
-        refused,
-        failed,
-        lane_retry_jobs,
-        detected: stats.faults_detected,
-        recovered: stats.recovered,
-        stats,
+        served: run.served,
+        wrong: run.wrong,
+        unrecovered: run.unrecovered,
+        refused: run.refused,
+        failed: run.failed,
+        lane_retry_jobs: run.retried,
+        detected: run.stats.faults_detected,
+        recovered: run.stats.recovered,
+        stats: run.stats,
     }
 }
 
@@ -679,60 +659,97 @@ pub fn run_protocol_cell(config: &ProtocolCellConfig) -> ProtocolCellResult {
     let q = ParamSet::for_degree(config.degree).expect("paper degree").q;
     let bits = 64 - q.leading_zeros();
     let plan = Arc::new(FaultPlan::new(cell_seed).with_transient(config.rate, bits));
+    let run = serve_cell(
+        &jobs,
+        &reference,
+        plan,
+        config.max_attempts,
+        config.quarantine_after,
+    );
+
+    ProtocolCellResult {
+        degree: config.degree,
+        rate: config.rate,
+        ops: config.ops,
+        served: run.served,
+        wrong: run.wrong,
+        unrecovered: run.unrecovered,
+        refused: run.refused,
+        failed: run.failed,
+        node_retry_ops: run.retried,
+        detected: run.stats.faults_detected,
+        recovered: run.stats.recovered,
+        stats: run.stats,
+    }
+}
+
+/// What serving one cell's op stream saw.
+struct CellRun {
+    served: usize,
+    wrong: usize,
+    unrecovered: usize,
+    refused: usize,
+    failed: usize,
+    /// Served ops where some multiply node needed a retry.
+    retried: usize,
+    stats: ServiceStats,
+}
+
+/// Serves `jobs` one at a time through a fresh one-bank, one-executor
+/// referee-checked service with `plan` armed, holding each typed output
+/// against `reference` and classifying each failure by the error of the
+/// node that failed.
+fn serve_cell(
+    jobs: &[ProtocolJob],
+    reference: &[ProtocolOutput],
+    plan: Arc<FaultPlan>,
+    max_attempts: u32,
+    quarantine_after: u32,
+) -> CellRun {
     let svc = Service::start(ServiceConfig {
         workers: 1,
         protocol_workers: 1,
         backpressure: Backpressure::Block,
         linger: Duration::ZERO,
         check: CheckPolicy::Recompute,
-        max_attempts: config.max_attempts,
-        quarantine_after: config.quarantine_after,
+        max_attempts,
+        quarantine_after,
         injector: Some(plan),
         ..ServiceConfig::default()
     });
-
-    let (mut served, mut wrong, mut unrecovered, mut refused, mut failed, mut node_retry_ops) =
+    let (mut served, mut wrong, mut unrecovered, mut refused, mut failed, mut retried) =
         (0, 0, 0, 0, 0, 0);
-    let classify_node = |error: ServiceError| match error {
-        ServiceError::ProtocolNode { error, .. } => *error,
-        other => other,
-    };
-    for (k, job) in jobs.iter().enumerate() {
+    for (job, want) in jobs.iter().zip(reference) {
         let outcome = svc
             .submit_protocol(job.clone())
             .and_then(|ticket| ticket.wait());
         match outcome {
             Ok(done) => {
                 served += 1;
-                if done.output != reference[k] {
-                    wrong += 1;
-                }
-                if done.attempts > 1 {
-                    node_retry_ops += 1;
+                wrong += usize::from(done.output != *want);
+                retried += usize::from(done.attempts > 1);
+            }
+            Err(e) => {
+                let cause = match e {
+                    ServiceError::ProtocolNode { error, .. } => *error,
+                    other => other,
+                };
+                match cause {
+                    ServiceError::FaultUnrecovered { .. } => unrecovered += 1,
+                    ServiceError::Overloaded { .. } => refused += 1,
+                    _ => failed += 1,
                 }
             }
-            Err(e) => match classify_node(e) {
-                ServiceError::FaultUnrecovered { .. } => unrecovered += 1,
-                ServiceError::Overloaded { .. } => refused += 1,
-                _ => failed += 1,
-            },
         }
     }
-    let stats = svc.shutdown();
-
-    ProtocolCellResult {
-        degree: config.degree,
-        rate: config.rate,
-        ops: config.ops,
+    CellRun {
         served,
         wrong,
         unrecovered,
         refused,
         failed,
-        node_retry_ops,
-        detected: stats.faults_detected,
-        recovered: stats.recovered,
-        stats,
+        retried,
+        stats: svc.shutdown(),
     }
 }
 

@@ -69,24 +69,13 @@ pub enum ServiceError {
         /// Attempts consumed before giving up.
         attempts: u32,
     },
-    /// One residue lane of a wide (RNS-decomposed) job failed; the
-    /// parent ticket fails as a whole but the error names the lane so
-    /// callers can see *which* residue channel broke. Sibling lanes are
-    /// unaffected — a corrupt lane retries or fails alone.
-    WideLane {
-        /// Index of the failed residue lane (basis order).
-        lane: usize,
-        /// The lane's residue modulus.
-        q: u64,
-        /// The lane's underlying failure.
-        error: Box<ServiceError>,
-    },
     /// One NTT-multiply node of a protocol job graph failed; the parent
     /// [`crate::ProtocolTicket`] fails as a whole but the error names
     /// the node (in the op's multiply order) so callers can see *which*
     /// inner product broke. A detected fault in a node retries that
     /// node alone through the ordinary batch machinery — this variant
-    /// surfaces only when the node itself failed terminally.
+    /// surfaces only when the node itself failed terminally. A wide
+    /// multiply's nodes are its residue lanes, in basis order.
     ProtocolNode {
         /// Index of the failed multiply node within the protocol op.
         node: usize,
@@ -144,9 +133,6 @@ impl fmt::Display for ServiceError {
                     "corrupt product on bank {bank} persisted through {attempts} attempts; result discarded"
                 )
             }
-            ServiceError::WideLane { lane, q, error } => {
-                write!(f, "wide job residue lane {lane} (q = {q}) failed: {error}")
-            }
             ServiceError::ProtocolNode { node, q, error } => {
                 write!(f, "protocol graph node {node} (q = {q}) failed: {error}")
             }
@@ -201,13 +187,6 @@ mod tests {
         }
         .to_string()
         .contains("bank 3"));
-        let wide = ServiceError::WideLane {
-            lane: 2,
-            q: 40961,
-            error: Box::new(ServiceError::ShuttingDown),
-        };
-        assert!(wide.to_string().contains("lane 2"));
-        assert!(wide.to_string().contains("40961"));
         let node = ServiceError::ProtocolNode {
             node: 1,
             q: 12289,

@@ -7,7 +7,7 @@
 //!                                             │ additions, hashing)
 //!                                             ▼
 //!                     leaf NTT multiplies ──► batch former (shared with
-//!                     (run_leaves, blocking)   submit / submit_wide)
+//!                     (run_leaves, blocking)   submit)
 //!                                             │
 //!                      idle bank: the executor claims it and runs the
 //!                      batch itself; all banks busy: a worker runs it
@@ -40,8 +40,8 @@
 //!   [`CheckPolicy`](cryptopim::check::CheckPolicy) retry/quarantine
 //!   machinery individually: a detected fault retries *one node*, not
 //!   the whole protocol op, and a terminal node failure surfaces as
-//!   [`ServiceError::ProtocolNode`] naming the node (mirroring
-//!   [`ServiceError::WideLane`]).
+//!   [`ServiceError::ProtocolNode`] naming the node (a wide multiply's
+//!   nodes are its residue lanes).
 //!
 //! **Correctness contract.** The graph layer changes *where* multiplies
 //! execute, never *what* they compute: the executor drives the exact
@@ -54,6 +54,7 @@
 use crate::error::ServiceError;
 use crate::scheduler::{self, Service, Shared};
 use crate::ticket::{ticket, Fulfiller, Ticket};
+use cryptopim::phase;
 use modmath::crt::RnsBasis;
 use modmath::params::ParamSet;
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
@@ -78,8 +79,10 @@ pub enum ProtocolKind {
     /// One raw negacyclic product — [`Service::submit`] re-expressed as
     /// a trivial one-node graph.
     Mul = 0,
-    /// One wide (RNS-decomposed) product — [`Service::submit_wide`]
-    /// re-expressed as a k-lane graph.
+    /// One wide (RNS-decomposed) product over `Q = Π q_i`: a k-lane
+    /// graph whose residue lanes ride the ordinary `(n, q_i)` batch
+    /// former and recombine on the host — the service's only wide
+    /// multiply.
     WideMul = 1,
     /// RLWE PKE key generation (1 multiply).
     KeyGen = 2,
@@ -642,20 +645,12 @@ impl ProtocolJob {
             }
             ProtocolJob::WideMul { a, b, basis } => {
                 // Sequential residue loop: split, multiply, recombine.
-                let mut lanes: Vec<Vec<u64>> = Vec::with_capacity(basis.channels());
-                let mut buf = vec![0u64; n];
-                for (lane, &lane_q) in basis.moduli().iter().enumerate() {
-                    let ntt = mult_for(n, lane_q)?;
-                    basis.split_lane_into(a, lane, &mut buf);
-                    let pa = Polynomial::from_canonical_coeffs(buf.clone(), lane_q)
-                        .expect("residues are canonical mod q");
-                    basis.split_lane_into(b, lane, &mut buf);
-                    let pb = Polynomial::from_canonical_coeffs(buf.clone(), lane_q)
-                        .expect("residues are canonical mod q");
-                    let prod = ntt.multiply(&pa, &pb).map_err(|e| host(e.into()))?;
-                    lanes.push(prod.coeffs().to_vec());
+                let mut lanes: Vec<Polynomial> = Vec::with_capacity(basis.channels());
+                for (pa, pb) in residue_pairs(a, b, basis) {
+                    let ntt = mult_for(n, pa.modulus())?;
+                    lanes.push(ntt.multiply(&pa, &pb).map_err(|e| host(e.into()))?);
                 }
-                let lane_refs: Vec<&[u64]> = lanes.iter().map(Vec::as_slice).collect();
+                let lane_refs: Vec<&[u64]> = lanes.iter().map(Polynomial::coeffs).collect();
                 let mut out = vec![0u128; n];
                 basis.combine_into(&lane_refs, &mut out);
                 ProtocolOutput::WideProduct(out)
@@ -838,6 +833,51 @@ fn node_err(node: usize, q: u64, error: ServiceError) -> ServiceError {
     }
 }
 
+/// Splits a wide job's operands into one residue pair per basis
+/// channel, in basis order.
+fn residue_pairs(a: &[u128], b: &[u128], basis: &RnsBasis) -> Vec<(Polynomial, Polynomial)> {
+    let mut buf = vec![0u64; a.len()];
+    let mut residue = |x: &[u128], lane: usize, q: u64| {
+        basis.split_lane_into(x, lane, &mut buf);
+        Polynomial::from_canonical_coeffs(buf.clone(), q).expect("residues are canonical mod q")
+    };
+    basis
+        .moduli()
+        .iter()
+        .enumerate()
+        .map(|(lane, &q)| (residue(a, lane, q), residue(b, lane, q)))
+        .collect()
+}
+
+/// Runs a wide job's residue lanes as one leaf round, so lanes of the
+/// same `(n, q_i)` ride one batch, and CRT-recombines their products on
+/// the host. Returns the product and the most attempts any lane took. A
+/// lane refused at admission or failed in execution fails the job as
+/// [`ServiceError::ProtocolNode`] naming the lane.
+fn run_wide(
+    shared: &Shared,
+    a: &[u128],
+    b: &[u128],
+    basis: &RnsBasis,
+) -> Result<(Vec<u128>, u32), ServiceError> {
+    let lane_err = |lane: usize, error| node_err(lane, basis.moduli()[lane], error);
+    let lanes = scheduler::run_leaves(shared, residue_pairs(a, b, basis))
+        .map_err(|(lane, error)| lane_err(lane, error))?;
+    let mut products = Vec::with_capacity(lanes.len());
+    let mut attempts = 1;
+    for (lane, result) in lanes.into_iter().enumerate() {
+        let done = result.map_err(|error| lane_err(lane, error))?;
+        attempts = attempts.max(done.attempts);
+        products.push(done.product);
+    }
+    let t = Instant::now();
+    let lane_refs: Vec<&[u64]> = products.iter().map(Polynomial::coeffs).collect();
+    let mut product = vec![0u128; a.len()];
+    basis.combine_into(&lane_refs, &mut product);
+    phase::record_recombine(t.elapsed());
+    Ok((product, attempts))
+}
+
 fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, ServiceError> {
     let svc = SvcMult::new(shared, job.ring().1);
     match job {
@@ -856,22 +896,12 @@ fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, Servi
             })
         }
         ProtocolJob::WideMul { a, b, basis } => {
-            let widen = |e: ServiceError| match e {
-                ServiceError::WideLane { lane, q, error } => ServiceError::ProtocolNode {
-                    node: lane,
-                    q,
-                    error,
-                },
-                other => other,
-            };
             let started = Instant::now();
-            let done = scheduler::admit_wide(shared, &a, &b, &basis, scheduler::run_leaves)
-                .and_then(|lanes| scheduler::combine_wide(shared, lanes, &basis, a.len(), started))
-                .map_err(widen)?;
+            let (product, attempts) = run_wide(shared, &a, &b, &basis)?;
             Ok(Executed {
-                attempts: done.lanes.iter().map(|l| l.attempts).max().unwrap_or(1),
-                output: ProtocolOutput::WideProduct(done.product),
+                output: ProtocolOutput::WideProduct(product),
                 nodes: basis.channels() as u32,
+                attempts,
                 leaf_wait: started.elapsed(),
             })
         }
@@ -1272,19 +1302,32 @@ mod tests {
 
     #[test]
     fn wide_mul_graph_matches_sequential_loop() {
-        let job = ProtocolJob::scripted(ProtocolKind::WideMul, 256, 7).expect("scripted");
-        let direct = job.run_direct().expect("direct");
+        let n = 256;
+        let basis = RnsBasis::discover(n, 3, 1 << 20).unwrap();
+        let seq = ntt::rns::RnsMultiplier::with_basis(n, basis.clone()).unwrap();
+        let q = basis.modulus();
+        let wide_operand = |seed: u128| -> Vec<u128> {
+            (0..n as u128).map(|i| (i * i * 977 + seed) % q).collect()
+        };
+        let (a, b) = (wide_operand(3), wide_operand(11));
+        let want = ProtocolOutput::WideProduct(seq.multiply(&a, &b).unwrap());
+        let job = ProtocolJob::WideMul { a, b, basis };
+        assert_eq!(job.run_direct().expect("direct"), want);
         let svc = service(2);
         let served = svc
             .submit_protocol(job)
             .expect("admitted")
             .wait()
             .expect("served");
-        assert_eq!(served.output, direct);
-        assert_eq!(served.nodes, 2);
+        assert_eq!(served.output, want, "recombined == sequential residue loop");
+        assert_eq!(served.nodes, 3);
         let stats = svc.shutdown();
         assert_eq!(stats.protocol[ProtocolKind::WideMul as usize].completed, 1);
+        assert_eq!(stats.wide_submitted, 1);
         assert_eq!(stats.wide_completed, 1, "wide graphs ride the wide lane");
+        assert_eq!(stats.wide_failed, 0);
+        assert_eq!(stats.wide_latency_samples, 1);
+        assert_eq!(stats.admitted, 3, "one narrow job per residue lane");
     }
 
     #[test]

@@ -64,9 +64,7 @@ pub use cryptopim::check::CheckPolicy;
 pub use cryptopim::phase;
 pub use error::ServiceError;
 pub use graph::{ProtocolCompleted, ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket};
-pub use scheduler::{
-    Backpressure, CompletedJob, JobTicket, Service, ServiceConfig, WideCompletedJob, WideTicket,
-};
+pub use scheduler::{Backpressure, CompletedJob, JobTicket, Service, ServiceConfig};
 pub use stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
 pub use ticket::Ticket;
 pub use workload::ProtocolMix;

@@ -125,7 +125,9 @@ pub struct ServiceStats {
     /// 99th-percentile end-to-end job latency, µs. 0.0 when
     /// [`ServiceStats::latency_samples`] is 0.
     pub p99_us: f64,
-    /// Wide (RNS-decomposed) jobs accepted by `submit_wide`.
+    /// Wide (RNS-decomposed) jobs admitted, as
+    /// [`crate::ProtocolJob::WideMul`] ops. The `wide_*` fields copy the
+    /// `WideMul` entry of [`ServiceStats::protocol`].
     pub wide_submitted: u64,
     /// Wide jobs whose every residue lane landed and recombined.
     pub wide_completed: u64,
@@ -135,8 +137,9 @@ pub struct ServiceStats {
     /// Samples behind the wide percentiles below (one per recombined
     /// wide job).
     pub wide_latency_samples: u64,
-    /// Median wide-job latency (submit → recombined product), µs. 0.0
-    /// when [`ServiceStats::wide_latency_samples`] is 0.
+    /// Median wide-job latency (submit → recombined product, executor
+    /// queueing included), µs. 0.0 when
+    /// [`ServiceStats::wide_latency_samples`] is 0.
     pub wide_p50_us: f64,
     /// 95th-percentile wide-job latency, µs. 0.0 without samples.
     pub wide_p95_us: f64,

@@ -9,7 +9,7 @@ use std::time::Duration;
 use modmath::crt::RnsBasis;
 use ntt::rns::{self, RnsMultiplier};
 use proptest::prelude::*;
-use service::{Service, ServiceConfig};
+use service::{ProtocolJob, ProtocolOutput, Service, ServiceConfig};
 
 /// Basis discovery floor: primes of at least ~20 bits per lane, so a
 /// k-lane basis carries a ~20k-bit wide modulus.
@@ -42,6 +42,15 @@ fn wide_operands(seed: u64, n: usize, q: u128) -> (Vec<u128>, Vec<u128>) {
     (a, b)
 }
 
+/// A wide multiply as the service serves it: one `WideMul` graph op.
+fn wide_job(a: &[u128], b: &[u128], basis: &RnsBasis) -> ProtocolJob {
+    ProtocolJob::WideMul {
+        a: a.to_vec(),
+        b: b.to_vec(),
+        basis: basis.clone(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -66,8 +75,8 @@ proptest! {
         }
     }
 
-    /// The fleet-sharded path — `submit_wide` decomposing a wide job
-    /// into residue-lane sub-jobs through the batch former — recombines
+    /// The fleet-sharded path — a `WideMul` graph op decomposing a wide
+    /// job into residue-lane sub-jobs through the batch former — recombines
     /// to exactly the sequential residue loop's product (and the
     /// schoolbook oracle's, when the modulus fits).
     #[test]
@@ -87,12 +96,12 @@ proptest! {
             ..ServiceConfig::default()
         });
         let done = svc
-            .submit_wide(&a, &b, &basis)
+            .submit_protocol(wide_job(&a, &b, &basis))
             .expect("admitted")
             .wait()
             .expect("recombines");
-        prop_assert_eq!(&done.product, &expected);
-        prop_assert_eq!(done.lanes.len(), k);
+        prop_assert_eq!(&done.output, &ProtocolOutput::WideProduct(expected.clone()));
+        prop_assert_eq!(done.nodes as usize, k);
         if q < 1u128 << 63 {
             prop_assert_eq!(&expected, &rns::schoolbook_u128(&a, &b, q));
         }
@@ -123,11 +132,18 @@ fn wide_products_identical_across_fleet_sizes() {
         });
         let tickets: Vec<_> = jobs
             .iter()
-            .map(|(a, b)| svc.submit_wide(a, b, &basis).expect("admitted"))
+            .map(|(a, b)| {
+                svc.submit_protocol(wide_job(a, b, &basis))
+                    .expect("admitted")
+            })
             .collect();
         for (ticket, want) in tickets.into_iter().zip(expected.iter()) {
             let done = ticket.wait().expect("recombines");
-            assert_eq!(&done.product, want, "fleet of {workers} diverged");
+            assert_eq!(
+                done.output,
+                ProtocolOutput::WideProduct(want.clone()),
+                "fleet of {workers} diverged"
+            );
         }
         let stats = svc.shutdown();
         assert_eq!(
@@ -156,10 +172,10 @@ fn paper_degree_wide_smoke() {
         ..ServiceConfig::default()
     });
     let done = svc
-        .submit_wide(&a, &b, &basis)
+        .submit_protocol(wide_job(&a, &b, &basis))
         .expect("admitted")
         .wait()
         .expect("recombines");
-    assert_eq!(done.product, expected);
+    assert_eq!(done.output, ProtocolOutput::WideProduct(expected));
     svc.shutdown();
 }
