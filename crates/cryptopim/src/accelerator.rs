@@ -351,8 +351,9 @@ impl PolyMultiplier for CryptoPim {
         self.multiply_product(a, b).map_err(|e| match e {
             PimError::LengthMismatch { left, .. } => modmath::Error::InvalidDegree { n: left },
             PimError::Math(m) => m,
-            // A failed check or engine fault has no `modmath`
-            // counterpart; the trait's error names the configured degree.
+            PimError::CorruptResult(_) => modmath::Error::DetectedFault { n: self.params().n },
+            // The remaining engine errors have no `modmath` counterpart;
+            // the trait's error names the configured degree.
             _ => modmath::Error::InvalidDegree { n: self.params().n },
         })
     }
@@ -577,6 +578,10 @@ mod tests {
         let backend: &dyn PolyMultiplier = &checked;
         assert!(backend.multiply(&a, &b).is_err());
         assert!(checked.multiply_with_report(&a, &b).is_err());
+        assert_eq!(
+            backend.multiply(&a, &b),
+            Err(modmath::Error::DetectedFault { n: 256 })
+        );
     }
 
     #[test]

@@ -66,6 +66,13 @@ pub enum Error {
         /// The operand's modulus.
         found: u64,
     },
+    /// A backend's result check refused the product of a degree-`n`
+    /// multiply: a fault was detected, so no product is returned rather
+    /// than a wrong one.
+    DetectedFault {
+        /// The ring degree of the refused product.
+        n: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -100,6 +107,12 @@ impl fmt::Display for Error {
                 write!(
                     f,
                     "operand modulus {found} differs from the configured {expected}"
+                )
+            }
+            Error::DetectedFault { n } => {
+                write!(
+                    f,
+                    "the result check refused a degree-{n} product: fault detected"
                 )
             }
         }

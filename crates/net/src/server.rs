@@ -688,7 +688,9 @@ fn scenario(kind: ProtocolKind, n: u64, seed: u64) -> Result<ProtocolJob, Servic
 }
 
 /// `Wait`: block up to the client's timeout capped by `max_wait`, so a
-/// remote peer can never occupy this handler thread longer than that.
+/// remote peer can never occupy this handler thread longer than that,
+/// plus the run of one protocol op: a wait runs its still-queued op on
+/// this thread when no graph executor has claimed it.
 /// A timeout leaves the request claimable; any other outcome collects
 /// it and releases its quota slot.
 fn wait(shared: &NetShared, session: &mut Session, job_id: u64, timeout_ms: u32) -> Frame {

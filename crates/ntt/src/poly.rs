@@ -30,9 +30,11 @@ pub struct Polynomial {
 /// `c mod q` in `[0, q)`, equal to `c.rem_euclid(q as i64)`. Samplers
 /// produce `|c| < q`, which takes the branch-free `c + (q & (c >> 63))`
 /// (the arithmetic shift is all ones exactly when `c < 0`) instead of a
-/// 64-bit division per coefficient.
+/// 64-bit division per coefficient; any other `c` falls back to
+/// `rem_euclid`. Samplers write their draws through it straight into a
+/// canonical coefficient vector ([`Polynomial::from_canonical_coeffs`]).
 #[inline]
-fn signed_residue(c: i64, q: u64) -> u64 {
+pub fn signed_residue(c: i64, q: u64) -> u64 {
     let qi = q as i64;
     if qi > 0 && c.unsigned_abs() < q {
         c.wrapping_add(qi & (c >> 63)) as u64
@@ -180,16 +182,22 @@ impl Polynomial {
     /// Maps each coefficient to its centered representative in
     /// `(−q/2, q/2]`, useful for decoding noisy RLWE payloads.
     pub fn to_centered(&self) -> Vec<i64> {
-        self.coeffs
-            .iter()
-            .map(|&c| {
-                if c > self.q / 2 {
-                    c as i64 - self.q as i64
-                } else {
-                    c as i64
-                }
-            })
-            .collect()
+        self.centered().collect()
+    }
+
+    /// The centered representatives of [`to_centered`], in order, without
+    /// collecting them.
+    ///
+    /// [`to_centered`]: Polynomial::to_centered
+    pub fn centered(&self) -> impl Iterator<Item = i64> + '_ {
+        let (q, half) = (self.q, self.q / 2);
+        self.coeffs.iter().map(move |&c| {
+            if c > half {
+                c as i64 - q as i64
+            } else {
+                c as i64
+            }
+        })
     }
 
     /// Multiplies every coefficient by the scalar `s`.
@@ -224,41 +232,33 @@ impl std::fmt::Display for Polynomial {
     }
 }
 
+/// `Add` and `Sub` write into the left operand's buffer, so a chain like
+/// `a·r + e₁ + m` allocates nothing beyond its product.
 impl std::ops::Add for Polynomial {
     type Output = Polynomial;
 
-    fn add(self, rhs: Polynomial) -> Polynomial {
+    fn add(mut self, rhs: Polynomial) -> Polynomial {
         assert_eq!(self.q, rhs.q, "mismatched moduli");
         assert_eq!(self.coeffs.len(), rhs.coeffs.len(), "mismatched degrees");
         let q = self.q;
-        Polynomial {
-            coeffs: self
-                .coeffs
-                .iter()
-                .zip(&rhs.coeffs)
-                .map(|(&a, &b)| zq::add(a, b, q))
-                .collect(),
-            q,
+        for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
+            *a = zq::add(*a, b, q);
         }
+        self
     }
 }
 
 impl std::ops::Sub for Polynomial {
     type Output = Polynomial;
 
-    fn sub(self, rhs: Polynomial) -> Polynomial {
+    fn sub(mut self, rhs: Polynomial) -> Polynomial {
         assert_eq!(self.q, rhs.q, "mismatched moduli");
         assert_eq!(self.coeffs.len(), rhs.coeffs.len(), "mismatched degrees");
         let q = self.q;
-        Polynomial {
-            coeffs: self
-                .coeffs
-                .iter()
-                .zip(&rhs.coeffs)
-                .map(|(&a, &b)| zq::sub(a, b, q))
-                .collect(),
-            q,
+        for (a, &b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
+            *a = zq::sub(*a, b, q);
         }
+        self
     }
 }
 
@@ -371,6 +371,50 @@ mod tests {
                     "c = {c}, q = {q}"
                 );
             }
+        }
+    }
+
+    /// The in-place `Add`/`Sub` and the `centered` iterator equal
+    /// per-coefficient reference formulas collected into fresh vectors,
+    /// at q = 17 and every paper q, including the values on both sides
+    /// of q/2.
+    #[test]
+    fn in_place_ops_and_centered_match_the_allocating_formulas() {
+        let mut qs: Vec<u64> = modmath::params::PAPER_DEGREES
+            .iter()
+            .map(|&n| modmath::params::ParamSet::for_degree(n).unwrap().q)
+            .collect();
+        qs.dedup();
+        qs.push(17);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for q in qs {
+            let mut draw = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % q
+            };
+            let mut a: Vec<u64> = (0..256).map(|_| draw()).collect();
+            let b: Vec<u64> = (0..256).map(|_| draw()).collect();
+            a[..6].copy_from_slice(&[0, 1, q / 2, q / 2 + 1, q - 1, q - 2]);
+            let sum: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| zq::add(x, y, q)).collect();
+            let diff: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| zq::sub(x, y, q)).collect();
+            let centered: Vec<i64> = a
+                .iter()
+                .map(|&c| {
+                    if c > q / 2 {
+                        c as i64 - q as i64
+                    } else {
+                        c as i64
+                    }
+                })
+                .collect();
+            let pa = Polynomial::from_coeffs(a, q).unwrap();
+            let pb = Polynomial::from_coeffs(b, q).unwrap();
+            assert_eq!(pa.to_centered(), centered, "q = {q}");
+            assert_eq!(pa.centered().collect::<Vec<_>>(), centered, "q = {q}");
+            assert_eq!((pa.clone() + pb.clone()).coeffs(), &sum[..], "q = {q}");
+            assert_eq!((pa - pb).coeffs(), &diff[..], "q = {q}");
         }
     }
 

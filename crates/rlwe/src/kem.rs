@@ -114,13 +114,6 @@ fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-fn public_key_digest(pk: &PublicKey) -> Digest {
-    let mut h = Sha256::tagged(b"pk");
-    h.update_u64_be(pk.a().coeffs());
-    h.update_u64_be(pk.b().coeffs());
-    h.finalize()
-}
-
 fn ciphertext_digest(ct: &Ciphertext) -> Digest {
     let mut h = Sha256::tagged(b"ct");
     h.update_u64_be(ct.u.coeffs());
@@ -133,7 +126,7 @@ fn ciphertext_digest(ct: &Ciphertext) -> Digest {
 fn derive_coins(m_bytes: &[u8], pk: &PublicKey) -> u64 {
     let mut h = Sha256::tagged(b"coins");
     h.update(m_bytes);
-    h.update(&public_key_digest(pk));
+    h.update(pk.digest());
     let d = h.finalize();
     u64::from_be_bytes(d[..8].try_into().expect("8 bytes"))
 }
@@ -252,6 +245,19 @@ mod tests {
         let enc = encapsulate(alice.public(), &m, 9).unwrap();
         let eve_ss = eve.decapsulate(&enc.ciphertext, &m).unwrap();
         assert_ne!(eve_ss, enc.shared_secret);
+    }
+
+    #[test]
+    fn cached_public_key_digest_equals_the_recomputed_one() {
+        for n in [256usize, 1024] {
+            let (_, _, keys) = setup(n);
+            let pk = keys.public();
+            let mut h = Sha256::tagged(b"pk");
+            h.update_u64_be(pk.a().coeffs());
+            h.update_u64_be(pk.b().coeffs());
+            assert_eq!(pk.digest(), &h.finalize(), "n = {n}");
+            assert_eq!(pk.clone().digest(), pk.digest());
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! CryptoPIM accelerates — performed through the injected
 //! [`PolyMultiplier`] backend.
 
+use crate::hash::{Digest, Sha256};
 use crate::sampling;
 use crate::{Result, RlweError};
 use modmath::params::ParamSet;
@@ -21,11 +22,28 @@ use ntt::poly::Polynomial;
 pub const ETA: u32 = 2;
 
 /// An RLWE public key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct PublicKey {
     params: ParamSet,
     a: Polynomial,
     b: Polynomial,
+    /// `H("pk", a ‖ b)`, hashed once at construction: the KEM binds every
+    /// encapsulation and decapsulation to it (as ML-KEM's decapsulation
+    /// key stores `H(ek)`, FIPS 203).
+    digest: Digest,
+}
+
+/// Leaves out the digest, which `a` and `b` determine: load streams and
+/// benchmark op sets are fingerprinted through their jobs' debug form,
+/// which must name a key by its coefficients alone.
+impl std::fmt::Debug for PublicKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PublicKey")
+            .field("params", &self.params)
+            .field("a", &self.a)
+            .field("b", &self.b)
+            .finish()
+    }
 }
 
 /// An RLWE secret key.
@@ -69,11 +87,7 @@ impl KeyPair {
         let e = sampling::centered_binomial(params, ETA, &mut rng);
         let b = mult.multiply(&a, &s)? + e;
         Ok(KeyPair {
-            public: PublicKey {
-                params: *params,
-                a,
-                b,
-            },
+            public: PublicKey::new(*params, a, b),
             secret: SecretKey { params: *params, s },
         })
     }
@@ -111,6 +125,25 @@ fn encode_bits(bits: &[u8], params: &ParamSet) -> Result<Polynomial> {
 }
 
 impl PublicKey {
+    fn new(params: ParamSet, a: Polynomial, b: Polynomial) -> PublicKey {
+        let mut h = Sha256::tagged(b"pk");
+        h.update_u64_be(a.coeffs());
+        h.update_u64_be(b.coeffs());
+        let digest = h.finalize();
+        PublicKey {
+            params,
+            a,
+            b,
+            digest,
+        }
+    }
+
+    /// `H("pk", a ‖ b)`: SHA-256 under the `pk` domain tag over both
+    /// polynomials' coefficients as big-endian `u64` words.
+    pub fn digest(&self) -> &Digest {
+        &self.digest
+    }
+
     /// The parameter set.
     pub fn params(&self) -> &ParamSet {
         &self.params
@@ -184,8 +217,7 @@ impl SecretKey {
         let noisy = self.decrypt_poly(ct, mult)?;
         let q = self.params.q as i64;
         Ok(noisy
-            .to_centered()
-            .into_iter()
+            .centered()
             .map(|c| u8::from(c.abs() > q / 4))
             .collect())
     }

@@ -6,7 +6,7 @@
 //! η-bit Hamming weights), which we reproduce here.
 
 use modmath::params::ParamSet;
-use ntt::poly::Polynomial;
+use ntt::poly::{signed_residue, Polynomial};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,19 +24,23 @@ pub fn uniform(params: &ParamSet, rng: &mut StdRng) -> Polynomial {
 /// Samples from the centered binomial distribution `CBD_η` in each
 /// coefficient: `Σ_{i<η} (b_i − b'_i)`, values in `[−η, η]`.
 ///
+/// Each coefficient takes two draws and is written as its residue
+/// straight into the polynomial, with no signed intermediate vector.
+///
 /// # Panics
 ///
 /// Panics if `eta == 0` or `eta > 16`.
 pub fn centered_binomial(params: &ParamSet, eta: u32, rng: &mut StdRng) -> Polynomial {
     assert!(eta > 0 && eta <= 16, "eta out of range");
-    let coeffs: Vec<i64> = (0..params.n)
+    let (mask, q) = ((1u32 << eta) - 1, params.q);
+    let coeffs = (0..params.n)
         .map(|_| {
-            let a: u32 = rng.gen::<u32>() & ((1 << eta) - 1);
-            let b: u32 = rng.gen::<u32>() & ((1 << eta) - 1);
-            a.count_ones() as i64 - b.count_ones() as i64
+            let a = rng.gen::<u32>() & mask;
+            let b = rng.gen::<u32>() & mask;
+            signed_residue(a.count_ones() as i64 - b.count_ones() as i64, q)
         })
         .collect();
-    Polynomial::from_signed_coeffs(&coeffs, params.q).expect("validated parameters")
+    Polynomial::from_canonical_coeffs(coeffs, q).expect("validated parameters")
 }
 
 /// A seeded RNG for reproducible protocol runs.
@@ -106,6 +110,44 @@ mod tests {
             (var - expect).abs() < expect * 0.3,
             "variance {var} vs expected {expect}"
         );
+    }
+
+    /// Reference CBD: a signed coefficient vector mapped through
+    /// `from_signed_coeffs`. The sampler must equal it draw for draw.
+    fn cbd_via_signed_vector(params: &ParamSet, eta: u32, rng: &mut StdRng) -> Polynomial {
+        let coeffs: Vec<i64> = (0..params.n)
+            .map(|_| {
+                let a: u32 = rng.gen::<u32>() & ((1 << eta) - 1);
+                let b: u32 = rng.gen::<u32>() & ((1 << eta) - 1);
+                a.count_ones() as i64 - b.count_ones() as i64
+            })
+            .collect();
+        Polynomial::from_signed_coeffs(&coeffs, params.q).unwrap()
+    }
+
+    #[test]
+    fn fused_cbd_matches_the_signed_vector_construction() {
+        let mut qs: Vec<u64> = ParamSet::paper_sweep().iter().map(|p| p.q).collect();
+        qs.dedup();
+        // q ≤ 16 makes |c| ≥ q reachable, so the rem_euclid fallback runs.
+        qs.extend([3, 5, 17]);
+        for q in qs {
+            let p = ParamSet { q, ..params() };
+            for eta in 1..=16 {
+                let (mut fused, mut reference) = (seeded_rng(eta as u64), seeded_rng(eta as u64));
+                let got = centered_binomial(&p, eta, &mut fused);
+                assert_eq!(
+                    got,
+                    cbd_via_signed_vector(&p, eta, &mut reference),
+                    "q {q} eta {eta}"
+                );
+                assert_eq!(
+                    fused.gen::<u64>(),
+                    reference.gen::<u64>(),
+                    "same draws consumed"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::sampling;
 use crate::{Result, RlweError};
 use modmath::params::ParamSet;
 use ntt::negacyclic::PolyMultiplier;
-use ntt::poly::Polynomial;
+use ntt::poly::{signed_residue, Polynomial};
 use rand::Rng;
 
 /// Number of ±1 coefficients in a challenge polynomial.
@@ -195,15 +195,16 @@ impl VerifyKey {
 
 /// Uniform polynomial with coefficients in `[−bound, bound]`.
 fn sample_masked(params: &ParamSet, bound: i64, rng: &mut rand::rngs::StdRng) -> Polynomial {
-    let coeffs: Vec<i64> = (0..params.n)
-        .map(|_| rng.gen_range(-bound..=bound))
+    let q = params.q;
+    let coeffs = (0..params.n)
+        .map(|_| signed_residue(rng.gen_range(-bound..=bound), q))
         .collect();
-    Polynomial::from_signed_coeffs(&coeffs, params.q).expect("validated parameters")
+    Polynomial::from_canonical_coeffs(coeffs, q).expect("validated parameters")
 }
 
 /// Largest absolute centered coefficient.
 fn infinity_norm(p: &Polynomial) -> i64 {
-    p.to_centered().into_iter().map(i64::abs).max().unwrap_or(0)
+    p.centered().map(i64::abs).max().unwrap_or(0)
 }
 
 /// The Fiat–Shamir hash of the commitment and the message.
@@ -219,7 +220,8 @@ fn challenge_digest(w: &Polynomial, message: &[u8]) -> Digest {
 fn challenge_poly(digest: &Digest, params: &ParamSet) -> Result<Polynomial> {
     let n = params.n;
     let stream = expand(digest, 8 * CHALLENGE_WEIGHT * 4);
-    let mut coeffs = vec![0i64; n];
+    let q = params.q;
+    let mut coeffs = vec![0u64; n];
     let mut placed = 0;
     let mut cursor = 0;
     while placed < CHALLENGE_WEIGHT && cursor + 5 <= stream.len() {
@@ -231,11 +233,11 @@ fn challenge_poly(digest: &Digest, params: &ParamSet) -> Result<Polynomial> {
         if coeffs[idx] != 0 {
             continue;
         }
-        coeffs[idx] = if sign == 1 { 1 } else { -1 };
+        coeffs[idx] = signed_residue(if sign == 1 { 1 } else { -1 }, q);
         placed += 1;
     }
     debug_assert_eq!(placed, CHALLENGE_WEIGHT, "digest stream exhausted");
-    Ok(Polynomial::from_signed_coeffs(&coeffs, params.q)?)
+    Ok(Polynomial::from_canonical_coeffs(coeffs, q)?)
 }
 
 #[cfg(test)]
@@ -325,6 +327,61 @@ mod tests {
         let nonzero: Vec<i64> = c1.to_centered().into_iter().filter(|&c| c != 0).collect();
         assert_eq!(nonzero.len(), CHALLENGE_WEIGHT);
         assert!(nonzero.iter().all(|&c| c == 1 || c == -1));
+    }
+
+    /// The masked sampler, `challenge_poly` and `infinity_norm` equal
+    /// reference formulas over signed vectors (`from_signed_coeffs`,
+    /// `to_centered`), draw for draw, at every paper q and at small q
+    /// where `|c| ≥ q` takes the fallback.
+    #[test]
+    fn fused_samplers_and_norm_match_the_signed_vector_formulas() {
+        let mut qs: Vec<u64> = ParamSet::paper_sweep().iter().map(|p| p.q).collect();
+        qs.dedup();
+        qs.extend([3, 5, 17]);
+        for q in qs {
+            let p = ParamSet {
+                q,
+                ..ParamSet::for_degree(512).unwrap()
+            };
+            for bound in [1, 2, 16, masking_bound(q).max(1), 3 * q as i64] {
+                let (mut fused, mut reference) = (sampling::seeded_rng(q), sampling::seeded_rng(q));
+                let got = sample_masked(&p, bound, &mut fused);
+                let signed: Vec<i64> = (0..p.n)
+                    .map(|_| reference.gen_range(-bound..=bound))
+                    .collect();
+                let want = Polynomial::from_signed_coeffs(&signed, q).unwrap();
+                assert_eq!(got, want, "q {q} bound {bound}");
+                assert_eq!(
+                    fused.gen::<u64>(),
+                    reference.gen::<u64>(),
+                    "same draws consumed"
+                );
+                let old_norm = want.to_centered().into_iter().map(i64::abs).max().unwrap();
+                assert_eq!(infinity_norm(&got), old_norm, "q {q} bound {bound}");
+            }
+            for tag in 0u8..8 {
+                let d = crate::hash::sha256_tagged(b"test", &[tag]);
+                let got = challenge_poly(&d, &p).unwrap();
+                let stream = expand(&d, 8 * CHALLENGE_WEIGHT * 4);
+                let mut signed = vec![0i64; p.n];
+                let mut placed = 0;
+                for chunk in stream.chunks_exact(5) {
+                    if placed == CHALLENGE_WEIGHT {
+                        break;
+                    }
+                    let idx = u32::from_be_bytes(chunk[..4].try_into().unwrap()) as usize % p.n;
+                    if signed[idx] == 0 {
+                        signed[idx] = if chunk[4] & 1 == 1 { 1 } else { -1 };
+                        placed += 1;
+                    }
+                }
+                assert_eq!(
+                    got,
+                    Polynomial::from_signed_coeffs(&signed, q).unwrap(),
+                    "q {q}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,31 +2,47 @@
 //! the batch-forming fleet.
 //!
 //! ```text
-//!  submit_protocol(job) ──► proto queue ──► graph executor threads
+//!  submit_protocol(job) ──► proto queue ──┬─► its waiter (Ticket::wait or
+//!                           (one claim    │   wait_timeout) runs it, or
+//!                            flag per op) └─► a graph executor, once no
+//!                                             waiter claimed it within
+//!                                             WAITER_GRACE, or at once when
+//!                                             it queued behind an unclaimed op
 //!                                             │ host ops (sampling,
 //!                                             │ additions, hashing)
 //!                                             ▼
 //!                     leaf NTT multiplies ──► batch former (shared with
 //!                     (run_leaves, blocking)   submit)
 //!                                             │
-//!                      idle bank: the executor claims it and runs the
-//!                      batch itself; all banks busy: a worker runs it
+//!                      idle bank: the running thread claims it and runs
+//!                      the batch itself; all banks busy: a worker runs it
 //! ```
+//!
+//! **Who runs an op.** A queued op is claimed exactly once, through one
+//! flag on the queued op, by whichever thread gets there first: its own
+//! waiter, which then runs the op on its thread instead of sleeping
+//! until an executor wakes it, or a graph executor. A closed-loop client
+//! submits and waits at once, so its op runs on its own thread and no
+//! executor is woken for it. Executors run the ops no waiter has come
+//! for: one queued behind another unclaimed op (a client's window, or a
+//! concurrent submitter) at once, any other after [`WAITER_GRACE`] (a
+//! dropped ticket, or a waiter that is late). Every op runs through the
+//! same `run_protocol`, with the same unwind guard and stats.
 //!
 //! A typed [`ProtocolJob`] (KeyGen / PKE-Enc/Dec / Encaps / Decaps /
 //! SHE-Mul / Sign / Verify — plus the trivial one-node `Mul` and k-lane
 //! `WideMul` graphs that re-express the raw lanes on the same
 //! substrate) compiles into a small DAG of NTT-multiply nodes joined by
 //! cheap host ops, all implemented in `crates/rlwe` against the
-//! pluggable [`PolyMultiplier`] trait. The graph executor runs the host
-//! ops inline and routes every multiply node through the ordinary
-//! `(n, q)` batch former as a leaf job. Each leaf round is one blocking
-//! `scheduler::run_leaves` call: when the eager flush finds a bank idle,
-//! the executor claims that bank and runs the formed batch itself —
-//! the same batch a worker would have run, checks, retries and
-//! quarantine included — so a leaf round costs no thread handoff; only
-//! when every bank is busy does the leaf queue for a worker while the
-//! executor waits. So:
+//! pluggable [`PolyMultiplier`] trait. The thread running the op runs
+//! the host ops inline and routes every multiply node through the
+//! ordinary `(n, q)` batch former as a leaf job. Each leaf round is one
+//! blocking `scheduler::run_leaves` call: when the eager flush finds a
+//! bank idle, the running thread claims that bank and runs the formed
+//! batch itself — the same batch a worker would have run, checks,
+//! retries and quarantine included — so a leaf round costs no thread
+//! handoff; only when every bank is busy does the leaf queue for a
+//! worker while the running thread waits. So:
 //!
 //! * **Cross-tenant batching** — inner products of *different* protocol
 //!   ops (different tenants, different kinds) pack into the same
@@ -53,7 +69,7 @@
 
 use crate::error::ServiceError;
 use crate::scheduler::{self, Service, Shared};
-use crate::ticket::{ticket, Fulfiller, Ticket};
+use crate::ticket::{ticket, Claim, Fulfiller, Ticket};
 use cryptopim::phase;
 use modmath::crt::RnsBasis;
 use modmath::params::ParamSet;
@@ -66,8 +82,10 @@ use rlwe::serialize;
 use rlwe::she::HomCiphertext;
 use rlwe::signature::{Signature, SigningKey, VerifyKey};
 use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// The protocol kinds servable through
@@ -352,28 +370,135 @@ pub struct ProtocolCompleted {
     /// Worst per-node execution attempts (1 = every node clean on its
     /// first try; > 1 means some node recovered from a detected fault).
     pub attempts: u32,
-    /// Time from submission to a graph executor picking the op up, µs.
+    /// Time from submission to the op starting to run, on its waiter or
+    /// a graph executor, µs.
     pub queue_us: f64,
     /// End-to-end op time (submit → output ready), µs.
     pub service_us: f64,
-    /// The executor's time on this op outside its leaf rounds, µs:
-    /// sampling, additions, hashing, encoding — the op's "graph host
+    /// The running thread's time on this op outside its leaf rounds,
+    /// µs: sampling, additions, hashing, encoding — the op's "graph host
     /// ops" share of `service_us`. A leaf round counts whole, from
     /// admission to results, including the engine time of a batch the
-    /// executor ran itself on an idle bank.
+    /// thread ran itself on an idle bank.
     pub host_us: f64,
 }
 
 /// Handle to one submitted protocol op. Obtain the result with
-/// [`Ticket::wait`].
+/// [`Ticket::wait`], which runs the op on the calling thread if no graph
+/// executor has claimed it yet.
 pub type ProtocolTicket = Ticket<ProtocolCompleted>;
 
-/// One queued protocol op.
+/// One protocol op, taken by the thread that runs it.
 pub(crate) struct ProtoTask {
     job: ProtocolJob,
     kind: ProtocolKind,
     ticket: Fulfiller<ProtocolCompleted>,
+}
+
+/// How long a queued op is left to its own waiter before a graph
+/// executor takes it, unless another unclaimed op is queued ahead of it.
+/// A closed-loop client waits right after it submits, so its op runs on
+/// its own thread and no executor is woken for it; an op whose waiter
+/// comes late or never (a dropped ticket, or one further back in a
+/// client's window) still starts within this bound once an executor is
+/// free.
+pub(crate) const WAITER_GRACE: Duration = Duration::from_millis(1);
+
+/// The protocol-op queue: typed protocol ops waiting for their waiter
+/// or a free graph executor to claim them. Kept separate from the
+/// leaf-job admission queue so a protocol op never deadlocks against
+/// its own leaf multiplies. An op a waiter claimed stays queued until
+/// an enqueue or an executor drops it. Its lock is poison-tolerant:
+/// every update is one push, pop, flag or counter step, so a panic
+/// cannot leave it half-updated.
+#[derive(Default)]
+pub(crate) struct ProtoQueue {
+    queue: VecDeque<Arc<QueuedOp>>,
+    pub(crate) shutdown: bool,
+    /// Ops their waiters claimed and are running now; shutdown waits for
+    /// them as it joins the executors.
+    pub(crate) helping: usize,
+    /// Ops ever queued (the grace clock's activity test).
+    enqueued: u64,
+    /// An executor sleeps on the grace clock, so an enqueue need not
+    /// wake one.
+    watching: bool,
+}
+
+/// One queued protocol op, shared by the proto queue and the op's
+/// ticket. Its waiter and the graph executors race to claim it through
+/// one flag; whoever wins runs it through [`run_protocol`], and the
+/// others leave it alone.
+pub(crate) struct QueuedOp {
+    /// Set by the first claim; only that claim takes the task. The flag
+    /// publishes no data (the task sits behind its own mutex), so its
+    /// `Acquire` loads pair with the claiming swap only for the answer.
+    claimed: AtomicBool,
     submitted: Instant,
+    /// The op, until the winning claim takes it.
+    task: Mutex<Option<ProtoTask>>,
+    /// The service, for a waiter that runs the op. Weak, so a ticket
+    /// kept past shutdown does not keep the fleet alive; by then an
+    /// executor has claimed the op anyway.
+    shared: Weak<Shared>,
+}
+
+impl QueuedOp {
+    fn is_claimed(&self) -> bool {
+        self.claimed.load(Ordering::Acquire)
+    }
+
+    /// Claims the op for the calling thread: `Some` for exactly one
+    /// caller, however many race.
+    fn claim(&self) -> Option<ProtoTask> {
+        if self.claimed.swap(true, Ordering::AcqRel) {
+            return None;
+        }
+        let task = self
+            .task
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        Some(task.expect("the winning claim takes the op"))
+    }
+}
+
+impl Claim for QueuedOp {
+    /// The waiter's claim. It is made under the proto-queue lock and
+    /// counted in `ProtoQueue::helping` until the op has run, so
+    /// shutdown waits for a waiter-run op as it joins the executors.
+    fn run_if_unclaimed(&self) {
+        if self.is_claimed() {
+            return;
+        }
+        let Some(shared) = self.shared.upgrade() else {
+            return;
+        };
+        let task = {
+            let mut pq = shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
+            let Some(task) = self.claim() else {
+                return;
+            };
+            pq.helping += 1;
+            task
+        };
+        let _helping = Helping(&shared);
+        run_protocol(&shared, task, self.submitted);
+    }
+}
+
+/// Uncounts a waiter-run op from `ProtoQueue::helping` once it has run
+/// (or unwound), waking a shutdown that waits for it.
+struct Helping<'a>(&'a Shared);
+
+impl Drop for Helping<'_> {
+    fn drop(&mut self) {
+        let mut pq = self.0.proto.lock().unwrap_or_else(PoisonError::into_inner);
+        pq.helping -= 1;
+        if pq.helping == 0 && pq.shutdown {
+            self.0.proto_work.notify_all();
+        }
+    }
 }
 
 impl ProtocolJob {
@@ -503,7 +628,8 @@ impl ProtocolJob {
         let host = |e: rlwe::RlweError| ServiceError::ProtocolHost {
             detail: format!("scripted scenario construction failed: {e}"),
         };
-        let ntt = NttMultiplier::new(&params).map_err(|e| host(e.into()))?;
+        let ntt = software_multiplier(&params).map_err(|e| host(e.into()))?;
+        let ntt = &*ntt;
         if matches!(kind, ProtocolKind::Encaps | ProtocolKind::Decaps) && n < MESSAGE_BITS {
             return Err(ServiceError::ProtocolHost {
                 detail: format!("ring degree {n} below the {MESSAGE_BITS}-bit KEM message"),
@@ -551,7 +677,7 @@ impl ProtocolJob {
             }
             ProtocolKind::KeyGen => ProtocolJob::KeyGen { params, seed },
             ProtocolKind::PkeEncrypt => {
-                let keys = KeyPair::generate(&params, &ntt, seed).map_err(host)?;
+                let keys = KeyPair::generate(&params, ntt, seed).map_err(host)?;
                 ProtocolJob::PkeEncrypt {
                     pk: keys.public().clone(),
                     bits: bits(1),
@@ -559,10 +685,10 @@ impl ProtocolJob {
                 }
             }
             ProtocolKind::PkeDecrypt => {
-                let keys = KeyPair::generate(&params, &ntt, seed).map_err(host)?;
+                let keys = KeyPair::generate(&params, ntt, seed).map_err(host)?;
                 let ct = keys
                     .public()
-                    .encrypt_bits(&bits(1), &ntt, seed.wrapping_add(2))
+                    .encrypt_bits(&bits(1), ntt, seed.wrapping_add(2))
                     .map_err(host)?;
                 ProtocolJob::PkeDecrypt {
                     sk: keys.secret().clone(),
@@ -570,25 +696,25 @@ impl ProtocolJob {
                 }
             }
             ProtocolKind::Encaps => {
-                let keys = KemKeyPair::generate(&params, &ntt, seed).map_err(host)?;
+                let keys = KemKeyPair::generate(&params, ntt, seed).map_err(host)?;
                 ProtocolJob::Encaps {
                     pk: keys.public().clone(),
                     entropy: seed.wrapping_add(3),
                 }
             }
             ProtocolKind::Decaps => {
-                let keys = KemKeyPair::generate(&params, &ntt, seed).map_err(host)?;
+                let keys = KemKeyPair::generate(&params, ntt, seed).map_err(host)?;
                 let enc =
-                    kem::encapsulate(keys.public(), &ntt, seed.wrapping_add(3)).map_err(host)?;
+                    kem::encapsulate(keys.public(), ntt, seed.wrapping_add(3)).map_err(host)?;
                 ProtocolJob::Decaps {
                     keys: Box::new(keys),
                     ct: enc.ciphertext,
                 }
             }
             ProtocolKind::SheMul => {
-                let keys = KeyPair::generate(&params, &ntt, seed).map_err(host)?;
-                let ct = rlwe::she::encrypt(&keys, &bits(1), &ntt, seed.wrapping_add(4))
-                    .map_err(host)?;
+                let keys = KeyPair::generate(&params, ntt, seed).map_err(host)?;
+                let ct =
+                    rlwe::she::encrypt(&keys, &bits(1), ntt, seed.wrapping_add(4)).map_err(host)?;
                 // Sparse public polynomial: 1 + x^5 + x^(n/2).
                 let mut pc = vec![0u64; n];
                 pc[0] = 1;
@@ -598,7 +724,7 @@ impl ProtocolJob {
                 ProtocolJob::SheMul { ct, plain }
             }
             ProtocolKind::Sign => {
-                let key = SigningKey::generate(&params, &ntt, seed).map_err(host)?;
+                let key = SigningKey::generate(&params, ntt, seed).map_err(host)?;
                 ProtocolJob::Sign {
                     key: Box::new(key),
                     message,
@@ -606,9 +732,9 @@ impl ProtocolJob {
                 }
             }
             ProtocolKind::Verify => {
-                let key = SigningKey::generate(&params, &ntt, seed).map_err(host)?;
+                let key = SigningKey::generate(&params, ntt, seed).map_err(host)?;
                 let (signature, _) = key
-                    .sign(&message, &ntt, seed.wrapping_add(5))
+                    .sign(&message, ntt, seed.wrapping_add(5))
                     .map_err(host)?;
                 ProtocolJob::Verify {
                     key: key.verify_key(),
@@ -633,10 +759,10 @@ impl ProtocolJob {
         let host = |e: rlwe::RlweError| ServiceError::ProtocolHost {
             detail: format!("direct execution failed: {e}"),
         };
-        let mult_for = |n: usize, q: u64| -> Result<NttMultiplier, ServiceError> {
+        let mult_for = |n: usize, q: u64| -> Result<Arc<NttMultiplier>, ServiceError> {
             let params =
                 scheduler::params_for(n, q).ok_or(ServiceError::UnsupportedJob { n, q })?;
-            NttMultiplier::new(&params).map_err(|_| ServiceError::UnsupportedJob { n, q })
+            software_multiplier(&params).map_err(|_| ServiceError::UnsupportedJob { n, q })
         };
         Ok(match self {
             ProtocolJob::Mul { a, b } => {
@@ -658,32 +784,32 @@ impl ProtocolJob {
             ProtocolJob::KeyGen { params, seed } => {
                 let ntt = mult_for(params.n, params.q)?;
                 ProtocolOutput::KeyPair(Box::new(
-                    KeyPair::generate(params, &ntt, *seed).map_err(host)?,
+                    KeyPair::generate(params, &*ntt, *seed).map_err(host)?,
                 ))
             }
             ProtocolJob::PkeEncrypt { pk, bits, seed } => {
                 let ntt = mult_for(n, q)?;
-                ProtocolOutput::Ciphertext(pk.encrypt_bits(bits, &ntt, *seed).map_err(host)?)
+                ProtocolOutput::Ciphertext(pk.encrypt_bits(bits, &*ntt, *seed).map_err(host)?)
             }
             ProtocolJob::PkeDecrypt { sk, ct } => {
                 let ntt = mult_for(n, q)?;
-                ProtocolOutput::Bits(sk.decrypt_bits(ct, &ntt).map_err(host)?)
+                ProtocolOutput::Bits(sk.decrypt_bits(ct, &*ntt).map_err(host)?)
             }
             ProtocolJob::Encaps { pk, entropy } => {
                 let ntt = mult_for(n, q)?;
-                ProtocolOutput::Encapsulated(kem::encapsulate(pk, &ntt, *entropy).map_err(host)?)
+                ProtocolOutput::Encapsulated(kem::encapsulate(pk, &*ntt, *entropy).map_err(host)?)
             }
             ProtocolJob::Decaps { keys, ct } => {
                 let ntt = mult_for(n, q)?;
-                ProtocolOutput::SharedSecret(keys.decapsulate(ct, &ntt).map_err(host)?)
+                ProtocolOutput::SharedSecret(keys.decapsulate(ct, &*ntt).map_err(host)?)
             }
             ProtocolJob::SheMul { ct, plain } => {
                 let ntt = mult_for(n, q)?;
-                ProtocolOutput::SheCiphertext(ct.mul_plaintext(plain, &ntt).map_err(host)?)
+                ProtocolOutput::SheCiphertext(ct.mul_plaintext(plain, &*ntt).map_err(host)?)
             }
             ProtocolJob::Sign { key, message, seed } => {
                 let ntt = mult_for(n, q)?;
-                let (signature, sign_attempts) = key.sign(message, &ntt, *seed).map_err(host)?;
+                let (signature, sign_attempts) = key.sign(message, &*ntt, *seed).map_err(host)?;
                 ProtocolOutput::Signature {
                     signature,
                     sign_attempts,
@@ -695,16 +821,44 @@ impl ProtocolJob {
                 signature,
             } => {
                 let ntt = mult_for(n, q)?;
-                ProtocolOutput::Verdict(key.verify(message, signature, &ntt).map_err(host)?)
+                ProtocolOutput::Verdict(key.verify(message, signature, &*ntt).map_err(host)?)
             }
         })
     }
 }
 
+/// The software multiplier of a ring, built once per `(n, q)` and shared
+/// for the life of the process: building one costs about as much as a
+/// protocol op (33 µs of tables at n = 1024), and [`ProtocolJob::run_direct`]
+/// and [`ProtocolJob::scripted`] run on every TCP `SubmitProtocol` and
+/// every oracle op of a load run. The tables depend on `n` and `q` only.
+fn software_multiplier(params: &ParamSet) -> ntt::Result<Arc<NttMultiplier>> {
+    type Table = Mutex<HashMap<(usize, u64), Arc<NttMultiplier>>>;
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    let table = TABLE.get_or_init(|| Mutex::new(HashMap::new()));
+    let key = (params.n, params.q);
+    if let Some(ntt) = table
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+    {
+        return Ok(Arc::clone(ntt));
+    }
+    let built = Arc::new(NttMultiplier::new(params)?);
+    Ok(Arc::clone(
+        table
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_insert(built),
+    ))
+}
+
 impl Service {
     /// Submits a typed protocol op; the returned ticket resolves to the
-    /// op's typed output once a graph executor has driven its multiply
-    /// nodes through the batch-forming fleet and finished the host ops.
+    /// op's typed output once the thread running it — the ticket's waiter
+    /// or a graph executor — has driven its multiply nodes through the
+    /// batch-forming fleet and finished the host ops.
     ///
     /// # Errors
     ///
@@ -728,55 +882,130 @@ pub(crate) fn submit_protocol_shared(
     enqueue(shared, job)
 }
 
-/// Queues an admitted job for the graph executors.
+/// Queues an admitted job. The returned ticket carries the queued op,
+/// so its waiter runs the op itself unless an executor claimed it first.
 fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, ServiceError> {
     let kind = job.kind();
     let (ticket, fulfiller) = ticket();
-    {
-        let mut pq = shared.proto.lock().expect("proto queue poisoned");
-        if pq.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        pq.queue.push_back(ProtoTask {
+    let op = Arc::new(QueuedOp {
+        claimed: AtomicBool::new(false),
+        submitted: Instant::now(),
+        task: Mutex::new(Some(ProtoTask {
             job,
             kind,
             ticket: fulfiller,
-            submitted: Instant::now(),
-        });
-    }
+        })),
+        shared: Arc::downgrade(shared),
+    });
+    let wake = {
+        let mut pq = shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
+        if pq.shutdown {
+            return Err(ServiceError::ShuttingDown);
+        }
+        while pq.queue.front().is_some_and(|op| op.is_claimed()) {
+            pq.queue.pop_front();
+        }
+        // An unclaimed op ahead means its waiter has not come yet (a
+        // window, or a concurrent submitter): this one is an executor's
+        // at once. Otherwise wake one only if none keeps the grace clock.
+        let wake = !pq.queue.is_empty() || !pq.watching;
+        pq.queue.push_back(Arc::clone(&op));
+        pq.enqueued += 1;
+        wake
+    };
     {
         let mut st = shared.state.lock().expect("service state poisoned");
         st.proto_lanes[kind as usize].submitted += 1;
     }
-    shared.proto_work.notify_one();
-    Ok(ticket)
+    if wake {
+        shared.proto_work.notify_one();
+    }
+    Ok(ticket.with_work(op))
 }
 
-/// One graph executor: claims queued protocol ops, runs their host ops
-/// inline, and routes every multiply node through the shared batch
-/// former. Exits once the queue is drained *and* shutdown was signaled
-/// — every ticket issued before shutdown resolves.
-pub(crate) fn proto_worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let task = {
-            let mut pq = shared.proto.lock().expect("proto queue poisoned");
-            loop {
-                if let Some(task) = pq.queue.pop_front() {
-                    break task;
-                }
-                if pq.shutdown {
-                    return;
-                }
-                pq = shared.proto_work.wait(pq).expect("proto queue poisoned");
-            }
+/// What a graph executor does next.
+enum Next {
+    /// Claim and run this op.
+    Run(Arc<QueuedOp>),
+    /// Nothing is runnable; the oldest unclaimed op, if any, becomes
+    /// runnable at this instant.
+    Idle(Option<Instant>),
+    /// Shut down with nothing unclaimed: exit.
+    Exit,
+}
+
+impl ProtoQueue {
+    /// Drops claimed ops and dequeues the first runnable one: any
+    /// unclaimed op during shutdown, else one that waited out
+    /// [`WAITER_GRACE`] or has an older unclaimed op ahead of it.
+    fn next_for_executor(&mut self, now: Instant) -> Next {
+        self.queue.retain(|op| !op.is_claimed());
+        let runnable =
+            |i: usize, op: &QueuedOp| self.shutdown || i > 0 || op.submitted + WAITER_GRACE <= now;
+        let Some(i) = self
+            .queue
+            .iter()
+            .enumerate()
+            .position(|(i, op)| runnable(i, op))
+        else {
+            return match self.queue.front() {
+                Some(op) => Next::Idle(Some(op.submitted + WAITER_GRACE)),
+                None if self.shutdown => Next::Exit,
+                None => Next::Idle(None),
+            };
         };
-        run_protocol(shared, task);
+        Next::Run(self.queue.remove(i).expect("position is in range"))
     }
 }
 
-fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
+/// One graph executor: claims queued protocol ops that no waiter has
+/// claimed, runs their host ops inline, and routes every multiply node
+/// through the shared batch former. Exits once the queue is drained
+/// *and* shutdown was signaled — every ticket issued before shutdown
+/// resolves.
+pub(crate) fn proto_worker_loop(shared: &Arc<Shared>) {
+    let lock = || shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
+    // The enqueue count at this executor's last grace tick.
+    let mut seen = u64::MAX;
+    let mut pq = lock();
+    loop {
+        let now = Instant::now();
+        match pq.next_for_executor(now) {
+            Next::Run(op) => {
+                let task = op.claim().expect("claims are made under the queue lock");
+                drop(pq);
+                run_protocol(shared, task, op.submitted);
+                pq = lock();
+            }
+            Next::Exit => return,
+            // One executor keeps the grace clock while ops arrive: it
+            // sleeps until the oldest unclaimed op is due, or for one
+            // grace period when none is queued, and stops once a period
+            // passes with nothing submitted. The others sleep until woken.
+            Next::Idle(due) if !pq.watching && (due.is_some() || pq.enqueued != seen) => {
+                seen = pq.enqueued;
+                pq.watching = true;
+                let until = due.unwrap_or(now + WAITER_GRACE);
+                pq = shared
+                    .proto_work
+                    .wait_timeout(pq, until.saturating_duration_since(now))
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                pq.watching = false;
+            }
+            Next::Idle(_) => {
+                pq = shared
+                    .proto_work
+                    .wait(pq)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+}
+
+fn run_protocol(shared: &Arc<Shared>, task: ProtoTask, submitted: Instant) {
     let picked_up = Instant::now();
-    let queue_us = picked_up.duration_since(task.submitted).as_secs_f64() * 1e6;
+    let queue_us = picked_up.duration_since(submitted).as_secs_f64() * 1e6;
     // A host op that panics despite admission validation resolves its
     // own ticket with a typed error; the executor keeps serving.
     let result = panic::catch_unwind(AssertUnwindSafe(|| execute_job(shared, task.job)))
@@ -791,7 +1020,7 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
             })
         });
     let executed = picked_up.elapsed();
-    let service_us = task.submitted.elapsed().as_secs_f64() * 1e6;
+    let service_us = submitted.elapsed().as_secs_f64() * 1e6;
     {
         let mut st = shared.state.lock().expect("service state poisoned");
         let lane = &mut st.proto_lanes[task.kind as usize];
@@ -1328,6 +1557,176 @@ mod tests {
         assert_eq!(stats.wide_failed, 0);
         assert_eq!(stats.wide_latency_samples, 1);
         assert_eq!(stats.admitted, 3, "one narrow job per residue lane");
+    }
+
+    /// Waiters and a lone executor race for the same ops: submitters
+    /// keep a window of three ops in flight and collect them by `wait`,
+    /// `wait_timeout` or polling, so the executor takes the ops queued
+    /// behind an unclaimed one while the waiters run the rest. Every op
+    /// must run exactly once: each output equals `run_direct`, and the
+    /// lanes count each op once.
+    #[test]
+    fn waiters_and_executor_run_each_op_exactly_once() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            protocol_workers: 1,
+            ..ServiceConfig::default()
+        });
+        let kinds = [
+            ProtocolKind::Mul,
+            ProtocolKind::Encaps,
+            ProtocolKind::SheMul,
+            ProtocolKind::Verify,
+        ];
+        let (submitters, per_submitter) = (4u64, 12u64);
+        std::thread::scope(|scope| {
+            for t in 0..submitters {
+                let svc = &svc;
+                scope.spawn(move || {
+                    let collect = |(ticket, direct, i): (ProtocolTicket, ProtocolOutput, u64)| {
+                        let done = match i % 3 {
+                            0 => ticket.wait(),
+                            1 => loop {
+                                match ticket.wait_timeout(Duration::from_micros(50)) {
+                                    Err(ServiceError::WaitTimeout { .. }) => continue,
+                                    other => break other,
+                                }
+                            },
+                            _ => {
+                                // Polling never runs the op: an executor must.
+                                let deadline = Instant::now() + Duration::from_secs(10);
+                                while !ticket.is_done() {
+                                    assert!(Instant::now() < deadline, "no executor ran the op");
+                                    std::thread::yield_now();
+                                }
+                                ticket.wait()
+                            }
+                        };
+                        assert_eq!(done.expect("served").output, direct);
+                    };
+                    let mut window = std::collections::VecDeque::new();
+                    for i in 0..per_submitter {
+                        let kind = kinds[((t + i) % 4) as usize];
+                        let job = ProtocolJob::scripted(kind, 256, 1000 * t + i).unwrap();
+                        let direct = job.run_direct().unwrap();
+                        window.push_back((svc.submit_protocol(job).unwrap(), direct, i));
+                        if window.len() == 3 {
+                            collect(window.pop_front().unwrap());
+                        }
+                    }
+                    window.into_iter().for_each(collect);
+                });
+            }
+        });
+        let stats = svc.shutdown();
+        let (mut submitted, mut completed) = (0, 0);
+        for kind in ProtocolKind::ALL {
+            let lane = &stats.protocol[kind as usize];
+            assert_eq!(lane.submitted, lane.completed + lane.failed, "{kind}");
+            assert_eq!(lane.failed, 0, "{kind}");
+            submitted += lane.submitted;
+            completed += lane.completed;
+        }
+        assert_eq!(submitted, submitters * per_submitter);
+        assert_eq!(completed, submitters * per_submitter);
+    }
+
+    /// A ticket dropped without a wait leaves its op to an executor,
+    /// which starts it once the waiter grace has passed: it runs and is
+    /// counted while the service keeps serving, not only at shutdown.
+    #[test]
+    fn dropped_tickets_op_still_runs_and_is_counted() {
+        let svc = service(1);
+        let job = ProtocolJob::scripted(ProtocolKind::Encaps, 256, 5).unwrap();
+        drop(svc.submit_protocol(job).unwrap());
+        let lane = |svc: &Service| svc.stats().protocol[ProtocolKind::Encaps as usize].clone();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while lane(&svc).completed == 0 {
+            assert!(Instant::now() < deadline, "the dropped op never ran");
+            std::thread::sleep(WAITER_GRACE);
+        }
+        let stats = svc.shutdown();
+        let lane = &stats.protocol[ProtocolKind::Encaps as usize];
+        assert_eq!((lane.submitted, lane.completed, lane.failed), (1, 1, 0));
+    }
+
+    /// `wait_timeout` runs a still-queued op on the calling thread, so
+    /// even a zero timeout returns the op's output. An executor may win
+    /// the claim now and then (a waiter descheduled past the grace), so
+    /// the test asks for one helped op among a few tries.
+    #[test]
+    fn wait_timeout_runs_a_queued_op_on_the_caller() {
+        let svc = service(1);
+        let helped = (0..20).any(|seed| {
+            let job = ProtocolJob::scripted(ProtocolKind::Sign, 256, seed).unwrap();
+            let direct = job.run_direct().unwrap();
+            let ticket = svc.submit_protocol(job).unwrap();
+            match ticket.wait_timeout(Duration::ZERO) {
+                Ok(done) => {
+                    assert_eq!(done.output, direct);
+                    true
+                }
+                Err(ServiceError::WaitTimeout { .. }) => {
+                    assert_eq!(ticket.wait().unwrap().output, direct);
+                    false
+                }
+                Err(e) => panic!("{e}"),
+            }
+        });
+        assert!(helped, "no zero-timeout wait ran its own op");
+        drop(svc);
+    }
+
+    /// The executor's choice, step by step: an op alone in the queue is
+    /// left to its waiter until the grace has passed, one queued behind
+    /// an unclaimed op is runnable at once, claimed ops are dropped
+    /// unrun, and shutdown makes every unclaimed op runnable.
+    #[test]
+    fn executors_take_only_ops_no_waiter_runs() {
+        let queued = |age: Duration| {
+            let p = Polynomial::zero(8, 17).unwrap();
+            let (_ticket, fulfiller) = ticket();
+            Arc::new(QueuedOp {
+                claimed: AtomicBool::new(false),
+                submitted: Instant::now() - age,
+                task: Mutex::new(Some(ProtoTask {
+                    job: ProtocolJob::Mul { a: p.clone(), b: p },
+                    kind: ProtocolKind::Mul,
+                    ticket: fulfiller,
+                })),
+                shared: Weak::new(),
+            })
+        };
+        let is =
+            |next: Next, op: &Arc<QueuedOp>| matches!(next, Next::Run(o) if Arc::ptr_eq(&o, op));
+        let mut pq = ProtoQueue::default();
+        let (first, second) = (queued(Duration::ZERO), queued(Duration::ZERO));
+        pq.queue.push_back(Arc::clone(&first));
+        let now = Instant::now();
+        assert!(matches!(pq.next_for_executor(now), Next::Idle(Some(_))));
+        pq.queue.push_back(Arc::clone(&second));
+        assert!(
+            is(pq.next_for_executor(now), &second),
+            "behind an unclaimed op"
+        );
+        assert!(first.claim().is_some(), "the waiter's claim wins");
+        assert!(first.claim().is_none(), "a claim succeeds once");
+        assert!(matches!(pq.next_for_executor(now), Next::Idle(None)));
+        assert!(pq.queue.is_empty(), "claimed ops are dropped");
+        let stale = queued(2 * WAITER_GRACE);
+        pq.queue.push_back(Arc::clone(&stale));
+        assert!(
+            is(pq.next_for_executor(Instant::now()), &stale),
+            "past the grace"
+        );
+        let young = queued(Duration::ZERO);
+        pq.queue.push_back(Arc::clone(&young));
+        pq.shutdown = true;
+        assert!(
+            is(pq.next_for_executor(Instant::now()), &young),
+            "shutdown drains"
+        );
+        assert!(matches!(pq.next_for_executor(Instant::now()), Next::Exit));
     }
 
     #[test]

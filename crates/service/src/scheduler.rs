@@ -7,9 +7,9 @@
 //!    Block/Reject)    by (n, q))          idle bank,          │
 //!          ▲                              or linger)          ▼
 //!          │                                  │       worker threads
-//!  graph executor ── run_leaves: idle bank? ──┘       claim a bank
-//!  (blocks on its     yes → claim it, run the              │
-//!   leaf results)     eager batch inline ──► run_batch ◄───┘
+//!  protocol op ───── run_leaves: idle bank? ──┘       claim a bank
+//!  (its waiter or     yes → claim it, run the              │
+//!   an executor)      eager batch inline ──► run_batch ◄───┘
 //!                                           (S superbanks, one
 //!  Ticket::wait ◄──── ticket fulfillment ◄── batch each at a time)
 //! ```
@@ -24,10 +24,11 @@
 //! shared state, each with its accelerators and its fault-injector
 //! write path. A bank runs one batch at a time for whichever thread
 //! claimed it under the state lock: a worker thread draining the formed
-//! queue, or a graph executor whose eager flush found the bank idle —
-//! that executor runs its own leaf batch ([`run_leaves`]) instead of
-//! handing it to a worker and sleeping until the worker wakes it, so a
-//! protocol leaf round costs no thread handoff. Both runners share one
+//! queue, or the thread running a protocol op (its waiter or a graph
+//! executor) whose eager flush found the bank idle — that thread runs
+//! its own leaf batch ([`run_leaves`]) instead of handing it to a worker
+//! and sleeping until the worker wakes it, so a protocol leaf round
+//! costs no thread handoff. Both runners share one
 //! claim/release path and one `run_batch`; the batches themselves are
 //! formed exactly as before. At most `S` batches run at once, whoever
 //! runs them.
@@ -84,8 +85,8 @@ pub struct ServiceConfig {
     /// Virtual superbanks in the fleet, and the worker threads that
     /// drain formed batches onto them. A bank runs one batch at a time,
     /// single-threaded (the fleet itself is the parallelism), on
-    /// whichever thread claimed it: a worker, or a graph executor
-    /// running its own leaf batch. The banks are therefore the
+    /// whichever thread claimed it: a worker, or the thread running a
+    /// protocol op's own leaf batch. The banks are therefore the
     /// host-thread budget for engine work, whichever thread runs them.
     pub workers: usize,
     /// Admission-queue bound: jobs admitted but not yet dispatched
@@ -133,14 +134,17 @@ pub struct ServiceConfig {
     /// The cache is shared across workers and invalidated whenever a
     /// bank is quarantined.
     pub hot_capacity: usize,
-    /// Host threads executing protocol job graphs submitted through
-    /// [`Service::submit_protocol`]: each runs the cheap host ops
-    /// (sampling, additions, hashing) of one protocol op at a time and
-    /// routes every NTT multiply through the batch former as an
-    /// ordinary leaf job, running the formed batch itself when a bank
-    /// is idle (min 1). More executors mean more protocol
-    /// ops in flight, and therefore more chances for different
-    /// tenants' inner products to pack into the same batch.
+    /// Graph executor threads for protocol ops submitted through
+    /// [`Service::submit_protocol`] (min 1). An op normally runs on the
+    /// thread that waits for it ([`crate::ProtocolTicket`]'s `wait` or
+    /// `wait_timeout` claims it while it is still queued), so this bounds
+    /// only the ops no waiter is running: those queued behind another
+    /// unclaimed op (a client's window, concurrent submitters), those
+    /// whose waiter has not come within the grace bound, and the queue
+    /// drained at shutdown. An executor runs one op at a time — its host
+    /// ops (sampling, additions, hashing) inline and every NTT multiply
+    /// through the batch former as an ordinary leaf job, running the
+    /// formed batch itself when a bank is idle.
     pub protocol_workers: usize,
 }
 
@@ -377,14 +381,6 @@ pub(crate) struct ProtoLane {
     pub(crate) hist: LatencyHistogram,
 }
 
-/// The protocol-executor queue: typed protocol ops waiting for a free
-/// graph executor. Kept separate from the leaf-job admission queue so a
-/// protocol op never deadlocks against its own leaf multiplies.
-pub(crate) struct ProtoQueue {
-    pub(crate) queue: VecDeque<crate::graph::ProtoTask>,
-    pub(crate) shutdown: bool,
-}
-
 pub(crate) struct Shared {
     pub(crate) state: Mutex<State>,
     /// The started configuration (workers/attempts/quarantine already
@@ -402,9 +398,10 @@ pub(crate) struct Shared {
     former: Condvar,
     /// Formed batches or a freed bank (worker threads wait).
     work: Condvar,
-    /// Protocol ops waiting for a graph executor.
-    pub(crate) proto: Mutex<ProtoQueue>,
-    /// New protocol work (graph executors wait).
+    /// Protocol ops waiting for their waiter or a graph executor.
+    pub(crate) proto: Mutex<crate::graph::ProtoQueue>,
+    /// Protocol work for an executor, or the last waiter-run op done
+    /// during shutdown (graph executors and shutdown wait).
     pub(crate) proto_work: Condvar,
 }
 
@@ -576,10 +573,7 @@ impl Service {
             admit: Condvar::new(),
             former: Condvar::new(),
             work: Condvar::new(),
-            proto: Mutex::new(ProtoQueue {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
+            proto: Mutex::new(crate::graph::ProtoQueue::default()),
             proto_work: Condvar::new(),
         });
         let former = {
@@ -664,18 +658,38 @@ impl Service {
     }
 
     fn drain_and_join(&mut self) {
-        // Drain the protocol executors *first*, while the batch fleet is
-        // still accepting leaf submits: every queued protocol op runs to
+        // Drain the protocol ops *first*, while the batch fleet is still
+        // accepting leaf submits: every queued protocol op runs to
         // completion (its leaf multiplies still admit and execute), so a
-        // ProtocolTicket issued before shutdown always resolves.
+        // ProtocolTicket issued before shutdown always resolves. The
+        // executors claim what no waiter has; then the ops waiters claimed
+        // finish.
         {
-            let mut pq = self.shared.proto.lock().expect("proto queue poisoned");
+            let mut pq = self
+                .shared
+                .proto
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             pq.shutdown = true;
         }
         self.shared.proto_work.notify_all();
         for handle in self.proto_workers.drain(..) {
             if handle.join().is_err() && !std::thread::panicking() {
                 panic!("protocol executor panicked");
+            }
+        }
+        {
+            let mut pq = self
+                .shared
+                .proto
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            while pq.helping > 0 {
+                pq = self
+                    .shared
+                    .proto_work
+                    .wait(pq)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
         {
@@ -727,7 +741,7 @@ pub(crate) fn validate_leaf(
     Ok(((n, params.q), lanes))
 }
 
-/// The blocking leaf entry of the graph executors: admits `pairs` as
+/// The blocking leaf entry of a running protocol op: admits `pairs` as
 /// [`admit_leaves`] does, and when the eager flush finds an idle bank
 /// the caller claims it and runs the batch itself, then collects its
 /// results — already resolved, unless a job was requeued for a retry.

@@ -8,10 +8,15 @@
 //! A ticket always resolves: a fulfiller dropped without a result — the
 //! batch or executor holding it unwound — resolves its slot with
 //! [`ServiceError::Internal`], so no waiter can hang on an orphaned job.
+//!
+//! A ticket may also carry its job's queued work ([`Claim`]): a waiting
+//! thread then runs the job itself if no other thread has claimed it
+//! yet, instead of sleeping until one does. Protocol ops carry it; raw
+//! multiplies, which run only as part of a formed batch, do not.
 
 use crate::error::ServiceError;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 struct Slot<T> {
@@ -19,10 +24,20 @@ struct Slot<T> {
     done: Condvar,
 }
 
+/// Queued work a waiter may run on its own thread.
+pub(crate) trait Claim: Send + Sync {
+    /// Runs the work on the calling thread if no thread has claimed it
+    /// yet; returns at once otherwise.
+    fn run_if_unclaimed(&self);
+}
+
 /// Handle to one submitted job or op. Obtain the result with
 /// [`Ticket::wait`] or [`Ticket::wait_timeout`].
 pub struct Ticket<T> {
     slot: Arc<Slot<T>>,
+    /// The job's queued work, which a waiter runs itself when it is
+    /// still unclaimed; `None` for jobs only the fleet runs.
+    work: Option<Arc<dyn Claim>>,
 }
 
 /// The writing side of a [`Ticket`]: whoever executes the job resolves
@@ -42,6 +57,7 @@ pub(crate) fn ticket<T>() -> (Ticket<T>, Fulfiller<T>) {
     (
         Ticket {
             slot: Arc::clone(&slot),
+            work: None,
         },
         Fulfiller { slot: Some(slot) },
     )
@@ -76,15 +92,43 @@ impl<T> Slot<T> {
 }
 
 impl<T> Ticket<T> {
+    /// Attaches the job's queued work, so a waiter runs it itself when
+    /// no other thread has claimed it yet.
+    pub(crate) fn with_work(mut self, work: Arc<dyn Claim>) -> Ticket<T> {
+        self.work = Some(work);
+        self
+    }
+
+    fn run_if_unclaimed(&self) {
+        if let Some(work) = &self.work {
+            work.run_if_unclaimed();
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<Result<T, ServiceError>>> {
+        // Poison-tolerant, like `Slot::resolve`: the slot holds a plain
+        // value that no panicking holder can leave half-written.
+        self.slot
+            .result
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Blocks until the job completes, returning its result and
-    /// latency breakdown (or the typed failure).
+    /// latency breakdown (or the typed failure). A protocol op still
+    /// queued is first claimed and run on the calling thread.
     pub fn wait(self) -> Result<T, ServiceError> {
-        let mut slot = self.slot.result.lock().expect("ticket poisoned");
+        self.run_if_unclaimed();
+        let mut slot = self.lock();
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = self.slot.done.wait(slot).expect("ticket poisoned");
+            slot = self
+                .slot
+                .done
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -98,9 +142,14 @@ impl<T> Ticket<T> {
     /// never wedge a connection-handler thread forever. A successful
     /// call *takes* the result; a second wait on the same ticket then
     /// behaves as if the job never completed (it times out).
+    ///
+    /// Like `wait`, it first runs a still-queued protocol op on the
+    /// calling thread; the call then returns that op's result even when
+    /// running it took longer than `timeout`.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<T, ServiceError> {
         let deadline = Instant::now() + timeout;
-        let mut slot = self.slot.result.lock().expect("ticket poisoned");
+        self.run_if_unclaimed();
+        let mut slot = self.lock();
         loop {
             if let Some(result) = slot.take() {
                 return result;
@@ -115,14 +164,14 @@ impl<T> Ticket<T> {
                 .slot
                 .done
                 .wait_timeout(slot, remaining)
-                .expect("ticket poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
     }
 
     /// Whether the job has completed (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.slot.result.lock().expect("ticket poisoned").is_some()
+        self.lock().is_some()
     }
 }
 
@@ -137,6 +186,40 @@ impl<T> fmt::Debug for Ticket<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Work that resolves its ticket when run, counting its runs.
+    struct Resolve {
+        fulfiller: Mutex<Option<Fulfiller<u32>>>,
+        runs: std::sync::atomic::AtomicU32,
+    }
+
+    impl Claim for Resolve {
+        fn run_if_unclaimed(&self) {
+            if let Some(f) = self.fulfiller.lock().unwrap().take() {
+                self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                f.fulfil(Ok(9));
+            }
+        }
+    }
+
+    #[test]
+    fn a_waiter_runs_unclaimed_work_before_it_sleeps() {
+        let (t, f) = ticket::<u32>();
+        let work = Arc::new(Resolve {
+            fulfiller: Mutex::new(Some(f)),
+            runs: Default::default(),
+        });
+        let t = t.with_work(Arc::clone(&work) as Arc<dyn Claim>);
+        assert!(!t.is_done(), "polling never runs the work");
+        // A zero timeout still returns: the wait ran the work itself.
+        assert_eq!(t.wait_timeout(Duration::ZERO), Ok(9));
+        assert_eq!(
+            t.wait_timeout(Duration::from_millis(1)),
+            Err(ServiceError::WaitTimeout { timeout_ms: 1 })
+        );
+        drop(t);
+        assert_eq!(work.runs.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
 
     #[test]
     fn dropped_fulfiller_resolves_internal_and_fulfilled_one_does_not() {
