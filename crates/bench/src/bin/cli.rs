@@ -1002,21 +1002,16 @@ fn run_serve_loadgen(args: &[String]) {
         "served: {} ok, {} rejected, {} failed, {} mismatches of {} ops in {:.3} s → {:.0} ops/s",
         t.ok, t.rejected, t.failed, t.mismatches, t.ops, report.wall_s, report.throughput
     );
-    let graph = matches!(config.workload, Workload::Protocols { .. });
     for (kind, k) in &report.per_kind {
         println!(
-            "  {:<8} {} ops: {} ok, {} rejected, {} failed, {} mismatches{}",
+            "  {:<8} {} ops: {} ok, {} rejected, {} failed, {} mismatches; host {:.1} µs/op",
             kind.as_str(),
             k.ops,
             k.ok,
             k.rejected,
             k.failed,
             k.mismatches,
-            if graph {
-                format!("; host {:.1} µs/op", k.mean_host_us())
-            } else {
-                String::new()
-            }
+            k.mean_host_us(),
         );
     }
     println!(

@@ -24,8 +24,7 @@ use crate::wire::ErrorCode;
 use service::phase::{self, PhaseSnapshot};
 use service::workload::{self, ProtocolMix};
 use service::{
-    JobTicket, ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket, Service, ServiceConfig,
-    ServiceStats,
+    ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket, Service, ServiceConfig, ServiceStats,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -51,10 +50,9 @@ pub enum Transport {
 /// What is served.
 #[derive(Debug, Clone)]
 pub enum Workload {
-    /// Raw multiplies: narrow ones through `Service::submit` and wide
-    /// ones as `ProtocolJob::WideMul` graph ops through
-    /// `Service::submit_protocol`, or `Client::submit` over TCP (narrow
-    /// only).
+    /// Raw multiplies: narrow ones as `ProtocolJob::Mul` and wide ones
+    /// as `ProtocolJob::WideMul` ops through `Service::submit_protocol`,
+    /// or `Client::submit` over TCP (narrow only).
     Raw {
         /// When non-zero, `a` operands come from this many reused keys.
         hot_keys: usize,
@@ -137,8 +135,7 @@ pub struct Tally {
     /// Outputs that differed from the software oracle (must be 0).
     pub mismatches: usize,
     /// Summed [`service::ProtocolCompleted::host_us`] of the served
-    /// ops, ns. Only ops served in process as protocol graphs report
-    /// it (a raw workload's wide ops among them); 0 otherwise.
+    /// ops, ns. Only ops served in process report it; 0 over TCP.
     pub host_ns: u64,
 }
 
@@ -223,10 +220,7 @@ enum Outcome {
 
 /// A load client's end of the transport.
 enum Conn<'a> {
-    Local {
-        service: &'a Service,
-        graph: bool,
-    },
+    Local(&'a Service),
     Remote {
         client: Client,
         wait_timeout_ms: u32,
@@ -234,8 +228,7 @@ enum Conn<'a> {
 }
 
 enum Pending {
-    Leaf(JobTicket),
-    Graph(ProtocolTicket),
+    Local(ProtocolTicket),
     Remote(u64),
 }
 
@@ -269,15 +262,10 @@ enum Refusal {
 impl Conn<'_> {
     fn submit(&mut self, op: usize, job: &ProtocolJob) -> Result<Pending, Refusal> {
         match self {
-            Conn::Local { service, graph } => {
-                let admitted = match job {
-                    ProtocolJob::Mul { a, b } if !*graph => {
-                        service.submit(a.clone(), b.clone()).map(Pending::Leaf)
-                    }
-                    _ => service.submit_protocol(job.clone()).map(Pending::Graph),
-                };
-                admitted.map_err(|_| Refusal::Final(Outcome::Rejected))
-            }
+            Conn::Local(service) => service
+                .submit_protocol(job.clone())
+                .map(Pending::Local)
+                .map_err(|_| Refusal::Final(Outcome::Rejected)),
             Conn::Remote { client, .. } => {
                 let ProtocolJob::Mul { a, b } = job else {
                     unreachable!("TCP workloads are narrow multiplies")
@@ -297,8 +285,7 @@ impl Conn<'_> {
 
     /// Blocks for an op's output and returns whether it equals
     /// `expected`, with the op's worst execution attempt count and its
-    /// graph host time in ns (0 off the graph path); `Err` when the op
-    /// failed.
+    /// graph host time in ns (0 over TCP); `Err` when the op failed.
     fn wait(
         &mut self,
         pending: Pending,
@@ -306,11 +293,7 @@ impl Conn<'_> {
         wait_timeouts: &mut u64,
     ) -> Result<(bool, u32, u64), ()> {
         match pending {
-            Pending::Leaf(t) => t.wait().map(|d| {
-                let output = ProtocolOutput::Product(d.product);
-                (output == *expected, d.attempts, 0)
-            }),
-            Pending::Graph(t) => t.wait().map(|d| {
+            Pending::Local(t) => t.wait().map(|d| {
                 let host_ns = (d.host_us * 1e3) as u64;
                 (d.output == *expected, d.attempts, host_ns)
             }),
@@ -491,7 +474,6 @@ pub fn run(config: &DriveConfig) -> Result<DriveReport, DriveError> {
         })
         .collect();
     let clients = config.clients.clamp(1, ops.len().max(1));
-    let graph = matches!(config.workload, Workload::Protocols { .. });
 
     // The timed window: one scoped thread per connection.
     let serve = |conns: Vec<Conn<'_>>, window: usize| {
@@ -520,12 +502,7 @@ pub fn run(config: &DriveConfig) -> Result<DriveReport, DriveError> {
     let (runs, wall_s, phase, stats, dropped, server_json) = match &config.transport {
         Transport::InProcess(service_config) => {
             let service = Service::start(service_config.clone());
-            let conns = (0..clients)
-                .map(|_| Conn::Local {
-                    service: &service,
-                    graph,
-                })
-                .collect();
+            let conns = (0..clients).map(|_| Conn::Local(&service)).collect();
             let (runs, wall_s, phase) = serve(conns, window);
             let stats = service.shutdown();
             let dropped = stats.admitted.saturating_sub(stats.completed);

@@ -17,6 +17,11 @@
 //! through [`service::Ticket::wait_timeout`] capped by
 //! [`ServerConfig::max_wait`].
 //!
+//! Both submit verbs become one op through [`Service::submit_protocol`]
+//! (a `Submit` is the one-node [`ProtocolJob::Mul`]), so a `Wait` on a
+//! still-queued op runs it, and its leaf batch on an idle bank, on this
+//! handler thread. A zero-timeout `Wait` only polls.
+//!
 //! ## Tenancy, quotas, and fairness
 //!
 //! Every connection must open with `Hello { token }`; the token
@@ -26,8 +31,8 @@
 //! is refused with [`ErrorCode::QuotaExceeded`] — a typed reject, never
 //! a hang and never a dropped job. Because every tenant's quota is
 //! clamped below the scheduler's admission capacity, the quota is also
-//! the fair-queuing mechanism: no tenant can occupy the whole admission
-//! queue, so a greedy tenant saturating its quota leaves capacity that
+//! the fair-queuing mechanism: no tenant can occupy the whole op bound,
+//! so a greedy tenant saturating its quota leaves capacity that
 //! lighter tenants can always claim (max-min fair sharing of queue
 //! slots, pinned by `tests/net.rs`). Outstanding slots are released
 //! when a result is collected, when a job fails, or when the
@@ -38,8 +43,8 @@ use crate::wire::{
 };
 use ntt::poly::Polynomial;
 use service::{
-    Backpressure, JobTicket, ProtocolJob, ProtocolKind, ProtocolTicket, Service, ServiceConfig,
-    ServiceError, ServiceStats,
+    Backpressure, ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket, Service,
+    ServiceConfig, ServiceError, ServiceStats,
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -387,47 +392,43 @@ struct Session {
     jobs: HashMap<u64, Outstanding>,
 }
 
-/// One uncollected request: a raw multiply or a protocol op.
-enum Outstanding {
-    Mul(JobTicket),
-    Protocol(ProtocolKind, ProtocolTicket),
+/// One uncollected request: its op's ticket, and the kind a
+/// `SubmitProtocol` named (`None` for a `Submit`, whose `Mul` op is
+/// answered with the product itself rather than a digest).
+struct Outstanding {
+    protocol: Option<ProtocolKind>,
+    ticket: ProtocolTicket,
 }
 
 impl Outstanding {
-    fn is_done(&self) -> bool {
-        match self {
-            Outstanding::Mul(ticket) => ticket.is_done(),
-            Outstanding::Protocol(_, ticket) => ticket.is_done(),
-        }
-    }
-
-    /// Waits up to `timeout` and renders the result as this variant's
-    /// completion frame.
+    /// Waits up to `timeout` (a zero timeout only polls) and renders the
+    /// result as the request's completion frame.
     fn wait_timeout(&self, job_id: u64, timeout: Duration) -> Result<Frame, ServiceError> {
-        Ok(match self {
-            Outstanding::Mul(ticket) => {
-                let done = ticket.wait_timeout(timeout)?;
-                Frame::Done {
-                    job_id,
-                    q: done.product.modulus(),
-                    product: done.product.into_coeffs(),
-                    queue_us: done.queue_us as u64,
-                    service_us: done.service_us as u64,
-                    attempts: done.attempts,
-                }
-            }
-            Outstanding::Protocol(kind, ticket) => {
-                let done = ticket.wait_timeout(timeout)?;
-                Frame::ProtocolDone {
-                    job_id,
-                    kind: *kind,
-                    digest: done.output.digest(),
-                    nodes: done.nodes,
-                    attempts: done.attempts,
-                    queue_us: done.queue_us as u64,
-                    service_us: done.service_us as u64,
-                }
-            }
+        if timeout.is_zero() && !self.ticket.is_done() {
+            return Err(ServiceError::WaitTimeout { timeout_ms: 0 });
+        }
+        let done = self.ticket.wait_timeout(timeout)?;
+        Ok(match (self.protocol, done.output) {
+            (Some(kind), output) => Frame::ProtocolDone {
+                job_id,
+                kind,
+                digest: output.digest(),
+                nodes: done.nodes,
+                attempts: done.attempts,
+                queue_us: done.queue_us as u64,
+                service_us: done.service_us as u64,
+            },
+            (None, ProtocolOutput::Product(product)) => Frame::Done {
+                job_id,
+                q: product.modulus(),
+                product: product.into_coeffs(),
+                queue_us: done.queue_us as u64,
+                // The op's own span after its start, so the two fields
+                // still sum to submit → ready.
+                service_us: (done.service_us - done.queue_us) as u64,
+                attempts: done.attempts,
+            },
+            (None, _) => unreachable!("a Submit is a Mul op, which yields a product"),
         })
     }
 }
@@ -541,9 +542,9 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
             After::Close,
         ),
         Frame::Submit { job_id, q, a, b } => (
-            admit(shared, session, job_id, |service| {
+            admit(shared, session, job_id, None, || {
                 let (a, b) = operands(q, a, b)?;
-                service.submit(a, b).map(Outstanding::Mul)
+                Ok(ProtocolJob::Mul { a, b })
             }),
             After::Keep,
         ),
@@ -553,11 +554,8 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
             n,
             seed,
         } => (
-            admit(shared, session, job_id, |service| {
-                let job = scenario(kind, n, seed)?;
-                service
-                    .submit_protocol(job)
-                    .map(|ticket| Outstanding::Protocol(kind, ticket))
+            admit(shared, session, job_id, Some(kind), || {
+                scenario(kind, n, seed)
             }),
             After::Keep,
         ),
@@ -566,7 +564,7 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
         }
         Frame::Status { job_id } => {
             let state = match session.jobs.get(&job_id) {
-                Some(job) if job.is_done() => JobState::Done,
+                Some(job) if job.ticket.is_done() => JobState::Done,
                 Some(_) => JobState::Pending,
                 None => JobState::Unknown,
             };
@@ -609,13 +607,14 @@ fn dispatch(shared: &Arc<NetShared>, session: &mut Session, frame: Frame) -> (Fr
 
 /// The one admission step of `Submit` and `SubmitProtocol`: refuse
 /// during drain or on an id still outstanding as either kind, take one
-/// slot of the tenant's quota, then let `start` build and submit the
-/// request. A refusal after the take gives the slot back.
+/// slot of the tenant's quota, then let `build` make the op and submit
+/// it. A refusal after the take gives the slot back.
 fn admit(
     shared: &NetShared,
     session: &mut Session,
     job_id: u64,
-    start: impl FnOnce(&Service) -> Result<Outstanding, ServiceError>,
+    protocol: Option<ProtocolKind>,
+    build: impl FnOnce() -> Result<ProtocolJob, ServiceError>,
 ) -> Frame {
     let tenant = &shared.tenants[session.tenant.expect("authenticated")];
     if shared.stop.load(Ordering::SeqCst) {
@@ -645,10 +644,12 @@ fn admit(
             format!("outstanding quota {quota} exhausted; collect results first"),
         );
     }
-    match start(&shared.service) {
-        Ok(job) => {
+    match build().and_then(|job| shared.service.submit_protocol(job)) {
+        Ok(ticket) => {
             tenant.submitted.fetch_add(1, Ordering::Relaxed);
-            session.jobs.insert(job_id, job);
+            session
+                .jobs
+                .insert(job_id, Outstanding { protocol, ticket });
             Frame::Submitted { job_id }
         }
         Err(e) => {
@@ -689,10 +690,11 @@ fn scenario(kind: ProtocolKind, n: u64, seed: u64) -> Result<ProtocolJob, Servic
 
 /// `Wait`: block up to the client's timeout capped by `max_wait`, so a
 /// remote peer can never occupy this handler thread longer than that,
-/// plus the run of one protocol op: a wait runs its still-queued op on
-/// this thread when no graph executor has claimed it.
-/// A timeout leaves the request claimable; any other outcome collects
-/// it and releases its quota slot.
+/// plus the run of one op: a wait runs its still-queued op on this
+/// thread when no graph executor has claimed it. A zero timeout only
+/// polls, and never runs the op. A timeout leaves the request
+/// claimable; any other outcome collects it and releases its quota
+/// slot.
 fn wait(shared: &NetShared, session: &mut Session, job_id: u64, timeout_ms: u32) -> Frame {
     let Some(job) = session.jobs.get(&job_id) else {
         return error(
@@ -726,10 +728,9 @@ fn error_frame(job_id: u64, e: &ServiceError) -> Frame {
 }
 
 /// The one `ServiceError → ErrorCode` mapping, for admission refusals
-/// and execution failures of raw multiplies and protocol ops alike. A
-/// failed protocol node (a wide multiply's residue lane among them)
-/// answers with its inner error's code, so a refusal inside a graph reads the same as the refusal of
-/// a raw multiply.
+/// and execution failures of every op. A failed node (a raw
+/// multiply's one leaf, or a wide multiply's residue lane) answers with
+/// its inner error's code.
 fn error_code(e: &ServiceError) -> ErrorCode {
     match e {
         ServiceError::Overloaded { .. } => ErrorCode::Overloaded,

@@ -229,9 +229,11 @@ pub enum Frame {
         /// Product coefficients, canonical, bit-identical to a direct
         /// engine multiply of the submitted pair.
         product: Vec<u64>,
-        /// Queueing time (submit → dispatch), microseconds.
+        /// The `Mul` op's submit → start (on its waiter or an
+        /// executor), microseconds.
         queue_us: u64,
-        /// Batch execution wall-clock, microseconds.
+        /// The op's start → product ready, microseconds; `queue_us +
+        /// service_us` is the server's submit → ready.
         service_us: u64,
         /// Execution attempts the job took (>1 = recovered fault).
         attempts: u32,
@@ -303,9 +305,9 @@ pub enum Frame {
         nodes: u32,
         /// Worst per-node execution attempts (>1 = recovered fault).
         attempts: u32,
-        /// Submission → executor pickup, microseconds.
+        /// Submission → the op starting to run, microseconds.
         queue_us: u64,
-        /// End-to-end op latency, microseconds.
+        /// End-to-end op latency (submit → ready), microseconds.
         service_us: u64,
     },
 }

@@ -274,9 +274,10 @@ fn run_cell(config: &CampaignConfig, kind: CampaignKind, degree: usize, rate: f6
     // Fault-free reference (and the overhead baseline).
     let reference_acc = CryptoPim::new(&params).expect("paper parameters");
     let t = Instant::now();
-    let reference: Vec<_> = jobs
+    let reference: Vec<ProtocolOutput> = jobs
         .iter()
         .map(|(a, b)| reference_acc.multiply(a, b).expect("fault-free multiply"))
+        .map(ProtocolOutput::Product)
         .collect();
     let direct_wall_s = t.elapsed().as_secs_f64();
 
@@ -288,39 +289,22 @@ fn run_cell(config: &CampaignConfig, kind: CampaignKind, degree: usize, rate: f6
         config.jobs_per_cell,
         cell_seed,
     ));
-    let svc = Service::start(ServiceConfig {
-        workers: 1,
-        backpressure: Backpressure::Block,
-        // Serial submit→wait keeps batches single-job and operation
-        // epochs replayable; linger would only add idle waiting.
-        linger: Duration::ZERO,
-        check: CheckPolicy::Recompute,
-        max_attempts: config.max_attempts,
-        quarantine_after: config.quarantine_after,
-        injector: Some(plan.clone()),
-        hot_capacity: config.hot_keys,
-        ..ServiceConfig::default()
-    });
-
-    let (mut served, mut wrong, mut unrecovered, mut refused, mut failed) = (0, 0, 0, 0, 0);
-    let t = Instant::now();
-    for (k, (a, b)) in jobs.iter().enumerate() {
-        match svc.submit(a.clone(), b.clone()).map(|t| t.wait()) {
-            Ok(Ok(done)) => {
-                served += 1;
-                if done.product != reference[k] {
-                    wrong += 1;
-                }
-            }
-            Ok(Err(ServiceError::FaultUnrecovered { .. })) => unrecovered += 1,
-            Ok(Err(ServiceError::Overloaded { .. })) | Err(ServiceError::Overloaded { .. }) => {
-                refused += 1;
-            }
-            Ok(Err(_)) | Err(_) => failed += 1,
-        }
-    }
-    let service_wall_s = t.elapsed().as_secs_f64();
-    let stats = svc.shutdown();
+    let ops: Vec<ProtocolJob> = jobs
+        .iter()
+        .map(|(a, b)| ProtocolJob::Mul {
+            a: a.clone(),
+            b: b.clone(),
+        })
+        .collect();
+    let run = serve_cell(
+        &ops,
+        &reference,
+        plan.clone(),
+        config.max_attempts,
+        config.quarantine_after,
+        config.hot_keys,
+    );
+    let stats = run.stats;
 
     // Screen pass: same plan on fresh write epochs, direct datapath,
     // probabilistic residue check — how good is the cheap screen?
@@ -335,7 +319,7 @@ fn run_cell(config: &CampaignConfig, kind: CampaignKind, degree: usize, rate: f6
                 // The residue identity is exact, so a passed check can
                 // still hide a transform-domain escape — the reference
                 // is the referee here.
-                if product != reference[k] {
+                if ProtocolOutput::Product(product) != reference[k] {
                     screen_corrupted += 1;
                 }
             }
@@ -352,16 +336,16 @@ fn run_cell(config: &CampaignConfig, kind: CampaignKind, degree: usize, rate: f6
         degree,
         rate,
         jobs: config.jobs_per_cell,
-        served,
-        wrong,
-        unrecovered,
-        refused,
-        failed,
+        served: run.served,
+        wrong: run.wrong,
+        unrecovered: run.unrecovered,
+        refused: run.refused,
+        failed: run.failed,
         detected: stats.faults_detected,
         retries: stats.retries,
         recovered: stats.recovered,
         quarantined_banks: stats.quarantined_banks,
-        service_wall_s,
+        service_wall_s: run.wall_s,
         direct_wall_s,
         screen_corrupted,
         screen_detected,
@@ -543,6 +527,7 @@ pub fn run_wide_cell(config: &WideCellConfig) -> WideCellResult {
         plan,
         config.max_attempts,
         config.quarantine_after,
+        0,
     );
 
     WideCellResult {
@@ -665,6 +650,7 @@ pub fn run_protocol_cell(config: &ProtocolCellConfig) -> ProtocolCellResult {
         plan,
         config.max_attempts,
         config.quarantine_after,
+        0,
     );
 
     ProtocolCellResult {
@@ -692,19 +678,24 @@ struct CellRun {
     failed: usize,
     /// Served ops where some multiply node needed a retry.
     retried: usize,
+    /// Wall-clock of the serving loop, seconds.
+    wall_s: f64,
     stats: ServiceStats,
 }
 
 /// Serves `jobs` one at a time through a fresh one-bank, one-executor
-/// referee-checked service with `plan` armed, holding each typed output
-/// against `reference` and classifying each failure by the error of the
-/// node that failed.
+/// referee-checked service with `plan` armed (and a hot-operand cache of
+/// `hot_capacity`, 0 for none), holding each typed output against
+/// `reference` and classifying each failure by the error of the node
+/// that failed. Serial submit → wait keeps batches single-job and the
+/// operation epochs replayable.
 fn serve_cell(
     jobs: &[ProtocolJob],
     reference: &[ProtocolOutput],
     plan: Arc<FaultPlan>,
     max_attempts: u32,
     quarantine_after: u32,
+    hot_capacity: usize,
 ) -> CellRun {
     let svc = Service::start(ServiceConfig {
         workers: 1,
@@ -715,10 +706,12 @@ fn serve_cell(
         max_attempts,
         quarantine_after,
         injector: Some(plan),
+        hot_capacity,
         ..ServiceConfig::default()
     });
     let (mut served, mut wrong, mut unrecovered, mut refused, mut failed, mut retried) =
         (0, 0, 0, 0, 0, 0);
+    let t = Instant::now();
     for (job, want) in jobs.iter().zip(reference) {
         let outcome = svc
             .submit_protocol(job.clone())
@@ -749,6 +742,7 @@ fn serve_cell(
         refused,
         failed,
         retried,
+        wall_s: t.elapsed().as_secs_f64(),
         stats: svc.shutdown(),
     }
 }

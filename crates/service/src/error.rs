@@ -2,15 +2,13 @@
 //!
 //! Admission failures ([`ServiceError::Overloaded`],
 //! [`ServiceError::ShuttingDown`], [`ServiceError::UnsupportedJob`]) are
-//! returned synchronously from [`crate::Service::submit`] and
-//! [`crate::Service::submit_protocol`]; execution failures surface
-//! asynchronously through the one completion handle, [`crate::Ticket`]
-//! (a raw multiply's [`crate::JobTicket`] or a protocol op's
-//! [`crate::ProtocolTicket`]). A protocol op's failed leaf keeps its
-//! own error inside [`ServiceError::ProtocolNode`], so a front end can
-//! classify a raw multiply and a protocol op by the same inner variant;
-//! the TCP server maps both through one `ServiceError → ErrorCode`
-//! function. A job lost to a panic inside the service resolves with
+//! returned synchronously from [`crate::Service::submit_protocol`];
+//! execution failures surface asynchronously through the op's
+//! [`crate::ProtocolTicket`]. An op's failed leaf keeps its own error
+//! inside [`ServiceError::ProtocolNode`], so a front end classifies a
+//! raw multiply (the one-node [`crate::ProtocolJob::Mul`]) and any other
+//! op by the same inner variant; the TCP server maps both through one
+//! `ServiceError → ErrorCode` function. A job lost to a panic inside the service resolves with
 //! [`ServiceError::Internal`] rather than leaving its waiter hanging.
 
 use pim::PimError;
@@ -20,11 +18,13 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServiceError {
-    /// The bounded admission queue is full and the service runs the
-    /// [`crate::Backpressure::Reject`] policy. The job was **not**
-    /// admitted; the caller may retry later.
+    /// A bounded admission queue is full and the service runs the
+    /// [`crate::Backpressure::Reject`] policy, or every bank is
+    /// quarantined. The op or job was **not** admitted; the caller may
+    /// retry later.
     Overloaded {
-        /// Configured admission-queue capacity (jobs).
+        /// Configured admission capacity
+        /// ([`crate::ServiceConfig::queue_capacity`]).
         capacity: usize,
     },
     /// The service is draining for shutdown and admits no new jobs.

@@ -3,16 +3,16 @@
 //!
 //! ```text
 //!  submit_protocol(job) ──► proto queue ──┬─► its waiter (Ticket::wait or
-//!                           (one claim    │   wait_timeout) runs it, or
-//!                            flag per op) └─► a graph executor, once no
-//!                                             waiter claimed it within
+//!                           (bounded; one │   wait_timeout) runs it, or
+//!                            claim flag   └─► a graph executor, once no
+//!                            per op)          waiter claimed it within
 //!                                             WAITER_GRACE, or at once when
 //!                                             it queued behind an unclaimed op
 //!                                             │ host ops (sampling,
 //!                                             │ additions, hashing)
 //!                                             ▼
-//!                     leaf NTT multiplies ──► batch former (shared with
-//!                     (run_leaves, blocking)   submit)
+//!                     leaf NTT multiplies ──► batch former
+//!                     (run_leaves, blocking)
 //!                                             │
 //!                      idle bank: the running thread claims it and runs
 //!                      the batch itself; all banks busy: a worker runs it
@@ -28,6 +28,12 @@
 //! concurrent submitter) at once, any other after [`WAITER_GRACE`] (a
 //! dropped ticket, or a waiter that is late). Every op runs through the
 //! same `run_protocol`, with the same unwind guard and stats.
+//!
+//! **Admission.** At most [`crate::ServiceConfig::queue_capacity`] ops
+//! may be admitted and not yet claimed; past that, a `Block` submitter
+//! waits for a claim and a `Reject` one gets a counted
+//! [`ServiceError::Overloaded`]. A claimed op's leaves meet the leaf
+//! queue's own bound (a degraded fleet refuses them at the op's wait).
 //!
 //! A typed [`ProtocolJob`] (KeyGen / PKE-Enc/Dec / Encaps / Decaps /
 //! SHE-Mul / Sign / Verify — plus the trivial one-node `Mul` and k-lane
@@ -68,7 +74,7 @@
 //! pins this per kind across fleet sizes {1, 2, 4}.
 
 use crate::error::ServiceError;
-use crate::scheduler::{self, Service, Shared};
+use crate::scheduler::{self, Backpressure, Service, Shared};
 use crate::ticket::{ticket, Claim, Fulfiller, Ticket};
 use cryptopim::phase;
 use modmath::crt::RnsBasis;
@@ -85,7 +91,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// The protocol kinds servable through
@@ -94,8 +100,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ProtocolKind {
-    /// One raw negacyclic product — [`Service::submit`] re-expressed as
-    /// a trivial one-node graph.
+    /// One raw negacyclic product: a one-node graph, the service's only
+    /// narrow multiply.
     Mul = 0,
     /// One wide (RNS-decomposed) product over `Q = Π q_i`: a k-lane
     /// graph whose residue lanes ride the ordinary `(n, q_i)` batch
@@ -420,6 +426,10 @@ pub(crate) struct ProtoQueue {
     pub(crate) helping: usize,
     /// Ops ever queued (the grace clock's activity test).
     enqueued: u64,
+    /// Ops admitted and not yet claimed: the admission bound's count.
+    unclaimed: usize,
+    /// `Block` submitters waiting for a claim to free a slot.
+    blocked: usize,
     /// An executor sleeps on the grace clock, so an enqueue need not
     /// wake one.
     watching: bool,
@@ -476,7 +486,7 @@ impl Claim for QueuedOp {
         };
         let task = {
             let mut pq = shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some(task) = self.claim() else {
+            let Some(task) = pq.claim(self, &shared.proto_space) else {
                 return;
             };
             pq.helping += 1;
@@ -865,7 +875,8 @@ impl Service {
     /// Synchronously: [`ServiceError::UnsupportedJob`] /
     /// [`ServiceError::PairMismatch`] when some node's ring has no
     /// accelerator configuration, [`ServiceError::ProtocolHost`] for
-    /// host-op preconditions (e.g. a KEM ring below 256), and
+    /// host-op preconditions (e.g. a KEM ring below 256),
+    /// [`ServiceError::Overloaded`] past the op bound under `Reject`, and
     /// [`ServiceError::ShuttingDown`] during drain. Asynchronously (via
     /// the ticket): [`ServiceError::ProtocolNode`] attributing a
     /// terminal node failure, or [`ServiceError::ProtocolHost`].
@@ -882,8 +893,9 @@ pub(crate) fn submit_protocol_shared(
     enqueue(shared, job)
 }
 
-/// Queues an admitted job. The returned ticket carries the queued op,
-/// so its waiter runs the op itself unless an executor claimed it first.
+/// Queues a validated job behind the op bound (module docs,
+/// *Admission*). The returned ticket carries the queued op, so its
+/// waiter runs the op itself unless an executor claimed it first.
 fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, ServiceError> {
     let kind = job.kind();
     let (ticket, fulfiller) = ticket();
@@ -897,10 +909,28 @@ fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, Ser
         })),
         shared: Arc::downgrade(shared),
     });
+    let capacity = shared.cfg.queue_capacity;
     let wake = {
         let mut pq = shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
-        if pq.shutdown {
-            return Err(ServiceError::ShuttingDown);
+        loop {
+            if pq.shutdown {
+                return Err(ServiceError::ShuttingDown);
+            }
+            if pq.unclaimed < capacity {
+                break;
+            }
+            if shared.cfg.backpressure == Backpressure::Reject {
+                drop(pq);
+                let mut st = shared.state.lock().expect("service state poisoned");
+                st.rejected += 1;
+                return Err(ServiceError::Overloaded { capacity });
+            }
+            pq.blocked += 1;
+            pq = shared
+                .proto_space
+                .wait(pq)
+                .unwrap_or_else(PoisonError::into_inner);
+            pq.blocked -= 1;
         }
         while pq.queue.front().is_some_and(|op| op.is_claimed()) {
             pq.queue.pop_front();
@@ -911,6 +941,7 @@ fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, Ser
         let wake = !pq.queue.is_empty() || !pq.watching;
         pq.queue.push_back(Arc::clone(&op));
         pq.enqueued += 1;
+        pq.unclaimed += 1;
         wake
     };
     {
@@ -935,6 +966,17 @@ enum Next {
 }
 
 impl ProtoQueue {
+    /// Claims `op` for the calling thread ([`QueuedOp::claim`]) and frees
+    /// its admission slot, waking a blocked submitter on `space`.
+    fn claim(&mut self, op: &QueuedOp, space: &Condvar) -> Option<ProtoTask> {
+        let task = op.claim()?;
+        self.unclaimed -= 1;
+        if self.blocked > 0 {
+            space.notify_one();
+        }
+        Some(task)
+    }
+
     /// Drops claimed ops and dequeues the first runnable one: any
     /// unclaimed op during shutdown, else one that waited out
     /// [`WAITER_GRACE`] or has an older unclaimed op ahead of it.
@@ -972,7 +1014,9 @@ pub(crate) fn proto_worker_loop(shared: &Arc<Shared>) {
         let now = Instant::now();
         match pq.next_for_executor(now) {
             Next::Run(op) => {
-                let task = op.claim().expect("claims are made under the queue lock");
+                let task = pq
+                    .claim(&op, &shared.proto_space)
+                    .expect("claims are made under the queue lock");
                 drop(pq);
                 run_protocol(shared, task, op.submitted);
                 pq = lock();
@@ -1111,18 +1155,8 @@ fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, Servi
     let svc = SvcMult::new(shared, job.ring().1);
     match job {
         ProtocolJob::Mul { a, b } => {
-            let q = a.modulus();
-            let started = Instant::now();
-            let done = scheduler::run_leaves(shared, vec![(a, b)])
-                .map_err(|(_, e)| e)
-                .and_then(|mut results| results.remove(0))
-                .map_err(|e| node_err(0, q, e))?;
-            Ok(Executed {
-                output: ProtocolOutput::Product(done.product),
-                nodes: 1,
-                attempts: done.attempts,
-                leaf_wait: started.elapsed(),
-            })
+            let out = svc.leaf(a, b).map_err(Into::into);
+            svc.settle(out, ProtocolOutput::Product)
         }
         ProtocolJob::WideMul { a, b, basis } => {
             let started = Instant::now();
@@ -1230,7 +1264,26 @@ impl<'a> SvcMult<'a> {
         modmath::Error::InvalidDegree { n: 0 }
     }
 
-    fn absorb(&self, done: &crate::CompletedJob) {
+    /// One leaf node `a · b`: one blocking `run_leaves` round.
+    fn leaf(&self, a: Polynomial, b: Polynomial) -> ntt::Result<Polynomial> {
+        self.degree.set(a.degree_bound());
+        let node = self.nodes.get() as usize;
+        self.nodes.set(self.nodes.get() + 1);
+        let started = Instant::now();
+        let done = scheduler::run_leaves(self.shared, vec![(a, b)])
+            .map_err(|(_, e)| e)
+            .and_then(|mut results| results.remove(0));
+        self.waited_since(started);
+        match done {
+            Ok(done) => {
+                self.absorb(&done);
+                Ok(done.product)
+            }
+            Err(e) => Err(self.stash(node, e)),
+        }
+    }
+
+    fn absorb(&self, done: &scheduler::CompletedJob) {
         self.attempts.set(self.attempts.get().max(done.attempts));
     }
 
@@ -1270,21 +1323,7 @@ impl PolyMultiplier for SvcMult<'_> {
     }
 
     fn multiply(&self, a: &Polynomial, b: &Polynomial) -> ntt::Result<Polynomial> {
-        self.degree.set(a.degree_bound());
-        let node = self.nodes.get() as usize;
-        self.nodes.set(self.nodes.get() + 1);
-        let started = Instant::now();
-        let done = scheduler::run_leaves(self.shared, vec![(a.clone(), b.clone())])
-            .map_err(|(_, e)| e)
-            .and_then(|mut results| results.remove(0));
-        self.waited_since(started);
-        match done {
-            Ok(done) => {
-                self.absorb(&done);
-                Ok(done.product)
-            }
-            Err(e) => Err(self.stash(node, e)),
-        }
+        self.leaf(a.clone(), b.clone())
     }
 
     fn multiply_pair(

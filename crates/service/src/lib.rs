@@ -8,7 +8,8 @@
 //! [`cryptopim::batch::multiply_batch`]; this crate supplies the
 //! serving discipline around it:
 //!
-//! * [`Service::submit`] — continuous job admission behind a bounded
+//! * [`Service::submit_protocol`] — the one request path (a raw
+//!   product is the one-node [`ProtocolJob::Mul`] op) behind a bounded
 //!   queue with a configurable [`Backpressure`] policy (`Block` or
 //!   `Reject`), so overload degrades gracefully instead of OOMing;
 //! * a **batch former** that groups pending jobs by `(n, q)` parameter
@@ -17,8 +18,9 @@
 //!   deadline expires — the latency/occupancy trade-off of the paper's
 //!   packing model, made explicit as [`ServiceConfig::linger`];
 //! * a fleet of virtual **superbanks**, each claimed for one batch at a
-//!   time by a worker thread draining formed batches or by a protocol
-//!   graph executor running its own leaf batch, all through the
+//!   time by a worker thread draining formed batches or by the thread
+//!   running an op (its waiter or a graph executor) that runs its own
+//!   leaf batch, all through the
 //!   verified engine path, so every product is bit-identical to a
 //!   direct `CryptoPim::multiply`;
 //! * graceful [`Service::shutdown`] that drains every admitted job;
@@ -34,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use service::{Service, ServiceConfig};
+//! use service::{ProtocolJob, ProtocolOutput, Service, ServiceConfig};
 //! use modmath::params::ParamSet;
 //! use ntt::poly::Polynomial;
 //!
@@ -42,9 +44,10 @@
 //! let q = ParamSet::for_degree(256).unwrap().q;
 //! let a = Polynomial::from_coeffs(vec![1; 256], q).unwrap();
 //! let b = Polynomial::from_coeffs(vec![2; 256], q).unwrap();
-//! let ticket = svc.submit(a, b).unwrap();
-//! let done = ticket.wait().unwrap();
-//! assert_eq!(done.product.degree_bound(), 256);
+//! let ticket = svc.submit_protocol(ProtocolJob::Mul { a, b }).unwrap();
+//! let done = ticket.wait().unwrap(); // runs the op on this thread
+//! let ProtocolOutput::Product(product) = done.output else { unreachable!() };
+//! assert_eq!(product.degree_bound(), 256);
 //! let stats = svc.shutdown();
 //! assert_eq!(stats.completed, 1);
 //! ```
@@ -64,7 +67,7 @@ pub use cryptopim::check::CheckPolicy;
 pub use cryptopim::phase;
 pub use error::ServiceError;
 pub use graph::{ProtocolCompleted, ProtocolJob, ProtocolKind, ProtocolOutput, ProtocolTicket};
-pub use scheduler::{Backpressure, CompletedJob, JobTicket, Service, ServiceConfig};
+pub use scheduler::{Backpressure, Service, ServiceConfig};
 pub use stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
 pub use ticket::Ticket;
 pub use workload::ProtocolMix;

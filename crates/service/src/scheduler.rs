@@ -2,17 +2,20 @@
 //! fleet.
 //!
 //! ```text
-//!  submit(a, b) ──► admission queue ──► batch forming ──► formed-batch
-//!   (bounded,        (jobs grouped       (flush on full,    queue
-//!    Block/Reject)    by (n, q))          idle bank,          │
-//!          ▲                              or linger)          ▼
-//!          │                                  │       worker threads
-//!  protocol op ───── run_leaves: idle bank? ──┘       claim a bank
-//!  (its waiter or     yes → claim it, run the              │
-//!   an executor)      eager batch inline ──► run_batch ◄───┘
-//!                                           (S superbanks, one
-//!  Ticket::wait ◄──── ticket fulfillment ◄── batch each at a time)
+//!  protocol op ──── run_leaves: leaf pairs ──► admission queue ──► batch forming
+//!  (its waiter or   (bounded, Block/Reject)    (jobs grouped       (flush on full,
+//!   an executor)                                by (n, q))          idle bank,
+//!       │                                                            or linger)
+//!       │  idle bank? yes → claim it, run the                           │
+//!       └─ eager batch inline ──────────► run_batch ◄── worker threads ◄┘
+//!                                        (S superbanks,   claim a bank
+//!  Ticket::wait ◄──── ticket fulfillment ◄─ one batch
+//!                                           each at a time)
 //! ```
+//!
+//! Every multiply reaches the batch former as a leaf of a protocol op
+//! ([`crate::graph`]), a raw product being the one-node
+//! [`crate::ProtocolJob::Mul`].
 //!
 //! Batch forming is mostly *synchronous*: full groups and — whenever a
 //! bank is idle — partial groups flush on the submitting thread, and a
@@ -67,7 +70,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What `submit` does when the admission queue is full.
+/// What admission does when a queue is full: an op submit past
+/// [`ServiceConfig::queue_capacity`] unclaimed ops, or a leaf past as
+/// many queued leaf jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backpressure {
     /// Block the submitting thread until space frees (no job is ever
@@ -89,10 +94,12 @@ pub struct ServiceConfig {
     /// protocol op's own leaf batch. The banks are therefore the
     /// host-thread budget for engine work, whichever thread runs them.
     pub workers: usize,
-    /// Admission-queue bound: jobs admitted but not yet dispatched
-    /// (pending in the former plus formed-but-unclaimed).
+    /// Admission bound, applied to two queues: protocol ops admitted
+    /// but not yet claimed by a waiter or an executor, and leaf jobs
+    /// admitted but not yet dispatched (pending in the former plus
+    /// formed-but-unclaimed).
     pub queue_capacity: usize,
-    /// Policy when the queue is full.
+    /// Policy when a queue is full.
     pub backpressure: Backpressure,
     /// How long a partial batch may wait for batch-mates before it is
     /// flushed anyway. Batch forming is work-conserving: while the
@@ -168,28 +175,18 @@ impl Default for ServiceConfig {
 /// Batch-formation key: jobs are only packed with same-parameter jobs.
 pub(crate) type ParamKey = (usize, u64);
 
-/// A fulfilled job, returned by [`JobTicket::wait`].
+/// A fulfilled leaf job, returned by its [`JobTicket`].
 #[derive(Debug, Clone)]
-pub struct CompletedJob {
+pub(crate) struct CompletedJob {
     /// The product, bit-identical to a direct engine multiply.
-    pub product: Polynomial,
-    /// Time from submission to dispatch onto a bank (queueing plus
-    /// batch-forming linger), µs.
-    pub queue_us: f64,
-    /// Wall-clock execution time of the batch this job rode in, µs.
-    pub service_us: f64,
-    /// Jobs packed into that batch (realized occupancy).
-    pub batch_jobs: usize,
-    /// Packed-lane capacity of the hardware at this degree (`32k/n`).
-    pub packed_lanes: usize,
+    pub(crate) product: Polynomial,
     /// Execution attempts this job took (1 = first try; > 1 means a
     /// detected-corrupt result was retried and the job *recovered*).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
 }
 
-/// Handle to one submitted multiply. Obtain the result with
-/// [`Ticket::wait`].
-pub type JobTicket = Ticket<CompletedJob>;
+/// Handle to one admitted leaf multiply.
+pub(crate) type JobTicket = Ticket<CompletedJob>;
 
 struct Job {
     a: Polynomial,
@@ -343,7 +340,8 @@ pub(crate) struct State {
     /// admitted job is ever stranded.
     drained: bool,
     admitted: u64,
-    rejected: u64,
+    /// Leaf jobs and ops refused under `Reject` or by a degraded fleet.
+    pub(crate) rejected: u64,
     completed: u64,
     batches: u64,
     full_batches: u64,
@@ -403,6 +401,9 @@ pub(crate) struct Shared {
     /// Protocol work for an executor, or the last waiter-run op done
     /// during shutdown (graph executors and shutdown wait).
     pub(crate) proto_work: Condvar,
+    /// A queued op was claimed or shutdown began (Block-mode op
+    /// submitters wait).
+    pub(crate) proto_space: Condvar,
 }
 
 impl Shared {
@@ -509,7 +510,7 @@ const SEGMENTED_Q: u64 = 786_433;
 /// A long-running, multi-tenant serving front end for the accelerator.
 ///
 /// See the [module docs](self) for the pipeline shape. Construct with
-/// [`Service::start`], submit with [`Service::submit`], observe with
+/// [`Service::start`], submit with [`Service::submit_protocol`], observe with
 /// [`Service::stats`], stop with [`Service::shutdown`] (or drop — the
 /// destructor drains too).
 pub struct Service {
@@ -575,6 +576,7 @@ impl Service {
             work: Condvar::new(),
             proto: Mutex::new(crate::graph::ProtoQueue::default()),
             proto_work: Condvar::new(),
+            proto_space: Condvar::new(),
         });
         let former = {
             let shared = Arc::clone(&shared);
@@ -621,25 +623,6 @@ impl Service {
         &self.shared
     }
 
-    /// Submits one multiplication job; the returned ticket resolves to
-    /// the product once a superbank has executed the batch the
-    /// job was packed into.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServiceError::PairMismatch`] — operand degrees differ.
-    /// * [`ServiceError::UnsupportedJob`] — no parameter set for the
-    ///   pair's `(n, q)`: outside the paper table and not a segmented
-    ///   (> 32k) degree under the large-degree modulus.
-    /// * [`ServiceError::Overloaded`] — queue full under
-    ///   [`Backpressure::Reject`], or every bank quarantined.
-    /// * [`ServiceError::ShuttingDown`] — submitted during drain.
-    pub fn submit(&self, a: Polynomial, b: Polynomial) -> Result<JobTicket, ServiceError> {
-        admit_leaves(&self.shared, vec![(a, b)], None)
-            .map(|mut tickets| tickets.remove(0))
-            .map_err(|(_, e)| e)
-    }
-
     /// A point-in-time snapshot of queue depth, counters, occupancy,
     /// and latency percentiles.
     pub fn stats(&self) -> ServiceStats {
@@ -673,6 +656,7 @@ impl Service {
             pq.shutdown = true;
         }
         self.shared.proto_work.notify_all();
+        self.shared.proto_space.notify_all();
         for handle in self.proto_workers.drain(..) {
             if handle.join().is_err() && !std::thread::panicking() {
                 panic!("protocol executor panicked");
@@ -771,7 +755,7 @@ pub(crate) fn run_leaves(
 /// A bank claimed by a blocking submitter and the batch it will run.
 type InlineBatch<'a> = (Claim<'a>, FormedBatch);
 
-/// Leaf admission behind [`Service::submit`] and [`run_leaves`]. Every
+/// Leaf admission behind [`run_leaves`]. Every
 /// pair is validated before any is admitted. Pairs that share one
 /// `(n, q)` key are admitted under a *single* state-lock acquisition,
 /// so they land in the same formation group and a flushed batch
@@ -1082,7 +1066,6 @@ fn run_claimed(shared: &Shared, claim: Claim<'_>, batch: FormedBatch) {
 /// quarantine decision.
 fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
     let bank = claim.bank;
-    let dispatch = Instant::now();
     let count = batch.jobs.len();
     let key = batch.key;
     let mut pairs = Vec::with_capacity(count);
@@ -1124,8 +1107,6 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
         .zip(timing)
         .map(|(ticket, (submitted, attempts))| (ticket, submitted, attempts));
     let done = Instant::now();
-    let service_us = done.duration_since(dispatch).as_secs_f64() * 1e6;
-    let lanes = ArchConfig::packed_lanes(key.0).expect("validated at submit");
 
     let mut requeue: Vec<Job> = Vec::new();
     let mut fulfilled_at: Vec<Instant> = Vec::with_capacity(count);
@@ -1145,17 +1126,7 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
                             recovered += 1;
                         }
                         fulfilled_at.push(submitted);
-                        results.push((
-                            ticket,
-                            Ok(CompletedJob {
-                                product,
-                                queue_us: dispatch.duration_since(submitted).as_secs_f64() * 1e6,
-                                service_us,
-                                batch_jobs: count,
-                                packed_lanes: lanes,
-                                attempts,
-                            }),
-                        ));
+                        results.push((ticket, Ok(CompletedJob { product, attempts })));
                     }
                     Err(PimError::CorruptResult(report)) => {
                         faults += 1;
@@ -1307,6 +1278,14 @@ mod tests {
         }
     }
 
+    /// Admits one raw leaf pair the way a wide op's earlier lanes are
+    /// admitted: queued for the batch former, run by a worker thread.
+    fn submit(svc: &Service, a: Polynomial, b: Polynomial) -> Result<JobTicket, ServiceError> {
+        admit_leaves(&svc.shared, vec![(a, b)], None)
+            .map(|mut tickets| tickets.remove(0))
+            .map_err(|(_, e)| e)
+    }
+
     fn poly(n: usize, q: u64, seed: u64) -> Polynomial {
         Polynomial::from_coeffs(
             (0..n as u64).map(|i| (i * 31 + seed * 7 + 1) % q).collect(),
@@ -1323,16 +1302,18 @@ mod tests {
         use ntt::negacyclic::PolyMultiplier;
         let (a, b) = (poly(256, p.q, 1), poly(256, p.q, 2));
         let direct = acc.multiply(&a, &b).unwrap();
-        let done = svc
-            .submit(a, b)
+        let done = submit(&svc, a, b)
             .expect("admitted")
             .wait()
             .expect("executed");
         assert_eq!(done.product, direct);
-        assert_eq!(done.packed_lanes, 64);
-        assert!(done.batch_jobs >= 1);
-        assert!(done.queue_us >= 0.0 && done.service_us > 0.0);
+        assert_eq!(
+            ArchConfig::packed_lanes(done.product.degree_bound()),
+            Ok(64)
+        );
         let stats = svc.shutdown();
+        assert_eq!((stats.batches, stats.mean_occupancy), (1, 1.0));
+        assert_eq!(stats.latency_samples, 1, "submit → fulfil recorded");
         assert_eq!(stats.admitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.queue_depth, 0);
@@ -1351,21 +1332,22 @@ mod tests {
         let blockers = saturate_one_worker(&svc, 2);
         let q = ParamSet::for_degree(256).unwrap().q;
         let tickets: Vec<JobTicket> = (0..64)
-            .map(|k| {
-                svc.submit(poly(256, q, k), poly(256, q, k + 100))
-                    .expect("admitted")
-            })
+            .map(|k| submit(&svc, poly(256, q, k), poly(256, q, k + 100)).expect("admitted"))
             .collect();
         gate.open();
         for t in tickets {
-            let done = t.wait().expect("executed");
-            assert_eq!(done.batch_jobs, 64, "full-occupancy batch");
+            t.wait().expect("executed");
         }
         for b in blockers {
             b.wait().expect("executed");
         }
         let stats = svc.shutdown();
         assert_eq!(stats.batches, 3, "two blocker batches plus one full batch");
+        assert_eq!(
+            stats.mean_occupancy,
+            (1.0 + 1.0 + 64.0) / 3.0,
+            "the 64 jobs rode one full-occupancy batch"
+        );
         assert_eq!(
             stats.full_batches, 3,
             "32k blockers are full single-lane batches"
@@ -1383,12 +1365,10 @@ mod tests {
             ..ServiceConfig::default()
         });
         let q = ParamSet::for_degree(512).unwrap().q;
-        let t = svc
-            .submit(poly(512, q, 3), poly(512, q, 4))
-            .expect("admitted");
-        let done = t.wait().expect("executed");
-        assert_eq!(done.batch_jobs, 1, "lone job shipped eagerly");
+        let t = submit(&svc, poly(512, q, 3), poly(512, q, 4)).expect("admitted");
+        t.wait().expect("executed");
         let stats = svc.shutdown();
+        assert_eq!(stats.batches, 1, "lone job shipped eagerly");
         assert_eq!(stats.eager_batches, 1);
         assert_eq!(stats.lingered_batches, 0);
     }
@@ -1469,10 +1449,7 @@ mod tests {
     fn saturate_one_worker(svc: &Service, count: usize) -> Vec<JobTicket> {
         let q = ParamSet::for_degree(32768).unwrap().q;
         let tickets: Vec<JobTicket> = (0..count as u64)
-            .map(|k| {
-                svc.submit(poly(32768, q, k), poly(32768, q, k + 9))
-                    .expect("admitted")
-            })
+            .map(|k| submit(svc, poly(32768, q, k), poly(32768, q, k + 9)).expect("admitted"))
             .collect();
         // Wait until the first batch is actually on the worker. The
         // second condition is a hang-safe escape: if the blockers
@@ -1501,9 +1478,7 @@ mod tests {
             .unwrap()
             .multiply(&poly(256, p.q, 1), &poly(256, p.q, 2))
             .unwrap();
-        let ticket = svc
-            .submit(poly(256, p.q, 1), poly(256, p.q, 2))
-            .expect("admitted");
+        let ticket = submit(&svc, poly(256, p.q, 1), poly(256, p.q, 2)).expect("admitted");
         let err = ticket
             .wait_timeout(Duration::from_millis(1))
             .expect_err("worker still busy with 32k blockers");
@@ -1539,9 +1514,7 @@ mod tests {
         // formed a third batch (or a minute has passed, which fails the
         // assertion below rather than hanging).
         let q = ParamSet::for_degree(1024).unwrap().q;
-        let t = svc
-            .submit(poly(1024, q, 5), poly(1024, q, 6))
-            .expect("admitted");
+        let t = submit(&svc, poly(1024, q, 5), poly(1024, q, 6)).expect("admitted");
         let deadline = Instant::now() + Duration::from_secs(60);
         while svc.stats().batches < 3 && Instant::now() < deadline {
             std::thread::yield_now();
@@ -1557,32 +1530,45 @@ mod tests {
 
     #[test]
     fn reject_policy_returns_typed_error() {
-        let (svc, gate) = gated(ServiceConfig {
-            workers: 1,
-            queue_capacity: 1,
-            backpressure: Backpressure::Reject,
-            linger: Duration::from_secs(3600),
-            ..ServiceConfig::default()
-        });
-        // Saturate the worker so the next job stays queued: eager
-        // flushing needs idle capacity, and the linger is an hour.
-        // One blocker only — its batch forms inline and is popped by
-        // the worker, so it never counts against the queue bound.
-        let blockers = saturate_one_worker(&svc, 1);
-        let q = ParamSet::for_degree(1024).unwrap().q;
-        let first = svc
-            .submit(poly(1024, q, 1), poly(1024, q, 2))
-            .expect("fits the queue");
-        let second = svc.submit(poly(1024, q, 3), poly(1024, q, 4));
-        assert_eq!(second.err(), Some(ServiceError::Overloaded { capacity: 1 }));
-        let stats = svc.stats();
-        assert_eq!(stats.rejected, 1);
-        gate.open();
-        drop(first);
-        drop(blockers);
-        let final_stats = svc.shutdown();
-        assert_eq!(final_stats.admitted, 2);
-        assert_eq!(final_stats.completed, 2, "drained on shutdown");
+        // The leaf queue's bound at two capacities: the job past it
+        // surfaces the typed overload synchronously, and the admitted
+        // ones still complete.
+        for capacity in [1, 2] {
+            let (svc, gate) = gated(ServiceConfig {
+                workers: 1,
+                queue_capacity: capacity,
+                backpressure: Backpressure::Reject,
+                linger: Duration::from_secs(3600),
+                ..ServiceConfig::default()
+            });
+            // Saturate the worker so the next jobs stay queued: eager
+            // flushing needs idle capacity, and the linger is an hour.
+            // One blocker only — its batch forms inline and is popped by
+            // the worker, so it never counts against the queue bound.
+            let blockers = saturate_one_worker(&svc, 1);
+            let q = ParamSet::for_degree(1024).unwrap().q;
+            let admitted: Vec<JobTicket> = (0..capacity as u64)
+                .map(|k| {
+                    submit(&svc, poly(1024, q, 2 * k), poly(1024, q, 2 * k + 1))
+                        .expect("fits the queue")
+                })
+                .collect();
+            let over = submit(&svc, poly(1024, q, 98), poly(1024, q, 99));
+            assert_eq!(over.err(), Some(ServiceError::Overloaded { capacity }));
+            let stats = svc.stats();
+            assert_eq!(stats.rejected, 1);
+            gate.open();
+            let final_stats = svc.shutdown();
+            assert_eq!(final_stats.admitted, capacity as u64 + 1);
+            assert_eq!(
+                final_stats.completed,
+                capacity as u64 + 1,
+                "drained on shutdown"
+            );
+            for t in blockers.into_iter().chain(admitted) {
+                t.wait().expect("admitted job completes");
+            }
+        }
     }
 
     #[test]
@@ -1590,7 +1576,7 @@ mod tests {
         let svc = Service::start(ServiceConfig::default());
         let q = ParamSet::for_degree(256).unwrap().q;
         assert_eq!(
-            svc.submit(poly(256, q, 1), poly(512, 12289, 1)).err(),
+            submit(&svc, poly(256, q, 1), poly(512, 12289, 1)).err(),
             Some(ServiceError::PairMismatch {
                 left: 256,
                 right: 512
@@ -1601,7 +1587,7 @@ mod tests {
         // narrow) can run it.
         let wrong_q = Polynomial::from_coeffs(vec![1; 256], 17).unwrap();
         assert_eq!(
-            svc.submit(wrong_q.clone(), wrong_q).err(),
+            submit(&svc, wrong_q.clone(), wrong_q).err(),
             Some(ServiceError::UnsupportedJob { n: 256, q: 17 })
         );
         let stats = svc.shutdown();
@@ -1621,8 +1607,7 @@ mod tests {
             .unwrap()
             .multiply(&poly(256, q, 1), &poly(256, q, 2))
             .unwrap();
-        let done = svc
-            .submit(poly(256, q, 1), poly(256, q, 2))
+        let done = submit(&svc, poly(256, q, 1), poly(256, q, 2))
             .expect("admitted")
             .wait()
             .expect("executed");
@@ -1713,7 +1698,7 @@ mod tests {
             st.shutdown = true;
         }
         assert_eq!(
-            svc2.submit(poly(256, q, 1), poly(256, q, 2)).err(),
+            submit(&svc2, poly(256, q, 1), poly(256, q, 2)).err(),
             Some(ServiceError::ShuttingDown)
         );
     }
@@ -1736,8 +1721,7 @@ mod tests {
             .unwrap()
             .multiply(&poly(256, p.q, 1), &poly(256, p.q, 2))
             .unwrap();
-        let done = svc
-            .submit(poly(256, p.q, 1), poly(256, p.q, 2))
+        let done = submit(&svc, poly(256, p.q, 1), poly(256, p.q, 2))
             .expect("admitted")
             .wait()
             .expect("recovered on retry");
@@ -1765,8 +1749,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         let q = ParamSet::for_degree(256).unwrap().q;
-        let err = svc
-            .submit(poly(256, q, 1), poly(256, q, 2))
+        let err = submit(&svc, poly(256, q, 1), poly(256, q, 2))
             .expect("admitted")
             .wait()
             .expect_err("corruption persists through every attempt");
@@ -1782,7 +1765,7 @@ mod tests {
         while svc.stats().active_workers > 0 {
             std::thread::yield_now();
         }
-        let refused = svc.submit(poly(256, q, 3), poly(256, q, 4)).err();
+        let refused = submit(&svc, poly(256, q, 3), poly(256, q, 4)).err();
         assert!(
             matches!(refused, Some(ServiceError::Overloaded { .. })),
             "degraded fleet refuses instead of corrupting: {refused:?}"
@@ -1814,7 +1797,10 @@ mod tests {
         for k in 0..8u64 {
             let (a, b) = (poly(256, p.q, k), poly(256, p.q, k + 50));
             let direct = acc.multiply(&a, &b).unwrap();
-            let done = svc.submit(a, b).expect("admitted").wait().expect("served");
+            let done = submit(&svc, a, b)
+                .expect("admitted")
+                .wait()
+                .expect("served");
             assert_eq!(done.product, direct, "job {k}");
         }
         let stats = svc.shutdown();
@@ -1841,8 +1827,7 @@ mod tests {
         for k in 0..6u64 {
             let b = poly(256, p.q, k + 40);
             let direct = acc.multiply(&a, &b).unwrap();
-            let done = svc
-                .submit(a.clone(), b)
+            let done = submit(&svc, a.clone(), b)
                 .expect("admitted")
                 .wait()
                 .expect("served");
@@ -1861,12 +1846,8 @@ mod tests {
         });
         let q256 = ParamSet::for_degree(256).unwrap().q;
         let q512 = ParamSet::for_degree(512).unwrap().q;
-        let t1 = svc
-            .submit(poly(256, q256, 1), poly(256, q256, 2))
-            .expect("admitted");
-        let t2 = svc
-            .submit(poly(512, q512, 1), poly(512, q512, 2))
-            .expect("admitted");
+        let t1 = submit(&svc, poly(256, q256, 1), poly(256, q256, 2)).expect("admitted");
+        let t2 = submit(&svc, poly(512, q512, 1), poly(512, q512, 2)).expect("admitted");
         let d1 = t1.wait().expect("executed");
         let d2 = t2.wait().expect("executed");
         assert_eq!(d1.product.degree_bound(), 256);
@@ -1960,7 +1941,10 @@ mod tests {
         }
         let (a, b) = pairs[0].clone();
         let want = direct(&a, &b);
-        let done = svc.submit(a, b).expect("admitted").wait().expect("served");
+        let done = submit(&svc, a, b)
+            .expect("admitted")
+            .wait()
+            .expect("served");
         assert_eq!(done.product, want);
         // Shutdown joins every thread: none of them died with the batch.
         let stats = svc.shutdown();
@@ -1984,7 +1968,7 @@ mod tests {
         // On an idle fleet the worker claims bank 0, whose batch unwinds.
         // The waiter sees its job counted and the bank retired.
         let (a, b) = pairs[0].clone();
-        let lost = svc.submit(a, b).expect("admitted").wait();
+        let lost = submit(&svc, a, b).expect("admitted").wait();
         assert!(
             matches!(lost, Err(ServiceError::Internal { .. })),
             "{lost:?}"
@@ -2000,7 +1984,10 @@ mod tests {
         }
         let (a, b) = pairs[1].clone();
         let want = direct(&a, &b);
-        let done = svc.submit(a, b).expect("admitted").wait().expect("served");
+        let done = submit(&svc, a, b)
+            .expect("admitted")
+            .wait()
+            .expect("served");
         assert_eq!(done.product, want);
         let stats = svc.shutdown();
         assert_eq!(stats.quarantined_banks, 1, "{stats}");
@@ -2071,7 +2058,7 @@ mod tests {
                 for chunk in pairs.chunks(4) {
                     let tickets: Vec<JobTicket> = chunk
                         .iter()
-                        .map(|(a, b)| svc.submit(a.clone(), b.clone()).expect("admitted"))
+                        .map(|(a, b)| submit(svc, a.clone(), b.clone()).expect("admitted"))
                         .collect();
                     for (t, (a, b)) in tickets.into_iter().zip(chunk) {
                         assert_eq!(t.wait().expect("served").product, direct(a, b));
@@ -2190,7 +2177,7 @@ mod tests {
                             let seed = 1000 * (client + 1) + k;
                             let (a, b) = (poly(256, q, seed), poly(256, q, seed + 500));
                             let want = direct(&a, &b);
-                            let t = svc.submit(a, b).expect("admitted");
+                            let t = submit(svc, a, b).expect("admitted");
                             assert_eq!(t.wait().expect("served").product, want);
                         }
                     });

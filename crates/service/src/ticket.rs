@@ -1,9 +1,10 @@
 //! The one completion handle of the serving layer: a [`Ticket`] is the
 //! waiting side of a one-shot result slot, and a crate-private
-//! [`Fulfiller`] is its writing side. A raw multiply resolves a
-//! [`crate::JobTicket`] (`Ticket<CompletedJob>`), a protocol op a
-//! [`crate::ProtocolTicket`] (`Ticket<ProtocolCompleted>`); both wait,
-//! time out and poll through this one implementation.
+//! [`Fulfiller`] is its writing side. An op resolves a
+//! [`crate::ProtocolTicket`] (`Ticket<ProtocolCompleted>`), each leaf
+//! multiply an op runs a crate-private `JobTicket`
+//! (`Ticket<CompletedJob>`); both wait, time out and poll through this
+//! one implementation.
 //!
 //! A ticket always resolves: a fulfiller dropped without a result — the
 //! batch or executor holding it unwound — resolves its slot with
@@ -11,7 +12,7 @@
 //!
 //! A ticket may also carry its job's queued work ([`Claim`]): a waiting
 //! thread then runs the job itself if no other thread has claimed it
-//! yet, instead of sleeping until one does. Protocol ops carry it; raw
+//! yet, instead of sleeping until one does. Ops carry it; leaf
 //! multiplies, which run only as part of a formed batch, do not.
 
 use crate::error::ServiceError;

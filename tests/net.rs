@@ -11,11 +11,14 @@ use net::server::{Server, ServerConfig, TenantConfig};
 use net::wire::{self, ErrorCode, Frame, JobState};
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
 use ntt::poly::Polynomial;
+use pim::fault::{Injector, WritePath};
 use service::workload::generate_jobs;
 use service::{ServiceConfig, ServiceStats};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use std::time::Instant;
 
 fn start_server(tenants: Vec<TenantConfig>, service: ServiceConfig) -> Server {
     Server::start(
@@ -814,5 +817,119 @@ fn legacy_peer_is_refused(version: u8) {
     assert_eq!(payload.len(), 13 + detail_len);
     let detail = std::str::from_utf8(&payload[13..]).expect("UTF-8 detail");
     assert!(detail.contains(&format!("version {version}")), "{detail}");
+    server.shutdown();
+}
+
+/// Write path that records the name of the thread beginning each op on
+/// its bank, the way the scheduler's owner-recording test injector
+/// records thread ids.
+#[derive(Debug, Default)]
+struct ThreadNames(Arc<Mutex<Vec<String>>>);
+
+#[derive(Debug)]
+struct NamePath {
+    bank: u32,
+    names: Arc<Mutex<Vec<String>>>,
+}
+
+impl Injector for ThreadNames {
+    fn bank_writes(&self, bank: u32) -> Arc<dyn WritePath> {
+        Arc::new(NamePath {
+            bank,
+            names: Arc::clone(&self.0),
+        })
+    }
+}
+
+impl WritePath for NamePath {
+    fn armed(&self) -> bool {
+        true
+    }
+    fn begin_op(&self) {
+        let name = std::thread::current()
+            .name()
+            .unwrap_or("unnamed")
+            .to_string();
+        self.names.lock().unwrap().push(name);
+    }
+    fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+        value
+    }
+    fn bank(&self) -> u32 {
+        self.bank
+    }
+    fn suspect_block(&self) -> Option<u32> {
+        None
+    }
+}
+
+/// On an idle one-bank server a `Submit` then `Wait` runs the multiply
+/// on the connection's handler thread, which claims the idle bank for
+/// its batch, never on a superbank worker thread. A graph executor may
+/// win the claim now and then (a `Wait` later than the waiter grace),
+/// so the test asks for one op run on the handler among a few.
+#[test]
+fn a_waited_submit_runs_on_the_handler_thread() {
+    let names = ThreadNames::default();
+    let recorded = Arc::clone(&names.0);
+    let server = start_server(
+        one_tenant(4),
+        ServiceConfig {
+            workers: 1,
+            injector: Some(Arc::new(names)),
+            ..ServiceConfig::default()
+        },
+    );
+    let (mut client, _, _) = Client::connect(server.local_addr(), "alpha-token").unwrap();
+    for (id, (a, b)) in generate_jobs(91, 8, &[256]).into_iter().enumerate() {
+        let id = id as u64;
+        client
+            .submit(id, a.modulus(), a.into_coeffs(), b.into_coeffs())
+            .expect("submit");
+        client.wait(id, 30_000).expect("served");
+    }
+    server.shutdown();
+    let names = recorded.lock().unwrap();
+    assert_eq!(names.len(), 8, "one op begun per multiply: {names:?}");
+    assert!(
+        names
+            .iter()
+            .all(|n| !n.starts_with("cryptopim-svc-worker-")),
+        "an idle bank ran a batch on a worker: {names:?}"
+    );
+    assert!(
+        names.iter().any(|n| n.starts_with("cryptopim-net-conn-")),
+        "no batch ran on the handler thread: {names:?}"
+    );
+}
+
+/// `Done.queue_us + Done.service_us` spans submit → ready on the server,
+/// so for every op it is at most the client-observed latency, even for
+/// ops that queued behind a window of others.
+#[test]
+fn done_times_sum_to_at_most_the_client_latency() {
+    let server = start_server(one_tenant(8), ServiceConfig::default());
+    let (mut client, _, _) = Client::connect(server.local_addr(), "alpha-token").unwrap();
+    let jobs = generate_jobs(93, 16, &[256, 1024]);
+    for (w, window) in jobs.chunks(4).enumerate() {
+        let mut started = Vec::new();
+        for (i, (a, b)) in window.iter().enumerate() {
+            let id = (4 * w + i) as u64;
+            started.push((id, Instant::now()));
+            client
+                .submit(id, a.modulus(), a.coeffs().to_vec(), b.coeffs().to_vec())
+                .expect("submit");
+        }
+        for (id, t0) in started {
+            let done = client.wait(id, 30_000).expect("served");
+            let latency_us = t0.elapsed().as_micros() as u64;
+            assert!(
+                done.queue_us + done.service_us <= latency_us,
+                "op {id}: queue {} + service {} µs > client latency {latency_us} µs",
+                done.queue_us,
+                done.service_us
+            );
+        }
+    }
     server.shutdown();
 }

@@ -10,9 +10,30 @@ use ntt::poly::Polynomial;
 use pim::fault::{layout, CellAddr};
 use reliability::campaign::{self, CampaignConfig, CampaignKind};
 use reliability::plan::{FaultKind, FaultPlan};
-use service::{Service, ServiceConfig, ServiceError};
+use service::{
+    ProtocolCompleted, ProtocolJob, ProtocolOutput, Service, ServiceConfig, ServiceError,
+};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Serves `a · b` as a one-node `Mul` op, unwrapping a failed node to
+/// its inner error.
+fn multiply(svc: &Service, a: &Polynomial, b: &Polynomial) -> Result<Polynomial, ServiceError> {
+    let job = ProtocolJob::Mul {
+        a: a.clone(),
+        b: b.clone(),
+    };
+    let done = svc.submit_protocol(job).and_then(|t| t.wait());
+    match done {
+        Ok(ProtocolCompleted {
+            output: ProtocolOutput::Product(p),
+            ..
+        }) => Ok(p),
+        Ok(other) => panic!("a Mul op yields a product: {other:?}"),
+        Err(ServiceError::ProtocolNode { error, .. }) => Err(*error),
+        Err(e) => Err(e),
+    }
+}
 
 fn rand_poly(n: usize, q: u64, seed: u64) -> Polynomial {
     let mut state = seed;
@@ -62,11 +83,7 @@ fn permanent_fault_exhausts_attempts_then_degrades_to_overloaded() {
     });
     // The lone bank is permanently faulted: both attempts are detected
     // as corrupt, the job fails, and the bank quarantines.
-    let err = svc
-        .submit(a.clone(), b.clone())
-        .expect("admitted")
-        .wait()
-        .expect_err("permanently corrupt bank cannot serve");
+    let err = multiply(&svc, &a, &b).expect_err("permanently corrupt bank cannot serve");
     assert!(
         matches!(
             err,
@@ -80,8 +97,9 @@ fn permanent_fault_exhausts_attempts_then_degrades_to_overloaded() {
     while svc.stats().active_workers > 0 {
         std::thread::yield_now();
     }
-    // Every bank quarantined: graceful refusal, never a wrong answer.
-    let refused = svc.submit(a, b).err();
+    // Every bank quarantined: graceful refusal, never a wrong answer
+    // (an op is admitted, and its leaf refused).
+    let refused = multiply(&svc, &a, &b).err();
     assert!(
         matches!(refused, Some(ServiceError::Overloaded { .. })),
         "got {refused:?}"
@@ -112,12 +130,8 @@ fn surviving_bank_absorbs_work_bit_exact() {
     for k in 0..12u64 {
         let a = rand_poly(n, params.q, 100 + 2 * k);
         let b = rand_poly(n, params.q, 101 + 2 * k);
-        let done = svc
-            .submit(a.clone(), b.clone())
-            .expect("admitted")
-            .wait()
-            .expect("bank 1 absorbs the fleet's work");
-        assert_eq!(done.product, sw.multiply(&a, &b).expect("software"));
+        let product = multiply(&svc, &a, &b).expect("bank 1 absorbs the fleet's work");
+        assert_eq!(product, sw.multiply(&a, &b).expect("software"));
     }
     let stats = svc.shutdown();
     assert!(stats.quarantined_banks <= 1);

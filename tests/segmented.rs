@@ -7,7 +7,7 @@ use cryptopim::accelerator::CryptoPim;
 use modmath::params::ParamSet;
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
 use ntt::poly::Polynomial;
-use service::{Service, ServiceConfig};
+use service::{ProtocolJob, ProtocolOutput, Service, ServiceConfig};
 
 fn rand_poly(n: usize, q: u64, seed: u64) -> Polynomial {
     let mut state = seed;
@@ -63,15 +63,19 @@ fn degree_65536_serves_through_the_scheduler() {
         workers: 1,
         ..ServiceConfig::default()
     });
+    let want = sw.multiply(&a, &b).expect("software");
     let done = svc
-        .submit(a.clone(), b.clone())
+        .submit_protocol(ProtocolJob::Mul { a, b })
         .expect("admitted")
         .wait()
         .expect("served");
-    assert_eq!(done.product, sw.multiply(&a, &b).expect("software"));
+    assert_eq!(done.output, ProtocolOutput::Product(want));
     assert_eq!(done.attempts, 1);
-    assert_eq!(done.packed_lanes, 1, "a 2-pass degree packs no lane-mates");
     let stats = svc.shutdown();
+    assert_eq!(
+        stats.batches, stats.completed,
+        "a 2-pass degree packs no lane-mates"
+    );
     assert_eq!(stats.completed, 1);
 }
 

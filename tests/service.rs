@@ -1,18 +1,36 @@
 //! Integration tests for the batch-forming job scheduler: correctness
 //! of the served products against the direct engine path, determinism
 //! across fleet sizes, backpressure behaviour under overload, and the
-//! shutdown-drains-all guarantee.
+//! shutdown-drains-all guarantee. Every multiply is submitted the one
+//! way the service takes it, as a `ProtocolJob::Mul` op.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use cryptopim::accelerator::CryptoPim;
 use modmath::params::ParamSet;
 use ntt::negacyclic::PolyMultiplier;
 use ntt::poly::Polynomial;
+use pim::fault::{Injector, WritePath};
 use proptest::prelude::*;
 use service::workload::generate_jobs;
-use service::{Backpressure, Service, ServiceConfig, ServiceError};
+use service::{
+    Backpressure, ProtocolJob, ProtocolOutput, ProtocolTicket, Service, ServiceConfig, ServiceError,
+};
+
+/// Submits `a · b` as a one-node `Mul` op.
+fn submit(svc: &Service, a: Polynomial, b: Polynomial) -> Result<ProtocolTicket, ServiceError> {
+    svc.submit_protocol(ProtocolJob::Mul { a, b })
+}
+
+/// The product a `Mul` op's ticket resolves to.
+fn product(ticket: ProtocolTicket) -> Polynomial {
+    match ticket.wait().expect("job completes").output {
+        ProtocolOutput::Product(p) => p,
+        other => panic!("a Mul op yields a product, not {other:?}"),
+    }
+}
 
 /// Multiplies every job pair one at a time on the verified engine,
 /// caching one accelerator per degree.
@@ -51,11 +69,10 @@ proptest! {
         });
         let tickets: Vec<_> = stream
             .iter()
-            .map(|(a, b)| svc.submit(a.clone(), b.clone()).expect("admitted"))
+            .map(|(a, b)| submit(&svc, a.clone(), b.clone()).expect("admitted"))
             .collect();
         for (ticket, want) in tickets.into_iter().zip(expected) {
-            let done = ticket.wait().expect("job completes");
-            prop_assert_eq!(done.product, want);
+            prop_assert_eq!(product(ticket), want);
         }
         svc.shutdown();
     }
@@ -76,11 +93,10 @@ fn products_identical_across_fleet_sizes() {
         });
         let tickets: Vec<_> = stream
             .iter()
-            .map(|(a, b)| svc.submit(a.clone(), b.clone()).expect("admitted"))
+            .map(|(a, b)| submit(&svc, a.clone(), b.clone()).expect("admitted"))
             .collect();
         for (ticket, want) in tickets.into_iter().zip(expected.iter()) {
-            let done = ticket.wait().expect("job completes");
-            assert_eq!(&done.product, want, "fleet of {workers} diverged");
+            assert_eq!(&product(ticket), want, "fleet of {workers} diverged");
         }
         let stats = svc.shutdown();
         assert_eq!(stats.completed, 48, "fleet of {workers} lost jobs");
@@ -88,53 +104,118 @@ fn products_identical_across_fleet_sizes() {
     }
 }
 
-/// With the `Reject` policy a full queue surfaces the typed
-/// `Overloaded` error synchronously, and the already-admitted jobs
-/// still complete.
+/// Injector whose banks all wait at `begin_op` until the test opens the
+/// gate, so a batch holds its bank for exactly as long as the test
+/// needs. Armed only while the gate is closed.
+#[derive(Debug, Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+#[derive(Debug)]
+struct GatePath {
+    bank: u32,
+    gate: Arc<Gate>,
+}
+
+#[derive(Debug, Default)]
+struct GateInjector(Arc<Gate>);
+
+impl GateInjector {
+    fn open(&self) {
+        *self.0.open.lock().unwrap() = true;
+        self.0.opened.notify_all();
+    }
+}
+
+/// Opens the gate when dropped, so a failed assertion never leaves a
+/// bank held while the service drains.
+struct OpenOnDrop(Arc<GateInjector>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+impl Injector for GateInjector {
+    fn bank_writes(&self, bank: u32) -> Arc<dyn WritePath> {
+        Arc::new(GatePath {
+            bank,
+            gate: Arc::clone(&self.0),
+        })
+    }
+}
+
+impl WritePath for GatePath {
+    fn armed(&self) -> bool {
+        !*self.gate.open.lock().unwrap()
+    }
+    fn begin_op(&self) {
+        let open = self.gate.open.lock().unwrap();
+        drop(self.gate.opened.wait_while(open, |open| !*open).unwrap());
+    }
+    fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+        value
+    }
+    fn bank(&self) -> u32 {
+        self.bank
+    }
+    fn suspect_block(&self) -> Option<u32> {
+        None
+    }
+}
+
+/// With the `Reject` policy, ops admitted past `queue_capacity`
+/// unclaimed ones surface the typed `Overloaded` error synchronously,
+/// counted in `rejected`, and the already-admitted ops still complete.
 #[test]
 fn reject_policy_surfaces_typed_overload() {
+    let gate = Arc::new(GateInjector::default());
     let svc = Service::start(ServiceConfig {
         workers: 1,
+        protocol_workers: 1,
         queue_capacity: 2,
         backpressure: Backpressure::Reject,
-        // Hour-long linger + saturated fleet: queued partials cannot
-        // flush (eager needs an idle worker), so the overload on the
-        // third queued submit is deterministic.
         linger: Duration::from_secs(3600),
+        injector: Some(gate.clone()),
         ..ServiceConfig::default()
     });
+    let gate = OpenOnDrop(gate);
     let p = ParamSet::for_degree(1024).expect("valid degree");
     let mk = |c: u64| Polynomial::from_coeffs(vec![c % p.q; 1024], p.q).expect("valid poly");
-    // Occupy the lone worker so subsequent jobs stay queued. A 32k job
-    // forms a full single-lane batch inline (popped immediately, so it
-    // never counts against the queue bound) and runs long enough in
-    // debug mode to outlast the submits below.
-    let q32 = ParamSet::for_degree(32768).expect("valid degree").q;
-    let big = |c: u64| Polynomial::from_coeffs(vec![c % q32; 32768], q32).expect("valid poly");
-    let blocker = svc.submit(big(9), big(10)).expect("admitted");
-    while svc.stats().in_flight == 0 && !blocker.is_done() {
+    // An op nobody waits for is the lone executor's once the waiter
+    // grace has passed; its leaf then holds the lone bank at the closed
+    // gate, so no thread can claim the ops submitted next.
+    let blocker = submit(&svc, mk(9), mk(10)).expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while svc.stats().in_flight == 0 {
+        assert!(Instant::now() < deadline, "no executor took the blocker");
         std::thread::yield_now();
     }
-    let t1 = svc.submit(mk(1), mk(2)).expect("first admitted");
-    let t2 = svc.submit(mk(3), mk(4)).expect("second admitted");
-    let err = match svc.submit(mk(5), mk(6)) {
+    let t1 = submit(&svc, mk(1), mk(2)).expect("first admitted");
+    let t2 = submit(&svc, mk(3), mk(4)).expect("second admitted");
+    let err = match submit(&svc, mk(5), mk(6)) {
         Err(e) => e,
-        Ok(_) => panic!("third queued submit should hit the full queue"),
+        Ok(_) => panic!("a third unclaimed op should hit the op bound"),
     };
     assert!(
         matches!(err, ServiceError::Overloaded { capacity: 2 }),
         "unexpected error: {err:?}"
     );
+    assert_eq!(svc.stats().rejected, 1);
+    drop(gate);
     let stats = svc.shutdown();
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.completed, 3);
-    blocker.wait().expect("admitted job completes");
-    t1.wait().expect("admitted job completes");
-    t2.wait().expect("admitted job completes");
+    product(blocker);
+    product(t1);
+    product(t2);
 }
 
-/// With the `Block` policy, concurrent submitters pushing far more
-/// jobs than the queue holds never lose one: every submit eventually
+/// With the `Block` policy, concurrent submitters pushing 40× more ops
+/// than the op bound holds never lose one: every submit eventually
 /// admits, every ticket resolves, and the products stay correct.
 #[test]
 fn block_policy_never_drops_under_overload() {
@@ -155,10 +236,10 @@ fn block_policy_never_drops_under_overload() {
                 let expected = direct_products(&stream);
                 let tickets: Vec<_> = stream
                     .into_iter()
-                    .map(|(a, b)| svc.submit(a, b).expect("Block admits eventually"))
+                    .map(|(a, b)| submit(svc, a, b).expect("Block admits eventually"))
                     .collect();
                 for (ticket, want) in tickets.into_iter().zip(expected) {
-                    assert_eq!(ticket.wait().expect("job completes").product, want);
+                    assert_eq!(product(ticket), want);
                 }
             });
         }
@@ -185,7 +266,7 @@ fn shutdown_drains_every_admitted_job() {
     let expected = direct_products(&stream);
     let tickets: Vec<_> = stream
         .iter()
-        .map(|(a, b)| svc.submit(a.clone(), b.clone()).expect("admitted"))
+        .map(|(a, b)| submit(&svc, a.clone(), b.clone()).expect("admitted"))
         .collect();
     let stats = svc.shutdown();
     assert_eq!(stats.completed, 30);
@@ -193,6 +274,6 @@ fn shutdown_drains_every_admitted_job() {
     assert_eq!(stats.in_flight, 0);
     for (ticket, want) in tickets.into_iter().zip(expected) {
         assert!(ticket.is_done(), "shutdown returned before draining");
-        assert_eq!(ticket.wait().expect("drained, not dropped").product, want);
+        assert_eq!(product(ticket), want, "drained, not dropped");
     }
 }
