@@ -92,7 +92,7 @@ fn usage() -> ! {
          \x20             [--min-speedup X]                           exit 1 below the modeled fleet speedup gate\n\
          \x20 serve-loadgen [--seed N] [--ops N] [--degrees A,B]      seeded load driver; every op bit-verified\n\
          \x20             [--clients C] [--window W] [--rate R]        C clients × W outstanding, paced at R ops/s\n\
-         \x20             [--workers S] [--protocol-workers G] [--queue-cap N] [--linger-us U]\n\
+         \x20             [--workers S] [--queue-cap N] [--linger-us U] S banks, S backstop executors\n\
          \x20             [--backpressure block|reject]\n\
          \x20             [--check off|residue[:points[:seed]]|recompute]\n\
          \x20             [--hot-keys K] [--hot-capacity N]            reuse K seeded `a` keys; hot cache size\n\
@@ -873,7 +873,6 @@ fn run_serve_loadgen(args: &[String]) {
     let window = parse_num("--window", 1).max(1) as usize;
     let rate = parse_f64("--rate");
     let workers = parse_num("--workers", 2).max(1) as usize;
-    let protocol_workers = parse_num("--protocol-workers", 4).max(1) as usize;
     let queue_cap = parse_num("--queue-cap", 4096).max(1) as usize;
     let linger_us = parse_num("--linger-us", 500);
     let backpressure = match opt(args, "--backpressure").as_deref() {
@@ -907,7 +906,6 @@ fn run_serve_loadgen(args: &[String]) {
     let max_p99_us = parse_f64("--max-p99-us");
     let service = ServiceConfig {
         workers,
-        protocol_workers,
         queue_capacity: queue_cap,
         backpressure,
         linger: Duration::from_micros(linger_us),
@@ -983,8 +981,8 @@ fn run_serve_loadgen(args: &[String]) {
     };
     println!(
         "serve-loadgen: {transport_label}, {workload_label}; seed {seed}, {ops} ops over n ∈ {:?}, \
-         {clients} clients × window {window}{}, {workers} superbank workers + {protocol_workers} \
-         graph executors, queue {queue_cap} ({backpressure:?}), linger {linger_us} µs, \
+         {clients} clients × window {window}{}, {workers} banks + {workers} \
+         backstop executors, queue {queue_cap} ({backpressure:?}), linger {linger_us} µs, \
          check {check_arg}, hot capacity {hot_capacity}",
         config.degrees,
         rate.map_or(String::new(), |r| format!(" at {r} ops/s")),
@@ -1076,7 +1074,6 @@ fn run_serve_loadgen(args: &[String]) {
             rate.map_or("null".to_string(), |r| r.to_string())
         ));
         out.push_str(&format!("  \"workers\": {workers},\n"));
-        out.push_str(&format!("  \"protocol_workers\": {protocol_workers},\n"));
         out.push_str(&format!("  \"queue_capacity\": {queue_cap},\n"));
         out.push_str(&format!("  \"linger_us\": {linger_us},\n"));
         out.push_str(&format!("  \"check\": \"{check_arg}\",\n"));
@@ -1136,6 +1133,14 @@ fn run_serve_loadgen(args: &[String]) {
             t.mismatches, t.failed, report.dropped, t.ok, t.ops
         );
         sound = false;
+    }
+    // In process the stats are the drained service's, so every counter
+    // identity must hold exactly.
+    if !tcp {
+        if let Err(e) = report.stats.check_drained() {
+            eprintln!("FAILED: service counters do not balance: {e}");
+            sound = false;
+        }
     }
     if let Some(min) = min_occupancy {
         if report.stats.mean_occupancy < min {
@@ -1536,7 +1541,7 @@ fn run_serve(args: &[String]) {
         std::process::exit(1);
     });
     println!(
-        "serving on {} — {workers} superbank workers, queue {queue_cap}, \
+        "serving on {} — {workers} banks, queue {queue_cap}, \
          quota {quota}/tenant, {max_conns} connections max, check {check_arg}; \
          send the Shutdown verb to stop",
         server.local_addr()

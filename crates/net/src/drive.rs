@@ -800,7 +800,7 @@ mod tests {
 
     #[test]
     fn paced_reject_sheds_load_without_drops() {
-        // Arrivals far above what a tiny queue and one worker can take,
+        // Arrivals far above what a tiny queue and one bank can take,
         // with the whole stream allowed outstanding: some jobs must be
         // rejected, but every admitted one completes.
         let report = run(&DriveConfig {

@@ -19,8 +19,8 @@
 //!
 //! Both submit verbs become one op through [`Service::submit_protocol`]
 //! (a `Submit` is the one-node [`ProtocolJob::Mul`]), so a `Wait` on a
-//! still-queued op runs it, and its leaf batch on an idle bank, on this
-//! handler thread. A zero-timeout `Wait` only polls.
+//! still-queued op runs it, and its leaf batches while a bank is free,
+//! on this handler thread. A zero-timeout `Wait` only polls.
 //!
 //! ## Tenancy, quotas, and fairness
 //!

@@ -29,7 +29,7 @@
 //!
 //! Everything is derived from [`CampaignConfig::seed`]: fault sites,
 //! residue points, transient firings, and the job stream. Cells run on
-//! a single worker with jobs submitted serially, so the operation
+//! a single bank with jobs submitted serially, so the operation
 //! epochs the transient/wear-out processes key on replay exactly —
 //! rerunning a campaign reproduces every count.
 
@@ -699,7 +699,6 @@ fn serve_cell(
 ) -> CellRun {
     let svc = Service::start(ServiceConfig {
         workers: 1,
-        protocol_workers: 1,
         backpressure: Backpressure::Block,
         linger: Duration::ZERO,
         check: CheckPolicy::Recompute,

@@ -4,18 +4,18 @@
 //! ```text
 //!  submit_protocol(job) ──► proto queue ──┬─► its waiter (Ticket::wait or
 //!                           (bounded; one │   wait_timeout) runs it, or
-//!                            claim flag   └─► a graph executor, once no
-//!                            per op)          waiter claimed it within
-//!                                             WAITER_GRACE, or at once when
-//!                                             it queued behind an unclaimed op
+//!                            claim flag   └─► one of the `workers` backstop
+//!                            per op)          executors, once no waiter
+//!                                             claimed it within WAITER_GRACE,
+//!                                             or at once when it queued
+//!                                             behind an unclaimed op
 //!                                             │ host ops (sampling,
 //!                                             │ additions, hashing)
 //!                                             ▼
-//!                     leaf NTT multiplies ──► batch former
-//!                     (run_leaves, blocking)
-//!                                             │
-//!                      idle bank: the running thread claims it and runs
-//!                      the batch itself; all banks busy: a worker runs it
+//!                     leaf NTT multiplies ──► scheduler::run_leaves: the
+//!                     (one round at a time)   running thread runs queued
+//!                                             batches on free banks until
+//!                                             its round resolves, or parks
 //! ```
 //!
 //! **Who runs an op.** A queued op is claimed exactly once, through one
@@ -32,8 +32,12 @@
 //! **Admission.** At most [`crate::ServiceConfig::queue_capacity`] ops
 //! may be admitted and not yet claimed; past that, a `Block` submitter
 //! waits for a claim and a `Reject` one gets a counted
-//! [`ServiceError::Overloaded`]. A claimed op's leaves meet the leaf
-//! queue's own bound (a degraded fleet refuses them at the op's wait).
+//! [`ServiceError::Overloaded`]. This is the one admission bound: a
+//! claimed op's leaves are admitted at once (a degraded fleet refuses
+//! them at the op's wait), and the leaves queued at any moment are at
+//! most four per running op (`scheduler` module docs). An op with no
+//! waiter starts within `WAITER_GRACE` once one of the `workers`
+//! executors is free.
 //!
 //! A typed [`ProtocolJob`] (KeyGen / PKE-Enc/Dec / Encaps / Decaps /
 //! SHE-Mul / Sign / Verify — plus the trivial one-node `Mul` and k-lane
@@ -43,12 +47,10 @@
 //! pluggable [`PolyMultiplier`] trait. The thread running the op runs
 //! the host ops inline and routes every multiply node through the
 //! ordinary `(n, q)` batch former as a leaf job. Each leaf round is one
-//! blocking `scheduler::run_leaves` call: when the eager flush finds a
-//! bank idle, the running thread claims that bank and runs the formed
-//! batch itself — the same batch a worker would have run, checks,
-//! retries and quarantine included — so a leaf round costs no thread
-//! handoff; only when every bank is busy does the leaf queue for a
-//! worker while the running thread waits. So:
+//! blocking `scheduler::run_leaves` call, in which the running thread
+//! itself runs queued batches — its own or another op's, checks,
+//! retries and quarantine included — whenever a bank is free, and parks
+//! while every bank is busy. So:
 //!
 //! * **Cross-tenant batching** — inner products of *different* protocol
 //!   ops (different tenants, different kinds) pack into the same
@@ -384,8 +386,8 @@ pub struct ProtocolCompleted {
     /// The running thread's time on this op outside its leaf rounds,
     /// µs: sampling, additions, hashing, encoding — the op's "graph host
     /// ops" share of `service_us`. A leaf round counts whole, from
-    /// admission to results, including the engine time of a batch the
-    /// thread ran itself on an idle bank.
+    /// admission to results, including the engine time of the batches
+    /// the thread ran itself.
     pub host_us: f64,
 }
 
@@ -411,10 +413,10 @@ pub(crate) struct ProtoTask {
 pub(crate) const WAITER_GRACE: Duration = Duration::from_millis(1);
 
 /// The protocol-op queue: typed protocol ops waiting for their waiter
-/// or a free graph executor to claim them. Kept separate from the
-/// leaf-job admission queue so a protocol op never deadlocks against
-/// its own leaf multiplies. An op a waiter claimed stays queued until
-/// an enqueue or an executor drops it. Its lock is poison-tolerant:
+/// or a free graph executor to claim them. Kept apart from the leaf
+/// queue: an op holds no slot here while its leaves run. An op a
+/// waiter claimed stays queued until an enqueue or an executor drops
+/// it. Its lock is poison-tolerant:
 /// every update is one push, pop, flag or counter step, so a panic
 /// cannot leave it half-updated.
 #[derive(Default)]
@@ -939,15 +941,19 @@ fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, Ser
         // window, or a concurrent submitter): this one is an executor's
         // at once. Otherwise wake one only if none keeps the grace clock.
         let wake = !pq.queue.is_empty() || !pq.watching;
+        // Counted before any thread can claim the op, so no snapshot
+        // shows it completed but not submitted.
+        shared
+            .state
+            .lock()
+            .expect("service state poisoned")
+            .proto_lanes[kind as usize]
+            .submitted += 1;
         pq.queue.push_back(Arc::clone(&op));
         pq.enqueued += 1;
         pq.unclaimed += 1;
         wake
     };
-    {
-        let mut st = shared.state.lock().expect("service state poisoned");
-        st.proto_lanes[kind as usize].submitted += 1;
-    }
     if wake {
         shared.proto_work.notify_one();
     }
@@ -1000,11 +1006,11 @@ impl ProtoQueue {
     }
 }
 
-/// One graph executor: claims queued protocol ops that no waiter has
-/// claimed, runs their host ops inline, and routes every multiply node
-/// through the shared batch former. Exits once the queue is drained
-/// *and* shutdown was signaled — every ticket issued before shutdown
-/// resolves.
+/// One graph executor, the service's only thread loop: claims queued
+/// protocol ops that no waiter has claimed, runs their host ops inline,
+/// and runs every multiply node as a leaf round. Exits once the queue
+/// is drained *and* shutdown was signaled — every ticket issued before
+/// shutdown resolves.
 pub(crate) fn proto_worker_loop(shared: &Arc<Shared>) {
     let lock = || shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
     // The enqueue count at this executor's last grace tick.
@@ -1088,8 +1094,8 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask, submitted: Instant) {
 }
 
 /// What [`execute_job`] produced: the output, its node accounting, and
-/// how long the executor spent in leaf rounds (waiting for a worker, or
-/// running the batch itself).
+/// how long the running thread spent in leaf rounds (running batches,
+/// or parked while another thread ran them).
 struct Executed {
     output: ProtocolOutput,
     nodes: u32,
@@ -1216,7 +1222,7 @@ fn execute_job(shared: &Arc<Shared>, job: ProtocolJob) -> Result<Executed, Servi
 /// protocol op performs becomes one leaf node through the shared batch
 /// former, and [`PolyMultiplier::multiply_pair`] admits both products
 /// under one lock so they pack into the same batch. Each is one blocking
-/// `run_leaves` round, run on this thread when a bank is idle. Failures are
+/// `run_leaves` round, run on this thread while a bank is free. Failures are
 /// stashed with their node index; the placeholder `modmath` error
 /// returned to the rlwe code merely aborts the op and never escapes —
 /// [`SvcMult::settle`] converts the stash into
@@ -1608,7 +1614,6 @@ mod tests {
     fn waiters_and_executor_run_each_op_exactly_once() {
         let svc = Service::start(ServiceConfig {
             workers: 1,
-            protocol_workers: 1,
             ..ServiceConfig::default()
         });
         let kinds = [

@@ -18,15 +18,16 @@
 //!   deadline expires — the latency/occupancy trade-off of the paper's
 //!   packing model, made explicit as [`ServiceConfig::linger`];
 //! * a fleet of virtual **superbanks**, each claimed for one batch at a
-//!   time by a worker thread draining formed batches or by the thread
-//!   running an op (its waiter or a graph executor) that runs its own
-//!   leaf batch, all through the
-//!   verified engine path, so every product is bit-identical to a
-//!   direct `CryptoPim::multiply`;
+//!   time by a thread running an op (its waiter or one of the
+//!   `workers` backstop executors, the only threads the service
+//!   spawns) while that op's leaf multiplies are unresolved, all
+//!   through the verified engine path, so every product is
+//!   bit-identical to a direct `CryptoPim::multiply`;
 //! * graceful [`Service::shutdown`] that drains every admitted job;
 //! * [`Service::stats`] — queue depth, admission counters, realized
 //!   packed-lane occupancy, and p50/p95/p99 job latency from a
-//!   fixed-bucket histogram.
+//!   fixed-bucket histogram, with
+//!   [`ServiceStats::check_invariants`] for its counter identities.
 //!
 //! The [`workload`] module generates the seeded, deterministic op
 //! streams — raw multiplies and protocol mixes — that the load driver

@@ -1,45 +1,59 @@
-//! The scheduler core: bounded admission → batch former → superbank
-//! fleet.
+//! The scheduler core: leaf admission → batch forming → superbank
+//! fleet, all run by the threads whose leaves they are.
 //!
 //! ```text
-//!  protocol op ──── run_leaves: leaf pairs ──► admission queue ──► batch forming
-//!  (its waiter or   (bounded, Block/Reject)    (jobs grouped       (flush on full,
-//!   an executor)                                by (n, q))          idle bank,
-//!       │                                                            or linger)
-//!       │  idle bank? yes → claim it, run the                           │
-//!       └─ eager batch inline ──────────► run_batch ◄── worker threads ◄┘
-//!                                        (S superbanks,   claim a bank
-//!  Ticket::wait ◄──── ticket fulfillment ◄─ one batch
-//!                                           each at a time)
+//!  protocol op ── run_leaves: admit the round's ──► pending groups ──► formed batches
+//!  (its waiter or  leaf pairs under one lock        (by (n, q); sealed  (FIFO; retries
+//!   a backstop          │                            full at admission,  at the front)
+//!   executor)           │                            or past linger)          │
+//!       ▲               ▼                                                     │
+//!       │   loop until the round's leaves resolve: free bank and queued work? │
+//!       │     yes → claim the bank, run the oldest formed batch (else the     │
+//!       │           oldest pending group) ◄──────────────────────────────────┘
+//!       │     no  → park until a batch resolves a leaf of the round, or a
+//!       │           finished round hands over a free bank
+//!       └──── the round's leaf results
 //! ```
 //!
 //! Every multiply reaches the batch former as a leaf of a protocol op
 //! ([`crate::graph`]), a raw product being the one-node
-//! [`crate::ProtocolJob::Mul`].
+//! [`crate::ProtocolJob::Mul`], and the thread running that op sits in
+//! `run_leaves` until its leaves resolve. That thread is the one that
+//! runs batches: after admitting its pairs it loops, and in each pass it
+//! either claims a free bank for queued work — the oldest formed batch,
+//! or failing that the oldest pending group — or it parks. The batch it
+//! runs may be its own or another op's; a leaf of another op that it
+//! resolves wakes that op's thread. No thread exists only to run
+//! batches or to keep a clock.
 //!
-//! Batch forming is mostly *synchronous*: full groups and — whenever a
-//! bank is idle — partial groups flush on the submitting thread, and a
-//! worker finding a free bank self-serves the oldest pending partial. The
-//! dedicated former thread handles only the one decision that needs a
-//! clock, sealing saturated-fleet partials at their linger deadline.
+//! **Forming.** Jobs are grouped by `(n, q)`. A group is sealed *full*
+//! when it reaches the packed-lane capacity, *lingered* once its oldest
+//! job is past [`ServiceConfig::linger`], and *eager* when a free bank
+//! takes it before then. A linger deadline is sealed lazily, at
+//! admission and at claim time — the only two points where a seal can
+//! be observed (a job joining a group, a bank picking work).
 //!
 //! **Banks are claimed, not owned.** The `S` superbanks live in the
 //! shared state, each with its accelerators and its fault-injector
 //! write path. A bank runs one batch at a time for whichever thread
-//! claimed it under the state lock: a worker thread draining the formed
-//! queue, or the thread running a protocol op (its waiter or a graph
-//! executor) whose eager flush found the bank idle — that thread runs
-//! its own leaf batch ([`run_leaves`]) instead of handing it to a worker
-//! and sleeping until the worker wakes it, so a protocol leaf round
-//! costs no thread handoff. Both runners share one
-//! claim/release path and one `run_batch`; the batches themselves are
-//! formed exactly as before. At most `S` batches run at once, whoever
-//! runs them.
+//! claimed it under the state lock, so at most `S` batches run at once.
 //!
-//! Everything is plain `std` — one mutex-guarded state struct plus
-//! three condvars (`admit` for backpressure waiters, `former` for the
-//! batch-forming thread, `work` for the worker threads), matching the
-//! no-deps style of `pim::pool`.
+//! **Wake-ups.** Each leaf job carries its owner's [`Thread`]. A batch's
+//! results are stored under the state lock, then the batch's runner
+//! unparks the owners of its jobs, and no one else. A round that ends
+//! while work is still queued and a bank is free unparks one parked
+//! owner to take it; a runner whose own round is still open takes that
+//! work itself and wakes no one. The park token makes the race between
+//! a pass's check and its park harmless. The state lock is never held
+//! while an engine runs.
+//!
+//! **Why the leaf queue needs no bound of its own.** Leaves come only
+//! from running ops, at most [`modmath::crt::MAX_RNS_CHANNELS`] per
+//! round, and a thread running an op has one round open at a time. So
+//! the queued leaves never outnumber four times the threads running
+//! ops: the waiters that claimed an op, plus the `workers` backstop
+//! executors. The op admission bound ([`ServiceConfig::queue_capacity`])
+//! is the one bound.
 //!
 //! **Correctness contract.** Batching is a pure throughput mechanism:
 //! every product is computed by the verified engine path
@@ -67,16 +81,15 @@ use pim::PimError;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread, ThreadId};
 use std::time::{Duration, Instant};
 
-/// What admission does when a queue is full: an op submit past
-/// [`ServiceConfig::queue_capacity`] unclaimed ops, or a leaf past as
-/// many queued leaf jobs.
+/// What op admission does once [`ServiceConfig::queue_capacity`] ops
+/// are admitted and not yet claimed by a waiter or an executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backpressure {
-    /// Block the submitting thread until space frees (no job is ever
-    /// dropped; overload turns into submitter latency).
+    /// Block the submitting thread until a claim frees a slot (no op is
+    /// ever dropped; overload turns into submitter latency).
     Block,
     /// Fail fast with [`ServiceError::Overloaded`] (the caller owns the
     /// retry policy; overload turns into rejections, never into
@@ -87,25 +100,27 @@ pub enum Backpressure {
 /// Tunables of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Virtual superbanks in the fleet, and the worker threads that
-    /// drain formed batches onto them. A bank runs one batch at a time,
-    /// single-threaded (the fleet itself is the parallelism), on
-    /// whichever thread claimed it: a worker, or the thread running a
-    /// protocol op's own leaf batch. The banks are therefore the
-    /// host-thread budget for engine work, whichever thread runs them.
+    /// Virtual superbanks in the fleet, and the backstop graph executors
+    /// that run the ops no waiter claimed. A bank runs one batch at a
+    /// time, single-threaded (the fleet itself is the parallelism), on
+    /// whichever op thread claimed it — a waiter or an executor — so the
+    /// banks are the host-thread budget for engine work. An executor
+    /// runs one op at a time: its host ops (sampling, additions, hashing)
+    /// inline and its NTT multiplies as leaf rounds. It takes an op
+    /// queued behind another unclaimed op (a client's window, concurrent
+    /// submitters) at once, any other once its waiter has not come
+    /// within the waiter grace, and the queue drained at shutdown.
     pub workers: usize,
-    /// Admission bound, applied to two queues: protocol ops admitted
-    /// but not yet claimed by a waiter or an executor, and leaf jobs
-    /// admitted but not yet dispatched (pending in the former plus
-    /// formed-but-unclaimed).
+    /// Op admission bound: protocol ops admitted but not yet claimed by
+    /// a waiter or an executor. The leaf queue needs no bound of its own
+    /// (module docs).
     pub queue_capacity: usize,
-    /// Policy when a queue is full.
+    /// Policy when the op queue is full.
     pub backpressure: Backpressure,
     /// How long a partial batch may wait for batch-mates before it is
-    /// flushed anyway. Batch forming is work-conserving: while the
-    /// fleet has an idle bank and nothing queued, partial batches
-    /// flush immediately regardless of this setting — linger only
-    /// delays jobs once every bank is busy, which is exactly when
+    /// sealed anyway. Batch forming is work-conserving: a free bank
+    /// takes a partial batch at once regardless of this setting — linger
+    /// only delays jobs once every bank is busy, which is exactly when
     /// waiting buys packed-lane occupancy (§III-D) for free. Larger
     /// values trade saturated-load latency for occupancy.
     pub linger: Duration,
@@ -138,21 +153,9 @@ pub struct ServiceConfig {
     /// that reuse `a` operands (public/evaluation keys) skip the
     /// operand's forward NTT on both the engine and the `Recompute`
     /// referee path when it hits. `0` (the default) disables the cache.
-    /// The cache is shared across workers and invalidated whenever a
+    /// The cache is shared across banks and invalidated whenever a
     /// bank is quarantined.
     pub hot_capacity: usize,
-    /// Graph executor threads for protocol ops submitted through
-    /// [`Service::submit_protocol`] (min 1). An op normally runs on the
-    /// thread that waits for it ([`crate::ProtocolTicket`]'s `wait` or
-    /// `wait_timeout` claims it while it is still queued), so this bounds
-    /// only the ops no waiter is running: those queued behind another
-    /// unclaimed op (a client's window, concurrent submitters), those
-    /// whose waiter has not come within the grace bound, and the queue
-    /// drained at shutdown. An executor runs one op at a time — its host
-    /// ops (sampling, additions, hashing) inline and every NTT multiply
-    /// through the batch former as an ordinary leaf job, running the
-    /// formed batch itself when a bank is idle.
-    pub protocol_workers: usize,
 }
 
 impl Default for ServiceConfig {
@@ -167,7 +170,6 @@ impl Default for ServiceConfig {
             quarantine_after: 3,
             injector: None,
             hot_capacity: 0,
-            protocol_workers: 2,
         }
     }
 }
@@ -185,13 +187,18 @@ pub(crate) struct CompletedJob {
     pub(crate) attempts: u32,
 }
 
-/// Handle to one admitted leaf multiply.
+/// Handle to one admitted leaf multiply. Leaf tickets are resolved
+/// only under the state lock, so a round reads whether it is done
+/// there without a race.
 pub(crate) type JobTicket = Ticket<CompletedJob>;
 
 struct Job {
     a: Polynomial,
     b: Polynomial,
     ticket: Fulfiller<CompletedJob>,
+    /// The thread whose round the job belongs to, unparked once the job
+    /// resolves.
+    owner: Thread,
     submitted: Instant,
     /// Execution attempts so far, counting the upcoming one (starts
     /// at 1; bumped on each detected-fault requeue).
@@ -201,28 +208,32 @@ struct Job {
 struct Group {
     jobs: Vec<Job>,
     oldest: Instant,
+    /// The thread whose admission opened the group.
+    opener: ThreadId,
 }
 
 struct FormedBatch {
     key: ParamKey,
     jobs: Vec<Job>,
+    /// The thread that opened the batch's group; `None` for a retry.
+    opener: Option<ThreadId>,
 }
 
-/// Why a group left the pending map for the formed queue.
+/// Why a group was sealed into a batch.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum FlushCause {
     /// Reached the packed-lane capacity.
     Full,
-    /// Oldest job hit the linger deadline with the fleet saturated.
+    /// Oldest job passed the linger deadline.
     Linger,
-    /// A bank was idle with nothing queued — waiting would have
-    /// wasted hardware, so the partial batch shipped immediately.
+    /// A free bank took the group before its deadline — waiting would
+    /// have wasted hardware.
     Eager,
 }
 
 /// One virtual superbank: its accelerators and its view of the fault
 /// injector. A bank runs one batch at a time, for whichever thread
-/// claimed it ([`Shared::claim_bank`]).
+/// claimed it ([`Shared::claim_work`]).
 pub(crate) struct Bank {
     /// One accelerator per `(n, q)`, built on first use. Only the
     /// bank's claimant locks it, so the lock is never contended; a
@@ -256,32 +267,29 @@ impl Bank {
     }
 }
 
-/// A bank claimed for one dispatched batch. `run_batch` releases it in
-/// the critical section that counts the batch; if the batch unwinds
-/// first, dropping the claim releases the bank, counts the batch as a
-/// faulted one against the bank's quarantine streak, and only then drops
-/// the batch's fulfillers, which resolve as [`ServiceError::Internal`].
+/// A bank claimed for one batch. `run_batch` releases it in the
+/// critical section that counts the batch; if the batch unwinds first,
+/// dropping the claim releases the bank, counts the batch as a faulted
+/// one against the bank's quarantine streak, and resolves the batch's
+/// tickets as [`ServiceError::Internal`] in that same critical section.
 struct Claim<'a> {
     shared: &'a Shared,
     bank: usize,
     jobs: usize,
-    /// Claimed by the submitter that will run the batch itself.
-    inline: bool,
-    /// The batch's tickets while its engine runs, so an unwind resolves
-    /// them after the batch is counted, never before.
-    tickets: Vec<Fulfiller<CompletedJob>>,
+    /// The batch's tickets and their owners while its engine runs, so an
+    /// unwind resolves them after the batch is counted, never before.
+    tickets: Vec<(Fulfiller<CompletedJob>, Thread)>,
     released: bool,
 }
 
 impl<'a> Claim<'a> {
     /// Puts `jobs` in flight on the claimed `bank`.
-    fn new(shared: &'a Shared, st: &mut State, bank: usize, jobs: usize, inline: bool) -> Self {
+    fn new(shared: &'a Shared, st: &mut State, bank: usize, jobs: usize) -> Self {
         st.in_flight += jobs;
         Claim {
             shared,
             bank,
             jobs,
-            inline,
             tickets: Vec::new(),
             released: false,
         }
@@ -291,12 +299,6 @@ impl<'a> Claim<'a> {
         self.released = true;
         st.bank_busy[self.bank] = false;
         st.in_flight -= self.jobs;
-        // A worker releasing its bank loops and takes queued work
-        // itself; a submitter returns to its own op, so it hands any
-        // queued work to a worker.
-        if self.inline && !(st.formed.is_empty() && st.pending.is_empty()) {
-            self.shared.work.notify_one();
-        }
     }
 }
 
@@ -305,7 +307,7 @@ impl Drop for Claim<'_> {
         if self.released {
             return;
         }
-        {
+        let owners: Vec<Thread> = {
             let mut st = self
                 .shared
                 .state
@@ -317,10 +319,17 @@ impl Drop for Claim<'_> {
             // write path panics on every op leaves the fleet like one
             // that corrupts every product.
             self.shared.score_bank(&mut st, self.bank, true);
-        }
-        // Counted first, so a waiter that sees the error also sees its
-        // job in `ServiceStats`.
-        self.tickets.clear();
+            // Counted first, so a waiter that sees the error also sees
+            // its job in `ServiceStats`.
+            self.tickets
+                .drain(..)
+                .map(|(ticket, owner)| {
+                    drop(ticket);
+                    owner
+                })
+                .collect()
+        };
+        owners.iter().for_each(Thread::unpark);
     }
 }
 
@@ -330,24 +339,23 @@ pub(crate) struct State {
     formed: VecDeque<FormedBatch>,
     formed_jobs: usize,
     in_flight: usize,
-    /// Per-bank claim flag: the bank is running a batch (for the
-    /// work-conserving flush decision: idle capacity = active banks −
-    /// busy − formed).
+    /// Per-bank claim flag: the bank is running a batch.
     bank_busy: Vec<bool>,
+    /// Round owners parked with leaves unresolved, oldest first: a
+    /// round that ends with work queued and a bank free unparks the
+    /// first.
+    parked: VecDeque<Thread>,
     shutdown: bool,
-    /// Set by the batch former once every pending group has been
-    /// flushed during shutdown; workers exit only after this, so no
-    /// admitted job is ever stranded.
-    drained: bool,
     admitted: u64,
-    /// Leaf jobs and ops refused under `Reject` or by a degraded fleet.
+    /// Ops refused under `Reject`, and leaf jobs refused by a degraded
+    /// fleet.
     pub(crate) rejected: u64,
     completed: u64,
     batches: u64,
     full_batches: u64,
     lingered_batches: u64,
     eager_batches: u64,
-    /// Batches run by the submitter that formed them.
+    /// Batches run by the thread that opened their group.
     inline_batches: u64,
     occupancy_jobs: u64,
     faults_detected: u64,
@@ -370,6 +378,12 @@ pub(crate) struct State {
     pub(crate) proto_lanes: Vec<ProtoLane>,
 }
 
+impl State {
+    fn has_queued_work(&self) -> bool {
+        !(self.formed.is_empty() && self.pending.is_empty())
+    }
+}
+
 /// Per-kind protocol counters (one per [`crate::graph::ProtocolKind`]).
 #[derive(Debug, Default)]
 pub(crate) struct ProtoLane {
@@ -389,13 +403,6 @@ pub(crate) struct Shared {
     /// Fleet-wide hot-operand transform cache (`None` when
     /// [`ServiceConfig::hot_capacity`] is 0).
     hot: Option<Arc<HotCache>>,
-    /// Space freed in the admission queue (Block-mode submitters wait).
-    admit: Condvar,
-    /// Deadline scheduling for the former (first pending group under a
-    /// saturated fleet, or shutdown).
-    former: Condvar,
-    /// Formed batches or a freed bank (worker threads wait).
-    work: Condvar,
     /// Protocol ops waiting for their waiter or a graph executor.
     pub(crate) proto: Mutex<crate::graph::ProtoQueue>,
     /// Protocol work for an executor, or the last waiter-run op done
@@ -422,22 +429,31 @@ impl Shared {
         Some(FormedBatch {
             key,
             jobs: group.jobs,
+            opener: Some(group.opener),
         })
     }
 
     /// Seals the pending group of `key` onto the formed queue.
-    fn flush_locked(&self, st: &mut State, key: ParamKey, cause: FlushCause) {
+    fn flush_locked(st: &mut State, key: ParamKey, cause: FlushCause) {
         if let Some(batch) = Self::form_locked(st, key, cause) {
             st.formed_jobs += batch.jobs.len();
             st.formed.push_back(batch);
         }
     }
 
-    /// Banks the fleet could put to work right now beyond what the
-    /// formed queue will already occupy (quarantined banks excluded).
-    fn idle_capacity(&self, st: &State) -> usize {
-        let busy = st.bank_busy.iter().filter(|&&b| b).count();
-        st.active_banks.saturating_sub(busy + st.formed.len())
+    /// Seals every pending group whose oldest job is past the linger
+    /// deadline: it takes no more jobs, and queues behind the batches
+    /// already formed.
+    fn seal_expired(&self, st: &mut State, now: Instant) {
+        let expired: Vec<ParamKey> = st
+            .pending
+            .iter()
+            .filter(|(_, g)| now.duration_since(g.oldest) >= self.cfg.linger)
+            .map(|(k, _)| *k)
+            .collect();
+        for key in expired {
+            Self::flush_locked(st, key, FlushCause::Linger);
+        }
     }
 
     /// Scores a finished batch against its bank's quarantine streak:
@@ -460,19 +476,45 @@ impl Shared {
             if st.active_banks == 0 {
                 degrade(self, st);
             }
-            // Wake Block-mode submitters (capacity changed or degraded)
-            // and idle workers (requeued work may need a new bank).
-            self.admit.notify_all();
-            self.work.notify_all();
         }
     }
 
-    /// The one claim path of worker threads and blocking submitters:
-    /// marks the first free, unquarantined bank busy.
-    fn claim_bank(&self, st: &mut State) -> Option<usize> {
-        let bank = (0..self.banks.len()).find(|&b| !st.bank_busy[b] && !st.quarantined[b])?;
+    /// The first bank neither running a batch nor quarantined.
+    fn free_bank(&self, st: &State) -> Option<usize> {
+        (0..self.banks.len()).find(|&b| !st.bank_busy[b] && !st.quarantined[b])
+    }
+
+    /// The one claim path: when a bank is free and work is queued, marks
+    /// the bank busy and takes the oldest formed batch, or failing that
+    /// seals the oldest pending group. Groups past their linger deadline
+    /// are sealed first, so they queue in deadline order.
+    fn claim_work(&self, st: &mut State, me: ThreadId) -> Option<(Claim<'_>, FormedBatch)> {
+        if !st.has_queued_work() {
+            return None;
+        }
+        let bank = self.free_bank(st)?;
+        self.seal_expired(st, Instant::now());
+        let batch = match st.formed.pop_front() {
+            Some(batch) => {
+                st.formed_jobs -= batch.jobs.len();
+                batch
+            }
+            None => {
+                let key = *st
+                    .pending
+                    .iter()
+                    .min_by_key(|(_, g)| g.oldest)
+                    .map(|(k, _)| k)
+                    .expect("queued work is pending when none is formed");
+                Self::form_locked(st, key, FlushCause::Eager).expect("pending group")
+            }
+        };
+        if batch.opener == Some(me) {
+            st.inline_batches += 1;
+        }
         st.bank_busy[bank] = true;
-        Some(bank)
+        let claim = Claim::new(self, st, bank, batch.jobs.len());
+        Some((claim, batch))
     }
 }
 
@@ -515,23 +557,20 @@ const SEGMENTED_Q: u64 = 786_433;
 /// destructor drains too).
 pub struct Service {
     shared: Arc<Shared>,
-    config: ServiceConfig,
-    former: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    proto_workers: Vec<JoinHandle<()>>,
+    executors: Vec<JoinHandle<()>>,
 }
 
 impl Service {
-    /// Starts the batch former and the worker fleet.
+    /// Starts the fleet and its `workers` backstop graph executors.
     pub fn start(config: ServiceConfig) -> Service {
         let config = ServiceConfig {
             workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
             max_attempts: config.max_attempts.max(1),
             quarantine_after: config.quarantine_after.max(1),
-            protocol_workers: config.protocol_workers.max(1),
             ..config
         };
+        let workers = config.workers;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 pending: HashMap::new(),
@@ -539,9 +578,9 @@ impl Service {
                 formed: VecDeque::new(),
                 formed_jobs: 0,
                 in_flight: 0,
-                bank_busy: vec![false; config.workers],
+                bank_busy: vec![false; workers],
+                parked: VecDeque::new(),
                 shutdown: false,
-                drained: false,
                 admitted: 0,
                 rejected: 0,
                 completed: 0,
@@ -554,48 +593,28 @@ impl Service {
                 faults_detected: 0,
                 retries: 0,
                 recovered: 0,
-                bank_streak: vec![0; config.workers],
-                quarantined: vec![false; config.workers],
-                active_banks: config.workers,
+                bank_streak: vec![0; workers],
+                quarantined: vec![false; workers],
+                active_banks: workers,
                 degraded: false,
                 hist: LatencyHistogram::default(),
                 proto_lanes: (0..crate::graph::ProtocolKind::COUNT)
                     .map(|_| ProtoLane::default())
                     .collect(),
             }),
-            cfg: config.clone(),
-            banks: (0..config.workers)
+            banks: (0..workers)
                 .map(|bank| Bank {
                     accelerators: Mutex::new(HashMap::new()),
                     writes: config.injector.as_ref().map(|i| i.bank_writes(bank as u32)),
                 })
                 .collect(),
             hot: (config.hot_capacity > 0).then(|| Arc::new(HotCache::new(config.hot_capacity))),
-            admit: Condvar::new(),
-            former: Condvar::new(),
-            work: Condvar::new(),
+            cfg: config,
             proto: Mutex::new(crate::graph::ProtoQueue::default()),
             proto_work: Condvar::new(),
             proto_space: Condvar::new(),
         });
-        let former = {
-            let shared = Arc::clone(&shared);
-            let linger = config.linger;
-            std::thread::Builder::new()
-                .name("cryptopim-svc-former".into())
-                .spawn(move || former_loop(&shared, linger))
-                .expect("spawn batch former")
-        };
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("cryptopim-svc-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn superbank worker")
-            })
-            .collect();
-        let proto_workers = (0..config.protocol_workers)
+        let executors = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -604,18 +623,12 @@ impl Service {
                     .expect("spawn protocol executor")
             })
             .collect();
-        Service {
-            shared,
-            config,
-            former: Some(former),
-            workers,
-            proto_workers,
-        }
+        Service { shared, executors }
     }
 
     /// The configuration the service was started with.
     pub fn config(&self) -> &ServiceConfig {
-        &self.config
+        &self.shared.cfg
     }
 
     /// The shared scheduler state (for the protocol graph layer).
@@ -630,10 +643,9 @@ impl Service {
         snapshot(&st, self.shared.hot.as_deref())
     }
 
-    /// Graceful shutdown: stops admitting, flushes every pending
-    /// partial batch, waits for the fleet to drain all in-flight jobs,
-    /// and returns the final statistics. Every ticket issued before the
-    /// call resolves.
+    /// Graceful shutdown: stops admitting, runs every queued op to
+    /// completion, and returns the final statistics. Every ticket issued
+    /// before the call resolves.
     pub fn shutdown(mut self) -> ServiceStats {
         self.drain_and_join();
         let st = self.shared.state.lock().expect("service state poisoned");
@@ -641,12 +653,12 @@ impl Service {
     }
 
     fn drain_and_join(&mut self) {
-        // Drain the protocol ops *first*, while the batch fleet is still
-        // accepting leaf submits: every queued protocol op runs to
-        // completion (its leaf multiplies still admit and execute), so a
-        // ProtocolTicket issued before shutdown always resolves. The
-        // executors claim what no waiter has; then the ops waiters claimed
-        // finish.
+        // Every queued protocol op runs to completion while leaf
+        // admission is still open, so a ProtocolTicket issued before
+        // shutdown always resolves: the executors claim what no waiter
+        // has, then the ops waiters claimed finish. Every leaf belongs to
+        // one of those ops' rounds, so once they are done the leaf queue
+        // is empty and closing it strands nothing.
         {
             let mut pq = self
                 .shared
@@ -657,7 +669,7 @@ impl Service {
         }
         self.shared.proto_work.notify_all();
         self.shared.proto_space.notify_all();
-        for handle in self.proto_workers.drain(..) {
+        for handle in self.executors.drain(..) {
             if handle.join().is_err() && !std::thread::panicking() {
                 panic!("protocol executor panicked");
             }
@@ -676,23 +688,11 @@ impl Service {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        {
-            let mut st = self.shared.state.lock().expect("service state poisoned");
-            st.shutdown = true;
-        }
-        self.shared.former.notify_all();
-        self.shared.work.notify_all();
-        self.shared.admit.notify_all();
-        if let Some(handle) = self.former.take() {
-            if handle.join().is_err() && !std::thread::panicking() {
-                panic!("batch former panicked");
-            }
-        }
-        for handle in self.workers.drain(..) {
-            if handle.join().is_err() && !std::thread::panicking() {
-                panic!("superbank worker panicked");
-            }
-        }
+        self.shared
+            .state
+            .lock()
+            .expect("service state poisoned")
+            .shutdown = true;
     }
 }
 
@@ -725,179 +725,118 @@ pub(crate) fn validate_leaf(
     Ok(((n, params.q), lanes))
 }
 
-/// The blocking leaf entry of a running protocol op: admits `pairs` as
-/// [`admit_leaves`] does, and when the eager flush finds an idle bank
-/// the caller claims it and runs the batch itself, then collects its
-/// results — already resolved, unless a job was requeued for a retry.
-/// Only when every bank is busy do the leaves queue for a worker and
-/// the caller waits; pairs admitted one by one claim only on the last
-/// admission, and earlier ones go to workers. The batch is the one the
-/// eager flush would have handed a worker: the same jobs, checks,
-/// retries and quarantine.
+/// One leaf round of a running protocol op: admits `pairs` under one
+/// state-lock acquisition — pairs of one `(n, q)` key join one group,
+/// so an op's independent inner products ride one batch — then runs
+/// queued batches on the calling thread until every pair has resolved
+/// (module docs).
 ///
 /// # Errors
 ///
-/// As [`admit_leaves`]; an admitted pair's execution failure is its
-/// own entry in the returned vector.
+/// The index of the first pair that failed validation, or
+/// [`ServiceError::ShuttingDown`] / [`ServiceError::Overloaded`] (a
+/// degraded fleet) at index 0; nothing is admitted then. An admitted
+/// pair's execution failure is its own entry in the returned vector.
 pub(crate) fn run_leaves(
     shared: &Shared,
     pairs: Vec<(Polynomial, Polynomial)>,
 ) -> Result<Vec<Result<CompletedJob, ServiceError>>, (usize, ServiceError)> {
-    let mut inline = None;
-    // A bank is claimed only by an admission that succeeded last.
-    let tickets = admit_leaves(shared, pairs, Some(&mut inline))?;
-    if let Some((claim, batch)) = inline {
-        run_claimed(shared, claim, batch);
-    }
-    Ok(tickets.into_iter().map(Ticket::wait).collect())
+    let (st, round) = admit(shared, pairs, &std::thread::current())?;
+    run_round(shared, st, &round);
+    Ok(round.into_iter().map(Ticket::wait).collect())
 }
 
-/// A bank claimed by a blocking submitter and the batch it will run.
-type InlineBatch<'a> = (Claim<'a>, FormedBatch);
-
-/// Leaf admission behind [`run_leaves`]. Every
-/// pair is validated before any is admitted. Pairs that share one
-/// `(n, q)` key are admitted under a *single* state-lock acquisition,
-/// so they land in the same formation group and a flushed batch
-/// carries them together — how a protocol op's independent inner
-/// products ride one batch. When the keys differ, or the queue cannot
-/// hold every pair at once, each pair is admitted on its own, in order.
-///
-/// With `inline` set, the eager flush of the call's last admission
-/// claims its idle bank into it instead of queueing the batch for a
-/// worker. Earlier pairs admitted one by one hand their batches to
-/// workers, so no bank is held while a later pair waits for queue
-/// space.
-///
-/// # Errors
-///
-/// The index of the first pair that failed validation or admission,
-/// with its error. Pairs admitted before it stay queued and execute
-/// harmlessly, their tickets discarded.
-fn admit_leaves<'a>(
+/// Leaf admission behind [`run_leaves`]: validates every pair, then
+/// queues them all for `owner`, returning the state lock so the round's
+/// first pass runs in the same critical section.
+fn admit<'a>(
     shared: &'a Shared,
     pairs: Vec<(Polynomial, Polynomial)>,
-    mut inline: Option<&mut Option<InlineBatch<'a>>>,
-) -> Result<Vec<JobTicket>, (usize, ServiceError)> {
+    owner: &Thread,
+) -> Result<(MutexGuard<'a, State>, Vec<JobTicket>), (usize, ServiceError)> {
     let keys = pairs
         .iter()
         .enumerate()
         .map(|(i, (a, b))| validate_leaf(a, b).map_err(|e| (i, e)))
         .collect::<Result<Vec<_>, _>>()?;
-    let Some(&(key, lanes)) = keys.first() else {
-        return Ok(Vec::new());
-    };
     let count = pairs.len();
-    if count > 1 && (keys.iter().any(|k| k.0 != key) || count > shared.cfg.queue_capacity) {
-        let mut tickets = Vec::with_capacity(count);
-        for (i, pair) in pairs.into_iter().enumerate() {
-            // A claimed bank is never held across a blocking admission:
-            // only the last pair, after which nothing waits, may claim.
-            let claim = if i + 1 == count { inline.take() } else { None };
-            let mut one = admit_leaves(shared, vec![pair], claim).map_err(|(_, e)| (i, e))?;
-            tickets.append(&mut one);
-        }
-        return Ok(tickets);
-    }
     let (tickets, fulfillers): (Vec<JobTicket>, Vec<_>) = (0..count).map(|_| ticket()).unzip();
     let mut st = shared.state.lock().expect("service state poisoned");
-    loop {
-        if st.shutdown {
-            return Err((0, ServiceError::ShuttingDown));
-        }
-        if st.degraded {
-            // Graceful degradation: with the whole fleet quarantined no
-            // admitted job could ever execute, so even Block-mode
-            // submitters are turned away.
-            st.rejected += count as u64;
-            return Err((
-                0,
-                ServiceError::Overloaded {
-                    capacity: shared.cfg.queue_capacity,
-                },
-            ));
-        }
-        if st.pending_jobs + st.formed_jobs + count <= shared.cfg.queue_capacity {
-            break;
-        }
-        match shared.cfg.backpressure {
-            Backpressure::Reject => {
-                st.rejected += count as u64;
-                return Err((
-                    0,
-                    ServiceError::Overloaded {
-                        capacity: shared.cfg.queue_capacity,
-                    },
-                ));
-            }
-            Backpressure::Block => {
-                st = shared.admit.wait(st).expect("service state poisoned");
-            }
-        }
+    if st.shutdown {
+        return Err((0, ServiceError::ShuttingDown));
+    }
+    if st.degraded {
+        // Graceful degradation: with the whole fleet quarantined no
+        // admitted job could ever execute.
+        st.rejected += count as u64;
+        return Err((
+            0,
+            ServiceError::Overloaded {
+                capacity: shared.cfg.queue_capacity,
+            },
+        ));
     }
     let now = Instant::now();
+    // A group past its deadline takes no new job.
+    shared.seal_expired(&mut st, now);
     st.admitted += count as u64;
     st.pending_jobs += count;
-    let pending_was_empty = st.pending.is_empty();
-    for ((a, b), ticket) in pairs.into_iter().zip(fulfillers) {
+    let opener = std::thread::current().id();
+    for (((a, b), ticket), (key, lanes)) in pairs.into_iter().zip(fulfillers).zip(keys) {
         let group = st.pending.entry(key).or_insert_with(|| Group {
             jobs: Vec::with_capacity(lanes),
             oldest: now,
+            opener,
         });
-        if group.jobs.is_empty() {
-            group.oldest = now;
-        }
         group.jobs.push(Job {
             a,
             b,
             ticket,
+            owner: owner.clone(),
             submitted: now,
             attempts: 1,
         });
         if group.jobs.len() >= lanes {
-            // Full-occupancy batch: flush immediately, no linger paid.
-            // (A multi-job call crossing the lane boundary splits here,
-            // never overfilling a batch past the packed-lane capacity.)
-            shared.flush_locked(&mut st, key, FlushCause::Full);
-            shared.work.notify_one();
+            // Full-occupancy batch: sealed at once, no linger paid. (A
+            // round crossing the lane boundary splits here, never
+            // overfilling a batch past the packed-lane capacity.)
+            Shared::flush_locked(&mut st, key, FlushCause::Full);
         }
     }
-    if st.pending.contains_key(&key) {
-        if shared.idle_capacity(&st) > 0 {
-            // Work-conserving fast path: an idle bank means waiting
-            // cannot buy occupancy, so the partial ships straight from
-            // the submitting thread — no batch-former hop. A blocking
-            // submitter claims the bank and runs the batch itself; any
-            // other hands it to a worker.
-            match inline {
-                Some(slot @ None) => {
-                    let bank = shared
-                        .claim_bank(&mut st)
-                        .expect("idle capacity means a free bank");
-                    let batch = Shared::form_locked(&mut st, key, FlushCause::Eager)
-                        .expect("pending group");
-                    st.inline_batches += 1;
-                    // The batch left the admission queue.
-                    shared.admit.notify_all();
-                    let claim = Claim::new(shared, &mut st, bank, batch.jobs.len(), true);
-                    *slot = Some((claim, batch));
-                }
-                _ => {
-                    shared.flush_locked(&mut st, key, FlushCause::Eager);
-                    shared.work.notify_one();
-                }
+    Ok((st, tickets))
+}
+
+/// The round loop: until every ticket of `round` has resolved, claims a
+/// free bank for queued work and runs it, or parks. A round that ends
+/// with work queued and a bank free unparks one parked owner to take
+/// it.
+fn run_round<'a>(shared: &'a Shared, mut st: MutexGuard<'a, State>, round: &[JobTicket]) {
+    let me = std::thread::current();
+    loop {
+        if round.iter().all(Ticket::is_done) {
+            // Hand-off: queued work and a free bank go to a parked owner,
+            // woken outside the lock.
+            let free = st.has_queued_work() && shared.free_bank(&st).is_some();
+            let next = if free { st.parked.pop_front() } else { None };
+            drop(st);
+            if let Some(next) = next {
+                next.unpark();
             }
-        } else if pending_was_empty {
-            // Fleet saturated and this is the first pending group: the
-            // former must schedule its linger deadline. Any later job
-            // or group has a strictly later deadline, so the former's
-            // existing timed sleep already covers those — the saturated
-            // steady state submits without a single wakeup.
-            shared.former.notify_one();
+            return;
+        }
+        if let Some((claim, batch)) = shared.claim_work(&mut st, me.id()) {
+            drop(st);
+            run_claimed(shared, claim, batch);
+            st = shared.state.lock().expect("service state poisoned");
+        } else {
+            st.parked.push_back(me.clone());
+            drop(st);
+            std::thread::park();
+            st = shared.state.lock().expect("service state poisoned");
+            // Woken by a batch or by a hand-off, which already removed it.
+            st.parked.retain(|t| t.id() != me.id());
         }
     }
-    drop(st);
-    Ok(tickets)
 }
 
 fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
@@ -957,104 +896,9 @@ fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
     }
 }
 
-/// The batch-forming thread, reduced to the one decision that needs a
-/// clock: sealing groups at their linger deadline. The work-conserving
-/// eager flushes happen synchronously elsewhere — on the submitting
-/// thread when a bank is idle at arrival, and in the worker loop when a
-/// worker finds a free bank with partials pending — so the saturated steady state runs
-/// without a former hop per batch. On shutdown it flushes everything
-/// and marks the state drained so workers can exit.
-fn former_loop(shared: &Shared, linger: Duration) {
-    let mut st = shared.state.lock().expect("service state poisoned");
-    loop {
-        if st.shutdown {
-            let keys: Vec<ParamKey> = st.pending.keys().copied().collect();
-            for key in keys {
-                shared.flush_locked(&mut st, key, FlushCause::Linger);
-            }
-            st.drained = true;
-            shared.work.notify_all();
-            return;
-        }
-        let now = Instant::now();
-        let expired: Vec<ParamKey> = st
-            .pending
-            .iter()
-            .filter(|(_, g)| now.duration_since(g.oldest) >= linger)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in expired {
-            // A sealed group queues behind in-flight batches even when
-            // every bank is busy: the deadline closes the batch to
-            // further packing, it does not wait for idle capacity.
-            shared.flush_locked(&mut st, key, FlushCause::Linger);
-            shared.work.notify_one();
-        }
-        let next_deadline = st.pending.values().map(|g| g.oldest + linger).min();
-        st = match next_deadline {
-            None => shared.former.wait(st).expect("service state poisoned"),
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                shared
-                    .former
-                    .wait_timeout(st, timeout)
-                    .expect("service state poisoned")
-                    .0
-            }
-        };
-    }
-}
-
-/// One worker thread: whenever batches are queued and a bank is free,
-/// claims the bank and runs the oldest formed batch on it — or, with
-/// nothing formed, self-serves the oldest pending partial. Exits once
-/// the state is drained for shutdown.
-fn worker_loop(shared: &Shared) {
-    loop {
-        let (claim, batch) = {
-            let mut st = shared.state.lock().expect("service state poisoned");
-            loop {
-                if !(st.formed.is_empty() && st.pending.is_empty()) {
-                    if let Some(bank) = shared.claim_bank(&mut st) {
-                        if st.formed.is_empty() {
-                            // Self-serve: a bank is idle, so by the
-                            // work-conserving rule the oldest pending
-                            // partial ships now, with no former hop and
-                            // no condvar wake.
-                            let key = *st
-                                .pending
-                                .iter()
-                                .min_by_key(|(_, g)| g.oldest)
-                                .map(|(k, _)| k)
-                                .expect("pending non-empty");
-                            shared.flush_locked(&mut st, key, FlushCause::Eager);
-                        }
-                        let batch = st.formed.pop_front().expect("formed non-empty");
-                        st.formed_jobs -= batch.jobs.len();
-                        // Dispatch freed admission-queue space.
-                        shared.admit.notify_all();
-                        let claim = Claim::new(shared, &mut st, bank, batch.jobs.len(), false);
-                        break (claim, batch);
-                    }
-                }
-                // Work still formed here at shutdown has no free bank;
-                // the executors were joined first, so the banks' holders
-                // are workers, which take it when they finish.
-                if st.shutdown && st.drained {
-                    return;
-                }
-                st = shared.work.wait(st).expect("service state poisoned");
-            }
-        };
-        run_claimed(shared, claim, batch);
-    }
-}
-
-/// Runs a dispatched batch on its claimed bank — the one execution path
-/// of worker threads and blocking submitters. A panic inside the batch
-/// stops here: the claim's drop has released the bank, the batch's
-/// tickets resolve as [`ServiceError::Internal`], and the caller keeps
-/// serving.
+/// Runs a claimed batch on its bank. A panic inside the batch stops
+/// here: the claim's drop has released the bank, the batch's tickets
+/// resolve as [`ServiceError::Internal`], and the caller keeps serving.
 fn run_claimed(shared: &Shared, claim: Claim<'_>, batch: FormedBatch) {
     // The default panic hook has already reported the panic; what is
     // left to do was done by the claim's and the fulfillers' drops.
@@ -1062,8 +906,8 @@ fn run_claimed(shared: &Shared, claim: Claim<'_>, batch: FormedBatch) {
 }
 
 /// Executes one formed batch on its claimed bank: per-job outcomes,
-/// detected-fault retry bookkeeping, the bank's release, and the
-/// quarantine decision.
+/// detected-fault retry bookkeeping, the bank's release, the
+/// quarantine decision, and the wake-up of the owners it resolved.
 fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
     let bank = claim.bank;
     let count = batch.jobs.len();
@@ -1073,7 +917,7 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
     for job in batch.jobs {
         pairs.push((job.a, job.b));
         timing.push((job.submitted, job.attempts));
-        claim.tickets.push(job.ticket);
+        claim.tickets.push((job.ticket, job.owner));
     }
 
     let mut accelerators = shared.banks[bank].accelerators();
@@ -1082,8 +926,8 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
         std::collections::hash_map::Entry::Vacant(e) => params_for(key.0, key.1)
             .ok_or(PimError::Math(modmath::Error::InvalidDegree { n: key.0 }))
             .and_then(|p| CryptoPim::new(&p))
-            // Workers run their engine sequentially: the fleet supplies
-            // the host parallelism, and nested fan-out would let worker
+            // Banks run their engine sequentially: the fleet supplies
+            // the host parallelism, and nested fan-out would let bank
             // counts contend for the same cores.
             .map(|acc| {
                 e.insert(
@@ -1105,28 +949,26 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
     let metas = std::mem::take(&mut claim.tickets)
         .into_iter()
         .zip(timing)
-        .map(|(ticket, (submitted, attempts))| (ticket, submitted, attempts));
+        .map(|((ticket, owner), (submitted, attempts))| (ticket, owner, submitted, attempts));
     let done = Instant::now();
 
     let mut requeue: Vec<Job> = Vec::new();
-    let mut fulfilled_at: Vec<Instant> = Vec::with_capacity(count);
-    let mut results: Vec<(Fulfiller<CompletedJob>, Result<CompletedJob, ServiceError>)> =
-        Vec::with_capacity(count);
+    // Ticket, owner, submit time and result of each job the batch resolves.
+    let mut results = Vec::with_capacity(count);
     let mut faults = 0u64;
     let mut recovered = 0u64;
 
     match outcome {
         Ok(outcomes) => {
-            for ((result, (a, b)), (ticket, submitted, attempts)) in
+            for ((result, (a, b)), (ticket, owner, submitted, attempts)) in
                 outcomes.into_iter().zip(pairs).zip(metas)
             {
-                match result {
+                let result = match result {
                     Ok(product) => {
                         if attempts > 1 {
                             recovered += 1;
                         }
-                        fulfilled_at.push(submitted);
-                        results.push((ticket, Ok(CompletedJob { product, attempts })));
+                        Ok(CompletedJob { product, attempts })
                     }
                     Err(PimError::CorruptResult(report)) => {
                         faults += 1;
@@ -1138,60 +980,63 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
                                 a,
                                 b,
                                 ticket,
+                                owner,
                                 submitted,
                                 attempts: attempts + 1,
                             });
-                        } else {
-                            fulfilled_at.push(submitted);
-                            results.push((
-                                ticket,
-                                Err(ServiceError::FaultUnrecovered {
-                                    bank: report.bank,
-                                    attempts,
-                                }),
-                            ));
+                            continue;
                         }
+                        Err(ServiceError::FaultUnrecovered {
+                            bank: report.bank,
+                            attempts,
+                        })
                     }
-                    Err(e) => {
-                        fulfilled_at.push(submitted);
-                        results.push((ticket, Err(ServiceError::Pim(e))));
-                    }
-                }
+                    Err(e) => Err(ServiceError::Pim(e)),
+                };
+                results.push((ticket, owner, submitted, result));
             }
         }
         Err(e) => {
-            for (ticket, submitted, _) in metas {
-                fulfilled_at.push(submitted);
-                results.push((ticket, Err(ServiceError::Pim(e.clone()))));
+            for (ticket, owner, submitted, _) in metas {
+                results.push((ticket, owner, submitted, Err(ServiceError::Pim(e.clone()))));
             }
         }
     }
 
     let retried = requeue.len();
-    {
+    let owners: Vec<Thread> = {
         let mut st = shared.state.lock().expect("service state poisoned");
         claim.release(&mut st);
         st.completed += (count - retried) as u64;
         st.faults_detected += faults;
         st.retries += retried as u64;
         st.recovered += recovered;
-        for submitted in &fulfilled_at {
-            st.hist
-                .record_us(done.duration_since(*submitted).as_micros() as u64);
-        }
         if !requeue.is_empty() {
             st.formed_jobs += retried;
-            st.formed.push_front(FormedBatch { key, jobs: requeue });
-            shared.work.notify_one();
+            st.formed.push_front(FormedBatch {
+                key,
+                jobs: requeue,
+                opener: None,
+            });
         }
         shared.score_bank(&mut st, bank, faults > 0);
-    }
-    // Results reach their tickets only once the batch is counted and
-    // the state lock is released, so a waiter that sees its result also
-    // sees it in `ServiceStats`, and wakes without contending for the
-    // lock.
-    for (ticket, result) in results {
-        ticket.fulfil(result);
+        // Results reach their tickets only once the batch is counted, so
+        // a waiter that sees its result also sees it in `ServiceStats`;
+        // and under the lock, so a round reads its tickets there.
+        results
+            .into_iter()
+            .map(|(ticket, owner, submitted, result)| {
+                st.hist
+                    .record_us(done.duration_since(submitted).as_micros() as u64);
+                ticket.fulfil(result);
+                owner
+            })
+            .collect()
+    };
+    // Owners wake outside the lock, so they do not contend for it.
+    let me = std::thread::current().id();
+    for owner in owners.iter().filter(|o| o.id() != me) {
+        owner.unpark();
     }
 }
 
@@ -1201,23 +1046,17 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
 fn degrade(shared: &Shared, st: &mut State) {
     st.degraded = true;
     let capacity = shared.cfg.queue_capacity;
-    for batch in st.formed.drain(..) {
-        for job in batch.jobs {
-            job.ticket
-                .fulfil(Err(ServiceError::Overloaded { capacity }));
-            st.completed += 1;
-        }
-    }
+    let formed = st.formed.drain(..).flat_map(|batch| batch.jobs);
+    let pending = st.pending.drain().flat_map(|(_, group)| group.jobs);
+    let jobs: Vec<Job> = formed.chain(pending).collect();
+    st.completed += jobs.len() as u64;
     st.formed_jobs = 0;
-    for (_, group) in st.pending.drain() {
-        for job in group.jobs {
-            job.ticket
-                .fulfil(Err(ServiceError::Overloaded { capacity }));
-            st.completed += 1;
-        }
-    }
     st.pending_jobs = 0;
-    shared.former.notify_all();
+    for job in jobs {
+        job.ticket
+            .fulfil(Err(ServiceError::Overloaded { capacity }));
+        job.owner.unpark();
+    }
 }
 
 #[cfg(test)]
@@ -1278,12 +1117,33 @@ mod tests {
         }
     }
 
-    /// Admits one raw leaf pair the way a wide op's earlier lanes are
-    /// admitted: queued for the batch former, run by a worker thread.
+    /// Admits one raw leaf pair on the calling thread and hands its round
+    /// to a spawned thread, which runs it as an op's thread would and
+    /// then resolves the returned ticket. The runner did not open the
+    /// leaf's group, so no batch it runs counts as inline. Admission
+    /// errors return synchronously.
     fn submit(svc: &Service, a: Polynomial, b: Polynomial) -> Result<JobTicket, ServiceError> {
-        admit_leaves(&svc.shared, vec![(a, b)], None)
-            .map(|mut tickets| tickets.remove(0))
-            .map_err(|(_, e)| e)
+        let (done, fulfiller) = ticket();
+        let (hand, handed) = std::sync::mpsc::channel::<Vec<JobTicket>>();
+        let shared = Arc::clone(&svc.shared);
+        let runner = std::thread::spawn(move || {
+            if let Ok(round) = handed.recv() {
+                run_round(&shared, shared.state.lock().unwrap(), &round);
+                let leaf = round.into_iter().next().expect("one leaf");
+                fulfiller.fulfil(leaf.wait());
+            }
+        });
+        let (st, round) = admit(&svc.shared, vec![(a, b)], runner.thread()).map_err(|(_, e)| e)?;
+        drop(st);
+        hand.send(round).expect("the runner waits for its round");
+        Ok(done)
+    }
+
+    /// Shuts `svc` down and checks the drained counters.
+    fn drained(svc: Service) -> ServiceStats {
+        let stats = svc.shutdown();
+        stats.check_drained().expect("drained counters balance");
+        stats
     }
 
     fn poly(n: usize, q: u64, seed: u64) -> Polynomial {
@@ -1311,7 +1171,7 @@ mod tests {
             ArchConfig::packed_lanes(done.product.degree_bound()),
             Ok(64)
         );
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!((stats.batches, stats.mean_occupancy), (1, 1.0));
         assert_eq!(stats.latency_samples, 1, "submit → fulfil recorded");
         assert_eq!(stats.admitted, 1);
@@ -1321,7 +1181,7 @@ mod tests {
 
     #[test]
     fn full_batch_flushes_without_linger() {
-        // 64 lanes at n = 256: with the lone worker saturated (so the
+        // 64 lanes at n = 256: with the lone bank saturated (so the
         // eager path cannot drain singles) and an hour-long linger, 64
         // same-key jobs must still flush — as one full batch.
         let (svc, gate) = gated(ServiceConfig {
@@ -1329,7 +1189,7 @@ mod tests {
             linger: Duration::from_secs(3600),
             ..ServiceConfig::default()
         });
-        let blockers = saturate_one_worker(&svc, 2);
+        let blockers = saturate_one_bank(&svc, 2);
         let q = ParamSet::for_degree(256).unwrap().q;
         let tickets: Vec<JobTicket> = (0..64)
             .map(|k| submit(&svc, poly(256, q, k), poly(256, q, k + 100)).expect("admitted"))
@@ -1341,7 +1201,7 @@ mod tests {
         for b in blockers {
             b.wait().expect("executed");
         }
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.batches, 3, "two blocker batches plus one full batch");
         assert_eq!(
             stats.mean_occupancy,
@@ -1359,7 +1219,7 @@ mod tests {
     #[test]
     fn idle_fleet_flushes_partials_eagerly() {
         // A lone job with an hour-long linger and an idle fleet must
-        // not wait: the work-conserving former ships it immediately.
+        // not wait: its own thread takes the free bank at once.
         let svc = Service::start(ServiceConfig {
             linger: Duration::from_secs(3600),
             ..ServiceConfig::default()
@@ -1367,7 +1227,7 @@ mod tests {
         let q = ParamSet::for_degree(512).unwrap().q;
         let t = submit(&svc, poly(512, q, 3), poly(512, q, 4)).expect("admitted");
         t.wait().expect("executed");
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.batches, 1, "lone job shipped eagerly");
         assert_eq!(stats.eager_batches, 1);
         assert_eq!(stats.lingered_batches, 0);
@@ -1440,18 +1300,18 @@ mod tests {
         (svc, gate)
     }
 
-    /// Occupies the single worker of a [`gated`] `svc` until the test
+    /// Occupies the single bank of a [`gated`] `svc` until the test
     /// opens the gate, so more work can be submitted underneath it.
     /// Degree-32k jobs have exactly one packed lane, so each submit
-    /// forms a *full* batch inline (no former involvement); the first
-    /// one's batch holds the lone bank at the closed gate, and the rest
-    /// wait on the formed queue behind it.
-    fn saturate_one_worker(svc: &Service, count: usize) -> Vec<JobTicket> {
+    /// seals a *full* batch at admission; the first one claimed holds
+    /// the lone bank at the closed gate, and the rest wait on the formed
+    /// queue behind it.
+    fn saturate_one_bank(svc: &Service, count: usize) -> Vec<JobTicket> {
         let q = ParamSet::for_degree(32768).unwrap().q;
         let tickets: Vec<JobTicket> = (0..count as u64)
             .map(|k| submit(svc, poly(32768, q, k), poly(32768, q, k + 9)).expect("admitted"))
             .collect();
-        // Wait until the first batch is actually on the worker. The
+        // Wait until the first batch is actually on the bank. The
         // second condition is a hang-safe escape: if the blockers
         // somehow drained first, the caller's premise assertions fail
         // loudly instead of this loop spinning forever.
@@ -1463,7 +1323,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_expires_then_collects() {
-        // A job stuck behind a saturated single worker times out on a
+        // A job stuck behind a saturated single bank times out on a
         // short wait with a typed error, stays claimable, and resolves
         // to the correct product on a later (patient) wait.
         let (svc, gate) = gated(ServiceConfig {
@@ -1471,7 +1331,7 @@ mod tests {
             linger: Duration::from_nanos(1),
             ..ServiceConfig::default()
         });
-        let blockers = saturate_one_worker(&svc, 2);
+        let blockers = saturate_one_bank(&svc, 2);
         let p = ParamSet::for_degree(256).unwrap();
         use ntt::negacyclic::PolyMultiplier;
         let direct = CryptoPim::new(&p)
@@ -1481,7 +1341,7 @@ mod tests {
         let ticket = submit(&svc, poly(256, p.q, 1), poly(256, p.q, 2)).expect("admitted");
         let err = ticket
             .wait_timeout(Duration::from_millis(1))
-            .expect_err("worker still busy with 32k blockers");
+            .expect_err("bank still busy with 32k blockers");
         assert_eq!(err, ServiceError::WaitTimeout { timeout_ms: 1 });
         gate.open();
         let done = ticket
@@ -1497,7 +1357,7 @@ mod tests {
         for b in blockers {
             b.wait().expect("executed");
         }
-        svc.shutdown();
+        drained(svc);
     }
 
     #[test]
@@ -1507,32 +1367,31 @@ mod tests {
             linger: Duration::from_nanos(1),
             ..ServiceConfig::default()
         });
-        let blockers = saturate_one_worker(&svc, 2);
-        // With the worker busy, this partial cannot flush eagerly; the
-        // already-expired linger deadline flushes it on the former's
-        // next wakeup instead. The bank stays held until that flush has
-        // formed a third batch (or a minute has passed, which fails the
-        // assertion below rather than hanging).
+        let blockers = saturate_one_bank(&svc, 2);
+        // With the bank busy, this partial cannot run eagerly. Its
+        // linger deadline has passed by the time the bank frees, so the
+        // claim that follows seals it as a lingered batch.
         let q = ParamSet::for_degree(1024).unwrap().q;
         let t = submit(&svc, poly(1024, q, 5), poly(1024, q, 6)).expect("admitted");
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while svc.stats().batches < 3 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
+        assert_eq!(
+            svc.stats().queue_depth,
+            2,
+            "a blocker and the partial queue"
+        );
         gate.open();
         t.wait().expect("executed");
         for b in blockers {
             b.wait().expect("executed");
         }
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.lingered_batches, 1, "{stats}");
     }
 
     #[test]
     fn reject_policy_returns_typed_error() {
-        // The leaf queue's bound at two capacities: the job past it
-        // surfaces the typed overload synchronously, and the admitted
-        // ones still complete.
+        // The op bound at two capacities: the op past it surfaces the
+        // typed overload synchronously, and the admitted ones still
+        // complete.
         for capacity in [1, 2] {
             let (svc, gate) = gated(ServiceConfig {
                 workers: 1,
@@ -1541,31 +1400,37 @@ mod tests {
                 linger: Duration::from_secs(3600),
                 ..ServiceConfig::default()
             });
-            // Saturate the worker so the next jobs stay queued: eager
-            // flushing needs idle capacity, and the linger is an hour.
-            // One blocker only — its batch forms inline and is popped by
-            // the worker, so it never counts against the queue bound.
-            let blockers = saturate_one_worker(&svc, 1);
             let q = ParamSet::for_degree(1024).unwrap().q;
-            let admitted: Vec<JobTicket> = (0..capacity as u64)
-                .map(|k| {
-                    submit(&svc, poly(1024, q, 2 * k), poly(1024, q, 2 * k + 1))
-                        .expect("fits the queue")
-                })
+            let mul = |k: u64| ProtocolJob::Mul {
+                a: poly(1024, q, 2 * k),
+                b: poly(1024, q, 2 * k + 1),
+            };
+            // An op nobody waits for is the lone executor's once the
+            // waiter grace has passed; its leaf then holds the lone bank
+            // at the closed gate, so the ops submitted next stay
+            // unclaimed and count against the bound.
+            let blocker = svc.submit_protocol(mul(50)).expect("admitted");
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while svc.stats().in_flight == 0 {
+                assert!(Instant::now() < deadline, "no executor took the blocker");
+                std::thread::yield_now();
+            }
+            let admitted: Vec<_> = (0..capacity as u64)
+                .map(|k| svc.submit_protocol(mul(k)).expect("fits the queue"))
                 .collect();
-            let over = submit(&svc, poly(1024, q, 98), poly(1024, q, 99));
+            let over = svc.submit_protocol(mul(49));
             assert_eq!(over.err(), Some(ServiceError::Overloaded { capacity }));
             let stats = svc.stats();
             assert_eq!(stats.rejected, 1);
             gate.open();
-            let final_stats = svc.shutdown();
+            let final_stats = drained(svc);
             assert_eq!(final_stats.admitted, capacity as u64 + 1);
             assert_eq!(
                 final_stats.completed,
                 capacity as u64 + 1,
                 "drained on shutdown"
             );
-            for t in blockers.into_iter().chain(admitted) {
+            for t in std::iter::once(blocker).chain(admitted) {
                 t.wait().expect("admitted job completes");
             }
         }
@@ -1590,7 +1455,7 @@ mod tests {
             submit(&svc, wrong_q.clone(), wrong_q).err(),
             Some(ServiceError::UnsupportedJob { n: 256, q: 17 })
         );
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.admitted, 0);
     }
 
@@ -1612,7 +1477,7 @@ mod tests {
             .wait()
             .expect("executed");
         assert_eq!(done.product, direct);
-        svc.shutdown();
+        drained(svc);
     }
 
     #[test]
@@ -1641,7 +1506,7 @@ mod tests {
                 right: 128
             })
         );
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.admitted, 0, "nothing queued for a rejected basis");
         assert_eq!(stats.wide_submitted, 0);
     }
@@ -1677,7 +1542,7 @@ mod tests {
             "no wrong recombined answer"
         );
         assert!(done.attempts > 1, "the faulted lane retried");
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.faults_detected, 1);
         assert_eq!(stats.recovered, 1);
         assert_eq!(stats.wide_completed, 1);
@@ -1690,7 +1555,7 @@ mod tests {
         // to submit: drop-based shutdown makes this race-free to test
         // only via the consuming API, so use two services.
         let q = ParamSet::for_degree(256).unwrap().q;
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.admitted, 0);
         let svc2 = Service::start(ServiceConfig::default());
         {
@@ -1727,7 +1592,7 @@ mod tests {
             .expect("recovered on retry");
         assert_eq!(done.product, direct, "recovered product is bit-exact");
         assert_eq!(done.attempts, 2);
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.faults_detected, 1);
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.recovered, 1);
@@ -1737,7 +1602,7 @@ mod tests {
 
     #[test]
     fn permanent_fault_quarantines_and_degrades() {
-        // One worker, permanently corrupt: attempts exhaust into
+        // One bank, permanently corrupt: attempts exhaust into
         // FaultUnrecovered, the bank quarantines, and the degraded
         // service turns new submissions away instead of lying.
         let svc = Service::start(ServiceConfig {
@@ -1770,7 +1635,7 @@ mod tests {
             matches!(refused, Some(ServiceError::Overloaded { .. })),
             "degraded fleet refuses instead of corrupting: {refused:?}"
         );
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.faults_detected, 2, "both attempts flagged");
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.recovered, 0);
@@ -1803,7 +1668,7 @@ mod tests {
                 .expect("served");
             assert_eq!(done.product, direct, "job {k}");
         }
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.completed, 8);
         assert!(stats.quarantined_banks <= 1);
         assert!(stats.active_workers >= 1);
@@ -1833,7 +1698,7 @@ mod tests {
                 .expect("served");
             assert_eq!(done.product, direct, "job {k}");
         }
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert!(stats.hot_hits >= 1, "reused key must hit: {stats}");
         assert!(stats.hot_misses >= 1, "first sight of the key misses");
     }
@@ -1852,7 +1717,7 @@ mod tests {
         let d2 = t2.wait().expect("executed");
         assert_eq!(d1.product.degree_bound(), 256);
         assert_eq!(d2.product.degree_bound(), 512);
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.batches, 2, "parameter keys form separate batches");
     }
 
@@ -1934,7 +1799,7 @@ mod tests {
         assert_eq!(stats.in_flight, 0, "{stats}");
         assert_eq!(stats.completed, 2, "{stats}");
         // The bank rebuilds its engine and serves the same pairs
-        // bit-exact, inline and through a worker.
+        // bit-exact, inline and for a round another thread opened.
         let again = run_leaves(&svc.shared, pairs.clone()).expect("admitted");
         for (r, (a, b)) in again.into_iter().zip(&pairs) {
             assert_eq!(r.expect("served").product, direct(a, b));
@@ -1948,6 +1813,7 @@ mod tests {
         assert_eq!(done.product, want);
         // Shutdown joins every thread: none of them died with the batch.
         let stats = svc.shutdown();
+        stats.check_drained().expect("drained counters balance");
         assert_eq!(stats.inline_batches, 2, "{stats}");
         assert_eq!(stats.in_flight, 0);
         assert_eq!(stats.completed, 5);
@@ -1965,7 +1831,7 @@ mod tests {
         let pairs: Vec<(Polynomial, Polynomial)> = (0..2u64)
             .map(|k| (poly(256, q, k), poly(256, q, k + 30)))
             .collect();
-        // On an idle fleet the worker claims bank 0, whose batch unwinds.
+        // On an idle fleet the runner claims bank 0, whose batch unwinds.
         // The waiter sees its job counted and the bank retired.
         let (a, b) = pairs[0].clone();
         let lost = submit(&svc, a, b).expect("admitted").wait();
@@ -1977,7 +1843,7 @@ mod tests {
         assert_eq!(stats.in_flight, 0, "{stats}");
         assert_eq!(stats.completed, 1, "{stats}");
         assert_eq!(stats.quarantined_banks, 1, "{stats}");
-        // Bank 1 serves everything after, inline and on a worker.
+        // Bank 1 serves everything after, inline and for another opener.
         let results = run_leaves(&svc.shared, pairs.clone()).expect("admitted");
         for (r, (a, b)) in results.into_iter().zip(&pairs) {
             assert_eq!(r.expect("served").product, direct(a, b));
@@ -1990,6 +1856,7 @@ mod tests {
             .expect("served");
         assert_eq!(done.product, want);
         let stats = svc.shutdown();
+        stats.check_drained().expect("drained counters balance");
         assert_eq!(stats.quarantined_banks, 1, "{stats}");
         assert_eq!(stats.completed, 4, "{stats}");
     }
@@ -2098,10 +1965,11 @@ mod tests {
                 ..ServiceConfig::default()
             });
             // A lone op finds every bank idle and runs inline; then the
-            // executors and the worker threads contend.
+            // op threads and the raw leaves' runners contend.
             serve_mixed(&svc, 0, 1);
             serve_mixed(&svc, 16, 6);
             let stats = svc.shutdown();
+            stats.check_drained().expect("drained counters balance");
             assert_eq!(injector.banks_seen.load(Ordering::Relaxed), workers as u64);
             assert!(stats.inline_batches > 0, "workers {workers}: {stats}");
             assert!(
@@ -2123,7 +1991,7 @@ mod tests {
         let balanced = |stats: &ServiceStats| {
             stats.full_batches + stats.lingered_batches + stats.eager_batches == stats.batches
         };
-        // Protocol ops only: the executors run their own leaf batches.
+        // Protocol ops only: the op threads run their own leaf batches.
         let svc = Service::start(ServiceConfig::default());
         serve_mixed(&svc, 0, 4);
         let job = ProtocolJob::scripted(ProtocolKind::WideMul, 256, 3).unwrap();
@@ -2132,13 +2000,14 @@ mod tests {
             svc.submit_protocol(job).unwrap().wait().unwrap().output,
             want
         );
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert!(stats.inline_batches > 0, "{stats}");
         assert!(balanced(&stats), "{stats}");
-        // Raw multiplies only: every batch runs on a worker thread.
+        // Raw leaves only: each runs on a thread that did not open its
+        // group.
         let svc = Service::start(ServiceConfig::default());
         serve_mixed(&svc, 24, 0);
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert!(stats.batches > 0);
         assert_eq!(stats.inline_batches, 0, "{stats}");
         assert!(balanced(&stats), "{stats}");
@@ -2148,10 +2017,10 @@ mod tests {
     fn leaf_rounds_finish_under_a_full_block_queue_on_one_bank() {
         use crate::graph::ProtocolKind;
         use std::sync::mpsc;
-        // Pairs admitted one by one — more pairs than the queue holds,
-        // or a wide op's residue lanes, whose keys differ — must not
-        // hold a bank while a later pair waits for queue space: with
-        // one bank nothing else could drain the queue.
+        // A round's pairs — more of them than the op queue holds, or a
+        // wide op's residue lanes, whose keys differ — are admitted under
+        // one lock with no leaf bound to wait on, so with one bank and a
+        // one-op queue every round still finishes.
         let (done, finished) = mpsc::channel();
         std::thread::spawn(move || {
             let svc = Service::start(ServiceConfig {
@@ -2201,6 +2070,7 @@ mod tests {
         let stats = finished
             .recv_timeout(Duration::from_secs(60))
             .expect("leaf rounds and raw load finish on one bank");
+        stats.check_drained().expect("drained counters balance");
         assert_eq!(stats.in_flight, 0, "{stats}");
         assert_eq!(stats.admitted, stats.completed, "{stats}");
     }
@@ -2258,7 +2128,7 @@ mod tests {
         assert_eq!(stats.faults_detected, 1, "{stats}");
         let bank0_ops = injector.ops_begun(0);
         assert_eq!(bank0_ops, 1, "one job ran on bank 0");
-        // Later work, inline and on workers, is served by bank 1 alone
+        // Later work, inline and for other openers, is served by bank 1 alone
         // and never lands on bank 0.
         serve_mixed(&svc, 8, 4);
         assert_eq!(
@@ -2267,6 +2137,7 @@ mod tests {
             "quarantined bank reclaimed"
         );
         let stats = svc.shutdown();
+        stats.check_drained().expect("drained counters balance");
         assert_eq!(stats.active_workers, 1);
         assert_eq!(stats.faults_detected, 1, "{stats}");
     }

@@ -4,7 +4,7 @@
 //! The histogram uses power-of-two microsecond buckets (bucket `i`
 //! covers `[2^i, 2^{i+1})` µs, with bucket 0 absorbing sub-µs jobs and
 //! the last bucket absorbing everything past ~2147 s). Fixed buckets
-//! keep recording O(1) and allocation-free on the worker hot path; the
+//! keep recording O(1) and allocation-free on the batch hot path; the
 //! price is that a reported percentile is the *upper bound* of its
 //! bucket, i.e. conservative by at most 2×. That resolution is plenty
 //! for the linger/occupancy trade-off the scheduler exposes, where the
@@ -66,14 +66,16 @@ impl LatencyHistogram {
 /// [`crate::Service::stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// Jobs admitted but not yet handed to a superbank worker
-    /// (pending in the batch former plus formed-but-unclaimed).
+    /// Leaf jobs admitted but not yet running on a bank (pending in a
+    /// group plus formed-but-unclaimed).
     pub queue_depth: usize,
-    /// Jobs currently executing on the worker fleet.
+    /// Leaf jobs currently running on a bank.
     pub in_flight: usize,
-    /// Jobs accepted by `submit` since startup.
+    /// Leaf jobs admitted since startup (a protocol op's multiply nodes,
+    /// a wide op's residue lanes).
     pub admitted: u64,
-    /// Jobs turned away by the `Reject` backpressure policy.
+    /// Ops turned away by the `Reject` backpressure policy, plus leaf
+    /// jobs a degraded fleet refused.
     pub rejected: u64,
     /// Jobs whose tickets have been fulfilled (success or failure).
     pub completed: u64,
@@ -87,10 +89,10 @@ pub struct ServiceStats {
     /// Partial batches flushed immediately because a bank was idle
     /// with nothing queued (the work-conserving path).
     pub eager_batches: u64,
-    /// Batches run by the submitter that formed them rather than by a
-    /// worker thread: a graph executor whose eager flush found a bank
-    /// idle claims it and runs its own leaf batch. Orthogonal to the
-    /// flush cause, so `full + lingered + eager == batches` still holds.
+    /// Batches run by the thread whose leaf round opened them, rather
+    /// than by another op's thread while the opener was parked.
+    /// Orthogonal to the flush cause, so `full + lingered + eager ==
+    /// batches` still holds.
     pub inline_batches: u64,
     /// Mean jobs per flushed batch — the realized packed-lane occupancy
     /// (1.0 means no packing; the `32k/n` capacity is the ceiling).
@@ -105,7 +107,7 @@ pub struct ServiceStats {
     pub recovered: u64,
     /// Banks removed from the fleet by the quarantine policy.
     pub quarantined_banks: usize,
-    /// Workers still serving (configured fleet minus quarantined).
+    /// Banks still serving (configured fleet minus quarantined).
     pub active_workers: usize,
     /// Hot-operand transform cache lookups that found the operand's
     /// forward NTT (0 when the cache is disabled).
@@ -216,6 +218,61 @@ impl ServiceStats {
         } else {
             self.hot_hits as f64 / lookups as f64
         }
+    }
+
+    /// Checks the counter identities every snapshot satisfies, since
+    /// the scheduler updates each group of them in one critical
+    /// section: every admitted leaf job is completed, in flight or
+    /// queued; every batch has one flush cause; and no protocol lane
+    /// has finished more ops than were submitted.
+    ///
+    /// # Errors
+    ///
+    /// The first identity that does not hold, with its values.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.check(false)
+    }
+
+    /// [`ServiceStats::check_invariants`] plus what holds once
+    /// [`crate::Service::shutdown`] has drained: no leaf job queued or
+    /// in flight, and every submitted op completed or failed.
+    ///
+    /// # Errors
+    ///
+    /// The first identity that does not hold, with its values.
+    pub fn check_drained(&self) -> Result<(), String> {
+        self.check(true)
+    }
+
+    fn check(&self, drained: bool) -> Result<(), String> {
+        let unfinished = self.in_flight as u64 + self.queue_depth as u64;
+        if self.admitted != self.completed + unfinished || (drained && unfinished > 0) {
+            return Err(format!(
+                "admitted {}: completed {} + in flight {} + queued {}",
+                self.admitted, self.completed, self.in_flight, self.queue_depth
+            ));
+        }
+        let caused = self.full_batches + self.lingered_batches + self.eager_batches;
+        if caused != self.batches || self.inline_batches > self.batches {
+            return Err(format!(
+                "batches {}: {} full + {} lingered + {} eager, {} inline",
+                self.batches,
+                self.full_batches,
+                self.lingered_batches,
+                self.eager_batches,
+                self.inline_batches
+            ));
+        }
+        for lane in &self.protocol {
+            let finished = lane.completed + lane.failed;
+            if lane.submitted < finished || (drained && lane.submitted != finished) {
+                return Err(format!(
+                    "proto {}: submitted {}, completed {} + failed {}",
+                    lane.kind, lane.submitted, lane.completed, lane.failed
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Serializes the snapshot as one flat JSON object — the single
@@ -413,20 +470,7 @@ impl std::fmt::Display for ServiceStats {
                 100.0 * self.hot_hits as f64 / (self.hot_hits + self.hot_misses) as f64
             )?;
         }
-        if self.wide_submitted > 0 {
-            writeln!(
-                f,
-                "wide jobs: {} submitted, {} completed, {} failed",
-                self.wide_submitted, self.wide_completed, self.wide_failed
-            )?;
-            if self.wide_latency_samples > 0 {
-                writeln!(
-                    f,
-                    "wide latency p50 ≤ {:.0} µs, p95 ≤ {:.0} µs, p99 ≤ {:.0} µs ({} samples)",
-                    self.wide_p50_us, self.wide_p95_us, self.wide_p99_us, self.wide_latency_samples
-                )?;
-            }
-        }
+        // The wide lane prints once, as "proto wide_mul".
         for lane in &self.protocol {
             if lane.submitted == 0 {
                 continue;
@@ -543,6 +587,58 @@ mod tests {
             wide_p99_us: 16384.0,
             protocol,
         }
+    }
+
+    #[test]
+    fn invariants_hold_on_a_balanced_snapshot_and_name_a_broken_one() {
+        let stats = fixture_stats();
+        assert_eq!(stats.check_invariants(), Ok(()));
+        // Three jobs queued, two in flight: not a drained snapshot.
+        assert!(stats.check_drained().unwrap_err().contains("queued 3"));
+        let mut lost = stats.clone();
+        lost.completed -= 1;
+        assert!(lost.check_invariants().unwrap_err().contains("admitted"));
+        let mut uncaused = stats.clone();
+        uncaused.eager_batches += 1;
+        assert!(uncaused.check_invariants().unwrap_err().contains("batches"));
+        let mut early = stats.clone();
+        early.protocol[2].completed += 1;
+        assert!(early.check_invariants().unwrap_err().contains("submitted"));
+        let mut drained = stats;
+        drained.completed += 5;
+        drained.queue_depth = 0;
+        drained.in_flight = 0;
+        assert_eq!(drained.check_drained(), Ok(()));
+        // An op still unfinished after the drain.
+        drained.protocol[2].submitted += 1;
+        assert_eq!(drained.check_invariants(), Ok(()));
+        assert!(drained
+            .check_drained()
+            .unwrap_err()
+            .contains("submitted 13"));
+    }
+
+    #[test]
+    fn display_prints_the_wide_lane_once() {
+        let mut stats = fixture_stats();
+        let wide = crate::graph::ProtocolKind::WideMul as usize;
+        stats.protocol[wide] = ProtocolLaneStats {
+            kind: stats.protocol[wide].kind,
+            submitted: stats.wide_submitted,
+            completed: stats.wide_completed,
+            failed: stats.wide_failed,
+            latency_samples: stats.wide_latency_samples,
+            p50_us: stats.wide_p50_us,
+            p95_us: stats.wide_p95_us,
+            p99_us: stats.wide_p99_us,
+        };
+        let text = stats.to_string();
+        assert_eq!(
+            text.matches("40 submitted, 38 completed").count(),
+            1,
+            "{text}"
+        );
+        assert!(text.contains("proto wide_mul: 40 submitted"), "{text}");
     }
 
     #[test]

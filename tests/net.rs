@@ -4,13 +4,11 @@
 //! corrupt), and hostile bytes on the wire must never take the server
 //! down.
 
-use modmath::params::ParamSet;
 use net::client::{Client, NetError};
 use net::drive::{self, DriveConfig, DriveError, DriveReport, Transport, Workload};
 use net::server::{Server, ServerConfig, TenantConfig};
 use net::wire::{self, ErrorCode, Frame, JobState};
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
-use ntt::poly::Polynomial;
 use pim::fault::{Injector, WritePath};
 use service::workload::generate_jobs;
 use service::{ServiceConfig, ServiceStats};
@@ -251,53 +249,111 @@ fn hostile_bytes_do_not_kill_the_server() {
     server.shutdown();
 }
 
+/// Test injector state: every bank's ops wait at `begin_op` until the
+/// test opens the gate, so a multiply holds its bank for exactly as
+/// long as the test needs.
+#[derive(Debug, Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: std::sync::Condvar,
+}
+
+#[derive(Debug)]
+struct GatePath {
+    bank: u32,
+    gate: Arc<Gate>,
+}
+
+#[derive(Debug)]
+struct GateInjector(Arc<Gate>);
+
+/// Opens the gate when dropped, so a failed assertion never leaves a
+/// bank held while the server drains.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        *self.0.open.lock().unwrap() = true;
+        self.0.opened.notify_all();
+    }
+}
+
+impl Injector for GateInjector {
+    fn bank_writes(&self, bank: u32) -> Arc<dyn WritePath> {
+        Arc::new(GatePath {
+            bank,
+            gate: Arc::clone(&self.0),
+        })
+    }
+}
+
+impl WritePath for GatePath {
+    fn armed(&self) -> bool {
+        !*self.gate.open.lock().unwrap()
+    }
+    fn begin_op(&self) {
+        let open = self.gate.open.lock().unwrap();
+        drop(self.gate.opened.wait_while(open, |open| !*open).unwrap());
+    }
+    fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
+        value
+    }
+    fn bank(&self) -> u32 {
+        self.bank
+    }
+    fn suspect_block(&self) -> Option<u32> {
+        None
+    }
+}
+
 /// A `Wait` that times out returns a typed `WaitTimeout` frame and the
 /// job stays claimable by a later `Wait`.
 #[test]
 fn wait_timeout_over_tcp_keeps_job_claimable() {
+    let gate = Arc::new(Gate::default());
     let server = start_server(
         one_tenant(8),
         ServiceConfig {
             workers: 1,
+            injector: Some(Arc::new(GateInjector(Arc::clone(&gate)))),
             ..ServiceConfig::default()
         },
     );
+    // Declared after the server, so it opens the gate before the server
+    // drains.
+    let gate = OpenOnDrop(gate);
     let (mut client, _, _) = Client::connect(server.local_addr(), "alpha-token").unwrap();
 
-    // Occupy the single worker with large segmented multiplies so the
-    // probe job sits in the queue long enough to observe a timeout.
-    let q = ParamSet::for_degree(32768).expect("segmented params").q;
-    let blocker = |k: u64| {
-        let coeffs: Vec<u64> = (0..32768u64).map(|i| (i * 37 + k) % q).collect();
-        Polynomial::from_coeffs(coeffs, q).expect("blocker operand")
-    };
-    for id in 0..2u64 {
-        client
-            .submit(
-                100 + id,
-                q,
-                blocker(id).into_coeffs(),
-                blocker(id + 9).into_coeffs(),
-            )
-            .expect("blocker admitted");
-    }
-    let (a, b) = generate_jobs(31, 1, &[64]).pop().unwrap();
+    // The one bank's write path is gated shut, so neither the blocker
+    // nor the probe can finish before the test opens it, whichever
+    // thread claims them.
+    let mut jobs = generate_jobs(31, 2, &[64]);
+    let (a, b) = jobs.pop().unwrap();
+    let (blocker_a, blocker_b) = jobs.pop().unwrap();
     let expected = NttMultiplier::for_degree_modulus(64, a.modulus())
         .unwrap()
         .multiply(&a, &b)
         .unwrap();
     client
+        .submit(
+            100,
+            blocker_a.modulus(),
+            blocker_a.into_coeffs(),
+            blocker_b.into_coeffs(),
+        )
+        .expect("blocker admitted");
+    client
         .submit(7, a.modulus(), a.into_coeffs(), b.into_coeffs())
         .expect("probe admitted");
 
-    // A zero-timeout Wait polls: the probe still sits behind the
-    // blockers, so it times out however fast an optimized build runs a
-    // multiply (a 1-ms wait could outlast them).
+    // A zero-timeout Wait only polls, and the probe cannot be done.
     let err = client.wait(7, 0).unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::WaitTimeout));
-    // Still claimable — and correct — once the workers get to it.
+    // Still claimable — and correct — once the bank runs again.
+    drop(gate);
     let done = client.wait(7, 120_000).expect("probe completes");
     assert_eq!(done.product, expected.into_coeffs());
+    client.wait(100, 120_000).expect("blocker completes");
     server.shutdown();
 }
 
@@ -865,7 +921,7 @@ impl WritePath for NamePath {
 
 /// On an idle one-bank server a `Submit` then `Wait` runs the multiply
 /// on the connection's handler thread, which claims the idle bank for
-/// its batch, never on a superbank worker thread. A graph executor may
+/// its batch itself. A graph executor may
 /// win the claim now and then (a `Wait` later than the waiter grace),
 /// so the test asks for one op run on the handler among a few.
 #[test]

@@ -9,9 +9,20 @@ use modmath::params::ParamSet;
 use ntt::negacyclic::NttMultiplier;
 use proptest::prelude::*;
 use reliability::plan::FaultPlan;
-use service::{Backpressure, ProtocolJob, ProtocolKind, ProtocolOutput, Service, ServiceConfig};
+use service::{
+    Backpressure, ProtocolJob, ProtocolKind, ProtocolOutput, Service, ServiceConfig, ServiceStats,
+};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Shuts `svc` down and checks that its drained counters balance.
+fn drained(svc: Service) -> ServiceStats {
+    let stats = svc.shutdown();
+    if let Err(e) = stats.check_drained() {
+        panic!("{e}\n{stats}");
+    }
+    stats
+}
 
 fn fleet(workers: usize) -> Service {
     Service::start(ServiceConfig {
@@ -56,7 +67,7 @@ proptest! {
                 prop_assert_eq!(&done.output, want, "kind {} fleet {}", kind, workers);
                 prop_assert!(done.nodes >= 1);
             }
-            svc.shutdown();
+            drained(svc);
         }
     }
 }
@@ -92,7 +103,7 @@ fn kem_handshake_through_graph_recovers_shared_secret() {
         "served decapsulation recovers the sender's shared secret"
     );
     assert_ne!(sender_secret, [0u8; 32], "secret is non-trivial");
-    svc.shutdown();
+    drained(svc);
 }
 
 /// Sign then Verify through the graph round-trips: a signature produced
@@ -136,7 +147,7 @@ fn sign_verify_round_trips_through_graph() {
         .wait()
         .expect("served verify of tampered message");
     assert_eq!(rejected.output, ProtocolOutput::Verdict(false));
-    svc.shutdown();
+    drained(svc);
 }
 
 /// SHE-Mul through the graph matches the plaintext product: decrypting
@@ -153,7 +164,7 @@ fn she_mul_through_graph_matches_plaintext_product() {
         .expect("served she");
     assert_eq!(served.output, direct);
     assert_eq!(served.nodes, 2, "u·p and v·p, paired");
-    svc.shutdown();
+    drained(svc);
 }
 
 /// Cross-tenant batching: many concurrent protocol ops at one ring pack
@@ -163,7 +174,6 @@ fn she_mul_through_graph_matches_plaintext_product() {
 fn concurrent_protocol_ops_share_batches() {
     let svc = Service::start(ServiceConfig {
         workers: 2,
-        protocol_workers: 4,
         linger: Duration::from_millis(2),
         backpressure: Backpressure::Block,
         ..ServiceConfig::default()
@@ -190,7 +200,7 @@ fn concurrent_protocol_ops_share_batches() {
     for (ticket, want) in tickets.into_iter().zip(expected) {
         assert_eq!(ticket.wait().expect("completes").output, want);
     }
-    let stats = svc.shutdown();
+    let stats = drained(svc);
     assert!(
         stats.mean_occupancy > 1.0,
         "inner multiplies of concurrent ops pack together (mean occupancy {})",
@@ -206,7 +216,6 @@ fn concurrent_protocol_ops_share_batches() {
 fn injected_node_fault_recovers_without_failing_protocol_op() {
     let svc = Service::start(ServiceConfig {
         workers: 1,
-        protocol_workers: 2,
         linger: Duration::ZERO,
         check: CheckPolicy::Recompute,
         max_attempts: 6,
@@ -236,7 +245,7 @@ fn injected_node_fault_recovers_without_failing_protocol_op() {
         );
         worst_attempts = worst_attempts.max(done.attempts);
     }
-    let stats = svc.shutdown();
+    let stats = drained(svc);
     assert!(
         stats.faults_detected >= 1,
         "campaign injected at least one detected fault"

@@ -110,7 +110,7 @@ proptest! {
 }
 
 /// Fleet size is a throughput knob for wide jobs too: the same wide
-/// stream served by 1, 2, or 4 superbank workers recombines to
+/// stream served by 1, 2, or 4 superbanks recombines to
 /// identical products, and every wide job completes.
 #[test]
 fn wide_products_identical_across_fleet_sizes() {

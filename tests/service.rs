@@ -16,12 +16,22 @@ use pim::fault::{Injector, WritePath};
 use proptest::prelude::*;
 use service::workload::generate_jobs;
 use service::{
-    Backpressure, ProtocolJob, ProtocolOutput, ProtocolTicket, Service, ServiceConfig, ServiceError,
+    Backpressure, ProtocolJob, ProtocolOutput, ProtocolTicket, Service, ServiceConfig,
+    ServiceError, ServiceStats,
 };
 
 /// Submits `a · b` as a one-node `Mul` op.
 fn submit(svc: &Service, a: Polynomial, b: Polynomial) -> Result<ProtocolTicket, ServiceError> {
     svc.submit_protocol(ProtocolJob::Mul { a, b })
+}
+
+/// Shuts `svc` down and checks that its drained counters balance.
+fn drained(svc: Service) -> ServiceStats {
+    let stats = svc.shutdown();
+    if let Err(e) = stats.check_drained() {
+        panic!("{e}\n{stats}");
+    }
+    stats
 }
 
 /// The product a `Mul` op's ticket resolves to.
@@ -74,12 +84,12 @@ proptest! {
         for (ticket, want) in tickets.into_iter().zip(expected) {
             prop_assert_eq!(product(ticket), want);
         }
-        svc.shutdown();
+        drained(svc);
     }
 }
 
 /// Fleet size is a throughput knob, not a correctness knob: the same
-/// stream served by 1, 2, or 4 superbank workers produces identical
+/// stream served by 1, 2, or 4 superbanks produces identical
 /// products, and every admitted job completes.
 #[test]
 fn products_identical_across_fleet_sizes() {
@@ -98,7 +108,7 @@ fn products_identical_across_fleet_sizes() {
         for (ticket, want) in tickets.into_iter().zip(expected.iter()) {
             assert_eq!(&product(ticket), want, "fleet of {workers} diverged");
         }
-        let stats = svc.shutdown();
+        let stats = drained(svc);
         assert_eq!(stats.completed, 48, "fleet of {workers} lost jobs");
         assert_eq!(stats.rejected, 0);
     }
@@ -175,7 +185,6 @@ fn reject_policy_surfaces_typed_overload() {
     let gate = Arc::new(GateInjector::default());
     let svc = Service::start(ServiceConfig {
         workers: 1,
-        protocol_workers: 1,
         queue_capacity: 2,
         backpressure: Backpressure::Reject,
         linger: Duration::from_secs(3600),
@@ -206,7 +215,7 @@ fn reject_policy_surfaces_typed_overload() {
     );
     assert_eq!(svc.stats().rejected, 1);
     drop(gate);
-    let stats = svc.shutdown();
+    let stats = drained(svc);
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.completed, 3);
     product(blocker);
@@ -244,7 +253,7 @@ fn block_policy_never_drops_under_overload() {
             });
         }
     });
-    let stats = svc.shutdown();
+    let stats = drained(svc);
     assert_eq!(stats.admitted, (CLIENTS * JOBS_PER_CLIENT) as u64);
     assert_eq!(stats.completed, stats.admitted, "Block policy dropped jobs");
     assert_eq!(stats.rejected, 0);
@@ -268,7 +277,7 @@ fn shutdown_drains_every_admitted_job() {
         .iter()
         .map(|(a, b)| submit(&svc, a.clone(), b.clone()).expect("admitted"))
         .collect();
-    let stats = svc.shutdown();
+    let stats = drained(svc);
     assert_eq!(stats.completed, 30);
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.in_flight, 0);
