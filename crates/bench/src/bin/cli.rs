@@ -92,7 +92,7 @@ fn usage() -> ! {
          \x20             [--min-speedup X]                           exit 1 below the modeled fleet speedup gate\n\
          \x20 serve-loadgen [--seed N] [--ops N] [--degrees A,B]      seeded load driver; every op bit-verified\n\
          \x20             [--clients C] [--window W] [--rate R]        C clients × W outstanding, paced at R ops/s\n\
-         \x20             [--workers S] [--queue-cap N] [--linger-us U] S banks, S backstop executors\n\
+         \x20             [--workers S] [--queue-cap N]               S banks, S backstop executors\n\
          \x20             [--backpressure block|reject]\n\
          \x20             [--check off|residue[:points[:seed]]|recompute]\n\
          \x20             [--hot-keys K] [--hot-capacity N]            reuse K seeded `a` keys; hot cache size\n\
@@ -105,7 +105,7 @@ fn usage() -> ! {
          \x20             [--json] [--out PATH]\n\
          \x20 serve       --listen ADDR --token T [--quota N]         TCP front end; serves until Shutdown\n\
          \x20             [--op-token T] [--max-conns N] [--max-wait-ms N]\n\
-         \x20             [--workers S] [--queue-cap N] [--linger-us U] [--check ...]\n\
+         \x20             [--workers S] [--queue-cap N] [--check ...]\n\
          \x20 fault-campaign [--seed N] [--degrees A,B] [--rates R1,R2]\n\
          \x20             [--kinds stuck0,stuck1,transient,wearout]\n\
          \x20             [--jobs N] [--points P] [--max-attempts N]\n\
@@ -874,7 +874,6 @@ fn run_serve_loadgen(args: &[String]) {
     let rate = parse_f64("--rate");
     let workers = parse_num("--workers", 2).max(1) as usize;
     let queue_cap = parse_num("--queue-cap", 4096).max(1) as usize;
-    let linger_us = parse_num("--linger-us", 500);
     let backpressure = match opt(args, "--backpressure").as_deref() {
         None | Some("block") => Backpressure::Block,
         Some("reject") => Backpressure::Reject,
@@ -908,7 +907,6 @@ fn run_serve_loadgen(args: &[String]) {
         workers,
         queue_capacity: queue_cap,
         backpressure,
-        linger: Duration::from_micros(linger_us),
         check,
         hot_capacity,
         ..ServiceConfig::default()
@@ -982,7 +980,7 @@ fn run_serve_loadgen(args: &[String]) {
     println!(
         "serve-loadgen: {transport_label}, {workload_label}; seed {seed}, {ops} ops over n ∈ {:?}, \
          {clients} clients × window {window}{}, {workers} banks + {workers} \
-         backstop executors, queue {queue_cap} ({backpressure:?}), linger {linger_us} µs, \
+         backstop executors, queue {queue_cap} ({backpressure:?}), \
          check {check_arg}, hot capacity {hot_capacity}",
         config.degrees,
         rate.map_or(String::new(), |r| format!(" at {r} ops/s")),
@@ -1075,7 +1073,6 @@ fn run_serve_loadgen(args: &[String]) {
         ));
         out.push_str(&format!("  \"workers\": {workers},\n"));
         out.push_str(&format!("  \"queue_capacity\": {queue_cap},\n"));
-        out.push_str(&format!("  \"linger_us\": {linger_us},\n"));
         out.push_str(&format!("  \"check\": \"{check_arg}\",\n"));
         out.push_str(&format!("  \"hot_capacity\": {hot_capacity},\n"));
         out.push_str(&format!("  \"total\": {{ {} }},\n", tally(t)));
@@ -1499,7 +1496,6 @@ fn run_serve(args: &[String]) {
     let quota = parse_num("--quota", 64).max(1) as usize;
     let workers = parse_num("--workers", 2).max(1) as usize;
     let queue_cap = parse_num("--queue-cap", 4096).max(2) as usize;
-    let linger_us = parse_num("--linger-us", 500);
     let max_conns = parse_num("--max-conns", 256).max(1) as usize;
     let max_wait_ms = parse_num("--max-wait-ms", 30_000).max(1);
     let hot_keys = parse_num("--hot-keys", 0) as usize;
@@ -1530,7 +1526,6 @@ fn run_serve(args: &[String]) {
         service: ServiceConfig {
             workers,
             queue_capacity: queue_cap,
-            linger: Duration::from_micros(linger_us),
             check,
             hot_capacity: hot_keys,
             ..ServiceConfig::default()

@@ -684,7 +684,6 @@ mod tests {
     fn in_process(workers: usize) -> ServiceConfig {
         ServiceConfig {
             workers,
-            linger: Duration::from_micros(200),
             ..ServiceConfig::default()
         }
     }
@@ -815,7 +814,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 4,
                 backpressure: Backpressure::Reject,
-                linger: Duration::from_millis(2),
                 ..ServiceConfig::default()
             }),
         })

@@ -10,7 +10,7 @@
 //! one thread than split across several.
 //!
 //! Execution runs on the lazily-initialized persistent pool in
-//! [`crate::pool`]: the first parallel region spawns its workers, every
+//! the crate's `pool` module: the first parallel region spawns its workers, every
 //! later region reuses them, so `Threads::Fixed(k)` pays no OS thread
 //! spawn per region (the pre-pool [`std::thread::scope`] design did,
 //! tens of µs per scope). Still `std`-only — no external

@@ -175,7 +175,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed `usize` or a
+    /// Length specification for [`vec()`]: a fixed `usize` or a
     /// `Range<usize>` sampled per case.
     pub trait IntoLenRange {
         /// Draws a concrete length.

@@ -47,7 +47,7 @@ use service::{
     ServiceStats,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Fault families a campaign can sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -700,7 +700,6 @@ fn serve_cell(
     let svc = Service::start(ServiceConfig {
         workers: 1,
         backpressure: Backpressure::Block,
-        linger: Duration::ZERO,
         check: CheckPolicy::Recompute,
         max_attempts,
         quarantine_after,

@@ -45,7 +45,7 @@ pub enum ServiceError {
         /// Degree of the right operand.
         right: usize,
     },
-    /// An accelerator-level failure while executing the formed batch.
+    /// An accelerator-level failure while executing the job's batch.
     Pim(PimError),
     /// [`crate::Ticket::wait_timeout`] gave up before the job
     /// completed. The job is still queued or executing — the ticket

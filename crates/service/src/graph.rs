@@ -25,7 +25,7 @@
 //! submits and waits at once, so its op runs on its own thread and no
 //! executor is woken for it. Executors run the ops no waiter has come
 //! for: one queued behind another unclaimed op (a client's window, or a
-//! concurrent submitter) at once, any other after [`WAITER_GRACE`] (a
+//! concurrent submitter) at once, any other after `WAITER_GRACE` (a
 //! dropped ticket, or a waiter that is late). Every op runs through the
 //! same `run_protocol`, with the same unwind guard and stats.
 //!

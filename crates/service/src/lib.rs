@@ -12,11 +12,11 @@
 //!   product is the one-node [`ProtocolJob::Mul`] op) behind a bounded
 //!   queue with a configurable [`Backpressure`] policy (`Block` or
 //!   `Reject`), so overload degrades gracefully instead of OOMing;
-//! * a **batch former** that groups pending jobs by `(n, q)` parameter
-//!   key and flushes when a group reaches the packed-lane capacity
-//!   (`32k/n`, from [`cryptopim::arch::ArchConfig`]) *or* a max-linger
-//!   deadline expires — the latency/occupancy trade-off of the paper's
-//!   packing model, made explicit as [`ServiceConfig::linger`];
+//! * a **batch former**: one oldest-first queue of groups, each of
+//!   jobs sharing an `(n, q)` parameter key and at most the packed-lane
+//!   capacity (`32k/n`, from [`cryptopim::arch::ArchConfig`]) of them; a
+//!   free bank takes the front group as it stands, so jobs pack while
+//!   every bank is busy and never wait on an idle one;
 //! * a fleet of virtual **superbanks**, each claimed for one batch at a
 //!   time by a thread running an op (its waiter or one of the
 //!   `workers` backstop executors, the only threads the service

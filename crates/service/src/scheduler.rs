@@ -2,14 +2,13 @@
 //! fleet, all run by the threads whose leaves they are.
 //!
 //! ```text
-//!  protocol op ── run_leaves: admit the round's ──► pending groups ──► formed batches
-//!  (its waiter or  leaf pairs under one lock        (by (n, q); sealed  (FIFO; retries
-//!   a backstop          │                            full at admission,  at the front)
-//!   executor)           │                            or past linger)          │
-//!       ▲               ▼                                                     │
-//!       │   loop until the round's leaves resolve: free bank and queued work? │
-//!       │     yes → claim the bank, run the oldest formed batch (else the     │
-//!       │           oldest pending group) ◄──────────────────────────────────┘
+//!  protocol op ── run_leaves: admit the round's ──► one queue of groups, oldest first
+//!  (its waiter or  leaf pairs under one lock        (a pair joins the newest open
+//!   a backstop          │                            group of its (n, q); retries
+//!   executor)           │                            at the front)     │
+//!       ▲               ▼                                              │
+//!       │   loop until the round's leaves resolve: free bank and queued work?
+//!       │     yes → claim the bank, run the front group ◄──────────────┘
 //!       │     no  → park until a batch resolves a leaf of the round, or a
 //!       │           finished round hands over a free bank
 //!       └──── the round's leaf results
@@ -20,18 +19,19 @@
 //! [`crate::ProtocolJob::Mul`], and the thread running that op sits in
 //! `run_leaves` until its leaves resolve. That thread is the one that
 //! runs batches: after admitting its pairs it loops, and in each pass it
-//! either claims a free bank for queued work — the oldest formed batch,
-//! or failing that the oldest pending group — or it parks. The batch it
-//! runs may be its own or another op's; a leaf of another op that it
-//! resolves wakes that op's thread. No thread exists only to run
-//! batches or to keep a clock.
+//! either claims a free bank for the oldest queued group or parks. The
+//! batch it runs may be its own or another op's; a leaf of another op
+//! that it resolves wakes that op's thread. No thread exists only to
+//! run batches or to keep a clock.
 //!
-//! **Forming.** Jobs are grouped by `(n, q)`. A group is sealed *full*
-//! when it reaches the packed-lane capacity, *lingered* once its oldest
-//! job is past [`ServiceConfig::linger`], and *eager* when a free bank
-//! takes it before then. A linger deadline is sealed lazily, at
-//! admission and at claim time — the only two points where a seal can
-//! be observed (a job joining a group, a bank picking work).
+//! **Forming.** Queued jobs wait in one queue of groups, oldest first.
+//! A pair joins the newest group of its `(n, q)` key while that group is
+//! below the packed-lane capacity, and otherwise opens a group at the
+//! back; reaching capacity is the only seal, and admission reads no
+//! clock. A free bank takes the front group as it stands: a *full*
+//! batch if it reached capacity, an *eager* one otherwise. A
+//! detected-fault retry goes to the front as a group that takes no new
+//! job.
 //!
 //! **Banks are claimed, not owned.** The `S` superbanks live in the
 //! shared state, each with its accelerators and its fault-injector
@@ -53,16 +53,18 @@
 //! the queued leaves never outnumber four times the threads running
 //! ops: the waiters that claimed an op, plus the `workers` backstop
 //! executors. The op admission bound ([`ServiceConfig::queue_capacity`])
-//! is the one bound.
+//! is the one bound. For the same reason no group waits on a deadline:
+//! a saturated service queues at the op bound, and a group that waits
+//! for a free bank packs whatever joins it meanwhile.
 //!
 //! **Correctness contract.** Batching is a pure throughput mechanism:
 //! every product is computed by the verified engine path
 //! ([`cryptopim::batch::multiply_batch_products`] → `Engine`), each job
 //! independently of its batch-mates, so products are bit-identical to a
-//! direct [`CryptoPim::multiply`] of the same pair for any fleet size,
-//! linger setting, or arrival order. `tests/service.rs` pins this with
-//! a randomized mixed-degree proptest and a fleet-size determinism
-//! sweep.
+//! direct [`CryptoPim::multiply`](ntt::negacyclic::PolyMultiplier::multiply)
+//! of the same pair for any fleet size or arrival order.
+//! `tests/service.rs` pins this with a randomized mixed-degree proptest
+//! and a fleet-size determinism sweep.
 
 use crate::error::ServiceError;
 use crate::stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
@@ -82,7 +84,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{JoinHandle, Thread, ThreadId};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What op admission does once [`ServiceConfig::queue_capacity`] ops
 /// are admitted and not yet claimed by a waiter or an executor.
@@ -117,13 +119,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Policy when the op queue is full.
     pub backpressure: Backpressure,
-    /// How long a partial batch may wait for batch-mates before it is
-    /// sealed anyway. Batch forming is work-conserving: a free bank
-    /// takes a partial batch at once regardless of this setting — linger
-    /// only delays jobs once every bank is busy, which is exactly when
-    /// waiting buys packed-lane occupancy (§III-D) for free. Larger
-    /// values trade saturated-load latency for occupancy.
-    pub linger: Duration,
     /// Result-integrity policy every bank applies to every product
     /// ([`CheckPolicy::Residue`] enables the cheap probabilistic
     /// residue screen, [`CheckPolicy::Recompute`] the sound software
@@ -135,7 +130,7 @@ pub struct ServiceConfig {
     pub check: CheckPolicy,
     /// Execution attempts per job before a detected-corrupt result is
     /// surfaced as [`ServiceError::FaultUnrecovered`] (min 1). Retries
-    /// requeue the job at the front of the formed queue, so transient
+    /// requeue the job at the front of the batch queue, so transient
     /// faults recover with one extra batch trip.
     pub max_attempts: u32,
     /// Consecutive faulted batches after which a bank is
@@ -164,7 +159,6 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 4096,
             backpressure: Backpressure::Block,
-            linger: Duration::from_micros(500),
             check: CheckPolicy::Disabled,
             max_attempts: 3,
             quarantine_after: 3,
@@ -205,30 +199,13 @@ struct Job {
     attempts: u32,
 }
 
+/// Queued same-key jobs, run as one batch by the bank that claims them.
 struct Group {
-    jobs: Vec<Job>,
-    oldest: Instant,
-    /// The thread whose admission opened the group.
-    opener: ThreadId,
-}
-
-struct FormedBatch {
     key: ParamKey,
     jobs: Vec<Job>,
-    /// The thread that opened the batch's group; `None` for a retry.
+    /// The thread whose admission opened the group; `None` for a retry,
+    /// which takes no new job.
     opener: Option<ThreadId>,
-}
-
-/// Why a group was sealed into a batch.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FlushCause {
-    /// Reached the packed-lane capacity.
-    Full,
-    /// Oldest job passed the linger deadline.
-    Linger,
-    /// A free bank took the group before its deadline — waiting would
-    /// have wasted hardware.
-    Eager,
 }
 
 /// One virtual superbank: its accelerators and its view of the fault
@@ -334,10 +311,9 @@ impl Drop for Claim<'_> {
 }
 
 pub(crate) struct State {
-    pending: HashMap<ParamKey, Group>,
-    pending_jobs: usize,
-    formed: VecDeque<FormedBatch>,
-    formed_jobs: usize,
+    /// Groups waiting for a bank, oldest first.
+    queue: VecDeque<Group>,
+    queued_jobs: usize,
     in_flight: usize,
     /// Per-bank claim flag: the bank is running a batch.
     bank_busy: Vec<bool>,
@@ -353,7 +329,6 @@ pub(crate) struct State {
     completed: u64,
     batches: u64,
     full_batches: u64,
-    lingered_batches: u64,
     eager_batches: u64,
     /// Batches run by the thread that opened their group.
     inline_batches: u64,
@@ -376,12 +351,6 @@ pub(crate) struct State {
     /// Per-kind protocol lane accumulators, indexed by
     /// [`crate::graph::ProtocolKind`] discriminant.
     pub(crate) proto_lanes: Vec<ProtoLane>,
-}
-
-impl State {
-    fn has_queued_work(&self) -> bool {
-        !(self.formed.is_empty() && self.pending.is_empty())
-    }
 }
 
 /// Per-kind protocol counters (one per [`crate::graph::ProtocolKind`]).
@@ -414,48 +383,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Seals the pending group of `key` into a batch and counts it.
-    fn form_locked(st: &mut State, key: ParamKey, cause: FlushCause) -> Option<FormedBatch> {
-        let group = st.pending.remove(&key)?;
-        let count = group.jobs.len();
-        st.pending_jobs -= count;
-        st.batches += 1;
-        st.occupancy_jobs += count as u64;
-        match cause {
-            FlushCause::Full => st.full_batches += 1,
-            FlushCause::Linger => st.lingered_batches += 1,
-            FlushCause::Eager => st.eager_batches += 1,
-        }
-        Some(FormedBatch {
-            key,
-            jobs: group.jobs,
-            opener: Some(group.opener),
-        })
-    }
-
-    /// Seals the pending group of `key` onto the formed queue.
-    fn flush_locked(st: &mut State, key: ParamKey, cause: FlushCause) {
-        if let Some(batch) = Self::form_locked(st, key, cause) {
-            st.formed_jobs += batch.jobs.len();
-            st.formed.push_back(batch);
-        }
-    }
-
-    /// Seals every pending group whose oldest job is past the linger
-    /// deadline: it takes no more jobs, and queues behind the batches
-    /// already formed.
-    fn seal_expired(&self, st: &mut State, now: Instant) {
-        let expired: Vec<ParamKey> = st
-            .pending
-            .iter()
-            .filter(|(_, g)| now.duration_since(g.oldest) >= self.cfg.linger)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in expired {
-            Self::flush_locked(st, key, FlushCause::Linger);
-        }
-    }
-
     /// Scores a finished batch against its bank's quarantine streak:
     /// `quarantine_after` consecutive faulted batches retire the bank;
     /// a clean batch resets the streak.
@@ -485,36 +412,31 @@ impl Shared {
     }
 
     /// The one claim path: when a bank is free and work is queued, marks
-    /// the bank busy and takes the oldest formed batch, or failing that
-    /// seals the oldest pending group. Groups past their linger deadline
-    /// are sealed first, so they queue in deadline order.
-    fn claim_work(&self, st: &mut State, me: ThreadId) -> Option<(Claim<'_>, FormedBatch)> {
-        if !st.has_queued_work() {
+    /// the bank busy and takes the front group. A retry group is not
+    /// counted again as a batch.
+    fn claim_work(&self, st: &mut State, me: ThreadId) -> Option<(Claim<'_>, Group)> {
+        if st.queue.is_empty() {
             return None;
         }
         let bank = self.free_bank(st)?;
-        self.seal_expired(st, Instant::now());
-        let batch = match st.formed.pop_front() {
-            Some(batch) => {
-                st.formed_jobs -= batch.jobs.len();
-                batch
+        let group = st.queue.pop_front().expect("queued work");
+        let count = group.jobs.len();
+        st.queued_jobs -= count;
+        if let Some(opener) = group.opener {
+            st.batches += 1;
+            st.occupancy_jobs += count as u64;
+            if count >= lanes(group.key) {
+                st.full_batches += 1;
+            } else {
+                st.eager_batches += 1;
             }
-            None => {
-                let key = *st
-                    .pending
-                    .iter()
-                    .min_by_key(|(_, g)| g.oldest)
-                    .map(|(k, _)| k)
-                    .expect("queued work is pending when none is formed");
-                Self::form_locked(st, key, FlushCause::Eager).expect("pending group")
+            if opener == me {
+                st.inline_batches += 1;
             }
-        };
-        if batch.opener == Some(me) {
-            st.inline_batches += 1;
         }
         st.bank_busy[bank] = true;
-        let claim = Claim::new(self, st, bank, batch.jobs.len());
-        Some((claim, batch))
+        let claim = Claim::new(self, st, bank, count);
+        Some((claim, group))
     }
 }
 
@@ -573,10 +495,8 @@ impl Service {
         let workers = config.workers;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                pending: HashMap::new(),
-                pending_jobs: 0,
-                formed: VecDeque::new(),
-                formed_jobs: 0,
+                queue: VecDeque::new(),
+                queued_jobs: 0,
                 in_flight: 0,
                 bank_busy: vec![false; workers],
                 parked: VecDeque::new(),
@@ -586,7 +506,6 @@ impl Service {
                 completed: 0,
                 batches: 0,
                 full_batches: 0,
-                lingered_batches: 0,
                 eager_batches: 0,
                 inline_batches: 0,
                 occupancy_jobs: 0,
@@ -702,12 +621,8 @@ impl Drop for Service {
     }
 }
 
-/// Validates one leaf pair, resolving its batch-formation key and the
-/// packed-lane capacity at its degree.
-pub(crate) fn validate_leaf(
-    a: &Polynomial,
-    b: &Polynomial,
-) -> Result<(ParamKey, usize), ServiceError> {
+/// Validates one leaf pair, resolving its batch-formation key.
+pub(crate) fn validate_leaf(a: &Polynomial, b: &Polynomial) -> Result<ParamKey, ServiceError> {
     let n = a.degree_bound();
     if b.degree_bound() != n {
         return Err(ServiceError::PairMismatch {
@@ -721,13 +636,19 @@ pub(crate) fn validate_leaf(
     if b.modulus() != params.q {
         return Err(ServiceError::UnsupportedJob { n, q: b.modulus() });
     }
-    let lanes = ArchConfig::packed_lanes(n).expect("validated degree");
-    Ok(((n, params.q), lanes))
+    Ok((n, params.q))
+}
+
+/// The packed-lane capacity of a batch of `key`'s jobs: `32k/n`
+/// (§III-D).
+fn lanes((n, _): ParamKey) -> usize {
+    ArchConfig::packed_lanes(n).expect("validated degree")
 }
 
 /// One leaf round of a running protocol op: admits `pairs` under one
-/// state-lock acquisition — pairs of one `(n, q)` key join one group,
-/// so an op's independent inner products ride one batch — then runs
+/// state-lock acquisition — pairs of one `(n, q)` key join one group up
+/// to its capacity, so an op's independent inner products ride one
+/// batch — then runs
 /// queued batches on the calling thread until every pair has resolved
 /// (module docs).
 ///
@@ -777,30 +698,35 @@ fn admit<'a>(
         ));
     }
     let now = Instant::now();
-    // A group past its deadline takes no new job.
-    shared.seal_expired(&mut st, now);
     st.admitted += count as u64;
-    st.pending_jobs += count;
+    st.queued_jobs += count;
     let opener = std::thread::current().id();
-    for (((a, b), ticket), (key, lanes)) in pairs.into_iter().zip(fulfillers).zip(keys) {
-        let group = st.pending.entry(key).or_insert_with(|| Group {
-            jobs: Vec::with_capacity(lanes),
-            oldest: now,
-            opener,
-        });
-        group.jobs.push(Job {
+    for (((a, b), ticket), key) in pairs.into_iter().zip(fulfillers).zip(keys) {
+        let job = Job {
             a,
             b,
             ticket,
             owner: owner.clone(),
             submitted: now,
             attempts: 1,
-        });
-        if group.jobs.len() >= lanes {
-            // Full-occupancy batch: sealed at once, no linger paid. (A
-            // round crossing the lane boundary splits here, never
-            // overfilling a batch past the packed-lane capacity.)
-            Shared::flush_locked(&mut st, key, FlushCause::Full);
+        };
+        let capacity = lanes(key);
+        // Only the newest group of a key can be open: an older one is
+        // full or a retry. A round crossing the lane boundary opens a
+        // new group, never overfilling one past the capacity.
+        match st.queue.iter_mut().rev().find(|g| g.key == key) {
+            Some(group) if group.opener.is_some() && group.jobs.len() < capacity => {
+                group.jobs.push(job);
+            }
+            _ => {
+                let mut jobs = Vec::with_capacity(capacity);
+                jobs.push(job);
+                st.queue.push_back(Group {
+                    key,
+                    jobs,
+                    opener: Some(opener),
+                });
+            }
         }
     }
     Ok((st, tickets))
@@ -816,7 +742,7 @@ fn run_round<'a>(shared: &'a Shared, mut st: MutexGuard<'a, State>, round: &[Job
         if round.iter().all(Ticket::is_done) {
             // Hand-off: queued work and a free bank go to a parked owner,
             // woken outside the lock.
-            let free = st.has_queued_work() && shared.free_bank(&st).is_some();
+            let free = !st.queue.is_empty() && shared.free_bank(&st).is_some();
             let next = if free { st.parked.pop_front() } else { None };
             drop(st);
             if let Some(next) = next {
@@ -843,14 +769,13 @@ fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
     // The wide lane is the `WideMul` protocol lane.
     let wide = &st.proto_lanes[crate::graph::ProtocolKind::WideMul as usize];
     ServiceStats {
-        queue_depth: st.pending_jobs + st.formed_jobs,
+        queue_depth: st.queued_jobs,
         in_flight: st.in_flight,
         admitted: st.admitted,
         rejected: st.rejected,
         completed: st.completed,
         batches: st.batches,
         full_batches: st.full_batches,
-        lingered_batches: st.lingered_batches,
         eager_batches: st.eager_batches,
         inline_batches: st.inline_batches,
         mean_occupancy: if st.batches == 0 {
@@ -899,16 +824,16 @@ fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
 /// Runs a claimed batch on its bank. A panic inside the batch stops
 /// here: the claim's drop has released the bank, the batch's tickets
 /// resolve as [`ServiceError::Internal`], and the caller keeps serving.
-fn run_claimed(shared: &Shared, claim: Claim<'_>, batch: FormedBatch) {
+fn run_claimed(shared: &Shared, claim: Claim<'_>, batch: Group) {
     // The default panic hook has already reported the panic; what is
     // left to do was done by the claim's and the fulfillers' drops.
     let _ = panic::catch_unwind(AssertUnwindSafe(|| run_batch(shared, claim, batch)));
 }
 
-/// Executes one formed batch on its claimed bank: per-job outcomes,
+/// Executes one claimed group as a batch on its bank: per-job outcomes,
 /// detected-fault retry bookkeeping, the bank's release, the
 /// quarantine decision, and the wake-up of the owners it resolved.
-fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
+fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: Group) {
     let bank = claim.bank;
     let count = batch.jobs.len();
     let key = batch.key;
@@ -974,8 +899,8 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
                         faults += 1;
                         if attempts < shared.cfg.max_attempts {
                             // Requeue at the front: the retry beats any
-                            // newly formed work, bounding its added
-                            // latency to one batch trip per attempt.
+                            // queued group, bounding its added latency
+                            // to one batch trip per attempt.
                             requeue.push(Job {
                                 a,
                                 b,
@@ -1012,8 +937,8 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
         st.retries += retried as u64;
         st.recovered += recovered;
         if !requeue.is_empty() {
-            st.formed_jobs += retried;
-            st.formed.push_front(FormedBatch {
+            st.queued_jobs += retried;
+            st.queue.push_front(Group {
                 key,
                 jobs: requeue,
                 opener: None,
@@ -1046,12 +971,9 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: FormedBatch) {
 fn degrade(shared: &Shared, st: &mut State) {
     st.degraded = true;
     let capacity = shared.cfg.queue_capacity;
-    let formed = st.formed.drain(..).flat_map(|batch| batch.jobs);
-    let pending = st.pending.drain().flat_map(|(_, group)| group.jobs);
-    let jobs: Vec<Job> = formed.chain(pending).collect();
+    let jobs: Vec<Job> = st.queue.drain(..).flat_map(|group| group.jobs).collect();
     st.completed += jobs.len() as u64;
-    st.formed_jobs = 0;
-    st.pending_jobs = 0;
+    st.queued_jobs = 0;
     for job in jobs {
         job.ticket
             .fulfil(Err(ServiceError::Overloaded { capacity }));
@@ -1066,6 +988,7 @@ mod tests {
     use modmath::crt::RnsBasis;
     use pim::fault::{Injector, WritePath as WritePathTrait};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     /// Test injector: bank 0 corrupts bit 15 of the first premul write
     /// for its first `bad_ops` operations (`u64::MAX` = forever); other
@@ -1180,13 +1103,12 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_flushes_without_linger() {
+    fn full_batch_flushes_at_capacity() {
         // 64 lanes at n = 256: with the lone bank saturated (so the
-        // eager path cannot drain singles) and an hour-long linger, 64
-        // same-key jobs must still flush — as one full batch.
+        // eager path cannot drain singles), 64 same-key jobs fill one
+        // group and run as one full batch.
         let (svc, gate) = gated(ServiceConfig {
             workers: 1,
-            linger: Duration::from_secs(3600),
             ..ServiceConfig::default()
         });
         let blockers = saturate_one_bank(&svc, 2);
@@ -1213,31 +1135,26 @@ mod tests {
             "32k blockers are full single-lane batches"
         );
         assert_eq!(stats.eager_batches, 0);
-        assert_eq!(stats.lingered_batches, 0);
     }
 
     #[test]
     fn idle_fleet_flushes_partials_eagerly() {
-        // A lone job with an hour-long linger and an idle fleet must
-        // not wait: its own thread takes the free bank at once.
-        let svc = Service::start(ServiceConfig {
-            linger: Duration::from_secs(3600),
-            ..ServiceConfig::default()
-        });
+        // A lone job on an idle fleet must not wait for batch-mates: its
+        // own thread takes the free bank at once.
+        let svc = Service::start(ServiceConfig::default());
         let q = ParamSet::for_degree(512).unwrap().q;
         let t = submit(&svc, poly(512, q, 3), poly(512, q, 4)).expect("admitted");
         t.wait().expect("executed");
         let stats = drained(svc);
         assert_eq!(stats.batches, 1, "lone job shipped eagerly");
         assert_eq!(stats.eager_batches, 1);
-        assert_eq!(stats.lingered_batches, 0);
     }
 
     /// Test injector: every bank's ops wait at `begin_op` until the test
-    /// opens the gate, so a batch holds its bank for exactly as long as
-    /// the test needs rather than for however long its multiply takes.
-    /// The paths are armed only while the gate is closed: once it opens,
-    /// banks run the fast datapath again.
+    /// permits them or opens the gate, so a batch holds its bank for
+    /// exactly as long as the test needs rather than for however long
+    /// its multiply takes. The paths are armed only until the gate
+    /// opens: then banks run the fast datapath again.
     #[derive(Debug, Default)]
     struct GateInjector {
         gate: Arc<Gate>,
@@ -1245,8 +1162,9 @@ mod tests {
 
     #[derive(Debug, Default)]
     struct Gate {
-        open: Mutex<bool>,
-        opened: Condvar,
+        /// Ops that may still begin; `u64::MAX` once the gate is open.
+        permits: Mutex<u64>,
+        changed: Condvar,
     }
 
     #[derive(Debug)]
@@ -1257,8 +1175,14 @@ mod tests {
 
     impl GateInjector {
         fn open(&self) {
-            *self.gate.open.lock().unwrap() = true;
-            self.gate.opened.notify_all();
+            self.permit(u64::MAX);
+        }
+
+        /// Lets `ops` more ops (one per batch lane) begin.
+        fn permit(&self, ops: u64) {
+            let mut permits = self.gate.permits.lock().unwrap();
+            *permits = permits.saturating_add(ops);
+            self.gate.changed.notify_all();
         }
     }
 
@@ -1273,11 +1197,14 @@ mod tests {
 
     impl WritePathTrait for GatePath {
         fn armed(&self) -> bool {
-            !*self.gate.open.lock().unwrap()
+            *self.gate.permits.lock().unwrap() != u64::MAX
         }
         fn begin_op(&self) {
-            let open = self.gate.open.lock().unwrap();
-            drop(self.gate.opened.wait_while(open, |open| !*open).unwrap());
+            let permits = self.gate.permits.lock().unwrap();
+            let mut permits = self.gate.changed.wait_while(permits, |p| *p == 0).unwrap();
+            if *permits != u64::MAX {
+                *permits -= 1;
+            }
         }
         fn store(&self, _block: u32, _row: u32, value: u64) -> u64 {
             value
@@ -1303,9 +1230,9 @@ mod tests {
     /// Occupies the single bank of a [`gated`] `svc` until the test
     /// opens the gate, so more work can be submitted underneath it.
     /// Degree-32k jobs have exactly one packed lane, so each submit
-    /// seals a *full* batch at admission; the first one claimed holds
-    /// the lone bank at the closed gate, and the rest wait on the formed
-    /// queue behind it.
+    /// opens a group that is full at once; the first one claimed holds
+    /// the lone bank at the closed gate, and the rest wait in the queue
+    /// behind it.
     fn saturate_one_bank(svc: &Service, count: usize) -> Vec<JobTicket> {
         let q = ParamSet::for_degree(32768).unwrap().q;
         let tickets: Vec<JobTicket> = (0..count as u64)
@@ -1328,7 +1255,6 @@ mod tests {
         // to the correct product on a later (patient) wait.
         let (svc, gate) = gated(ServiceConfig {
             workers: 1,
-            linger: Duration::from_nanos(1),
             ..ServiceConfig::default()
         });
         let blockers = saturate_one_bank(&svc, 2);
@@ -1361,30 +1287,68 @@ mod tests {
     }
 
     #[test]
-    fn linger_holds_partials_while_fleet_saturated() {
+    fn saturated_fleet_packs_a_waiting_group() {
         let (svc, gate) = gated(ServiceConfig {
             workers: 1,
-            linger: Duration::from_nanos(1),
             ..ServiceConfig::default()
         });
-        let blockers = saturate_one_bank(&svc, 2);
-        // With the bank busy, this partial cannot run eagerly. Its
-        // linger deadline has passed by the time the bank frees, so the
-        // claim that follows seals it as a lingered batch.
+        let blocker = saturate_one_bank(&svc, 1);
+        // With the bank busy, the first partial cannot run eagerly, so
+        // the second same-key job joins its group.
         let q = ParamSet::for_degree(1024).unwrap().q;
-        let t = submit(&svc, poly(1024, q, 5), poly(1024, q, 6)).expect("admitted");
+        let tickets: Vec<JobTicket> = (0..2)
+            .map(|k| submit(&svc, poly(1024, q, k), poly(1024, q, k + 5)).expect("admitted"))
+            .collect();
         assert_eq!(
             svc.stats().queue_depth,
             2,
-            "a blocker and the partial queue"
+            "both partials queue in one group"
         );
         gate.open();
-        t.wait().expect("executed");
-        for b in blockers {
-            b.wait().expect("executed");
+        for t in tickets.into_iter().chain(blocker) {
+            t.wait().expect("executed");
         }
         let stats = drained(svc);
-        assert_eq!(stats.lingered_batches, 1, "{stats}");
+        assert_eq!(stats.batches, 2, "the blocker, then one packed batch");
+        assert_eq!(stats.mean_occupancy, (1.0 + 2.0) / 2.0, "{stats}");
+        assert_eq!(stats.eager_batches, 1, "{stats}");
+    }
+
+    #[test]
+    fn oldest_group_runs_first_across_keys() {
+        let (svc, gate) = gated(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let blocker = saturate_one_bank(&svc, 1);
+        // Under the held bank, a partial n = 256 group queues first,
+        // then an n = 32k group that is full with its one job.
+        let q256 = ParamSet::for_degree(256).unwrap().q;
+        let q32k = ParamSet::for_degree(32768).unwrap().q;
+        let older = submit(&svc, poly(256, q256, 1), poly(256, q256, 2)).expect("admitted");
+        let newer = submit(&svc, poly(32768, q32k, 3), poly(32768, q32k, 4)).expect("admitted");
+        assert_eq!(svc.stats().queue_depth, 2);
+        // The blocker's one lane runs; the next batch claimed then holds
+        // the bank at the gate, so the queue stands still.
+        gate.permit(1);
+        let deadline = Instant::now() + Duration::from_secs(300);
+        while !blocker[0].is_done() || svc.stats().in_flight == 0 {
+            assert!(Instant::now() < deadline, "no second batch claimed");
+            std::thread::yield_now();
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.queue_depth, stats.in_flight), (1, 1), "{stats}");
+        assert_eq!(
+            (stats.full_batches, stats.eager_batches),
+            (1, 1),
+            "the older partial group runs before the newer full one: {stats}"
+        );
+        gate.open();
+        for t in [older, newer].into_iter().chain(blocker) {
+            t.wait().expect("executed");
+        }
+        let stats = drained(svc);
+        assert_eq!((stats.full_batches, stats.eager_batches), (2, 1), "{stats}");
     }
 
     #[test]
@@ -1397,7 +1361,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: capacity,
                 backpressure: Backpressure::Reject,
-                linger: Duration::from_secs(3600),
                 ..ServiceConfig::default()
             });
             let q = ParamSet::for_degree(1024).unwrap().q;
@@ -1705,10 +1668,7 @@ mod tests {
 
     #[test]
     fn mixed_keys_never_share_a_batch() {
-        let svc = Service::start(ServiceConfig {
-            linger: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        });
+        let svc = Service::start(ServiceConfig::default());
         let q256 = ParamSet::for_degree(256).unwrap().q;
         let q512 = ParamSet::for_degree(512).unwrap().q;
         let t1 = submit(&svc, poly(256, q256, 1), poly(256, q256, 2)).expect("admitted");
@@ -1976,10 +1936,7 @@ mod tests {
                 stats.inline_batches < stats.batches,
                 "raw jobs ran on workers: {stats}"
             );
-            assert_eq!(
-                stats.full_batches + stats.lingered_batches + stats.eager_batches,
-                stats.batches
-            );
+            assert_eq!(stats.full_batches + stats.eager_batches, stats.batches);
             assert_eq!(stats.in_flight, 0);
             assert_eq!(stats.admitted, stats.completed);
         }
@@ -1988,9 +1945,8 @@ mod tests {
     #[test]
     fn inline_batches_count_only_submitter_run_batches() {
         use crate::graph::ProtocolKind;
-        let balanced = |stats: &ServiceStats| {
-            stats.full_batches + stats.lingered_batches + stats.eager_batches == stats.batches
-        };
+        let balanced =
+            |stats: &ServiceStats| stats.full_batches + stats.eager_batches == stats.batches;
         // Protocol ops only: the op threads run their own leaf batches.
         let svc = Service::start(ServiceConfig::default());
         serve_mixed(&svc, 0, 4);

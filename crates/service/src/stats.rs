@@ -7,8 +7,8 @@
 //! keep recording O(1) and allocation-free on the batch hot path; the
 //! price is that a reported percentile is the *upper bound* of its
 //! bucket, i.e. conservative by at most 2×. That resolution is plenty
-//! for the linger/occupancy trade-off the scheduler exposes, where the
-//! interesting differences are order-of-magnitude.
+//! for the queueing and occupancy effects the scheduler exposes, where
+//! the interesting differences are order-of-magnitude.
 
 /// Number of power-of-two buckets (covers 1 µs .. ~2147 s).
 const BUCKETS: usize = 32;
@@ -66,8 +66,8 @@ impl LatencyHistogram {
 /// [`crate::Service::stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// Leaf jobs admitted but not yet running on a bank (pending in a
-    /// group plus formed-but-unclaimed).
+    /// Leaf jobs admitted but not yet running on a bank (queued in a
+    /// group).
     pub queue_depth: usize,
     /// Leaf jobs currently running on a bank.
     pub in_flight: usize,
@@ -79,22 +79,19 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Jobs whose tickets have been fulfilled (success or failure).
     pub completed: u64,
-    /// Batches flushed to the fleet.
+    /// Batches claimed by a bank (a retry's extra trip is not counted).
     pub batches: u64,
-    /// Batches flushed because they reached the packed-lane capacity.
+    /// Batches whose group reached the packed-lane capacity.
     pub full_batches: u64,
-    /// Batches flushed by the max-linger deadline (partial occupancy,
-    /// fleet saturated).
-    pub lingered_batches: u64,
-    /// Partial batches flushed immediately because a bank was idle
-    /// with nothing queued (the work-conserving path).
+    /// Partial batches a free bank took before they filled (the
+    /// work-conserving path).
     pub eager_batches: u64,
     /// Batches run by the thread whose leaf round opened them, rather
     /// than by another op's thread while the opener was parked.
-    /// Orthogonal to the flush cause, so `full + lingered + eager ==
-    /// batches` still holds.
+    /// Orthogonal to fullness, so `full + eager == batches` still
+    /// holds.
     pub inline_batches: u64,
-    /// Mean jobs per flushed batch — the realized packed-lane occupancy
+    /// Mean jobs per batch — the realized packed-lane occupancy
     /// (1.0 means no packing; the `32k/n` capacity is the ceiling).
     pub mean_occupancy: f64,
     /// Corrupt products flagged by residue checking (each is either
@@ -223,7 +220,7 @@ impl ServiceStats {
     /// Checks the counter identities every snapshot satisfies, since
     /// the scheduler updates each group of them in one critical
     /// section: every admitted leaf job is completed, in flight or
-    /// queued; every batch has one flush cause; and no protocol lane
+    /// queued; every batch is either full or eager; and no protocol lane
     /// has finished more ops than were submitted.
     ///
     /// # Errors
@@ -252,15 +249,12 @@ impl ServiceStats {
                 self.admitted, self.completed, self.in_flight, self.queue_depth
             ));
         }
-        let caused = self.full_batches + self.lingered_batches + self.eager_batches;
-        if caused != self.batches || self.inline_batches > self.batches {
+        if self.full_batches + self.eager_batches != self.batches
+            || self.inline_batches > self.batches
+        {
             return Err(format!(
-                "batches {}: {} full + {} lingered + {} eager, {} inline",
-                self.batches,
-                self.full_batches,
-                self.lingered_batches,
-                self.eager_batches,
-                self.inline_batches
+                "batches {}: {} full + {} eager, {} inline",
+                self.batches, self.full_batches, self.eager_batches, self.inline_batches
             ));
         }
         for lane in &self.protocol {
@@ -295,7 +289,7 @@ impl ServiceStats {
             concat!(
                 "{{\"queue_depth\": {}, \"in_flight\": {}, \"admitted\": {}, ",
                 "\"rejected\": {}, \"completed\": {}, \"batches\": {}, ",
-                "\"full_batches\": {}, \"lingered_batches\": {}, \"eager_batches\": {}, ",
+                "\"full_batches\": {}, \"eager_batches\": {}, ",
                 "\"inline_batches\": {}, \"mean_occupancy\": {}, \"faults_detected\": {}, \"retries\": {}, ",
                 "\"recovered\": {}, \"quarantined_banks\": {}, \"active_workers\": {}, ",
                 "\"hot_hits\": {}, \"hot_misses\": {}, \"latency_samples\": {}"
@@ -307,7 +301,6 @@ impl ServiceStats {
             self.completed,
             self.batches,
             self.full_batches,
-            self.lingered_batches,
             self.eager_batches,
             self.inline_batches,
             self.mean_occupancy,
@@ -408,7 +401,6 @@ impl ServiceStats {
             completed: u64_field(text, "completed")?,
             batches: u64_field(text, "batches")?,
             full_batches: u64_field(text, "full_batches")?,
-            lingered_batches: u64_field(text, "lingered_batches")?,
             eager_batches: u64_field(text, "eager_batches")?,
             inline_batches: u64_field(text, "inline_batches")?,
             mean_occupancy: f64_field(text, "mean_occupancy")?,
@@ -444,10 +436,9 @@ impl std::fmt::Display for ServiceStats {
         )?;
         writeln!(
             f,
-            "batches {} ({} full, {} lingered, {} eager; {} run inline) | mean occupancy {:.2} jobs/batch",
+            "batches {} ({} full, {} eager; {} run inline) | mean occupancy {:.2} jobs/batch",
             self.batches,
             self.full_batches,
-            self.lingered_batches,
             self.eager_batches,
             self.inline_batches,
             self.mean_occupancy
@@ -563,8 +554,7 @@ mod tests {
             completed: 995,
             batches: 120,
             full_batches: 80,
-            lingered_batches: 10,
-            eager_batches: 30,
+            eager_batches: 40,
             inline_batches: 25,
             mean_occupancy: 1.0 / 3.0, // not exactly representable in decimal
             faults_detected: 5,

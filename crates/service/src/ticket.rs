@@ -13,7 +13,7 @@
 //! A ticket may also carry its job's queued work ([`Claim`]): a waiting
 //! thread then runs the job itself if no other thread has claimed it
 //! yet, instead of sleeping until one does. Ops carry it; leaf
-//! multiplies, which run only as part of a formed batch, do not.
+//! multiplies, which run only as part of a batch, do not.
 
 use crate::error::ServiceError;
 use std::fmt;

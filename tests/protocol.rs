@@ -13,7 +13,6 @@ use service::{
     Backpressure, ProtocolJob, ProtocolKind, ProtocolOutput, Service, ServiceConfig, ServiceStats,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Shuts `svc` down and checks that its drained counters balance.
 fn drained(svc: Service) -> ServiceStats {
@@ -27,7 +26,6 @@ fn drained(svc: Service) -> ServiceStats {
 fn fleet(workers: usize) -> Service {
     Service::start(ServiceConfig {
         workers,
-        linger: Duration::from_micros(200),
         backpressure: Backpressure::Block,
         ..ServiceConfig::default()
     })
@@ -174,7 +172,6 @@ fn she_mul_through_graph_matches_plaintext_product() {
 fn concurrent_protocol_ops_share_batches() {
     let svc = Service::start(ServiceConfig {
         workers: 2,
-        linger: Duration::from_millis(2),
         backpressure: Backpressure::Block,
         ..ServiceConfig::default()
     });
@@ -216,7 +213,6 @@ fn concurrent_protocol_ops_share_batches() {
 fn injected_node_fault_recovers_without_failing_protocol_op() {
     let svc = Service::start(ServiceConfig {
         workers: 1,
-        linger: Duration::ZERO,
         check: CheckPolicy::Recompute,
         max_attempts: 6,
         quarantine_after: u32::MAX,

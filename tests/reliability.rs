@@ -14,7 +14,6 @@ use service::{
     ProtocolCompleted, ProtocolJob, ProtocolOutput, Service, ServiceConfig, ServiceError,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Serves `a · b` as a one-node `Mul` op, unwrapping a failed node to
 /// its inner error.
@@ -71,7 +70,6 @@ fn permanent_fault_exhausts_attempts_then_degrades_to_overloaded() {
     let b = rand_poly(256, params.q, 2);
     let svc = Service::start(ServiceConfig {
         workers: 1,
-        linger: Duration::ZERO,
         check: CheckPolicy::Recompute,
         max_attempts: 2,
         // Two faulted batches to quarantine, so the retry still runs
@@ -117,7 +115,6 @@ fn surviving_bank_absorbs_work_bit_exact() {
     let sw = NttMultiplier::new(&params).expect("paper parameters");
     let svc = Service::start(ServiceConfig {
         workers: 2,
-        linger: Duration::ZERO,
         check: CheckPolicy::Recompute,
         max_attempts: 3,
         quarantine_after: 1,

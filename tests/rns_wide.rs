@@ -4,8 +4,6 @@
 //! and the fleet-sharded path through the scheduler must be a pure
 //! throughput knob — same products for any worker count.
 
-use std::time::Duration;
-
 use modmath::crt::RnsBasis;
 use ntt::rns::{self, RnsMultiplier};
 use proptest::prelude::*;
@@ -92,7 +90,6 @@ proptest! {
         let expected = mult.multiply(&a, &b).expect("sequential loop");
         let svc = Service::start(ServiceConfig {
             workers: 2,
-            linger: Duration::from_micros(200),
             ..ServiceConfig::default()
         });
         let done = svc
@@ -127,7 +124,6 @@ fn wide_products_identical_across_fleet_sizes() {
     for workers in [1usize, 2, 4] {
         let svc = Service::start(ServiceConfig {
             workers,
-            linger: Duration::from_micros(200),
             ..ServiceConfig::default()
         });
         let tickets: Vec<_> = jobs
@@ -168,7 +164,6 @@ fn paper_degree_wide_smoke() {
     let expected = mult.multiply(&a, &b).expect("sequential loop");
     let svc = Service::start(ServiceConfig {
         workers: 2,
-        linger: Duration::from_micros(200),
         ..ServiceConfig::default()
     });
     let done = svc

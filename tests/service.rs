@@ -74,7 +74,6 @@ proptest! {
         let expected = direct_products(&stream);
         let svc = Service::start(ServiceConfig {
             workers: 2,
-            linger: Duration::from_micros(200),
             ..ServiceConfig::default()
         });
         let tickets: Vec<_> = stream
@@ -98,7 +97,6 @@ fn products_identical_across_fleet_sizes() {
     for workers in [1, 2, 4] {
         let svc = Service::start(ServiceConfig {
             workers,
-            linger: Duration::from_micros(200),
             ..ServiceConfig::default()
         });
         let tickets: Vec<_> = stream
@@ -187,7 +185,6 @@ fn reject_policy_surfaces_typed_overload() {
         workers: 1,
         queue_capacity: 2,
         backpressure: Backpressure::Reject,
-        linger: Duration::from_secs(3600),
         injector: Some(gate.clone()),
         ..ServiceConfig::default()
     });
@@ -234,7 +231,6 @@ fn block_policy_never_drops_under_overload() {
         workers: 2,
         queue_capacity: 4,
         backpressure: Backpressure::Block,
-        linger: Duration::from_micros(100),
         ..ServiceConfig::default()
     });
     std::thread::scope(|s| {
@@ -259,16 +255,14 @@ fn block_policy_never_drops_under_overload() {
     assert_eq!(stats.rejected, 0);
 }
 
-/// Shutdown flushes every pending partial batch before the workers
-/// exit: no admitted ticket is ever left unresolved, even when the
-/// linger deadline would not have fired for a minute.
+/// Shutdown runs every queued partial batch before the executors
+/// exit: no admitted ticket is ever left unresolved.
 #[test]
 fn shutdown_drains_every_admitted_job() {
     let svc = Service::start(ServiceConfig {
         workers: 2,
         queue_capacity: 1024,
         backpressure: Backpressure::Block,
-        linger: Duration::from_secs(60),
         ..ServiceConfig::default()
     });
     let stream = generate_jobs(3, 30, &[64, 256]);
