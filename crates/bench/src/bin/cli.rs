@@ -13,6 +13,7 @@
 //! cargo run -p cryptopim-bench --bin cli -- serve-loadgen --tcp --clients 64 --window 4 --ops 1024
 //! cargo run -p cryptopim-bench --bin cli -- serve-loadgen --protocols kem:40,sign:30,she:20,mul:10
 //! cargo run -p cryptopim-bench --bin cli -- fault-campaign --seed 9 --rates 1e-4,1e-3
+//! cargo run -p cryptopim-bench --bin cli -- fault-campaign --workload protocols --max-attempts 6
 //! cargo run -p cryptopim-bench --bin cli -- --json              # shorthand for bench --json
 //! ```
 //!
@@ -43,12 +44,15 @@
 //! DESIGN.md §15) and serves until an operator client sends the
 //! `Shutdown` verb.
 //!
-//! `fault-campaign` sweeps seeded fault injections (kind × rate ×
-//! degree) through the recover-or-quarantine serving stack under the
-//! sound recompute referee, verifies every served product bit-exactly
-//! against the fault-free path, measures the residue screen's empirical
-//! coverage, and exits non-zero if any corrupt product was served — the
-//! CI `fault-smoke` job relies on that.
+//! `fault-campaign` sweeps seeded fault injections (kind × degree ×
+//! rate) over one workload (`--workload raw|wide|protocols`: raw
+//! multiplies, wide RNS multiplies, or protocol ops) through the
+//! recover-or-quarantine serving stack under the sound recompute
+//! referee, verifies every served output bit-exactly against an
+//! independent fault-free path, measures the residue screen's empirical
+//! coverage on raw cells, and exits non-zero if any corrupt output was
+//! served — the CI `fault-smoke` and `protocol-smoke` jobs rely on
+//! that.
 
 use baselines::bp::PimDesign;
 use cryptopim::accelerator::CryptoPim;
@@ -68,9 +72,7 @@ use pim::fault::splitmix64;
 use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 use pim::variation::{run_monte_carlo, MonteCarloConfig};
-use reliability::campaign::{
-    self, CampaignConfig, CampaignKind, ProtocolCellConfig, WideCellConfig,
-};
+use reliability::campaign::{self, CampaignConfig, CampaignKind, CellWorkload};
 use service::{Backpressure, ProtocolJob, ProtocolKind, ProtocolMix, ServiceConfig};
 use std::time::{Duration, Instant};
 
@@ -106,14 +108,15 @@ fn usage() -> ! {
          \x20 serve       --listen ADDR --token T [--quota N]         TCP front end; serves until Shutdown\n\
          \x20             [--op-token T] [--max-conns N] [--max-wait-ms N]\n\
          \x20             [--workers S] [--queue-cap N] [--check ...]\n\
-         \x20 fault-campaign [--seed N] [--degrees A,B] [--rates R1,R2]\n\
+         \x20 fault-campaign [--workload raw|wide|protocols]         the op stream every cell serves (default raw)\n\
+         \x20             [--seed N] [--degrees A,B] [--rates R1,R2]\n\
          \x20             [--kinds stuck0,stuck1,transient,wearout]\n\
          \x20             [--jobs N] [--points P] [--max-attempts N]\n\
-         \x20             [--quarantine-after N] [--hot-keys K]\n\
-         \x20             [--wide] [--wide-channels K] [--wide-rate R] add the wide-modulus residue-lane cell\n\
-         \x20             [--protocols] [--protocol-rate R]            add the protocol job-graph cell\n\
+         \x20             [--quarantine-after N]\n\
+         \x20             [--hot-keys K]                              raw: reuse K seeded `a` keys through a hot cache\n\
+         \x20             [--wide-channels K]                         wide: K residue lanes (2..=4, default 2)\n\
          \x20             [--json] [--out PATH]\n\
-         \x20                                                         seeded fault sweep; exit 1 if a corrupt product was served\n\
+         \x20                                                         seeded fault sweep; exit 1 if a corrupt output was served\n\
          \n\
          --threads N pins how many workers whole job chunks fan out over\n\
          (default: CRYPTOPIM_THREADS or the machine's available\n\
@@ -1164,10 +1167,13 @@ fn run_serve_loadgen(args: &[String]) {
 }
 
 /// `fault-campaign`: seeded fault-injection sweep over the
-/// recover-or-quarantine serving stack. Prints a per-cell table and the
-/// aggregate coverage/overhead, optionally writes a `BENCH_faults_*`
-/// JSON snapshot, and exits 1 when the campaign is unsound (a corrupt
-/// product was served, or a job failed outside the fault machinery).
+/// recover-or-quarantine serving stack, for one workload (`--workload
+/// raw|wide|protocols`). Prints a per-cell table and the aggregate
+/// coverage/overhead, optionally writes a `BENCH_faults_*` JSON
+/// snapshot, and exits 1 when the campaign is unsound (a corrupt output
+/// was served, or an op failed outside the fault machinery), when a
+/// hot-keyed run never hit the cache, or when a wide or protocol cell
+/// at a non-zero rate detected or recovered nothing.
 fn run_fault_campaign(args: &[String]) {
     let parse_num = |name: &str, default: u64| -> u64 {
         match opt(args, name) {
@@ -1179,6 +1185,32 @@ fn run_fault_campaign(args: &[String]) {
         }
     };
     let defaults = CampaignConfig::default();
+    let hot_keys = parse_num("--hot-keys", 0) as usize;
+    let workload = match opt(args, "--workload").as_deref() {
+        None | Some("raw") => CellWorkload::Raw { hot_keys },
+        Some("wide") => CellWorkload::Wide {
+            channels: parse_num("--wide-channels", 2).clamp(2, 4) as usize,
+        },
+        Some("protocols") => CellWorkload::Protocols,
+        Some(other) => {
+            eprintln!("unknown --workload: {other} (raw, wide or protocols)");
+            std::process::exit(2);
+        }
+    };
+    for (flag, needs) in [("--hot-keys", "raw"), ("--wide-channels", "wide")] {
+        if opt(args, flag).is_some() && workload.label() != needs {
+            eprintln!("{flag} needs --workload {needs}");
+            std::process::exit(2);
+        }
+    }
+    // Wide and protocol ops make many engine writes each: the
+    // transient rates where their faults land and recover sit lower
+    // than the raw grid's.
+    let (default_kinds, default_rates) = match workload {
+        CellWorkload::Raw { .. } => (defaults.kinds.clone(), defaults.rates.clone()),
+        CellWorkload::Wide { .. } => (vec![CampaignKind::Transient], vec![1e-5]),
+        CellWorkload::Protocols => (vec![CampaignKind::Transient], vec![1e-4]),
+    };
     let seed = parse_num("--seed", defaults.seed);
     let jobs = parse_num("--jobs", defaults.jobs_per_cell as u64).max(1) as usize;
     let points = parse_num("--points", u64::from(defaults.check_points)).min(255) as u8;
@@ -1191,7 +1223,7 @@ fn run_fault_campaign(args: &[String]) {
         defaults.degrees.clone()
     };
     let kinds = match opt(args, "--kinds") {
-        None => defaults.kinds.clone(),
+        None => default_kinds,
         Some(v) => v
             .split(',')
             .map(|s| match s.trim() {
@@ -1207,7 +1239,7 @@ fn run_fault_campaign(args: &[String]) {
             .collect(),
     };
     let rates: Vec<f64> = match opt(args, "--rates") {
-        None => defaults.rates.clone(),
+        None => default_rates,
         Some(v) => v
             .split(',')
             .map(|s| {
@@ -1219,8 +1251,6 @@ fn run_fault_campaign(args: &[String]) {
             .collect(),
     };
 
-    let hot_keys = parse_num("--hot-keys", 0) as usize;
-
     let config = CampaignConfig {
         seed,
         degrees: degrees.clone(),
@@ -1230,19 +1260,23 @@ fn run_fault_campaign(args: &[String]) {
         check_points: points,
         max_attempts,
         quarantine_after,
-        hot_keys,
+        workload,
+    };
+    let workload_detail = match workload {
+        CellWorkload::Raw { .. } => format!("raw, hot keys {hot_keys}, {points}-point screen"),
+        CellWorkload::Wide { channels } => format!("wide, k = {channels} lanes"),
+        CellWorkload::Protocols => "protocols".into(),
     };
     println!(
-        "fault-campaign: seed {seed}, {jobs} jobs/cell over n ∈ {degrees:?}, \
-         {} kinds × {} rates, {points}-point screen, \
-         {max_attempts} attempts, quarantine after {quarantine_after}, hot keys {hot_keys}",
+        "fault-campaign: seed {seed}, {workload_detail}, {jobs} ops/cell over n ∈ {degrees:?}, \
+         {} kinds × {} rates, {max_attempts} attempts, quarantine after {quarantine_after}",
         config.kinds.len(),
         config.rates.len()
     );
     let report = campaign::run(&config);
 
     println!(
-        "{:<10} {:>6} {:>8} {:>6} {:>6} {:>6} {:>7} {:>9} {:>8} {:>10} {:>5} {:>13}",
+        "{:<10} {:>6} {:>8} {:>6} {:>6} {:>6} {:>7} {:>9} {:>8} {:>10} {:>8} {:>5} {:>13}",
         "kind",
         "n",
         "rate",
@@ -1253,12 +1287,16 @@ fn run_fault_campaign(args: &[String]) {
         "detected",
         "retries",
         "recovered",
+        "retried",
         "quar",
         "screen"
     );
     for c in &report.cells {
+        let screen = c.screen.map_or("-".into(), |s| {
+            format!("{:>6}/{:<6}", s.detected, s.corrupted)
+        });
         println!(
-            "{:<10} {:>6} {:>8.0e} {:>6} {:>6} {:>6} {:>7} {:>9} {:>8} {:>10} {:>5} {:>6}/{:<6}",
+            "{:<10} {:>6} {:>8.0e} {:>6} {:>6} {:>6} {:>7} {:>9} {:>8} {:>10} {:>8} {:>5} {screen:>13}",
             c.kind.label(),
             c.degree,
             c.rate,
@@ -1266,211 +1304,129 @@ fn run_fault_campaign(args: &[String]) {
             c.wrong,
             c.unrecovered,
             c.refused,
-            c.detected,
-            c.retries,
-            c.recovered,
-            c.quarantined_banks,
-            c.screen_detected,
-            c.screen_corrupted,
+            c.stats.faults_detected,
+            c.stats.retries,
+            c.stats.recovered,
+            c.retried,
+            c.stats.quarantined_banks,
         );
     }
     println!(
         "referee detection coverage: {:.3} ({} detected, {} wrong)",
         report.detection_coverage, report.detected, report.wrong
     );
+    if let Some(coverage) = report.residue_coverage {
+        println!(
+            "residue screen coverage:    {coverage:.3} (probabilistic {points}-point check, measured)"
+        );
+    }
     println!(
-        "residue screen coverage:    {:.3} (probabilistic {points}-point check, measured)",
-        report.residue_coverage
-    );
-    println!(
-        "recovery overhead:          {:.2}× over the fault-free direct path",
+        "recovery overhead:          {:.2}× over the fault-free reference path",
         report.recovery_overhead
     );
-    let hot_hits: u64 = report.cells.iter().map(|c| c.hot_hits).sum();
+    let hot_hits: u64 = report.cells.iter().map(|c| c.stats.hot_hits).sum();
     if hot_keys > 0 {
         println!("hot cache hits:             {hot_hits} (reused-key workload, cache capacity {hot_keys})");
     }
 
     if args.iter().any(|a| a == "--json") {
+        // Per-cell fault counters (detections, retries, recoveries,
+        // quarantines, cache hits) live in each cell's `stats` object.
         let path =
             opt(args, "--out").unwrap_or_else(|| format!("BENCH_faults_{}.json", utc_timestamp()));
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"date\": \"{}\",\n", today_utc()));
-        out.push_str(&format!("  \"commit\": \"{}\",\n", git_commit()));
-        out.push_str(&format!("  \"seed\": {seed},\n"));
-        out.push_str(&format!("  \"jobs_per_cell\": {jobs},\n"));
-        out.push_str(&format!("  \"check_points\": {points},\n"));
-        out.push_str(&format!("  \"max_attempts\": {max_attempts},\n"));
-        out.push_str(&format!("  \"quarantine_after\": {quarantine_after},\n"));
-        out.push_str(&format!("  \"hot_keys\": {hot_keys},\n"));
-        out.push_str(&format!("  \"hot_hits\": {hot_hits},\n"));
-        out.push_str(&format!(
-            "  \"detection_coverage\": {:.4},\n",
-            report.detection_coverage
-        ));
-        out.push_str(&format!(
-            "  \"residue_coverage\": {:.4},\n",
-            report.residue_coverage
-        ));
-        out.push_str(&format!(
-            "  \"recovery_overhead\": {:.4},\n",
-            report.recovery_overhead
-        ));
-        out.push_str(&format!("  \"detected\": {},\n", report.detected));
-        out.push_str(&format!("  \"wrong\": {},\n", report.wrong));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in report.cells.iter().enumerate() {
-            let sep = if i + 1 == report.cells.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"kind\": \"{}\", \"degree\": {}, \"rate\": {:e}, \"jobs\": {}, \
-                 \"served\": {}, \"wrong\": {}, \"unrecovered\": {}, \"refused\": {}, \
-                 \"detected\": {}, \"retries\": {}, \"recovered\": {}, \
-                 \"quarantined_banks\": {}, \"screen_corrupted\": {}, \
-                 \"screen_detected\": {}, \"residue_coverage\": {:.4}, \
-                 \"hot_hits\": {}, \"stats\": {}}}{sep}\n",
-                c.kind.label(),
-                c.degree,
-                c.rate,
-                c.jobs,
-                c.served,
-                c.wrong,
-                c.unrecovered,
-                c.refused,
-                c.detected,
-                c.retries,
-                c.recovered,
-                c.quarantined_banks,
-                c.screen_corrupted,
-                c.screen_detected,
-                c.residue_coverage(),
-                c.hot_hits,
-                c.stats.to_json(),
-            ));
-        }
-        out.push_str("  ]\n}\n");
+        let null_or = |v: Option<String>| v.unwrap_or_else(|| "null".into());
+        let cells: Vec<String> = report
+            .cells
+            .iter()
+            .map(|c| {
+                let screen = null_or(c.screen.map(|s| {
+                    format!(
+                        "{{\"corrupted\": {}, \"detected\": {}, \"coverage\": {:.4}}}",
+                        s.corrupted,
+                        s.detected,
+                        s.coverage()
+                    )
+                }));
+                format!(
+                    "    {{\"kind\": \"{}\", \"degree\": {}, \"rate\": {:e}, \"jobs\": {}, \
+                     \"served\": {}, \"wrong\": {}, \"unrecovered\": {}, \"refused\": {}, \
+                     \"failed\": {}, \"retried\": {}, \"screen\": {screen}, \"stats\": {}}}",
+                    c.kind.label(),
+                    c.degree,
+                    c.rate,
+                    c.jobs,
+                    c.served,
+                    c.wrong,
+                    c.unrecovered,
+                    c.refused,
+                    c.failed,
+                    c.retried,
+                    c.stats.to_json(),
+                )
+            })
+            .collect();
+        let channels = match workload {
+            CellWorkload::Wide { channels } => channels,
+            _ => 0,
+        };
+        let out = format!(
+            "{{\n  \"date\": \"{}\",\n  \"commit\": \"{}\",\n  \"workload\": \"{}\",\n  \
+             \"seed\": {seed},\n  \"jobs_per_cell\": {jobs},\n  \"check_points\": {points},\n  \
+             \"max_attempts\": {max_attempts},\n  \"quarantine_after\": {quarantine_after},\n  \
+             \"hot_keys\": {hot_keys},\n  \"hot_hits\": {hot_hits},\n  \"channels\": {channels},\n  \
+             \"detection_coverage\": {:.4},\n  \"residue_coverage\": {},\n  \
+             \"recovery_overhead\": {:.4},\n  \"detected\": {},\n  \"wrong\": {},\n  \
+             \"cells\": [\n{}\n  ]\n}}\n",
+            today_utc(),
+            git_commit(),
+            workload.label(),
+            report.detection_coverage,
+            null_or(report.residue_coverage.map(|c| format!("{c:.4}"))),
+            report.recovery_overhead,
+            report.detected,
+            report.wrong,
+            cells.join(",\n"),
+        );
         std::fs::write(&path, out).expect("write fault-campaign JSON");
         println!("wrote {path}");
     }
 
-    // --wide: one extra cell streams RNS-decomposed wide jobs, each one
-    // `WideMul` graph op, through the residue-sharded pipeline under
-    // seeded transient faults. The
-    // claim gated here is the per-lane checking story: a fault lands in
-    // one residue lane, is detected and retried alone, and the
-    // recombined product is never wrong.
-    if args.iter().any(|a| a == "--wide") {
-        let wide_channels = parse_num("--wide-channels", 2).clamp(2, 4) as usize;
-        let wide_rate = match opt(args, "--wide-rate") {
-            None => 1e-5,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid --wide-rate: {v}");
-                std::process::exit(2);
-            }),
-        };
-        let wide_degree = *degrees.first().expect("non-empty degrees");
-        let wide = campaign::run_wide_cell(&WideCellConfig {
-            seed,
-            degree: wide_degree,
-            channels: wide_channels,
-            jobs,
-            rate: wide_rate,
-            max_attempts,
-            quarantine_after,
-        });
-        println!(
-            "wide cell: n = {}, k = {} lanes, rate {:.0e}: {} served, {} wrong, \
-             {} unrecovered, {} refused, {} detected, {} recovered, {} jobs with a lane retry",
-            wide.degree,
-            wide.channels,
-            wide.rate,
-            wide.served,
-            wide.wrong,
-            wide.unrecovered,
-            wide.refused,
-            wide.detected,
-            wide.recovered,
-            wide.lane_retry_jobs
-        );
-        if wide.wrong > 0 || wide.failed > 0 {
-            eprintln!(
-                "FAILED: wide cell unsound — {} wrong recombined products, {} non-fault failures",
-                wide.wrong, wide.failed
-            );
-            std::process::exit(1);
-        }
-        if wide_rate > 0.0 && (wide.detected < 1 || wide.recovered < 1) {
-            eprintln!(
-                "FAILED: wide cell proved nothing — {} detected, {} recovered at rate {wide_rate:e}",
-                wide.detected, wide.recovered
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // --protocols: one extra cell streams full protocol ops (KEM,
-    // signing, SHE) through the job-graph layer under seeded transient
-    // faults. The claim gated here is per-node fault isolation: a fault
-    // lands in one graph node, is detected and retried alone, and the
-    // op's typed output is never wrong.
-    if args.iter().any(|a| a == "--protocols") {
-        let proto_rate = match opt(args, "--protocol-rate") {
-            None => 1e-4,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid --protocol-rate: {v}");
-                std::process::exit(2);
-            }),
-        };
-        let proto_degree = *degrees.first().expect("non-empty degrees");
-        let proto = campaign::run_protocol_cell(&ProtocolCellConfig {
-            seed,
-            degree: proto_degree,
-            ops: jobs,
-            rate: proto_rate,
-            max_attempts: max_attempts.max(6),
-            quarantine_after,
-        });
-        println!(
-            "protocol cell: n = {}, rate {:.0e}: {} served, {} wrong, {} unrecovered, \
-             {} refused, {} detected, {} recovered, {} ops with a node retry",
-            proto.degree,
-            proto.rate,
-            proto.served,
-            proto.wrong,
-            proto.unrecovered,
-            proto.refused,
-            proto.detected,
-            proto.recovered,
-            proto.node_retry_ops
-        );
-        if proto.wrong > 0 || proto.failed > 0 {
-            eprintln!(
-                "FAILED: protocol cell unsound — {} wrong typed outputs, {} non-fault failures",
-                proto.wrong, proto.failed
-            );
-            std::process::exit(1);
-        }
-        if proto_rate > 0.0 && (proto.detected < 1 || proto.recovered < 1) {
-            eprintln!(
-                "FAILED: protocol cell proved nothing — {} detected, {} recovered at rate {proto_rate:e}",
-                proto.detected, proto.recovered
-            );
-            std::process::exit(1);
-        }
-    }
-
+    let mut sound = true;
     if !report.is_sound() {
         eprintln!(
-            "FAILED: campaign unsound — {} corrupt products served, {} non-fault failures",
+            "FAILED: campaign unsound — {} corrupt outputs served, {} non-fault failures",
             report.wrong,
             report.cells.iter().map(|c| c.failed).sum::<usize>()
         );
-        std::process::exit(1);
+        sound = false;
     }
     // A hot-keyed campaign that never hit the cache proved nothing
     // about the cached datapath — fail loudly instead of passing
     // vacuously (the CI fault-smoke hot cell relies on this).
     if hot_keys > 0 && hot_hits == 0 {
         eprintln!("FAILED: --hot-keys {hot_keys} requested but the hot cache was never hit");
+        sound = false;
+    }
+    // A wide or protocol cell exists to show a fault landing in one
+    // residue lane or graph node, detected and retried alone; at a
+    // non-zero rate, detecting or recovering nothing proved nothing.
+    if !matches!(workload, CellWorkload::Raw { .. }) {
+        for c in report.cells.iter().filter(|c| c.rate > 0.0) {
+            let (detected, recovered) = (c.stats.faults_detected, c.stats.recovered);
+            if detected < 1 || recovered < 1 {
+                eprintln!(
+                    "FAILED: {} cell {} n={} proved nothing — {detected} detected, \
+                     {recovered} recovered at rate {:e}",
+                    workload.label(),
+                    c.kind.label(),
+                    c.degree,
+                    c.rate
+                );
+                sound = false;
+            }
+        }
+    }
+    if !sound {
         std::process::exit(1);
     }
 }

@@ -279,13 +279,13 @@ impl<'m> Engine<'m> {
 
         // --- ψ pre-multiply, bit-reversed write folded in (free). ---
         let phi_b = self.mapping.phi_b();
-        redc_map(red, q, xb, |k| {
+        redc_map(red, xb, |k| {
             let i = rev[k] as usize;
             b[i] * phi_b[i]
         });
         if resident.is_none() {
             let phi_a = self.mapping.phi_a();
-            redc_map(red, q, xa, |k| {
+            redc_map(red, xa, |k| {
                 let i = rev[k] as usize;
                 a[i] * phi_a[i]
             });
@@ -315,7 +315,7 @@ impl<'m> Engine<'m> {
         //     write into the inverse transform folded in (free). ---
         {
             let sb = &*xb;
-            redc_map(red, q, xa2, |k| {
+            redc_map(red, xa2, |k| {
                 let i = rev[k] as usize;
                 sa[i] * sb[i]
             });
@@ -341,7 +341,7 @@ impl<'m> Engine<'m> {
         let phi_post = self.mapping.phi_post();
         {
             let src = &*xc;
-            redc_map(red, q, out, |k| src[k] * phi_post[k]);
+            redc_map(red, out, |k| src[k] * phi_post[k]);
         }
         corrupt_writes(faults, q, layout::postmul(log_n), out);
     }
@@ -513,108 +513,18 @@ fn corrupt_writes(faults: &dyn WritePath, q: u64, block: u32, data: &mut [u64]) 
 /// single twiddle factor `W_b`, so the old gather → vector-op → scatter
 /// round trip collapses into one pass with no index tables:
 /// `dst[j] = (t + u) mod q`, `dst[j+dist] = REDC(W_b · (t + q − u))`.
-fn stage_rows(red: &Reducer, q: u64, src: &[u64], dst: &mut [u64], stage: u32, twiddle: &[u64]) {
-    // Monomorphize on the paper moduli so the REDC constants fold to
-    // immediates inside the loop. The const paths compute the same
-    // values as `Reducer::{barrett, montgomery}` (one conditional
-    // subtraction of a `< 2q` sum, and REDC with `q' = −q⁻¹ mod R` —
-    // the mul-based form is integer-identical to the shift-add
-    // sequences of Algorithm 3, which expand the same constants), so
-    // results are bit-identical. Unspecialized moduli — the RNS residue
-    // primes — take the dynamic path, which runs the same branch-free
-    // butterfly with the reducer's precomputed runtime constants.
-    match q {
-        7681 => stage_rows_const::<7681, 7679, 18>(src, dst, stage, twiddle),
-        12289 => stage_rows_const::<12289, 12287, 18>(src, dst, stage, twiddle),
-        786433 => stage_rows_const::<786433, 786_431, 32>(src, dst, stage, twiddle),
-        _ => stage_rows_dyn(red, q, src, dst, stage, twiddle),
-    }
-}
-
-/// Branch-free butterfly: `(t + u) mod q` via masked conditional
-/// subtraction, and `REDC(W·(t + q − u))` via the mul-based Montgomery
-/// form `m = x·q' mod R; (x + m·q)/R` — the exact integer the shift-add
-/// sequence computes (the shifts are just the expansion of `q'` and `q`
-/// as signed-digit constants), followed by the same single conditional
-/// subtraction. No data-dependent branches, no `Result` in the loop, so
-/// the compiler can pipeline/vectorize across rows.
-fn stage_rows_const<const Q: u64, const QPRIME: u64, const K: u32>(
-    src: &[u64],
-    dst: &mut [u64],
-    stage: u32,
-    twiddle: &[u64],
-) {
-    let dist = 1usize << stage;
-    let mask = (1u64 << K) - 1;
-    for ((s, d), &w) in src
-        .chunks_exact(2 * dist)
-        .zip(dst.chunks_exact_mut(2 * dist))
-        .zip(twiddle)
-    {
-        let (s_lo, s_hi) = s.split_at(dist);
-        let (d_lo, d_hi) = d.split_at_mut(dist);
-        for ((&t, &u), (dl, dh)) in s_lo.iter().zip(s_hi).zip(d_lo.iter_mut().zip(d_hi)) {
-            let sum = t + u;
-            *dl = sum - Q * u64::from(sum >= Q);
-            let x = (t + Q - u) * w;
-            let m = (x & mask).wrapping_mul(QPRIME) & mask;
-            let r = (x + m * Q) >> K;
-            *dh = r - Q * u64::from(r >= Q);
-        }
-    }
-}
-
-/// One mul-based Montgomery REDC step plus conditional subtraction —
-/// the scalar core of [`stage_rows_const`], exposed for the gather
-/// loops (pre-multiply, point-wise, post-multiply). Integer-identical
-/// to [`Reducer::montgomery`] for the same modulus.
-#[inline(always)]
-fn redc_const<const Q: u64, const QPRIME: u64, const K: u32>(x: u64) -> u64 {
-    let mask = (1u64 << K) - 1;
-    let m = (x & mask).wrapping_mul(QPRIME) & mask;
-    let r = (x + m * Q) >> K;
-    r - Q * u64::from(r >= Q)
-}
-
-/// Fills `dst[k] = REDC(f(k))` with the REDC monomorphized on the paper
-/// moduli (same dispatch and same value-identity argument as
-/// [`stage_rows`]); unspecialized moduli fall back to the reducer.
-fn redc_map(red: &Reducer, q: u64, dst: &mut [u64], f: impl Fn(usize) -> u64) {
-    fn run<const Q: u64, const QPRIME: u64, const K: u32>(
-        dst: &mut [u64],
-        f: impl Fn(usize) -> u64,
-    ) {
-        for (k, d) in dst.iter_mut().enumerate() {
-            *d = redc_const::<Q, QPRIME, K>(f(k));
-        }
-    }
-    match q {
-        7681 => run::<7681, 7679, 18>(dst, f),
-        12289 => run::<12289, 12287, 18>(dst, f),
-        786433 => run::<786433, 786_431, 32>(dst, f),
-        _ => {
-            for (k, d) in dst.iter_mut().enumerate() {
-                *d = red.montgomery(f(k));
-            }
-        }
-    }
-}
-
-/// [`stage_rows_const`] with runtime REDC constants: the same
-/// branch-free butterfly, with `q`, `q' = −q⁻¹ mod R`, and `k` read
-/// from the reducer instead of folded as immediates. Value-identical
-/// to `Reducer::{barrett, montgomery}` for the same inputs, so a
-/// residue prime's transform matches the host oracle bit for bit.
-/// Overflow-safe for any `q < 2^31` with `R = 2^32`:
+///
+/// Branch-free: `(t + u) mod q` via masked conditional subtraction, and
+/// the REDC via the mul-based Montgomery form `m = x·q' mod R;
+/// (x + m·q)/R` with the reducer's `q' = −q⁻¹ mod R` and `R = 2^k` —
+/// the exact integer the shift-add sequence of Algorithm 3 computes
+/// (the shifts are just the expansion of `q'` and `q` as signed-digit
+/// constants), followed by the same single conditional subtraction.
+/// Value-identical to `Reducer::{barrett, montgomery}` for the same
+/// inputs, so a transform matches the host oracle bit for bit.
+/// Overflow-safe for any `q < 2^31` with `R ≤ 2^32`:
 /// `x + m·q < 2q² + 2^32·q < 2^64`.
-fn stage_rows_dyn(
-    red: &Reducer,
-    q: u64,
-    src: &[u64],
-    dst: &mut [u64],
-    stage: u32,
-    twiddle: &[u64],
-) {
+fn stage_rows(red: &Reducer, q: u64, src: &[u64], dst: &mut [u64], stage: u32, twiddle: &[u64]) {
     let k = red.r_exponent();
     let qprime = red.q_prime();
     let mask = (1u64 << k) - 1;
@@ -634,6 +544,14 @@ fn stage_rows_dyn(
             let r = (x + m * q) >> k;
             *dh = r - q * u64::from(r >= q);
         }
+    }
+}
+
+/// Fills `dst[k] = REDC(f(k))` through the reducer — the gather loops
+/// (pre-multiply, point-wise, post-multiply).
+fn redc_map(red: &Reducer, dst: &mut [u64], f: impl Fn(usize) -> u64) {
+    for (k, d) in dst.iter_mut().enumerate() {
+        *d = red.montgomery(f(k));
     }
 }
 

@@ -17,9 +17,10 @@
 //!   descriptions (stuck-at-0/1, transient bit flips, endurance
 //!   wear-out) implementing [`pim::fault::Injector`], pluggable into a
 //!   single accelerator or a whole service fleet.
-//! * [`campaign`] — seeded sweeps over fault kind × rate × degree that
-//!   serve real jobs through a fault-injected, checked service and
-//!   referee every answer against the fault-free path. The exit
+//! * [`campaign`] — seeded sweeps over fault kind × degree × rate, for
+//!   one workload of raw multiplies, wide RNS multiplies or protocol
+//!   ops, that serve real ops through a fault-injected, checked service
+//!   and referee every answer against an independent fault-free path. The exit
 //!   criterion is the stack's safety contract: **no wrong answer ever
 //!   leaves `wait()`**.
 //!

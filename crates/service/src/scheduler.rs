@@ -701,7 +701,7 @@ fn admit<'a>(
     st.admitted += count as u64;
     st.queued_jobs += count;
     let opener = std::thread::current().id();
-    for (((a, b), ticket), key) in pairs.into_iter().zip(fulfillers).zip(keys) {
+    for (i, (((a, b), ticket), &key)) in pairs.into_iter().zip(fulfillers).zip(&keys).enumerate() {
         let job = Job {
             a,
             b,
@@ -719,7 +719,10 @@ fn admit<'a>(
                 group.jobs.push(job);
             }
             _ => {
-                let mut jobs = Vec::with_capacity(capacity);
+                // Sized for this round's jobs of the key; a later
+                // round's joiners grow it.
+                let joining = keys[i..].iter().filter(|&&k| k == key).count();
+                let mut jobs = Vec::with_capacity(joining.min(capacity));
                 jobs.push(job);
                 st.queue.push_back(Group {
                     key,

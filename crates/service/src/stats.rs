@@ -277,13 +277,15 @@ impl ServiceStats {
     /// Rust's shortest-round-trip `Display`, so
     /// [`ServiceStats::from_json`] reconstructs a bit-identical value.
     ///
+    /// The wide lane is written once, as its `proto_wide_mul_*` block;
+    /// the `wide_*` fields that copy it are not written.
+    ///
     /// Empty sections are *omitted consistently*: the narrow percentile
     /// triple disappears when [`ServiceStats::latency_samples`] is 0,
-    /// the whole wide lane when [`ServiceStats::wide_submitted`] is 0
-    /// (its percentiles additionally require wide samples), and a
-    /// protocol kind's `proto_<kind>_*` block when that kind was never
-    /// submitted. [`ServiceStats::from_json`] defaults every omitted
-    /// section to zeros, so the round trip is still bit-exact.
+    /// and a protocol kind's `proto_<kind>_*` block when that kind was
+    /// never submitted (its percentiles additionally require samples).
+    /// [`ServiceStats::from_json`] defaults every omitted section to
+    /// zeros, so the round trip is still bit-exact.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             concat!(
@@ -319,24 +321,6 @@ impl ServiceStats {
                 self.p50_us, self.p95_us, self.p99_us
             ));
         }
-        if self.wide_submitted > 0 {
-            out.push_str(&format!(
-                concat!(
-                    ", \"wide_submitted\": {}, \"wide_completed\": {}, ",
-                    "\"wide_failed\": {}, \"wide_latency_samples\": {}"
-                ),
-                self.wide_submitted,
-                self.wide_completed,
-                self.wide_failed,
-                self.wide_latency_samples,
-            ));
-            if self.wide_latency_samples > 0 {
-                out.push_str(&format!(
-                    ", \"wide_p50_us\": {}, \"wide_p95_us\": {}, \"wide_p99_us\": {}",
-                    self.wide_p50_us, self.wide_p95_us, self.wide_p99_us
-                ));
-            }
-        }
         for lane in &self.protocol {
             if lane.submitted == 0 {
                 continue;
@@ -362,8 +346,9 @@ impl ServiceStats {
     /// sibling reuses these field names). The core counters are
     /// required — a truncated or foreign document never yields a
     /// half-filled snapshot — while the omit-when-empty sections
-    /// (narrow percentiles, the wide lane, per-kind protocol blocks)
-    /// default to zeros when absent.
+    /// (narrow percentiles, per-kind protocol blocks) default to zeros
+    /// when absent. The `wide_*` fields copy the `proto_wide_mul_*`
+    /// block.
     pub fn from_json(text: &str) -> Option<ServiceStats> {
         fn u64_field(text: &str, key: &str) -> Option<u64> {
             json_number(text, key)?.parse().ok()
@@ -374,7 +359,7 @@ impl ServiceStats {
         fn f64_field(text: &str, key: &str) -> Option<f64> {
             json_number(text, key)?.parse().ok()
         }
-        let protocol = crate::graph::ProtocolKind::ALL
+        let protocol: Vec<ProtocolLaneStats> = crate::graph::ProtocolKind::ALL
             .iter()
             .map(|kind| {
                 let k = kind.as_str();
@@ -392,6 +377,7 @@ impl ServiceStats {
                 lane
             })
             .collect();
+        let wide = protocol[crate::graph::ProtocolKind::WideMul as usize].clone();
         let latency_samples = u64_field(text, "latency_samples")?;
         Some(ServiceStats {
             queue_depth: usize_field(text, "queue_depth")?,
@@ -415,13 +401,13 @@ impl ServiceStats {
             p50_us: f64_field(text, "p50_us").unwrap_or(0.0),
             p95_us: f64_field(text, "p95_us").unwrap_or(0.0),
             p99_us: f64_field(text, "p99_us").unwrap_or(0.0),
-            wide_submitted: u64_field(text, "wide_submitted").unwrap_or(0),
-            wide_completed: u64_field(text, "wide_completed").unwrap_or(0),
-            wide_failed: u64_field(text, "wide_failed").unwrap_or(0),
-            wide_latency_samples: u64_field(text, "wide_latency_samples").unwrap_or(0),
-            wide_p50_us: f64_field(text, "wide_p50_us").unwrap_or(0.0),
-            wide_p95_us: f64_field(text, "wide_p95_us").unwrap_or(0.0),
-            wide_p99_us: f64_field(text, "wide_p99_us").unwrap_or(0.0),
+            wide_submitted: wide.submitted,
+            wide_completed: wide.completed,
+            wide_failed: wide.failed,
+            wide_latency_samples: wide.latency_samples,
+            wide_p50_us: wide.p50_us,
+            wide_p95_us: wide.p95_us,
+            wide_p99_us: wide.p99_us,
             protocol,
         })
     }
@@ -534,6 +520,8 @@ mod tests {
             .collect()
     }
 
+    const WIDE: usize = crate::graph::ProtocolKind::WideMul as usize;
+
     fn fixture_stats() -> ServiceStats {
         let mut protocol = empty_protocol();
         protocol[2] = ProtocolLaneStats {
@@ -546,7 +534,7 @@ mod tests {
             p95_us: 8192.0,
             p99_us: 32768.0,
         };
-        ServiceStats {
+        let mut stats = ServiceStats {
             queue_depth: 3,
             in_flight: 2,
             admitted: 1000,
@@ -576,7 +564,19 @@ mod tests {
             wide_p95_us: 4096.0,
             wide_p99_us: 16384.0,
             protocol,
-        }
+        };
+        // The `wide_*` fields copy the `WideMul` protocol lane.
+        stats.protocol[WIDE] = ProtocolLaneStats {
+            kind: stats.protocol[WIDE].kind,
+            submitted: stats.wide_submitted,
+            completed: stats.wide_completed,
+            failed: stats.wide_failed,
+            latency_samples: stats.wide_latency_samples,
+            p50_us: stats.wide_p50_us,
+            p95_us: stats.wide_p95_us,
+            p99_us: stats.wide_p99_us,
+        };
+        stats
     }
 
     #[test]
@@ -610,19 +610,7 @@ mod tests {
 
     #[test]
     fn display_prints_the_wide_lane_once() {
-        let mut stats = fixture_stats();
-        let wide = crate::graph::ProtocolKind::WideMul as usize;
-        stats.protocol[wide] = ProtocolLaneStats {
-            kind: stats.protocol[wide].kind,
-            submitted: stats.wide_submitted,
-            completed: stats.wide_completed,
-            failed: stats.wide_failed,
-            latency_samples: stats.wide_latency_samples,
-            p50_us: stats.wide_p50_us,
-            p95_us: stats.wide_p95_us,
-            p99_us: stats.wide_p99_us,
-        };
-        let text = stats.to_string();
+        let text = fixture_stats().to_string();
         assert_eq!(
             text.matches("40 submitted, 38 completed").count(),
             1,
@@ -675,13 +663,20 @@ mod tests {
         // A populated wide lane without samples keeps its counters but
         // omits its percentile triple.
         let mut partial = fixture_stats();
+        let lane = &mut partial.protocol[WIDE];
+        (lane.latency_samples, lane.p50_us, lane.p95_us, lane.p99_us) = (0, 0.0, 0.0, 0.0);
         partial.wide_latency_samples = 0;
         partial.wide_p50_us = 0.0;
         partial.wide_p95_us = 0.0;
         partial.wide_p99_us = 0.0;
         let json = partial.to_json();
-        assert!(json.contains("wide_submitted"));
-        assert!(!json.contains("wide_p50_us"));
+        assert!(json.contains("proto_wide_mul_submitted"));
+        assert!(!json.contains("proto_wide_mul_p50_us"));
+        assert_eq!(
+            json.matches("wide").count(),
+            4,
+            "the wide lane once: {json}"
+        );
         assert_eq!(ServiceStats::from_json(&json), Some(partial));
     }
 

@@ -8,7 +8,7 @@ use modmath::params::ParamSet;
 use ntt::negacyclic::{NttMultiplier, PolyMultiplier};
 use ntt::poly::Polynomial;
 use pim::fault::{layout, CellAddr};
-use reliability::campaign::{self, CampaignConfig, CampaignKind};
+use reliability::campaign::{self, CampaignConfig, CampaignKind, CellWorkload};
 use reliability::plan::{FaultKind, FaultPlan};
 use service::{
     ProtocolCompleted, ProtocolJob, ProtocolOutput, Service, ServiceConfig, ServiceError,
@@ -149,6 +149,7 @@ fn campaign_smoke_is_sound_and_replays() {
         kinds: vec![CampaignKind::StuckAt1, CampaignKind::Transient],
         rates: vec![1e-3],
         jobs_per_cell: 8,
+        workload: CellWorkload::Raw { hot_keys: 0 },
         ..CampaignConfig::default()
     };
     let r1 = campaign::run(&cfg);
@@ -162,9 +163,7 @@ fn campaign_smoke_is_sound_and_replays() {
             (x.served, x.wrong, x.unrecovered, x.refused),
             (y.served, y.wrong, y.unrecovered, y.refused)
         );
-        assert_eq!(
-            (x.screen_corrupted, x.screen_detected),
-            (y.screen_corrupted, y.screen_detected)
-        );
+        assert_eq!(x.screen, y.screen);
+        assert!(x.screen.is_some(), "raw cells carry a screen");
     }
 }
