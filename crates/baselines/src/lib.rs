@@ -14,7 +14,6 @@
 pub mod bp;
 pub mod cpu;
 pub mod fpga;
-pub mod vm;
 
 pub use pim::PimError;
 

@@ -72,7 +72,7 @@ use pim::fault::splitmix64;
 use pim::par::Threads;
 use pim::reduce::ReductionStyle;
 use pim::variation::{run_monte_carlo, MonteCarloConfig};
-use reliability::campaign::{self, CampaignConfig, CampaignKind, CellWorkload};
+use reliability::campaign::{self, CampaignConfig, CampaignKind, CellResult, CellWorkload};
 use service::{Backpressure, ProtocolJob, ProtocolKind, ProtocolMix, ServiceConfig};
 use std::time::{Duration, Instant};
 
@@ -1407,19 +1407,18 @@ fn run_fault_campaign(args: &[String]) {
         eprintln!("FAILED: --hot-keys {hot_keys} requested but the hot cache was never hit");
         sound = false;
     }
-    // A wide or protocol cell exists to show a fault landing in one
-    // residue lane or graph node, detected and retried alone; at a
-    // non-zero rate, detecting or recovering nothing proved nothing.
     if !matches!(workload, CellWorkload::Raw { .. }) {
         for c in report.cells.iter().filter(|c| c.rate > 0.0) {
-            let (detected, recovered) = (c.stats.faults_detected, c.stats.recovered);
-            if detected < 1 || recovered < 1 {
+            if !cell_proved_containment(c) {
                 eprintln!(
-                    "FAILED: {} cell {} n={} proved nothing — {detected} detected, \
-                     {recovered} recovered at rate {:e}",
+                    "FAILED: {} cell {} n={} proved nothing — {} detected, {} recovered, \
+                     {} quarantined at rate {:e}",
                     workload.label(),
                     c.kind.label(),
                     c.degree,
+                    c.stats.faults_detected,
+                    c.stats.recovered,
+                    c.stats.quarantined_banks,
                     c.rate
                 );
                 sound = false;
@@ -1429,6 +1428,22 @@ fn run_fault_campaign(args: &[String]) {
     if !sound {
         std::process::exit(1);
     }
+}
+
+/// Whether a wide or protocol cell at a non-zero rate showed a fault
+/// landing in one residue lane or graph node and being contained: the
+/// referee detected at least one, and the fleet either recovered a node
+/// by retrying it alone or, for a permanent fault (which a retry on the
+/// same bank cannot clear), quarantined the bank.
+fn cell_proved_containment(c: &CellResult) -> bool {
+    let s = &c.stats;
+    let contained = match c.kind {
+        CampaignKind::Transient => s.recovered >= 1,
+        CampaignKind::StuckAt0 | CampaignKind::StuckAt1 | CampaignKind::WearOut => {
+            s.recovered >= 1 || s.quarantined_banks >= 1
+        }
+    };
+    s.faults_detected >= 1 && contained
 }
 
 /// `serve`: binds the TCP front end on `--listen` and serves until an
@@ -1720,5 +1735,57 @@ mod tests {
         let (pct, id) = out.worst.expect("comparable benchmarks");
         assert_eq!(id, "slow");
         assert!(pct > REGRESSION_LIMIT_PCT);
+    }
+
+    fn cell(kind: CampaignKind, detected: u64, recovered: u64, quarantined: usize) -> CellResult {
+        let mut stats = service::Service::start(ServiceConfig::default()).shutdown();
+        stats.faults_detected = detected;
+        stats.recovered = recovered;
+        stats.quarantined_banks = quarantined;
+        CellResult {
+            kind,
+            degree: 256,
+            rate: 1e-4,
+            jobs: 12,
+            served: 12,
+            wrong: 0,
+            unrecovered: 0,
+            refused: 0,
+            failed: 0,
+            retried: 0,
+            service_wall_s: 0.0,
+            direct_wall_s: 0.0,
+            screen: None,
+            stats,
+        }
+    }
+
+    const PERMANENT: [CampaignKind; 3] = [
+        CampaignKind::StuckAt0,
+        CampaignKind::StuckAt1,
+        CampaignKind::WearOut,
+    ];
+
+    #[test]
+    fn permanent_cell_proves_containment_by_quarantine() {
+        for kind in PERMANENT {
+            assert!(cell_proved_containment(&cell(kind, 3, 0, 1)));
+            assert!(cell_proved_containment(&cell(kind, 3, 1, 0)));
+            assert!(!cell_proved_containment(&cell(kind, 3, 0, 0)));
+        }
+    }
+
+    #[test]
+    fn transient_cell_must_recover() {
+        let transient = CampaignKind::Transient;
+        assert!(!cell_proved_containment(&cell(transient, 3, 0, 1)));
+        assert!(cell_proved_containment(&cell(transient, 3, 1, 0)));
+    }
+
+    #[test]
+    fn cell_without_a_detection_proves_nothing() {
+        for kind in PERMANENT.into_iter().chain([CampaignKind::Transient]) {
+            assert!(!cell_proved_containment(&cell(kind, 0, 1, 1)));
+        }
     }
 }

@@ -2,9 +2,10 @@
 //! through PIM memory-block operations.
 //!
 //! Every vector-wide arithmetic step of Algorithm 1 is executed with
-//! [`MemoryBlock`]-equivalent operations — producing the actual product
-//! (verified against the software NTT in the test suite) *and* an honest
-//! cycle/energy trace for exactly the operations the hardware performs.
+//! [`MemoryBlock`](pim::block::MemoryBlock)-equivalent operations —
+//! producing the actual product (verified against the software NTT in
+//! the test suite) *and* an honest cycle/energy trace for exactly the
+//! operations the hardware performs.
 //!
 //! There is one entry point, [`Engine::multiply_batch`]: a single job
 //! is a batch of one, and hot-operand images are an optional per-lane
@@ -28,7 +29,7 @@
 use crate::mapping::NttMapping;
 use crate::plan::StagePlan;
 use crate::scratch::BatchScratch;
-use pim::block::{MemoryBlock, MultiplierKind};
+use pim::block::MultiplierKind;
 use pim::fault::{layout, WritePath};
 use pim::reduce::Reducer;
 use pim::stats::Tally;
@@ -553,38 +554,6 @@ fn redc_map(red: &Reducer, dst: &mut [u64], f: impl Fn(usize) -> u64) {
     for (k, d) in dst.iter_mut().enumerate() {
         *d = red.montgomery(f(k));
     }
-}
-
-/// One Gentleman–Sande stage, vector-wide:
-/// `x[j] ← (T + x[j']) mod q`, `x[j'] ← REDC(W·(T + q − x[j']))`.
-///
-/// The butterfly partner arrives through the stage's fixed-function
-/// switch (shift `s = 2^stage`); the add-side and mul-side each activate
-/// `n/2` rows, charged through the block's cost-only twins (identical
-/// tallies to the real vector ops they mirror). Used by the
-/// [`crate::controller::Controller`]; the [`Engine`] replays the same
-/// per-stage tally from its cached plan.
-pub(crate) fn ntt_stage(
-    mapping: &NttMapping,
-    multiplier: MultiplierKind,
-    x: &[u64],
-    stage: u32,
-    twiddle: &[u64],
-) -> Result<(Vec<u64>, Tally)> {
-    let n = x.len();
-    let half = n / 2;
-    let mut blk = MemoryBlock::with_rows(mapping.params().bitwidth, half)?;
-    blk.charge_ntt_stage(half, multiplier, mapping.reducer());
-    let mut out = vec![0u64; n];
-    stage_rows(
-        mapping.reducer(),
-        mapping.params().q,
-        x,
-        &mut out,
-        stage,
-        twiddle,
-    );
-    Ok((out, blk.tally()))
 }
 
 #[cfg(test)]

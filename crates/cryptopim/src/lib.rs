@@ -47,7 +47,6 @@ pub mod arch;
 pub mod area;
 pub mod batch;
 pub mod check;
-pub mod controller;
 pub mod engine;
 pub mod exchange;
 pub mod hotcache;

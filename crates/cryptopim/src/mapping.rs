@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 /// Precomputed, hardware-ready constant vectors for one parameter set.
 ///
 /// The `R`-scaled vectors feed only the row datapath (an armed write
-/// path, the bank/controller simulations); they are built on first use,
+/// path, the bank simulation); they are built on first use,
 /// so a fleet serving through the merged-kernel fast path never holds
 /// them.
 #[derive(Debug, Clone)]

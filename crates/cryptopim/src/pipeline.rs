@@ -29,7 +29,6 @@ use crate::mapping::NttMapping;
 use modmath::params::ParamSet;
 use pim::block::MultiplierKind;
 use pim::reduce::Reducer;
-use pim::stats::Tally;
 use pim::{cost, energy, Result, CYCLE_TIME_NS};
 
 /// A pipeline organization from Fig. 4.
@@ -265,16 +264,6 @@ impl PipelineModel {
     /// against the functional executor.
     pub fn expected_engine_compute_cycles(&self) -> u64 {
         self.work_profile().total_work
-    }
-
-    /// Energy/latency as a [`Tally`] for composition with other costs.
-    pub fn pipelined_tally(&self, org: Organization) -> Tally {
-        let r = self.pipelined(org);
-        Tally {
-            cycles: r.cycles,
-            energy_pj: r.energy_uj * 1e6,
-            ..Tally::default()
-        }
     }
 }
 

@@ -363,12 +363,6 @@ impl ShiftAddBarrett {
     }
 }
 
-/// Reference reduction used as the oracle in tests.
-#[inline]
-pub fn naive_reduce(a: u64, q: u64) -> u64 {
-    a % q
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -104,12 +104,6 @@ pub fn inv(a: u64, q: u64) -> Result<u64, Error> {
     Ok(res as u64)
 }
 
-/// Reduces an arbitrary `u128` value modulo `q`.
-#[inline]
-pub fn reduce128(a: u128, q: u64) -> u64 {
-    (a % q as u128) as u64
-}
-
 /// An element of `Z_q`, carrying its modulus.
 ///
 /// [`Zq`] is a convenience wrapper for code that manipulates a handful of

@@ -167,12 +167,6 @@ impl Polynomial {
         &self.coeffs
     }
 
-    /// Mutable access to the coefficients (kept canonical by the caller).
-    #[inline]
-    pub fn coeffs_mut(&mut self) -> &mut [u64] {
-        &mut self.coeffs
-    }
-
     /// Consumes the polynomial, returning its coefficient vector.
     #[inline]
     pub fn into_coeffs(self) -> Vec<u64> {

@@ -2,8 +2,8 @@
 //!
 //! The CCA-style KEM ([`crate::kem`]) needs a hash for its
 //! Fujisaki–Okamoto re-encryption transform; the dependency policy of
-//! this workspace (DESIGN.md) keeps external crates to `rand`,
-//! `proptest`, `criterion`, so the primitive lives here. Verified
+//! this workspace (DESIGN.md) keeps external crates to `rand` and
+//! `proptest`, so the primitive lives here. Verified
 //! against the FIPS test vectors.
 //!
 //! Blocks are compressed by the x86-64 SHA extensions when CPUID
