@@ -317,21 +317,6 @@ impl CryptoPim {
         }
     }
 
-    /// Multiplies two polynomials through [`CryptoPim::multiply_product`]
-    /// (the configured check applied), returning the product and the
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CryptoPim::multiply_product`].
-    pub fn multiply_with_report(
-        &self,
-        a: &Polynomial,
-        b: &Polynomial,
-    ) -> Result<(Polynomial, ExecutionReport)> {
-        Ok((self.multiply_product(a, b)?, self.report()?))
-    }
-
     /// Largest degree a single pass supports; larger inputs segment.
     pub fn max_native_degree() -> usize {
         MAX_NATIVE_DEGREE
@@ -422,7 +407,7 @@ mod tests {
         let acc = CryptoPim::new(&p).unwrap();
         let a = rand_poly(128, p.q, 1);
         let b = rand_poly(256, p.q, 2);
-        assert!(acc.multiply_with_report(&a, &b).is_err());
+        assert!(acc.multiply_product(&a, &b).is_err());
         assert!(acc.multiply(&a, &b).is_err());
     }
 
@@ -577,7 +562,7 @@ mod tests {
         let b = rand_poly(256, p.q, 44);
         let backend: &dyn PolyMultiplier = &checked;
         assert!(backend.multiply(&a, &b).is_err());
-        assert!(checked.multiply_with_report(&a, &b).is_err());
+        assert!(checked.multiply_product(&a, &b).is_err());
         assert_eq!(
             backend.multiply(&a, &b),
             Err(modmath::Error::DetectedFault { n: 256 })

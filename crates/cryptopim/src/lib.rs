@@ -27,7 +27,6 @@
 //! ```
 //! use cryptopim::accelerator::CryptoPim;
 //! use modmath::params::ParamSet;
-//! use ntt::negacyclic::PolyMultiplier;
 //! use ntt::poly::Polynomial;
 //!
 //! # fn main() -> Result<(), cryptopim::PimError> {
@@ -35,7 +34,8 @@
 //! let acc = CryptoPim::new(&params)?;
 //! let a = Polynomial::from_coeffs(vec![1; 256], params.q)?;
 //! let b = Polynomial::from_coeffs(vec![2; 256], params.q)?;
-//! let (product, report) = acc.multiply_with_report(&a, &b)?;
+//! let product = acc.multiply_product(&a, &b)?;
+//! let report = acc.report()?;
 //! assert_eq!(product.degree_bound(), 256);
 //! assert!(report.pipelined.latency_us > 0.0);
 //! # Ok(())

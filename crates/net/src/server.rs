@@ -365,7 +365,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>, max_connections:
                         })
                 };
                 match handler {
-                    Ok(h) => shared.handlers.lock().expect("handlers").push(h),
+                    Ok(h) => {
+                        let mut handlers = shared.handlers.lock().expect("handlers");
+                        // Join the handlers of closed connections, so a
+                        // long-running server keeps only live ones.
+                        for done in handlers.extract_if(.., |h| h.is_finished()) {
+                            let _ = done.join();
+                        }
+                        handlers.push(h);
+                    }
                     Err(_) => {
                         // Spawn failed: roll the bookkeeping back.
                         shared.conns.lock().expect("conns").remove(&conn_id);
@@ -761,5 +769,40 @@ mod tests {
             error: Box::new(internal),
         };
         assert_eq!(error_code(&node), ErrorCode::Internal);
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_joined_on_accept() {
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig {
+                tenants: vec![TenantConfig::new("t", "secret", 4)],
+                service: ServiceConfig {
+                    workers: 1,
+                    ..ServiceConfig::default()
+                },
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let shared = &server.shared;
+        for _ in 0..32 {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            let hello = Frame::Hello {
+                token: "secret".into(),
+            };
+            write_frame(&mut stream, &hello).expect("hello");
+            // The reply proves the acceptor has spawned this handler.
+            let reply = crate::wire::read_frame(&mut stream).expect("reply");
+            assert!(matches!(reply, Frame::HelloOk { .. }), "{reply:?}");
+            let live = shared.live.load(Ordering::SeqCst);
+            let held = shared.handlers.lock().expect("handlers").len();
+            assert!(held <= live + 1, "{held} handlers held for {live} live");
+            drop(stream);
+            while shared.live.load(Ordering::SeqCst) > 0 {
+                std::thread::yield_now();
+            }
+        }
+        server.shutdown();
     }
 }

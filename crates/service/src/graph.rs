@@ -3,9 +3,9 @@
 //!
 //! ```text
 //!  submit_protocol(job) ──► proto queue ──┬─► its waiter (Ticket::wait or
-//!                           (bounded; one │   wait_timeout) runs it, or
-//!                            claim flag   └─► one of the `workers` backstop
-//!                            per op)          executors, once no waiter
+//!                           (bounded, in  │   wait_timeout) runs it, or
+//!                            the state;   └─► one of the `workers` backstop
+//!                            op ids)          executors, once no waiter
 //!                                             claimed it within WAITER_GRACE,
 //!                                             or at once when it queued
 //!                                             behind an unclaimed op
@@ -18,10 +18,14 @@
 //!                                             its round resolves, or parks
 //! ```
 //!
-//! **Who runs an op.** A queued op is claimed exactly once, through one
-//! flag on the queued op, by whichever thread gets there first: its own
-//! waiter, which then runs the op on its thread instead of sleeping
-//! until an executor wakes it, or a graph executor. A closed-loop client
+//! **Who runs an op.** The op queue lives in the scheduler state, under
+//! the service's one lock. A queued op is claimed exactly once, by
+//! removing its task by op id under that lock, by whichever thread gets
+//! there first: its own waiter, whose ticket names the op's id and
+//! which then runs the op on its thread instead of sleeping until an
+//! executor wakes it, or a graph executor. Every claim counts the op as
+//! running until `run_protocol` books it, and shutdown waits for that
+//! count to reach 0 after joining the executors. A closed-loop client
 //! submits and waits at once, so its op runs on its own thread and no
 //! executor is woken for it. Executors run the ops no waiter has come
 //! for: one queued behind another unclaimed op (a client's window, or a
@@ -92,7 +96,6 @@ use rlwe::signature::{Signature, SigningKey, VerifyKey};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
@@ -401,6 +404,7 @@ pub(crate) struct ProtoTask {
     job: ProtocolJob,
     kind: ProtocolKind,
     ticket: Fulfiller<ProtocolCompleted>,
+    submitted: Instant,
 }
 
 /// How long a queued op is left to its own waiter before a graph
@@ -412,24 +416,24 @@ pub(crate) struct ProtoTask {
 /// free.
 pub(crate) const WAITER_GRACE: Duration = Duration::from_millis(1);
 
-/// The protocol-op queue: typed protocol ops waiting for their waiter
-/// or a free graph executor to claim them. Kept apart from the leaf
-/// queue: an op holds no slot here while its leaves run. An op a
-/// waiter claimed stays queued until an enqueue or an executor drops
-/// it. Its lock is poison-tolerant:
-/// every update is one push, pop, flag or counter step, so a panic
-/// cannot leave it half-updated.
+/// The protocol-op queue, part of the scheduler state: typed protocol
+/// ops waiting for their waiter or a free graph executor, and the count
+/// of claimed ops still running. Kept apart from the leaf queue: an op
+/// holds no slot here while its leaves run. A claim removes the op's
+/// task by id under the state lock, so exactly one thread runs it.
 #[derive(Default)]
 pub(crate) struct ProtoQueue {
-    queue: VecDeque<Arc<QueuedOp>>,
-    pub(crate) shutdown: bool,
-    /// Ops their waiters claimed and are running now; shutdown waits for
-    /// them as it joins the executors.
-    pub(crate) helping: usize,
-    /// Ops ever queued (the grace clock's activity test).
+    /// Unclaimed ops by id; their count is the admission bound's.
+    tasks: HashMap<u64, ProtoTask>,
+    /// Op ids in arrival order. The id of an op a waiter claimed stays
+    /// until it reaches the front.
+    order: VecDeque<u64>,
+    /// Claimed ops not yet finished; shutdown waits for them after
+    /// joining the executors.
+    pub(crate) running: usize,
+    /// Ops ever queued: the next op's id, and the grace clock's
+    /// activity test.
     enqueued: u64,
-    /// Ops admitted and not yet claimed: the admission bound's count.
-    unclaimed: usize,
     /// `Block` submitters waiting for a claim to free a slot.
     blocked: usize,
     /// An executor sleeps on the grace clock, so an enqueue need not
@@ -437,78 +441,25 @@ pub(crate) struct ProtoQueue {
     watching: bool,
 }
 
-/// One queued protocol op, shared by the proto queue and the op's
-/// ticket. Its waiter and the graph executors race to claim it through
-/// one flag; whoever wins runs it through [`run_protocol`], and the
-/// others leave it alone.
-pub(crate) struct QueuedOp {
-    /// Set by the first claim; only that claim takes the task. The flag
-    /// publishes no data (the task sits behind its own mutex), so its
-    /// `Acquire` loads pair with the claiming swap only for the answer.
-    claimed: AtomicBool,
-    submitted: Instant,
-    /// The op, until the winning claim takes it.
-    task: Mutex<Option<ProtoTask>>,
-    /// The service, for a waiter that runs the op. Weak, so a ticket
-    /// kept past shutdown does not keep the fleet alive; by then an
-    /// executor has claimed the op anyway.
+/// A ticket's handle on its queued op, which the waiter claims by id.
+/// Weak, so a ticket kept past shutdown does not keep the fleet alive;
+/// by then an executor has claimed the op anyway.
+struct OpRef {
     shared: Weak<Shared>,
+    id: u64,
 }
 
-impl QueuedOp {
-    fn is_claimed(&self) -> bool {
-        self.claimed.load(Ordering::Acquire)
-    }
-
-    /// Claims the op for the calling thread: `Some` for exactly one
-    /// caller, however many race.
-    fn claim(&self) -> Option<ProtoTask> {
-        if self.claimed.swap(true, Ordering::AcqRel) {
-            return None;
-        }
-        let task = self
-            .task
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        Some(task.expect("the winning claim takes the op"))
-    }
-}
-
-impl Claim for QueuedOp {
-    /// The waiter's claim. It is made under the proto-queue lock and
-    /// counted in `ProtoQueue::helping` until the op has run, so
-    /// shutdown waits for a waiter-run op as it joins the executors.
+impl Claim for OpRef {
+    /// The waiter's claim, made under the state lock and counted in
+    /// [`ProtoQueue::running`] until the op has run, so shutdown waits
+    /// for a waiter-run op as it does for an executor's.
     fn run_if_unclaimed(&self) {
-        if self.is_claimed() {
-            return;
-        }
         let Some(shared) = self.shared.upgrade() else {
             return;
         };
-        let task = {
-            let mut pq = shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some(task) = pq.claim(self, &shared.proto_space) else {
-                return;
-            };
-            pq.helping += 1;
-            task
-        };
-        let _helping = Helping(&shared);
-        run_protocol(&shared, task, self.submitted);
-    }
-}
-
-/// Uncounts a waiter-run op from `ProtoQueue::helping` once it has run
-/// (or unwound), waking a shutdown that waits for it.
-struct Helping<'a>(&'a Shared);
-
-impl Drop for Helping<'_> {
-    fn drop(&mut self) {
-        let mut pq = self.0.proto.lock().unwrap_or_else(PoisonError::into_inner);
-        pq.helping -= 1;
-        if pq.helping == 0 && pq.shutdown {
-            self.0.proto_work.notify_all();
+        let task = shared.lock().ops.claim(self.id, &shared.proto_space);
+        if let Some(task) = task {
+            run_protocol(&shared, task);
         }
     }
 }
@@ -896,74 +847,60 @@ pub(crate) fn submit_protocol_shared(
 }
 
 /// Queues a validated job behind the op bound (module docs,
-/// *Admission*). The returned ticket carries the queued op, so its
+/// *Admission*). The returned ticket names the queued op, so its
 /// waiter runs the op itself unless an executor claimed it first.
 fn enqueue(shared: &Arc<Shared>, job: ProtocolJob) -> Result<ProtocolTicket, ServiceError> {
     let kind = job.kind();
     let (ticket, fulfiller) = ticket();
-    let op = Arc::new(QueuedOp {
-        claimed: AtomicBool::new(false),
+    let task = ProtoTask {
+        job,
+        kind,
+        ticket: fulfiller,
         submitted: Instant::now(),
-        task: Mutex::new(Some(ProtoTask {
-            job,
-            kind,
-            ticket: fulfiller,
-        })),
-        shared: Arc::downgrade(shared),
-    });
+    };
     let capacity = shared.cfg.queue_capacity;
-    let wake = {
-        let mut pq = shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
+    let (id, wake) = {
+        let mut st = shared.lock();
         loop {
-            if pq.shutdown {
+            if st.shutdown {
                 return Err(ServiceError::ShuttingDown);
             }
-            if pq.unclaimed < capacity {
+            if st.ops.tasks.len() < capacity {
                 break;
             }
             if shared.cfg.backpressure == Backpressure::Reject {
-                drop(pq);
-                let mut st = shared.state.lock().expect("service state poisoned");
                 st.rejected += 1;
                 return Err(ServiceError::Overloaded { capacity });
             }
-            pq.blocked += 1;
-            pq = shared
-                .proto_space
-                .wait(pq)
-                .unwrap_or_else(PoisonError::into_inner);
-            pq.blocked -= 1;
+            st.ops.blocked += 1;
+            st = shared.proto_space.wait(st).expect("service state poisoned");
+            st.ops.blocked -= 1;
         }
-        while pq.queue.front().is_some_and(|op| op.is_claimed()) {
-            pq.queue.pop_front();
-        }
+        // Counted before any thread can claim the op, so no snapshot
+        // shows it completed but not submitted.
+        st.proto_lanes[kind as usize].submitted += 1;
+        let ops = &mut st.ops;
+        ops.skip_claimed();
         // An unclaimed op ahead means its waiter has not come yet (a
         // window, or a concurrent submitter): this one is an executor's
         // at once. Otherwise wake one only if none keeps the grace clock.
-        let wake = !pq.queue.is_empty() || !pq.watching;
-        // Counted before any thread can claim the op, so no snapshot
-        // shows it completed but not submitted.
-        shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .proto_lanes[kind as usize]
-            .submitted += 1;
-        pq.queue.push_back(Arc::clone(&op));
-        pq.enqueued += 1;
-        pq.unclaimed += 1;
-        wake
+        let wake = !ops.order.is_empty() || !ops.watching;
+        (ops.push(task), wake)
     };
     if wake {
         shared.proto_work.notify_one();
     }
-    Ok(ticket.with_work(op))
+    let op = OpRef {
+        shared: Arc::downgrade(shared),
+        id,
+    };
+    Ok(ticket.with_work(Arc::new(op)))
 }
 
 /// What a graph executor does next.
 enum Next {
-    /// Claim and run this op.
-    Run(Arc<QueuedOp>),
+    /// Claim and run the op of this id.
+    Run(u64),
     /// Nothing is runnable; the oldest unclaimed op, if any, becomes
     /// runnable at this instant.
     Idle(Option<Instant>),
@@ -972,37 +909,58 @@ enum Next {
 }
 
 impl ProtoQueue {
-    /// Claims `op` for the calling thread ([`QueuedOp::claim`]) and frees
-    /// its admission slot, waking a blocked submitter on `space`.
-    fn claim(&mut self, op: &QueuedOp, space: &Condvar) -> Option<ProtoTask> {
-        let task = op.claim()?;
-        self.unclaimed -= 1;
+    /// Queues `task` behind every queued op, returning its op id.
+    fn push(&mut self, task: ProtoTask) -> u64 {
+        let id = self.enqueued;
+        self.enqueued += 1;
+        self.tasks.insert(id, task);
+        self.order.push_back(id);
+        id
+    }
+
+    /// Claims op `id` for the calling thread: `Some` for exactly one
+    /// caller, however many race. Frees the op's admission slot, waking
+    /// a blocked submitter on `space`.
+    fn claim(&mut self, id: u64, space: &Condvar) -> Option<ProtoTask> {
+        let task = self.tasks.remove(&id)?;
+        self.running += 1;
         if self.blocked > 0 {
             space.notify_one();
         }
         Some(task)
     }
 
-    /// Drops claimed ops and dequeues the first runnable one: any
-    /// unclaimed op during shutdown, else one that waited out
-    /// [`WAITER_GRACE`] or has an older unclaimed op ahead of it.
-    fn next_for_executor(&mut self, now: Instant) -> Next {
-        self.queue.retain(|op| !op.is_claimed());
-        let runnable =
-            |i: usize, op: &QueuedOp| self.shutdown || i > 0 || op.submitted + WAITER_GRACE <= now;
-        let Some(i) = self
-            .queue
-            .iter()
-            .enumerate()
-            .position(|(i, op)| runnable(i, op))
-        else {
-            return match self.queue.front() {
-                Some(op) => Next::Idle(Some(op.submitted + WAITER_GRACE)),
-                None if self.shutdown => Next::Exit,
-                None => Next::Idle(None),
+    /// Drops the ids of claimed ops from the front of the arrival order.
+    fn skip_claimed(&mut self) {
+        while let Some(id) = self.order.front() {
+            if self.tasks.contains_key(id) {
+                return;
+            }
+            self.order.pop_front();
+        }
+    }
+
+    /// The first runnable op: the oldest unclaimed one during `shutdown`
+    /// or once it waited out [`WAITER_GRACE`], else the first one queued
+    /// behind it.
+    fn next_for_executor(&mut self, now: Instant, shutdown: bool) -> Next {
+        self.skip_claimed();
+        let Some(&oldest) = self.order.front() else {
+            return if shutdown {
+                Next::Exit
+            } else {
+                Next::Idle(None)
             };
         };
-        Next::Run(self.queue.remove(i).expect("position is in range"))
+        let due = self.tasks[&oldest].submitted + WAITER_GRACE;
+        if shutdown || due <= now {
+            return Next::Run(oldest);
+        }
+        let mut behind = self.order.iter().skip(1).copied();
+        match behind.find(|id| self.tasks.contains_key(id)) {
+            Some(id) => Next::Run(id),
+            None => Next::Idle(Some(due)),
+        }
     }
 }
 
@@ -1012,48 +970,47 @@ impl ProtoQueue {
 /// is drained *and* shutdown was signaled — every ticket issued before
 /// shutdown resolves.
 pub(crate) fn proto_worker_loop(shared: &Arc<Shared>) {
-    let lock = || shared.proto.lock().unwrap_or_else(PoisonError::into_inner);
     // The enqueue count at this executor's last grace tick.
     let mut seen = u64::MAX;
-    let mut pq = lock();
+    let mut st = shared.lock();
     loop {
         let now = Instant::now();
-        match pq.next_for_executor(now) {
-            Next::Run(op) => {
-                let task = pq
-                    .claim(&op, &shared.proto_space)
-                    .expect("claims are made under the queue lock");
-                drop(pq);
-                run_protocol(shared, task, op.submitted);
-                pq = lock();
+        let shutdown = st.shutdown;
+        match st.ops.next_for_executor(now, shutdown) {
+            Next::Run(id) => {
+                let task = st.ops.claim(id, &shared.proto_space);
+                drop(st);
+                let task = task.expect("a queued op is unclaimed");
+                run_protocol(shared, task);
+                st = shared.lock();
             }
             Next::Exit => return,
             // One executor keeps the grace clock while ops arrive: it
             // sleeps until the oldest unclaimed op is due, or for one
             // grace period when none is queued, and stops once a period
             // passes with nothing submitted. The others sleep until woken.
-            Next::Idle(due) if !pq.watching && (due.is_some() || pq.enqueued != seen) => {
-                seen = pq.enqueued;
-                pq.watching = true;
+            Next::Idle(due) if !st.ops.watching && (due.is_some() || st.ops.enqueued != seen) => {
+                seen = st.ops.enqueued;
+                st.ops.watching = true;
                 let until = due.unwrap_or(now + WAITER_GRACE);
-                pq = shared
+                st = shared
                     .proto_work
-                    .wait_timeout(pq, until.saturating_duration_since(now))
-                    .unwrap_or_else(PoisonError::into_inner)
+                    .wait_timeout(st, until.saturating_duration_since(now))
+                    .expect("service state poisoned")
                     .0;
-                pq.watching = false;
+                st.ops.watching = false;
             }
             Next::Idle(_) => {
-                pq = shared
-                    .proto_work
-                    .wait(pq)
-                    .unwrap_or_else(PoisonError::into_inner);
+                st = shared.proto_work.wait(st).expect("service state poisoned");
             }
         }
     }
 }
 
-fn run_protocol(shared: &Arc<Shared>, task: ProtoTask, submitted: Instant) {
+/// Runs a claimed op, books it in its lane and in
+/// [`ProtoQueue::running`], and resolves its ticket.
+fn run_protocol(shared: &Arc<Shared>, task: ProtoTask) {
+    let submitted = task.submitted;
     let picked_up = Instant::now();
     let queue_us = picked_up.duration_since(submitted).as_secs_f64() * 1e6;
     // A host op that panics despite admission validation resolves its
@@ -1072,7 +1029,7 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask, submitted: Instant) {
     let executed = picked_up.elapsed();
     let service_us = submitted.elapsed().as_secs_f64() * 1e6;
     {
-        let mut st = shared.state.lock().expect("service state poisoned");
+        let mut st = shared.lock();
         let lane = &mut st.proto_lanes[task.kind as usize];
         match &result {
             Ok(_) => {
@@ -1080,6 +1037,10 @@ fn run_protocol(shared: &Arc<Shared>, task: ProtoTask, submitted: Instant) {
                 lane.hist.record_us(service_us as u64);
             }
             Err(_) => lane.failed += 1,
+        }
+        st.ops.running -= 1;
+        if st.ops.running == 0 && st.shutdown {
+            shared.proto_work.notify_all();
         }
     }
     let result = result.map(|done| ProtocolCompleted {
@@ -1727,50 +1688,51 @@ mod tests {
     /// unrun, and shutdown makes every unclaimed op runnable.
     #[test]
     fn executors_take_only_ops_no_waiter_runs() {
-        let queued = |age: Duration| {
+        let space = Condvar::new();
+        let queue = |pq: &mut ProtoQueue, age: Duration| {
             let p = Polynomial::zero(8, 17).unwrap();
             let (_ticket, fulfiller) = ticket();
-            Arc::new(QueuedOp {
-                claimed: AtomicBool::new(false),
+            pq.push(ProtoTask {
+                job: ProtocolJob::Mul { a: p.clone(), b: p },
+                kind: ProtocolKind::Mul,
+                ticket: fulfiller,
                 submitted: Instant::now() - age,
-                task: Mutex::new(Some(ProtoTask {
-                    job: ProtocolJob::Mul { a: p.clone(), b: p },
-                    kind: ProtocolKind::Mul,
-                    ticket: fulfiller,
-                })),
-                shared: Weak::new(),
             })
         };
-        let is =
-            |next: Next, op: &Arc<QueuedOp>| matches!(next, Next::Run(o) if Arc::ptr_eq(&o, op));
+        // The executor's next step picks op `id`, and claims it.
+        let runs = |pq: &mut ProtoQueue, shutdown: bool, id: u64| {
+            let next = pq.next_for_executor(Instant::now(), shutdown);
+            matches!(next, Next::Run(run) if run == id) && pq.claim(id, &space).is_some()
+        };
         let mut pq = ProtoQueue::default();
-        let (first, second) = (queued(Duration::ZERO), queued(Duration::ZERO));
-        pq.queue.push_back(Arc::clone(&first));
-        let now = Instant::now();
-        assert!(matches!(pq.next_for_executor(now), Next::Idle(Some(_))));
-        pq.queue.push_back(Arc::clone(&second));
+        let first = queue(&mut pq, Duration::ZERO);
+        assert!(matches!(
+            pq.next_for_executor(Instant::now(), false),
+            Next::Idle(Some(_))
+        ));
+        let second = queue(&mut pq, Duration::ZERO);
+        assert!(runs(&mut pq, false, second), "behind an unclaimed op");
         assert!(
-            is(pq.next_for_executor(now), &second),
-            "behind an unclaimed op"
+            pq.tasks.contains_key(&first),
+            "the first is left to its waiter"
         );
-        assert!(first.claim().is_some(), "the waiter's claim wins");
-        assert!(first.claim().is_none(), "a claim succeeds once");
-        assert!(matches!(pq.next_for_executor(now), Next::Idle(None)));
-        assert!(pq.queue.is_empty(), "claimed ops are dropped");
-        let stale = queued(2 * WAITER_GRACE);
-        pq.queue.push_back(Arc::clone(&stale));
-        assert!(
-            is(pq.next_for_executor(Instant::now()), &stale),
-            "past the grace"
-        );
-        let young = queued(Duration::ZERO);
-        pq.queue.push_back(Arc::clone(&young));
-        pq.shutdown = true;
-        assert!(
-            is(pq.next_for_executor(Instant::now()), &young),
-            "shutdown drains"
-        );
-        assert!(matches!(pq.next_for_executor(Instant::now()), Next::Exit));
+        assert!(pq.claim(first, &space).is_some(), "the waiter's claim wins");
+        assert!(pq.claim(first, &space).is_none(), "a claim succeeds once");
+        assert!(pq.claim(second, &space).is_none(), "the executor's too");
+        assert_eq!(pq.running, 2, "each claim counts as running");
+        assert!(matches!(
+            pq.next_for_executor(Instant::now(), false),
+            Next::Idle(None)
+        ));
+        assert!(pq.order.is_empty(), "claimed ops are dropped");
+        let stale = queue(&mut pq, 2 * WAITER_GRACE);
+        assert!(runs(&mut pq, false, stale), "past the grace");
+        let young = queue(&mut pq, Duration::ZERO);
+        assert!(runs(&mut pq, true, young), "shutdown drains");
+        assert!(matches!(
+            pq.next_for_executor(Instant::now(), true),
+            Next::Exit
+        ));
     }
 
     #[test]

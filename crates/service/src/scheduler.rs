@@ -38,6 +38,15 @@
 //! write path. A bank runs one batch at a time for whichever thread
 //! claimed it under the state lock, so at most `S` batches run at once.
 //!
+//! **One lock.** One `Mutex<State>` guards the leaf queue, the banks'
+//! claims, the leaf results, the op queue ([`crate::graph`]), the one
+//! shutdown flag and every counter; executors, `Block` submitters and
+//! shutdown wait on condvars of that same lock. A leaf has no ticket: a
+//! leaf id names it, its batch stores its result in the state under
+//! that id, and its round takes the result in the critical section that
+//! finds the round complete. No lock is taken while the state lock is
+//! held.
+//!
 //! **Wake-ups.** Each leaf job carries its owner's [`Thread`]. A batch's
 //! results are stored under the state lock, then the batch's runner
 //! unparks the owners of its jobs, and no one else. A round that ends
@@ -68,7 +77,6 @@
 
 use crate::error::ServiceError;
 use crate::stats::{LatencyHistogram, ProtocolLaneStats, ServiceStats};
-use crate::ticket::{ticket, Fulfiller, Ticket};
 use cryptopim::accelerator::CryptoPim;
 use cryptopim::arch::ArchConfig;
 use cryptopim::batch::multiply_batch_outcomes;
@@ -81,6 +89,7 @@ use pim::fault::{Injector, WritePath};
 use pim::par::Threads;
 use pim::PimError;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{JoinHandle, Thread, ThreadId};
@@ -171,7 +180,7 @@ impl Default for ServiceConfig {
 /// Batch-formation key: jobs are only packed with same-parameter jobs.
 pub(crate) type ParamKey = (usize, u64);
 
-/// A fulfilled leaf job, returned by its [`JobTicket`].
+/// A resolved leaf job, as its round returns it.
 #[derive(Debug, Clone)]
 pub(crate) struct CompletedJob {
     /// The product, bit-identical to a direct engine multiply.
@@ -181,15 +190,16 @@ pub(crate) struct CompletedJob {
     pub(crate) attempts: u32,
 }
 
-/// Handle to one admitted leaf multiply. Leaf tickets are resolved
-/// only under the state lock, so a round reads whether it is done
-/// there without a race.
-pub(crate) type JobTicket = Ticket<CompletedJob>;
-
 struct Job {
     a: Polynomial,
     b: Polynomial,
-    ticket: Fulfiller<CompletedJob>,
+    leaf: Leaf,
+}
+
+/// Who a leaf job's result goes to, and its bookkeeping.
+struct Leaf {
+    /// The job's key in [`State::results`] once it resolves.
+    id: u64,
     /// The thread whose round the job belongs to, unparked once the job
     /// resolves.
     owner: Thread,
@@ -248,14 +258,14 @@ impl Bank {
 /// critical section that counts the batch; if the batch unwinds first,
 /// dropping the claim releases the bank, counts the batch as a faulted
 /// one against the bank's quarantine streak, and resolves the batch's
-/// tickets as [`ServiceError::Internal`] in that same critical section.
+/// leaves as [`ServiceError::Internal`] in that same critical section.
 struct Claim<'a> {
     shared: &'a Shared,
     bank: usize,
     jobs: usize,
-    /// The batch's tickets and their owners while its engine runs, so an
-    /// unwind resolves them after the batch is counted, never before.
-    tickets: Vec<(Fulfiller<CompletedJob>, Thread)>,
+    /// The batch's leaves while its engine runs, so an unwind resolves
+    /// them after the batch is counted, never before.
+    leaves: Vec<Leaf>,
     released: bool,
 }
 
@@ -267,7 +277,7 @@ impl<'a> Claim<'a> {
             shared,
             bank,
             jobs,
-            tickets: Vec::new(),
+            leaves: Vec::with_capacity(jobs),
             released: false,
         }
     }
@@ -284,7 +294,7 @@ impl Drop for Claim<'_> {
         if self.released {
             return;
         }
-        let owners: Vec<Thread> = {
+        let (owners, retired): (Vec<Thread>, bool) = {
             let mut st = self
                 .shared
                 .state
@@ -295,17 +305,25 @@ impl Drop for Claim<'_> {
             // An unwound batch is a faulted one: a bank whose engine or
             // write path panics on every op leaves the fleet like one
             // that corrupts every product.
-            self.shared.score_bank(&mut st, self.bank, true);
-            // Counted first, so a waiter that sees the error also sees
+            let retired = self.shared.score_bank(&mut st, self.bank, true);
+            // Counted first, so a round that sees the error also sees
             // its job in `ServiceStats`.
-            self.tickets
+            let owners = self
+                .leaves
                 .drain(..)
-                .map(|(ticket, owner)| {
-                    drop(ticket);
-                    owner
+                .map(|leaf| {
+                    let unwound = ServiceError::Internal {
+                        detail: "the batch running the job unwound".into(),
+                    };
+                    st.results.insert(leaf.id, Err(unwound));
+                    leaf.owner
                 })
-                .collect()
+                .collect();
+            (owners, retired)
         };
+        if retired {
+            self.shared.forget_hot();
+        }
         owners.iter().for_each(Thread::unpark);
     }
 }
@@ -321,7 +339,17 @@ pub(crate) struct State {
     /// round that ends with work queued and a bank free unparks the
     /// first.
     parked: VecDeque<Thread>,
-    shutdown: bool,
+    /// Resolved leaf results by leaf id, written by the batch (or the
+    /// unwind, or the degrade) that resolved them and taken by their
+    /// round.
+    results: HashMap<u64, Result<CompletedJob, ServiceError>>,
+    /// Protocol ops waiting for their waiter or an executor, and the
+    /// claimed ones still running ([`crate::graph`]).
+    pub(crate) ops: crate::graph::ProtoQueue,
+    /// Op admission is closed ([`Service::shutdown`]). No leaf can
+    /// arrive once the ops admitted before it have finished.
+    pub(crate) shutdown: bool,
+    /// Leaf jobs ever admitted; also the id of the next one.
     admitted: u64,
     /// Ops refused under `Reject`, and leaf jobs refused by a degraded
     /// fleet.
@@ -363,6 +391,8 @@ pub(crate) struct ProtoLane {
 }
 
 pub(crate) struct Shared {
+    /// The service's one lock: leaf queue, banks' claims, leaf results,
+    /// op queue and counters.
     pub(crate) state: Mutex<State>,
     /// The started configuration (workers/attempts/quarantine already
     /// clamped); `run_batch` reads its check policy here.
@@ -372,37 +402,49 @@ pub(crate) struct Shared {
     /// Fleet-wide hot-operand transform cache (`None` when
     /// [`ServiceConfig::hot_capacity`] is 0).
     hot: Option<Arc<HotCache>>,
-    /// Protocol ops waiting for their waiter or a graph executor.
-    pub(crate) proto: Mutex<crate::graph::ProtoQueue>,
-    /// Protocol work for an executor, or the last waiter-run op done
-    /// during shutdown (graph executors and shutdown wait).
+    /// Protocol work for an executor, or the last running op done
+    /// during shutdown (graph executors and shutdown wait on the state
+    /// lock).
     pub(crate) proto_work: Condvar,
     /// A queued op was claimed or shutdown began (Block-mode op
-    /// submitters wait).
+    /// submitters wait on the state lock).
     pub(crate) proto_space: Condvar,
 }
 
 impl Shared {
+    /// The state lock. A holder that panicked poisons the service.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("service state poisoned")
+    }
+
     /// Scores a finished batch against its bank's quarantine streak:
     /// `quarantine_after` consecutive faulted batches retire the bank;
-    /// a clean batch resets the streak.
-    fn score_bank(&self, st: &mut State, bank: usize, faulted: bool) {
+    /// a clean batch resets the streak. Returns whether the bank was
+    /// retired now, so the caller calls [`Shared::forget_hot`] once it
+    /// has released the state lock.
+    fn score_bank(&self, st: &mut State, bank: usize, faulted: bool) -> bool {
         if !faulted {
             st.bank_streak[bank] = 0;
-            return;
+            return false;
         }
         st.bank_streak[bank] += 1;
-        if st.bank_streak[bank] >= self.cfg.quarantine_after && !st.quarantined[bank] {
-            st.quarantined[bank] = true;
-            st.active_banks -= 1;
-            // Epoch bump: transforms the quarantined bank may have
-            // produced must never be replayed from the cache.
-            if let Some(hot) = &self.hot {
-                hot.bump_epoch();
-            }
-            if st.active_banks == 0 {
-                degrade(self, st);
-            }
+        if st.bank_streak[bank] < self.cfg.quarantine_after || st.quarantined[bank] {
+            return false;
+        }
+        st.quarantined[bank] = true;
+        st.active_banks -= 1;
+        if st.active_banks == 0 {
+            degrade(self, st);
+        }
+        true
+    }
+
+    /// Epoch bump after a quarantine, before the batch's owners wake:
+    /// transforms the quarantined bank may have produced must never be
+    /// replayed from the cache.
+    fn forget_hot(&self) {
+        if let Some(hot) = &self.hot {
+            hot.bump_epoch();
         }
     }
 
@@ -500,6 +542,8 @@ impl Service {
                 in_flight: 0,
                 bank_busy: vec![false; workers],
                 parked: VecDeque::new(),
+                results: HashMap::new(),
+                ops: crate::graph::ProtoQueue::default(),
                 shutdown: false,
                 admitted: 0,
                 rejected: 0,
@@ -529,7 +573,6 @@ impl Service {
                 .collect(),
             hot: (config.hot_capacity > 0).then(|| Arc::new(HotCache::new(config.hot_capacity))),
             cfg: config,
-            proto: Mutex::new(crate::graph::ProtoQueue::default()),
             proto_work: Condvar::new(),
             proto_space: Condvar::new(),
         });
@@ -558,8 +601,7 @@ impl Service {
     /// A point-in-time snapshot of queue depth, counters, occupancy,
     /// and latency percentiles.
     pub fn stats(&self) -> ServiceStats {
-        let st = self.shared.state.lock().expect("service state poisoned");
-        snapshot(&st, self.shared.hot.as_deref())
+        snapshot(&self.shared.lock(), self.shared.hot.as_deref())
     }
 
     /// Graceful shutdown: stops admitting, runs every queued op to
@@ -567,25 +609,16 @@ impl Service {
     /// before the call resolves.
     pub fn shutdown(mut self) -> ServiceStats {
         self.drain_and_join();
-        let st = self.shared.state.lock().expect("service state poisoned");
-        snapshot(&st, self.shared.hot.as_deref())
+        self.stats()
     }
 
     fn drain_and_join(&mut self) {
-        // Every queued protocol op runs to completion while leaf
-        // admission is still open, so a ProtocolTicket issued before
-        // shutdown always resolves: the executors claim what no waiter
-        // has, then the ops waiters claimed finish. Every leaf belongs to
-        // one of those ops' rounds, so once they are done the leaf queue
-        // is empty and closing it strands nothing.
-        {
-            let mut pq = self
-                .shared
-                .proto
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            pq.shutdown = true;
-        }
+        // Op admission closes, and every queued op runs to completion,
+        // so a ProtocolTicket issued before shutdown always resolves:
+        // the executors claim what no waiter has, then the ops waiters
+        // claimed finish. Every leaf belongs to one of those ops' rounds,
+        // so once none is running no leaf is queued and none can come.
+        self.shared.lock().shutdown = true;
         self.shared.proto_work.notify_all();
         self.shared.proto_space.notify_all();
         for handle in self.executors.drain(..) {
@@ -593,25 +626,14 @@ impl Service {
                 panic!("protocol executor panicked");
             }
         }
-        {
-            let mut pq = self
+        let mut st = self.shared.lock();
+        while st.ops.running > 0 {
+            st = self
                 .shared
-                .proto
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            while pq.helping > 0 {
-                pq = self
-                    .shared
-                    .proto_work
-                    .wait(pq)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+                .proto_work
+                .wait(st)
+                .expect("service state poisoned");
         }
-        self.shared
-            .state
-            .lock()
-            .expect("service state poisoned")
-            .shutdown = true;
     }
 }
 
@@ -655,37 +677,33 @@ fn lanes((n, _): ParamKey) -> usize {
 /// # Errors
 ///
 /// The index of the first pair that failed validation, or
-/// [`ServiceError::ShuttingDown`] / [`ServiceError::Overloaded`] (a
-/// degraded fleet) at index 0; nothing is admitted then. An admitted
-/// pair's execution failure is its own entry in the returned vector.
+/// [`ServiceError::Overloaded`] (a degraded fleet) at index 0; nothing
+/// is admitted then. An admitted pair's execution failure is its own
+/// entry in the returned vector.
 pub(crate) fn run_leaves(
     shared: &Shared,
     pairs: Vec<(Polynomial, Polynomial)>,
 ) -> Result<Vec<Result<CompletedJob, ServiceError>>, (usize, ServiceError)> {
     let (st, round) = admit(shared, pairs, &std::thread::current())?;
-    run_round(shared, st, &round);
-    Ok(round.into_iter().map(Ticket::wait).collect())
+    Ok(run_round(shared, st, round))
 }
 
 /// Leaf admission behind [`run_leaves`]: validates every pair, then
-/// queues them all for `owner`, returning the state lock so the round's
-/// first pass runs in the same critical section.
+/// queues them all for `owner`, returning the state lock, so the round's
+/// first pass runs in the same critical section, and the round's leaf
+/// ids.
 fn admit<'a>(
     shared: &'a Shared,
     pairs: Vec<(Polynomial, Polynomial)>,
     owner: &Thread,
-) -> Result<(MutexGuard<'a, State>, Vec<JobTicket>), (usize, ServiceError)> {
+) -> Result<(MutexGuard<'a, State>, Range<u64>), (usize, ServiceError)> {
     let keys = pairs
         .iter()
         .enumerate()
         .map(|(i, (a, b))| validate_leaf(a, b).map_err(|e| (i, e)))
         .collect::<Result<Vec<_>, _>>()?;
     let count = pairs.len();
-    let (tickets, fulfillers): (Vec<JobTicket>, Vec<_>) = (0..count).map(|_| ticket()).unzip();
-    let mut st = shared.state.lock().expect("service state poisoned");
-    if st.shutdown {
-        return Err((0, ServiceError::ShuttingDown));
-    }
+    let mut st = shared.lock();
     if st.degraded {
         // Graceful degradation: with the whole fleet quarantined no
         // admitted job could ever execute.
@@ -698,17 +716,20 @@ fn admit<'a>(
         ));
     }
     let now = Instant::now();
-    st.admitted += count as u64;
+    let round = st.admitted..st.admitted + count as u64;
+    st.admitted = round.end;
     st.queued_jobs += count;
     let opener = std::thread::current().id();
-    for (i, (((a, b), ticket), &key)) in pairs.into_iter().zip(fulfillers).zip(&keys).enumerate() {
+    for (i, ((a, b), &key)) in pairs.into_iter().zip(&keys).enumerate() {
         let job = Job {
             a,
             b,
-            ticket,
-            owner: owner.clone(),
-            submitted: now,
-            attempts: 1,
+            leaf: Leaf {
+                id: round.start + i as u64,
+                owner: owner.clone(),
+                submitted: now,
+                attempts: 1,
+            },
         };
         let capacity = lanes(key);
         // Only the newest group of a key can be open: an older one is
@@ -732,17 +753,24 @@ fn admit<'a>(
             }
         }
     }
-    Ok((st, tickets))
+    Ok((st, round))
 }
 
-/// The round loop: until every ticket of `round` has resolved, claims a
-/// free bank for queued work and runs it, or parks. A round that ends
-/// with work queued and a bank free unparks one parked owner to take
-/// it.
-fn run_round<'a>(shared: &'a Shared, mut st: MutexGuard<'a, State>, round: &[JobTicket]) {
+/// The round loop: until every leaf of `round` has resolved, claims a
+/// free bank for queued work and runs it, or parks; then takes the
+/// round's results. A round that ends with work queued and a bank free
+/// unparks one parked owner to take it.
+fn run_round<'a>(
+    shared: &'a Shared,
+    mut st: MutexGuard<'a, State>,
+    round: Range<u64>,
+) -> Vec<Result<CompletedJob, ServiceError>> {
     let me = std::thread::current();
     loop {
-        if round.iter().all(Ticket::is_done) {
+        if round.clone().all(|id| st.results.contains_key(&id)) {
+            let results = round
+                .map(|id| st.results.remove(&id).expect("resolved leaf"))
+                .collect();
             // Hand-off: queued work and a free bank go to a parked owner,
             // woken outside the lock.
             let free = !st.queue.is_empty() && shared.free_bank(&st).is_some();
@@ -751,17 +779,17 @@ fn run_round<'a>(shared: &'a Shared, mut st: MutexGuard<'a, State>, round: &[Job
             if let Some(next) = next {
                 next.unpark();
             }
-            return;
+            return results;
         }
         if let Some((claim, batch)) = shared.claim_work(&mut st, me.id()) {
             drop(st);
             run_claimed(shared, claim, batch);
-            st = shared.state.lock().expect("service state poisoned");
+            st = shared.lock();
         } else {
             st.parked.push_back(me.clone());
             drop(st);
             std::thread::park();
-            st = shared.state.lock().expect("service state poisoned");
+            st = shared.lock();
             // Woken by a batch or by a hand-off, which already removed it.
             st.parked.retain(|t| t.id() != me.id());
         }
@@ -825,11 +853,12 @@ fn snapshot(st: &State, hot: Option<&HotCache>) -> ServiceStats {
 }
 
 /// Runs a claimed batch on its bank. A panic inside the batch stops
-/// here: the claim's drop has released the bank, the batch's tickets
-/// resolve as [`ServiceError::Internal`], and the caller keeps serving.
+/// here: the claim's drop has released the bank and resolved the
+/// batch's leaves as [`ServiceError::Internal`], and the caller keeps
+/// serving.
 fn run_claimed(shared: &Shared, claim: Claim<'_>, batch: Group) {
     // The default panic hook has already reported the panic; what is
-    // left to do was done by the claim's and the fulfillers' drops.
+    // left to do was done by the claim's drop.
     let _ = panic::catch_unwind(AssertUnwindSafe(|| run_batch(shared, claim, batch)));
 }
 
@@ -841,11 +870,9 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: Group) {
     let count = batch.jobs.len();
     let key = batch.key;
     let mut pairs = Vec::with_capacity(count);
-    let mut timing = Vec::with_capacity(count);
     for job in batch.jobs {
         pairs.push((job.a, job.b));
-        timing.push((job.submitted, job.attempts));
-        claim.tickets.push((job.ticket, job.owner));
+        claim.leaves.push(job.leaf);
     }
 
     let mut accelerators = shared.banks[bank].accelerators();
@@ -870,97 +897,71 @@ fn run_batch(shared: &Shared, mut claim: Claim<'_>, batch: Group) {
     // analytic burst simulation of `multiply_batch` (a fixed tens-of-µs
     // cost per batch, painful at low occupancy) is skipped, and one
     // corrupt lane fails alone instead of failing its batch-mates.
-    let outcome = acc.and_then(|acc| multiply_batch_outcomes(acc, &pairs));
+    let outcomes = acc.and_then(|acc| multiply_batch_outcomes(acc, &pairs));
     drop(accelerators);
-    // The engine ran without unwinding: the bookkeeping below takes the
-    // tickets back from the claim.
-    let metas = std::mem::take(&mut claim.tickets)
-        .into_iter()
-        .zip(timing)
-        .map(|((ticket, owner), (submitted, attempts))| (ticket, owner, submitted, attempts));
     let done = Instant::now();
+    // A batch-wide error (no engine for the key) fails every job alike.
+    let outcomes = outcomes.unwrap_or_else(|e| vec![Err(e); count]);
 
-    let mut requeue: Vec<Job> = Vec::new();
-    // Ticket, owner, submit time and result of each job the batch resolves.
-    let mut results = Vec::with_capacity(count);
-    let mut faults = 0u64;
-    let mut recovered = 0u64;
-
-    match outcome {
-        Ok(outcomes) => {
-            for ((result, (a, b)), (ticket, owner, submitted, attempts)) in
-                outcomes.into_iter().zip(pairs).zip(metas)
-            {
-                let result = match result {
-                    Ok(product) => {
-                        if attempts > 1 {
-                            recovered += 1;
-                        }
-                        Ok(CompletedJob { product, attempts })
-                    }
-                    Err(PimError::CorruptResult(report)) => {
-                        faults += 1;
-                        if attempts < shared.cfg.max_attempts {
-                            // Requeue at the front: the retry beats any
-                            // queued group, bounding its added latency
-                            // to one batch trip per attempt.
-                            requeue.push(Job {
-                                a,
-                                b,
-                                ticket,
-                                owner,
-                                submitted,
-                                attempts: attempts + 1,
-                            });
-                            continue;
-                        }
-                        Err(ServiceError::FaultUnrecovered {
-                            bank: report.bank,
-                            attempts,
-                        })
-                    }
-                    Err(e) => Err(ServiceError::Pim(e)),
-                };
-                results.push((ticket, owner, submitted, result));
-            }
-        }
-        Err(e) => {
-            for (ticket, owner, submitted, _) in metas {
-                results.push((ticket, owner, submitted, Err(ServiceError::Pim(e.clone()))));
-            }
-        }
-    }
-
-    let retried = requeue.len();
-    let owners: Vec<Thread> = {
-        let mut st = shared.state.lock().expect("service state poisoned");
+    // The batch is counted and its bank released in the critical section
+    // that stores its results, so a round that sees its result also sees
+    // it in `ServiceStats`.
+    let (owners, retired): (Vec<Thread>, bool) = {
+        let mut st = shared.lock();
         claim.release(&mut st);
-        st.completed += (count - retried) as u64;
-        st.faults_detected += faults;
-        st.retries += retried as u64;
-        st.recovered += recovered;
+        let leaves = std::mem::take(&mut claim.leaves);
+        let mut requeue = Vec::new();
+        let mut owners = Vec::with_capacity(count);
+        let mut faulted = false;
+        for ((outcome, (a, b)), leaf) in outcomes.into_iter().zip(pairs).zip(leaves) {
+            let attempts = leaf.attempts;
+            let result = match outcome {
+                Ok(product) => {
+                    if attempts > 1 {
+                        st.recovered += 1;
+                    }
+                    Ok(CompletedJob { product, attempts })
+                }
+                Err(PimError::CorruptResult(report)) => {
+                    faulted = true;
+                    st.faults_detected += 1;
+                    if attempts < shared.cfg.max_attempts {
+                        let leaf = Leaf {
+                            attempts: attempts + 1,
+                            ..leaf
+                        };
+                        requeue.push(Job { a, b, leaf });
+                        continue;
+                    }
+                    Err(ServiceError::FaultUnrecovered {
+                        bank: report.bank,
+                        attempts,
+                    })
+                }
+                Err(e) => Err(ServiceError::Pim(e)),
+            };
+            st.completed += 1;
+            st.hist
+                .record_us(done.duration_since(leaf.submitted).as_micros() as u64);
+            st.results.insert(leaf.id, result);
+            owners.push(leaf.owner);
+        }
         if !requeue.is_empty() {
-            st.queued_jobs += retried;
+            // Requeue at the front: the retry beats any queued group,
+            // bounding its added latency to one batch trip per attempt.
+            st.retries += requeue.len() as u64;
+            st.queued_jobs += requeue.len();
             st.queue.push_front(Group {
                 key,
                 jobs: requeue,
                 opener: None,
             });
         }
-        shared.score_bank(&mut st, bank, faults > 0);
-        // Results reach their tickets only once the batch is counted, so
-        // a waiter that sees its result also sees it in `ServiceStats`;
-        // and under the lock, so a round reads its tickets there.
-        results
-            .into_iter()
-            .map(|(ticket, owner, submitted, result)| {
-                st.hist
-                    .record_us(done.duration_since(submitted).as_micros() as u64);
-                ticket.fulfil(result);
-                owner
-            })
-            .collect()
+        (owners, shared.score_bank(&mut st, bank, faulted))
     };
+    if retired {
+        shared.forget_hot();
+    }
     // Owners wake outside the lock, so they do not contend for it.
     let me = std::thread::current().id();
     for owner in owners.iter().filter(|o| o.id() != me) {
@@ -978,9 +979,9 @@ fn degrade(shared: &Shared, st: &mut State) {
     st.completed += jobs.len() as u64;
     st.queued_jobs = 0;
     for job in jobs {
-        job.ticket
-            .fulfil(Err(ServiceError::Overloaded { capacity }));
-        job.owner.unpark();
+        let refused = ServiceError::Overloaded { capacity };
+        st.results.insert(job.leaf.id, Err(refused));
+        job.leaf.owner.unpark();
     }
 }
 
@@ -988,6 +989,7 @@ fn degrade(shared: &Shared, st: &mut State) {
 mod tests {
     use super::*;
     use crate::graph::{ProtocolJob, ProtocolOutput};
+    use crate::ticket::{ticket, Ticket};
     use modmath::crt::RnsBasis;
     use pim::fault::{Injector, WritePath as WritePathTrait};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1043,20 +1045,22 @@ mod tests {
         }
     }
 
+    /// A raw leaf's result, resolved by the thread running its round.
+    type LeafTicket = Ticket<CompletedJob>;
+
     /// Admits one raw leaf pair on the calling thread and hands its round
     /// to a spawned thread, which runs it as an op's thread would and
     /// then resolves the returned ticket. The runner did not open the
     /// leaf's group, so no batch it runs counts as inline. Admission
     /// errors return synchronously.
-    fn submit(svc: &Service, a: Polynomial, b: Polynomial) -> Result<JobTicket, ServiceError> {
+    fn submit(svc: &Service, a: Polynomial, b: Polynomial) -> Result<LeafTicket, ServiceError> {
         let (done, fulfiller) = ticket();
-        let (hand, handed) = std::sync::mpsc::channel::<Vec<JobTicket>>();
+        let (hand, handed) = std::sync::mpsc::channel::<Range<u64>>();
         let shared = Arc::clone(&svc.shared);
         let runner = std::thread::spawn(move || {
             if let Ok(round) = handed.recv() {
-                run_round(&shared, shared.state.lock().unwrap(), &round);
-                let leaf = round.into_iter().next().expect("one leaf");
-                fulfiller.fulfil(leaf.wait());
+                let mut results = run_round(&shared, shared.lock(), round);
+                fulfiller.fulfil(results.pop().expect("one leaf"));
             }
         });
         let (st, round) = admit(&svc.shared, vec![(a, b)], runner.thread()).map_err(|(_, e)| e)?;
@@ -1116,7 +1120,7 @@ mod tests {
         });
         let blockers = saturate_one_bank(&svc, 2);
         let q = ParamSet::for_degree(256).unwrap().q;
-        let tickets: Vec<JobTicket> = (0..64)
+        let tickets: Vec<LeafTicket> = (0..64)
             .map(|k| submit(&svc, poly(256, q, k), poly(256, q, k + 100)).expect("admitted"))
             .collect();
         gate.open();
@@ -1236,9 +1240,9 @@ mod tests {
     /// opens a group that is full at once; the first one claimed holds
     /// the lone bank at the closed gate, and the rest wait in the queue
     /// behind it.
-    fn saturate_one_bank(svc: &Service, count: usize) -> Vec<JobTicket> {
+    fn saturate_one_bank(svc: &Service, count: usize) -> Vec<LeafTicket> {
         let q = ParamSet::for_degree(32768).unwrap().q;
-        let tickets: Vec<JobTicket> = (0..count as u64)
+        let tickets: Vec<LeafTicket> = (0..count as u64)
             .map(|k| submit(svc, poly(32768, q, k), poly(32768, q, k + 9)).expect("admitted"))
             .collect();
         // Wait until the first batch is actually on the bank. The
@@ -1249,6 +1253,60 @@ mod tests {
             std::thread::yield_now();
         }
         tickets
+    }
+
+    #[test]
+    fn shutdown_waits_for_an_op_its_waiter_runs() {
+        use std::sync::mpsc;
+        let (svc, gate) = gated(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let q = ParamSet::for_degree(256).unwrap().q;
+        let mul = |k: u64| ProtocolJob::Mul {
+            a: poly(256, q, k),
+            b: poly(256, q, k + 1),
+        };
+        // An op nobody waits for is the lone executor's once the grace
+        // has passed; its leaf holds the lone bank at the closed gate,
+        // so the executor cannot claim the next op.
+        let blocker = svc.submit_protocol(mul(1)).expect("admitted");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while svc.stats().in_flight == 0 {
+            assert!(Instant::now() < deadline, "no executor took the blocker");
+            std::thread::yield_now();
+        }
+        // So this op's waiter runs it; its leaf queues behind the bank.
+        let want = direct(&poly(256, q, 3), &poly(256, q, 4));
+        let ticket = svc.submit_protocol(mul(3)).expect("admitted");
+        let waiter = std::thread::spawn(move || ticket.wait());
+        while svc.stats().queue_depth == 0 {
+            assert!(Instant::now() < deadline, "the waiter never ran its op");
+            std::thread::yield_now();
+        }
+        let (stopped, shut) = mpsc::channel();
+        let stopper = std::thread::spawn(move || stopped.send(svc.shutdown()).unwrap());
+        // The blocker's lane runs and its executor exits; the waiter's
+        // leaf then takes the bank and holds it at the gate.
+        gate.permit(1);
+        assert!(
+            shut.recv_timeout(Duration::from_millis(200)).is_err(),
+            "shutdown returned while a waiter-run op was still running"
+        );
+        gate.open();
+        let stats = shut
+            .recv_timeout(Duration::from_secs(60))
+            .expect("shutdown returns once the op has run");
+        stopper.join().unwrap();
+        stats.check_drained().expect("drained counters balance");
+        let lane = &stats.protocol[crate::graph::ProtocolKind::Mul as usize];
+        assert_eq!((lane.submitted, lane.completed, lane.failed), (2, 2, 0));
+        assert_eq!(stats.completed, 2, "{stats}");
+        match waiter.join().unwrap().expect("served").output {
+            ProtocolOutput::Product(p) => assert_eq!(p, want),
+            other => panic!("{other:?}"),
+        }
+        blocker.wait().expect("served");
     }
 
     #[test]
@@ -1299,7 +1357,7 @@ mod tests {
         // With the bank busy, the first partial cannot run eagerly, so
         // the second same-key job joins its group.
         let q = ParamSet::for_degree(1024).unwrap().q;
-        let tickets: Vec<JobTicket> = (0..2)
+        let tickets: Vec<LeafTicket> = (0..2)
             .map(|k| submit(&svc, poly(1024, q, k), poly(1024, q, k + 5)).expect("admitted"))
             .collect();
         assert_eq!(
@@ -1517,21 +1575,24 @@ mod tests {
     #[test]
     fn submit_after_shutdown_is_rejected() {
         let svc = Service::start(ServiceConfig::default());
-        // Reach into the shared state the way shutdown does, then try
-        // to submit: drop-based shutdown makes this race-free to test
-        // only via the consuming API, so use two services.
         let q = ParamSet::for_degree(256).unwrap().q;
         let stats = drained(svc);
         assert_eq!(stats.admitted, 0);
-        let svc2 = Service::start(ServiceConfig::default());
-        {
-            let mut st = svc2.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
+        // Close op admission the way shutdown does, then submit: the
+        // consuming `shutdown` leaves no service to submit to.
+        let svc = Service::start(ServiceConfig::default());
+        svc.shared.lock().shutdown = true;
+        let mul = ProtocolJob::Mul {
+            a: poly(256, q, 1),
+            b: poly(256, q, 2),
+        };
         assert_eq!(
-            submit(&svc2, poly(256, q, 1), poly(256, q, 2)).err(),
+            svc.submit_protocol(mul).err(),
             Some(ServiceError::ShuttingDown)
         );
+        let stats = drained(svc);
+        let mul_lane = &stats.protocol[crate::graph::ProtocolKind::Mul as usize];
+        assert_eq!(mul_lane.submitted, 0, "{stats}");
     }
 
     #[test]
@@ -1886,7 +1947,7 @@ mod tests {
                     .map(|k| (poly(256, q, k), poly(256, q, k + 500)))
                     .collect();
                 for chunk in pairs.chunks(4) {
-                    let tickets: Vec<JobTicket> = chunk
+                    let tickets: Vec<LeafTicket> = chunk
                         .iter()
                         .map(|(a, b)| submit(svc, a.clone(), b.clone()).expect("admitted"))
                         .collect();

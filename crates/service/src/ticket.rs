@@ -1,19 +1,17 @@
 //! The one completion handle of the serving layer: a [`Ticket`] is the
 //! waiting side of a one-shot result slot, and a crate-private
 //! [`Fulfiller`] is its writing side. An op resolves a
-//! [`crate::ProtocolTicket`] (`Ticket<ProtocolCompleted>`), each leaf
-//! multiply an op runs a crate-private `JobTicket`
-//! (`Ticket<CompletedJob>`); both wait, time out and poll through this
-//! one implementation.
+//! [`crate::ProtocolTicket`] (`Ticket<ProtocolCompleted>`). Leaf
+//! multiplies have no ticket: a batch stores their results in the
+//! scheduler state by leaf id, where their round takes them.
 //!
 //! A ticket always resolves: a fulfiller dropped without a result — the
-//! batch or executor holding it unwound — resolves its slot with
-//! [`ServiceError::Internal`], so no waiter can hang on an orphaned job.
+//! thread running the op unwound — resolves its slot with
+//! [`ServiceError::Internal`], so no waiter can hang on an orphaned op.
 //!
-//! A ticket may also carry its job's queued work ([`Claim`]): a waiting
-//! thread then runs the job itself if no other thread has claimed it
-//! yet, instead of sleeping until one does. Ops carry it; leaf
-//! multiplies, which run only as part of a batch, do not.
+//! A ticket may also carry its op's queued work ([`Claim`]): a waiting
+//! thread then runs the op itself if no other thread has claimed it
+//! yet, instead of sleeping until one does.
 
 use crate::error::ServiceError;
 use std::fmt;
@@ -37,7 +35,7 @@ pub(crate) trait Claim: Send + Sync {
 pub struct Ticket<T> {
     slot: Arc<Slot<T>>,
     /// The job's queued work, which a waiter runs itself when it is
-    /// still unclaimed; `None` for jobs only the fleet runs.
+    /// still unclaimed; `None` when no waiter may run it.
     work: Option<Arc<dyn Claim>>,
 }
 
@@ -77,8 +75,7 @@ impl<T> Drop for Fulfiller<T> {
     fn drop(&mut self) {
         if let Some(slot) = self.slot.take() {
             slot.resolve(Err(ServiceError::Internal {
-                detail: "job dropped without a result: the batch or executor running it unwound"
-                    .into(),
+                detail: "job dropped without a result: the thread running it unwound".into(),
             }));
         }
     }

@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let b = Polynomial::from_coeffs((0..1024).map(|i| i * 7 + 2).collect(), params.q)?;
 
     // 3. Multiply through the simulated PIM datapath.
-    let (product, report) = accelerator.multiply_with_report(&a, &b)?;
+    let product = accelerator.multiply_product(&a, &b)?;
+    let report = accelerator.report()?;
     println!(
         "\nproduct (first 8 coefficients): {:?}",
         &product.coeffs()[..8]
